@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     EmptyShiftSet,
     MixedOutcomeGroup,
+    NotProbabilityVector,
     OvercompleteChannel,
     ShiftOutOfRange,
 )
@@ -33,14 +34,13 @@ class U1Kraus:
 
     shift: int
     coeffs: Mapping[int, complex]
-    tag: int = 0
 
     def __post_init__(self) -> None:
         clean = {int(n): complex(c) for n, c in self.coeffs.items()}
         object.__setattr__(self, "coeffs", clean)
 
-    def matrix(self, dim: int) -> np.ndarray:
-        m = np.zeros((dim, dim), dtype=np.complex128)
+    def window_coeffs(self, dim: int) -> Iterator[tuple[int, complex]]:
+        """Nonzero ``(n, coeff)`` pairs; raises if one maps outside ``0..dim-1``."""
         for n, c in self.coeffs.items():
             if c == 0:
                 continue
@@ -49,6 +49,11 @@ class U1Kraus:
                     f"coefficient at sector {n} with shift {self.shift} "
                     f"maps outside 0..{dim - 1}"
                 )
+            yield n, c
+
+    def matrix(self, dim: int) -> np.ndarray:
+        m = np.zeros((dim, dim), dtype=np.complex128)
+        for n, c in self.window_coeffs(dim):
             m[n + self.shift, n] = c
         return m
 
@@ -95,6 +100,8 @@ class Ensemble:
         if not pairs:
             raise ValueError("ensemble needs at least one member")
         probs = np.array([p for p, _ in pairs])
+        if not np.isfinite(probs).all():
+            raise NotProbabilityVector("probabilities must be finite")
         if probs.min() < -PROB_EPS:
             raise ValueError(f"negative probability {probs.min():.3e}")
         if abs(probs.sum() - 1.0) > COMPLETENESS_TOL:
@@ -134,14 +141,7 @@ def validate_channel(channel: U1Channel) -> ChannelReport:
     d = channel.dim
     sums = np.zeros(d)
     for k in channel.all_kraus():
-        for n, c in k.coeffs.items():
-            if c == 0:
-                continue
-            if not (0 <= n < d and 0 <= n + k.shift < d):
-                raise ShiftOutOfRange(
-                    f"coefficient at sector {n} with shift {k.shift} "
-                    f"maps outside 0..{d - 1}"
-                )
+        for n, c in k.window_coeffs(d):
             sums[n] += abs(c) ** 2
     if sums.max() > 1.0 + COMPLETENESS_TOL:
         raise OvercompleteChannel(
@@ -184,8 +184,8 @@ def random_channel(
         for slot, c in zip(live, vec):
             coeffs[slot][n] = complex(c)
     outcomes = [
-        [U1Kraus(shift=ell, coeffs=coeffs[(ell, a)], tag=idx)]
-        for idx, (ell, a) in enumerate(slots)
+        [U1Kraus(shift=ell, coeffs=coeffs[(ell, a)])]
+        for ell, a in slots
         if coeffs[(ell, a)]
     ]
     return U1Channel(outcomes, dim)

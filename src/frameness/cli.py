@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +28,8 @@ from .channels import (
     validate_channel,
 )
 from .convexroof import RoofConfig, convex_roof
-from .errors import FramenessError
-from .monotones import MonotoneId, appendix_closed_form, weight_evaluator
+from .errors import BadTrialCount, FramenessError
+from .monotones import KINDS, MonotoneId, appendix_closed_form, weight_evaluator
 from .states import (
     SectoredPureState,
     StandardState,
@@ -88,15 +86,6 @@ def sample_trial(
     return state, channel
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("FRAMENESS_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def run_verification(
     measure: MonotoneId,
     dim: int,
@@ -104,7 +93,6 @@ def run_verification(
     seed: int,
     shifts: tuple[int, ...],
     kraus_per_shift: int = 1,
-    threads: int | None = None,
 ) -> tuple[VerificationReport, list[tuple[int, float, int]]]:
     """Monotonicity margins over seeded random (state, channel) trials.
 
@@ -113,25 +101,19 @@ def run_verification(
     ``-VIOLATION_TOL``. Returns the report plus per-trial rows
     ``(trial, margin, p_count)``.
     """
+    if trials < 1:
+        raise BadTrialCount(f"trials must be at least 1, got {trials}")
     evaluator = weight_evaluator(measure, dim)
-
-    def one(trial: int) -> tuple[float, int]:
+    start = time.perf_counter()
+    rows = []
+    for trial in range(trials):
         state, channel = sample_trial(dim, shifts, kraus_per_shift, seed, trial)
         ensemble = apply_channel_pure(channel, state)
         before = evaluator(state.weights)
         after = sum(p * evaluator(out.weights) for p, out in ensemble.members)
-        return before - after, len(ensemble.members)
-
-    start = time.perf_counter()
-    workers = _resolve_threads(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(trials)))
-    else:
-        results = [one(t) for t in range(trials)]
+        rows.append((trial, before - after, len(ensemble.members)))
     runtime_ms = (time.perf_counter() - start) * 1e3
 
-    rows = [(t, margin, count) for t, (margin, count) in enumerate(results)]
     margins = np.array([m for _, m, _ in rows])
     report = VerificationReport(
         measure=measure,
@@ -219,7 +201,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         shifts=_parse_shifts(args.shifts),
         kraus_per_shift=args.kraus_per_shift,
-        threads=args.threads,
     )
     if args.csv is not None:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
@@ -281,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--measure",
             required=True,
-            choices=["vidal", "entropy", "concurrence", "variance"],
+            choices=KINDS,
         )
         p.add_argument("--k", type=int, default=None)
 
@@ -308,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--shifts", required=True, help="e.g. --shifts=-1,0,1")
     p_verify.add_argument("--kraus-per-shift", type=int, default=1)
-    p_verify.add_argument("--threads", type=int, default=None)
     p_verify.add_argument("--csv", default=None, help="write per-trial rows here")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import PROB_EPS, Ensemble
 from .errors import NotIsometry, RankMismatch
-from .monotones import MonotoneId, qubit_concurrence, weight_evaluator
+from .monotones import MonotoneId, weight_evaluator
 from .numerics import hermitian_eig, validate_density
 from .states import SPECTRUM_EPS
 
@@ -263,8 +263,3 @@ def brute_force_roof(
         q = q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
         best = min(best, _average_value(factor, q, evaluator))
     return best
-
-
-def fof_via_concurrence(rho: np.ndarray) -> float:
-    """Qubit frameness of formation through the concurrence closed form."""
-    return qubit_concurrence(rho) ** 2

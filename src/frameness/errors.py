@@ -63,6 +63,10 @@ class BadProbability(FramenessError):
     """Probability parameter outside [0, 1]."""
 
 
+class BadTrialCount(FramenessError):
+    """Verification asked for fewer than one trial."""
+
+
 class NotIsometry(FramenessError):
     """Matrix columns are not orthonormal."""
 

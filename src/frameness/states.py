@@ -68,6 +68,8 @@ class StandardState:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-D sequence")
+        if not np.isfinite(w).all():
+            raise NotNormalized("weights must be finite")
         if w.min() < -SPECTRUM_EPS:
             raise NotNormalized(f"negative weight {w.min():.3e}")
         total = w.sum()
@@ -194,6 +196,8 @@ def _as_probability_vector(seq: Sequence[float], tol: float) -> np.ndarray:
         raise LengthMismatch(f"expected a 1-D sequence, got shape {v.shape}")
     if v.size == 0:
         raise LengthMismatch("empty sequence")
+    if not np.isfinite(v).all():
+        raise NotProbabilityVector("entries must be finite")
     if v.min() < -tol:
         raise NotProbabilityVector(f"negative entry {v.min():.3e}")
     if abs(v.sum() - 1.0) > tol:

@@ -5,6 +5,7 @@ from frameness import (
     EmptyShiftSet,
     Ensemble,
     MixedOutcomeGroup,
+    NotProbabilityVector,
     OvercompleteChannel,
     ShiftOutOfRange,
     StandardState,
@@ -214,7 +215,13 @@ def test_ensemble_validation_and_mixture():
         Ensemble(((0.5, StandardState([1.0])),))
     with pytest.raises(ValueError):
         Ensemble(((-0.1, StandardState([1.0])), (1.1, StandardState([1.0]))))
-    ens = Ensemble(((0.5, StandardState([1.0, 0.0])), (0.5, StandardState([0.0, 1.0]))))
+    a = StandardState([1.0, 0.0])
+    b = StandardState([0.0, 1.0])
+    with pytest.raises(NotProbabilityVector):
+        Ensemble(((np.nan, a), (1.0, b)))
+    with pytest.raises(NotProbabilityVector):
+        Ensemble(((np.inf, a), (-np.inf, b)))
+    ens = Ensemble(((0.5, a), (0.5, b)))
     assert np.allclose(ens.mixture(), np.diag([0.5, 0.5]))
 
 

@@ -1,14 +1,17 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frameness import MonotoneId, qubit_concurrence
+from frameness import BadTrialCount, MonotoneId, qubit_concurrence
 from frameness.channels import channel_from_dict, validate_channel
 from frameness.cli import VerificationReport, main, run_verification, sample_trial
 from frameness.states import density_from_dict, density_to_dict
 
 RT2_INV = 1.0 / np.sqrt(2.0)
+GOLDEN_MARGINS = Path(__file__).parent / "golden" / "verify_margins.csv"
 
 
 @pytest.fixture
@@ -82,6 +85,15 @@ def test_monotone_malformed_file(capsys, tmp_path):
     assert main(["monotone", "--measure", "entropy", "--state", str(tmp_path / "nope.json")]) == 2
 
 
+def test_monotone_rejects_nan_weight(capsys, tmp_path):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"weights": [NaN, 0.5, 0.5]}')
+    assert main(["monotone", "--measure", "entropy", "--state", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "weights must be finite" in captured.err
+
+
 def test_roof_deterministic_bytes(capsys, tmp_path):
     rho = write_density(tmp_path, [[0.6, 0.2], [0.2, 0.4]])
     argv = [
@@ -121,7 +133,7 @@ def test_verify_reports_clean_run(capsys, tmp_path):
         [
             "verify", "--measure", "vidal", "--k", "2", "--dim", "3",
             "--trials", "40", "--seed", "5", "--shifts=-1,0,1",
-            "--csv", str(csv_path), "--threads", "2",
+            "--csv", str(csv_path),
         ]
     )
     assert code == 0
@@ -165,12 +177,47 @@ def test_verify_trials_independent_of_measure():
     assert [k.coeffs for k in ch1.all_kraus()] == [k.coeffs for k in ch2.all_kraus()]
 
 
-def test_run_verification_thread_count_invariant():
-    mid = MonotoneId("concurrence", 2)
-    rep1, rows1 = run_verification(mid, dim=3, trials=30, seed=2, shifts=(-1, 0, 1), threads=1)
-    rep2, rows2 = run_verification(mid, dim=3, trials=30, seed=2, shifts=(-1, 0, 1), threads=4)
-    assert rows1 == rows2
-    assert rep1.worst_margin == rep2.worst_margin
+def test_run_verification_matches_golden_margins():
+    """Margins equal, bit for bit, those captured from an earlier implementation.
+
+    The CSV holds dims 2, 3, 4 and 6, shift sets (-1, 0, 1) and (0, 2), every
+    measure valid for each dim, seed 11 and 10 trials, with ``repr(margin)``.
+    """
+    with open(GOLDEN_MARGINS, newline="", encoding="utf-8") as fh:
+        golden = list(csv.DictReader(fh))
+    combos = {}
+    for row in golden:
+        key = (int(row["dim"]), row["shifts"], row["kind"], row["k"])
+        combos.setdefault(key, []).append((int(row["trial"]), row["margin"], int(row["p_count"])))
+    assert len(combos) == 60
+    for (dim, shifts, kind, k), expected in combos.items():
+        shift_tuple = tuple(int(s) for s in shifts.split())
+        measure = MonotoneId(kind, int(k) if k else None)
+        _, rows = run_verification(measure, dim, trials=10, seed=11, shifts=shift_tuple)
+        assert [(t, repr(m), c) for t, m, c in rows] == expected, (dim, shifts, kind, k)
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_nonpositive_trials(capsys, trials):
+    code = main(
+        [
+            "verify", "--measure", "vidal", "--k", "2", "--dim", "3",
+            "--trials", trials, "--shifts=-1,0,1",
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"trials must be at least 1, got {trials}" in captured.err
+    with pytest.raises(BadTrialCount):
+        run_verification(MonotoneId("vidal", 2), 3, int(trials), 0, (-1, 0, 1))
+
+
+def test_verify_rejects_threads_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--measure", "entropy", "--dim", "2", "--shifts=0", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_channel_sample_deterministic(capsys):

@@ -11,7 +11,6 @@ from frameness import (
     brute_force_roof,
     convex_roof,
     decomposition_from_map,
-    fof_via_concurrence,
     qubit_concurrence,
     qubit_fof,
     random_channel,
@@ -191,9 +190,9 @@ def test_brute_force_pure_input_exact():
     assert brute_force_roof(VAR, rho, samples=1) == pytest.approx(direct, abs=1e-12)
 
 
-def test_fof_via_concurrence():
+def test_variance_roof_matches_qubit_fof():
     rng = np.random.default_rng(47)
     rho = random_density_matrix(2, rng)
-    assert fof_via_concurrence(rho) == qubit_fof(rho)
+    assert qubit_fof(rho) == qubit_concurrence(rho) ** 2
     res = convex_roof(VAR, rho, FAST_CFG)
-    assert abs(res.value - fof_via_concurrence(rho)) < 2e-3
+    assert abs(res.value - qubit_fof(rho)) < 2e-3

@@ -64,6 +64,10 @@ def test_standard_state_checks_weights():
         StandardState([0.5, 0.3])
     with pytest.raises(NotNormalized):
         StandardState([1.5, -0.5])
+    with pytest.raises(NotNormalized):
+        StandardState([np.nan, 0.5, 0.5])
+    with pytest.raises(NotNormalized):
+        StandardState([np.inf, -np.inf, 1.0])
 
 
 def test_spectrum_and_gaps():
@@ -159,6 +163,8 @@ def test_majorizes_rejects_bad_input():
         majorizes([0.5, 0.4], [0.5, 0.5])
     with pytest.raises(NotProbabilityVector):
         majorizes([1.2, -0.2], [0.5, 0.5])
+    with pytest.raises(NotProbabilityVector):
+        majorizes([np.nan, 0.5, 0.5], [1.0])
     with pytest.raises(LengthMismatch):
         majorizes(np.eye(2), [0.5, 0.5])
 
