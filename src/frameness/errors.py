@@ -63,6 +63,10 @@ class BadProbability(FramenessError):
     """Probability parameter outside [0, 1]."""
 
 
+class BadAngle(FramenessError):
+    """Angle parameter is NaN or infinite."""
+
+
 class BadTrialCount(FramenessError):
     """Verification asked for fewer than one trial."""
 
@@ -73,3 +77,7 @@ class NotIsometry(FramenessError):
 
 class RankMismatch(FramenessError):
     """Decomposition size incompatible with the state's rank."""
+
+
+class NonFiniteCoefficient(FramenessError):
+    """Kraus coefficient is NaN or infinite."""

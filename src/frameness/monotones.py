@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .channels import Ensemble
-from .errors import BadK, BadProbability, WrongDimension
+from .errors import BadAngle, BadK, BadProbability, WrongDimension
 from .numerics import hermitian_eig, product_eig_sqrt, psd_sqrt, validate_density
 from .states import StandardState
 
@@ -55,74 +55,102 @@ def _check_k(k: int, dim: int) -> int:
     return k
 
 
-def _tail_sum(weights: np.ndarray, k: int) -> float:
-    ordered = np.sort(weights)[::-1]
-    return float(ordered[k - 1 :].sum())
+# Each evaluator acts along the last axis of a (..., d) array of weights and
+# rounds every row exactly as the same code rounds a single 1-D vector.
 
 
-def _shannon_bits(weights: np.ndarray) -> float:
-    w = weights[weights > 0.0]
-    return float(-(w * np.log2(w)).sum())
+def _tail_sum(weights: np.ndarray, k: int) -> np.ndarray:
+    ordered = np.sort(weights, axis=-1)[..., ::-1]
+    return ordered[..., k - 1 :].sum(axis=-1)
 
 
-def _elementary_symmetric(values: np.ndarray, k: int) -> float:
+# numpy adds runs shorter than this left to right and longer ones pairwise.
+_PAIRWISE_BLOCK = 8
+
+
+def _shannon_bits(weights: np.ndarray) -> np.ndarray:
+    w = np.asarray(weights, dtype=np.float64)
+    pos = w > 0.0
+    if w.shape[-1] < _PAIRWISE_BLOCK:
+        # Left-to-right sums: the zero terms of empty sectors change nothing.
+        return -(w * np.log2(np.where(pos, w, 1.0))).sum(axis=-1)
+    # Pairwise sums: sum exactly the positive terms of each row, grouping
+    # rows by support size so that every group is a rectangular array.
+    rows = w.reshape(-1, w.shape[-1])
+    pos = pos.reshape(rows.shape)
+    counts = pos.sum(axis=-1)
+    out = np.empty(counts.shape)
+    for c in np.unique(counts):
+        group = counts == c
+        v = rows[group][pos[group]].reshape(np.count_nonzero(group), c)
+        out[group] = -(v * np.log2(v)).sum(axis=-1)
+    return out.reshape(w.shape[:-1])[()]
+
+
+def _elementary_symmetric(values: np.ndarray, k: int) -> np.ndarray:
     # Coefficient of x^k in prod(1 + v x), accumulated stably; no
-    # cancellation occurs for nonnegative inputs.
-    acc = np.zeros(k + 1)
+    # cancellation occurs for nonnegative inputs. acc[j] holds e_j of the
+    # values seen so far, for every row at once.
+    acc = np.zeros((k + 1,) + values.shape[:-1])
     acc[0] = 1.0
-    for count, v in enumerate(values, start=1):
-        top = min(count, k)
-        for j in range(top, 0, -1):
-            acc[j] += v * acc[j - 1]
-    return float(acc[k])
+    for i in range(values.shape[-1]):
+        top = min(i + 1, k)
+        head = acc[1 : top + 1]
+        head += values[..., i] * acc[:top]
+    return acc[k]
 
 
-def _concurrence_weights(weights: np.ndarray, k: int) -> float:
-    d = weights.size
+def _concurrence_weights(weights: np.ndarray, k: int) -> np.ndarray:
+    d = weights.shape[-1]
     num = _elementary_symmetric(weights, k)
     den = math.comb(d, k) / d**k
-    ratio = min(num / den, 1.0)
-    return ratio ** (1.0 / k)
+    return np.float_power(np.minimum(num / den, 1.0), 1.0 / k)
 
 
-def _variance_weights(weights: np.ndarray) -> float:
-    labels = np.arange(weights.size)
-    m1 = float(weights @ labels)
-    m2 = float(weights @ labels**2)
+def _variance_weights(weights: np.ndarray) -> np.ndarray:
+    # vecdot runs the same dot per row as the 1-D product; a matrix
+    # product would round differently from d = 4 on.
+    labels = np.arange(weights.shape[-1])
+    m1 = np.vecdot(weights, labels)
+    m2 = np.vecdot(weights, labels**2)
     return 4.0 * (m2 - m1 * m1)
 
 
 def vidal_f(state: StandardState, k: int) -> float:
     """Tail sum of the descending weights from position k (1-based)."""
     k = _check_k(k, state.dim)
-    return _tail_sum(state.weights, k)
+    return float(_tail_sum(state.weights, k))
 
 
 def entropy_of_frameness(state: StandardState) -> float:
     """Shannon entropy of the weights, in bits."""
-    return _shannon_bits(state.weights)
+    return float(_shannon_bits(state.weights))
 
 
 def elementary_symmetric(values: Sequence[float], k: int) -> float:
     """k-th elementary symmetric polynomial of the given reals."""
     v = np.asarray(values, dtype=np.float64)
     k = _check_k(k, v.size)
-    return _elementary_symmetric(v, k)
+    return float(_elementary_symmetric(v, k))
 
 
 def concurrence_pure(state: StandardState, k: int) -> float:
     """Order-k concurrence: symmetric-polynomial ratio against the flat state."""
     k = _check_k(k, state.dim)
-    return _concurrence_weights(state.weights, k)
+    return float(_concurrence_weights(state.weights, k))
 
 
 def variance_pure(state: StandardState) -> float:
     """Four times the charge variance; sensitive to the sector labels."""
-    return _variance_weights(state.weights)
+    return float(_variance_weights(state.weights))
 
 
-def weight_evaluator(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], float]:
-    """Resolve a monotone to a plain function on weight vectors of length ``dim``."""
+def weight_evaluator(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Resolve a monotone to a function on weight vectors of length ``dim``.
+
+    The function maps a ``(..., dim)`` array to the ``(...)`` array of
+    values along the last axis; a single vector gives a scalar.
+    """
     if measure.kind == "vidal":
         k = _check_k(measure.k, dim)
         return lambda w: _tail_sum(w, k)
@@ -136,7 +164,7 @@ def weight_evaluator(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], fl
 
 def evaluate_pure(measure: MonotoneId, state: StandardState) -> float:
     """Value of a pure-state monotone on a standard-form state."""
-    return weight_evaluator(measure, state.dim)(state.weights)
+    return float(weight_evaluator(measure, state.dim)(state.weights))
 
 
 def conjugate_flip(rho: np.ndarray) -> np.ndarray:
@@ -194,11 +222,15 @@ def appendix_closed_form(p: float, alpha: float) -> AppendixResult:
     """Closed forms for rho = p |phi1><phi1| + (1-p) |phi2><phi2|.
 
     Here phi1 = cos(a/2)|0> + sin(a/2)|1> and phi2 is its orthogonal
-    complement. Raises :class:`BadProbability` for p outside [0, 1].
+    complement. Raises :class:`BadProbability` for p outside [0, 1] and
+    :class:`BadAngle` for a non-finite alpha.
     """
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise BadProbability(f"p={p} outside [0, 1]")
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise BadAngle(f"alpha={alpha} is not finite")
     s = math.sin(alpha)
     v = (1.0 - 2.0 * p) ** 2 * s * s
     base = p * (1.0 - p) + 0.5 * v

@@ -68,14 +68,7 @@ class StandardState:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-D sequence")
-        if not np.isfinite(w).all():
-            raise NotNormalized("weights must be finite")
-        if w.min() < -SPECTRUM_EPS:
-            raise NotNormalized(f"negative weight {w.min():.3e}")
-        total = w.sum()
-        if abs(total - 1.0) > 1e-12:
-            raise NotNormalized(f"weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "weights", np.clip(w, 0.0, None))
+        object.__setattr__(self, "weights", checked_weights(w))
 
     @property
     def dim(self) -> int:
@@ -88,6 +81,24 @@ class StandardState:
     def projector(self) -> np.ndarray:
         v = self.vector()
         return np.outer(v, v.conj())
+
+
+def checked_weights(weights: np.ndarray) -> np.ndarray:
+    """Validate weight vectors along the last axis; return them clipped at 0.
+
+    Every row must be finite, nonnegative up to ``SPECTRUM_EPS`` and sum
+    to 1 within 1e-12; otherwise :class:`NotNormalized` is raised.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if not np.isfinite(w).all():
+        raise NotNormalized("weights must be finite")
+    if w.size and w.min() < -SPECTRUM_EPS:
+        raise NotNormalized(f"negative weight {w.min():.3e}")
+    totals = w.sum(axis=-1)
+    off = abs(totals - 1.0) > 1e-12
+    if off.any():
+        raise NotNormalized(f"weights sum to {np.extract(off, totals)[0]!r}, expected 1")
+    return np.clip(w, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -221,11 +232,20 @@ def majorizes(a: Sequence[float], b: Sequence[float], tol: float = MAJORIZE_TOL)
     return bool(np.all(pa >= pb - 1e-12))
 
 
+def random_weights(dim: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Standard forms of Haar-uniform pure states, one row per generator.
+
+    Each generator makes one normal draw of ``2 * dim`` values: the real
+    parts, then the imaginary parts, of the state's amplitudes.
+    """
+    draws = np.array([rng.normal(size=2 * dim) for rng in rngs])
+    w = np.abs(draws[:, :dim] + 1j * draws[:, dim:]) ** 2
+    return checked_weights(w / w.sum(axis=-1, keepdims=True))
+
+
 def random_standard_state(dim: int, rng: np.random.Generator) -> StandardState:
     """Standard form of a Haar-uniform pure state on the ambient sphere."""
-    c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    w = np.abs(c) ** 2
-    return StandardState(w / w.sum())
+    return StandardState(random_weights(dim, [rng])[0])
 
 
 def random_density_matrix(

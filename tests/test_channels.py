@@ -5,6 +5,7 @@ from frameness import (
     EmptyShiftSet,
     Ensemble,
     MixedOutcomeGroup,
+    NonFiniteCoefficient,
     NotProbabilityVector,
     OvercompleteChannel,
     ShiftOutOfRange,
@@ -64,6 +65,16 @@ def test_validate_shift_out_of_range():
     # an explicit zero outside the window is tolerated
     ok = U1Channel([[U1Kraus(1, {0: 1.0, 1: 0.0})]], 2)
     validate_channel(ok)
+
+
+def test_kraus_rejects_non_finite_coefficients():
+    for bad in (float("nan"), complex(0.5, float("inf"))):
+        with pytest.raises(NonFiniteCoefficient):
+            U1Kraus(0, {0: 1.0, 1: bad})
+    data = channel_to_dict(identity_channel(2))
+    data["outcomes"][0][0]["coeffs"]["0"] = [float("nan"), 0.0]
+    with pytest.raises(NonFiniteCoefficient):
+        channel_from_dict(data)
 
 
 def test_kraus_matrix():

@@ -5,13 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frameness import BadTrialCount, MonotoneId, qubit_concurrence
+from frameness import BadAngle, BadTrialCount, MonotoneId, appendix_closed_form, qubit_concurrence
 from frameness.channels import channel_from_dict, validate_channel
-from frameness.cli import VerificationReport, main, run_verification, sample_trial
+from frameness.cli import (
+    VerificationReport,
+    main,
+    run_verification,
+    sample_trial,
+    sample_trials,
+)
 from frameness.states import density_from_dict, density_to_dict
 
 RT2_INV = 1.0 / np.sqrt(2.0)
-GOLDEN_MARGINS = Path(__file__).parent / "golden" / "verify_margins.csv"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_MARGINS = GOLDEN / "verify_margins.csv"
 
 
 @pytest.fixture
@@ -171,10 +178,23 @@ def test_verify_exit_one_on_violations(monkeypatch, capsys):
 
 
 def test_verify_trials_independent_of_measure():
-    st1, ch1 = sample_trial(3, (-1, 0, 1), 1, seed=9, trial=4)
-    st2, ch2 = sample_trial(3, (-1, 0, 1), 1, seed=9, trial=4)
-    assert np.array_equal(st1.weights, st2.weights)
-    assert [k.coeffs for k in ch1.all_kraus()] == [k.coeffs for k in ch2.all_kraus()]
+    shifts = (-1, 0, 1)
+    _, vidal_rows = run_verification(MonotoneId("vidal", 2), 4, 12, 9, shifts)
+    _, entropy_rows = run_verification(MonotoneId("entropy"), 4, 12, 9, shifts)
+    assert [c for _, _, c in vidal_rows] == [c for _, _, c in entropy_rows]
+    assert [m for _, m, _ in vidal_rows] != [m for _, m, _ in entropy_rows]
+
+
+@pytest.mark.parametrize("dim, shifts, kraus_per_shift", [(3, (-1, 0, 1), 1), (4, (-2, 0, 1), 2)])
+def test_batched_sampler_rows_match_sample_trial(dim, shifts, kraus_per_shift):
+    weights, slot_shifts, coeffs = sample_trials(dim, shifts, kraus_per_shift, 9, range(6))
+    for trial in range(6):
+        state, channel = sample_trial(dim, shifts, kraus_per_shift, 9, trial)
+        assert np.array_equal(weights[trial], state.weights)
+        kraus = list(channel.all_kraus())
+        assert [k.shift for k in kraus] == list(slot_shifts)
+        for k, row in zip(kraus, coeffs[trial]):
+            assert k.coeffs == {n: complex(row[n]) for n in np.flatnonzero(row)}
 
 
 def test_run_verification_matches_golden_margins():
@@ -195,6 +215,41 @@ def test_run_verification_matches_golden_margins():
         measure = MonotoneId(kind, int(k) if k else None)
         _, rows = run_verification(measure, dim, trials=10, seed=11, shifts=shift_tuple)
         assert [(t, repr(m), c) for t, m, c in rows] == expected, (dim, shifts, kind, k)
+
+
+def test_run_verification_matches_wide_golden_margins():
+    """Margins equal, bit for bit, those captured from the one-trial-at-a-time code.
+
+    The CSV holds dims 8 and 12 with shifts (-1, 0, 1), and dim 4 with shifts
+    (-2, 0, 1) and two Kraus operators per shift; every measure valid for
+    each dim, seed 11 and 10 trials, with ``repr(margin)``.
+    """
+    with open(GOLDEN / "verify_margins_wide.csv", newline="", encoding="utf-8") as fh:
+        golden = list(csv.DictReader(fh))
+    combos = {}
+    for row in golden:
+        key = (int(row["dim"]), row["shifts"], int(row["kraus_per_shift"]), row["kind"], row["k"])
+        combos.setdefault(key, []).append((int(row["trial"]), row["margin"], int(row["p_count"])))
+    assert len(combos) == 48
+    for (dim, shifts, kraus_per_shift, kind, k), expected in combos.items():
+        measure = MonotoneId(kind, int(k) if k else None)
+        _, rows = run_verification(
+            measure,
+            dim,
+            trials=10,
+            seed=11,
+            shifts=tuple(int(s) for s in shifts.split()),
+            kraus_per_shift=kraus_per_shift,
+        )
+        assert [(t, repr(m), c) for t, m, c in rows] == expected, (dim, shifts, kind, k)
+
+
+def test_run_verification_batch_size_invariant(monkeypatch):
+    measure = MonotoneId("concurrence", 3)
+    _, whole = run_verification(measure, 5, 11, 4, (-1, 0, 2))
+    monkeypatch.setattr("frameness.cli.VERIFY_BATCH", 4)
+    _, pieces = run_verification(measure, 5, 11, 4, (-1, 0, 2))
+    assert pieces == whole
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -230,6 +285,16 @@ def test_channel_sample_deterministic(capsys):
     report = validate_channel(channel)
     assert report.trace_preserving
     assert np.max(np.abs(report.per_sector_sums - 1.0)) < 1e-12
+
+
+def test_channel_sample_matches_golden_bytes(capsys):
+    argv = [
+        "channel", "sample", "--dim", "5", "--shifts=-1,0,1",
+        "--kraus-per-shift", "2", "--seed", "3",
+    ]
+    assert main(argv) == 0
+    expected = (GOLDEN / "channel_sample_d5.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
 
 
 def test_channel_sample_check_prints_sums(capsys):
@@ -277,3 +342,13 @@ def test_appendix_values(capsys):
 def test_appendix_rejects_bad_probability(capsys):
     assert main(["appendix", "--p", "1.5", "--alpha", "0.0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_appendix_rejects_non_finite_alpha(capsys):
+    for alpha in ("nan", "inf"):
+        assert main(["appendix", "--p", "0.2", "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+    with pytest.raises(BadAngle):
+        appendix_closed_form(0.2, float("nan"))
