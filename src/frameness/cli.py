@@ -46,9 +46,10 @@ from .states import (
 )
 
 VIOLATION_TOL = 1e-9
-# Trials per array batch in run_verification: enough to amortize the numpy
-# call overhead, few enough that the (batch, slots, dim) arrays stay small.
-VERIFY_BATCH = 4096
+# Array entries per (trials, slots, dim) batch in run_verification: enough
+# trials to amortize the numpy call overhead, while each batch's working
+# arrays stay within about 10 MB whatever --dim and --kraus-per-shift.
+VERIFY_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -123,16 +124,18 @@ def run_verification(
     The margin of a trial is the input value minus the probability-weighted
     average over channel outcomes; a violation is a margin below
     ``-VIOLATION_TOL``. Trials are sampled, transformed and evaluated in
-    batches of up to ``VERIFY_BATCH``. Returns the report plus per-trial
-    rows ``(trial, margin, p_count)``.
+    batches of about ``VERIFY_ELEMENTS`` channel coefficients (at least one
+    trial). Returns the report plus per-trial rows ``(trial, margin, p_count)``.
     """
     if trials < 1:
         raise BadTrialCount(f"trials must be at least 1, got {trials}")
     evaluator = weight_evaluator(measure, dim)
     start = time.perf_counter()
+    slot_count = len(set(shifts)) * kraus_per_shift
+    batch_size = max(1, VERIFY_ELEMENTS // max(1, slot_count * dim))
     margins, counts = [], []
-    for lo in range(0, trials, VERIFY_BATCH):
-        batch = range(lo, min(lo + VERIFY_BATCH, trials))
+    for lo in range(0, trials, batch_size):
+        batch = range(lo, min(lo + batch_size, trials))
         weights, slot_shifts, coeffs = sample_trials(dim, shifts, kraus_per_shift, seed, batch)
         probs, posts, kept = apply_slots_pure(slot_shifts, squared_moduli(coeffs), weights)
         terms = np.where(kept, probs * evaluator(posts), 0.0)

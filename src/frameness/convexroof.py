@@ -100,10 +100,12 @@ def _average_value(factor: np.ndarray, mix: np.ndarray, evaluator) -> float:
     members = factor @ mix.T
     w2 = np.abs(members) ** 2
     probs = w2.sum(axis=0)
-    keep = probs > PROB_EPS
-    kept = probs[keep]
-    values = evaluator(w2.T[keep] / kept[:, None])
-    return sum((kept * values).tolist(), 0.0)
+    total = 0.0
+    for i in range(mix.shape[0]):
+        p = probs[i]
+        if p > PROB_EPS:
+            total += p * evaluator(w2[:, i] / p)
+    return total
 
 
 def _coordinate_search(

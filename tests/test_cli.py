@@ -244,12 +244,23 @@ def test_run_verification_matches_wide_golden_margins():
         assert [(t, repr(m), c) for t, m, c in rows] == expected, (dim, shifts, kind, k)
 
 
-def test_run_verification_batch_size_invariant(monkeypatch):
+@pytest.mark.parametrize("elements, sizes", [(60, [4, 4, 3]), (1, [1] * 11)])
+def test_run_verification_batch_size_invariant(monkeypatch, elements, sizes):
+    # 3 slots x dim 5: a budget of 60 entries makes batches of 4 trials,
+    # a budget below one trial's 15 entries makes batches of 1.
     measure = MonotoneId("concurrence", 3)
     _, whole = run_verification(measure, 5, 11, 4, (-1, 0, 2))
-    monkeypatch.setattr("frameness.cli.VERIFY_BATCH", 4)
+    monkeypatch.setattr("frameness.cli.VERIFY_ELEMENTS", elements)
+    batches = []
+
+    def recording(*args):
+        batches.append(len(args[-1]))
+        return sample_trials(*args)
+
+    monkeypatch.setattr("frameness.cli.sample_trials", recording)
     _, pieces = run_verification(measure, 5, 11, 4, (-1, 0, 2))
     assert pieces == whole
+    assert batches == sizes
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
