@@ -129,11 +129,11 @@ def _check_probabilities(probs: np.ndarray) -> None:
     if not np.isfinite(probs).all():
         raise NotProbabilityVector("probabilities must be finite")
     if probs.min() < -PROB_EPS:
-        raise ValueError(f"negative probability {probs.min():.3e}")
+        raise NotProbabilityVector(f"negative probability {probs.min():.3e}")
     totals = probs.sum(axis=-1)
     off = abs(totals - 1.0) > COMPLETENESS_TOL
     if off.any():
-        raise ValueError(f"probabilities sum to {np.extract(off, totals)[0]!r}")
+        raise NotProbabilityVector(f"probabilities sum to {np.extract(off, totals)[0]!r}")
 
 
 def _as_density(state: Any) -> np.ndarray:

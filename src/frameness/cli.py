@@ -17,7 +17,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .states import (
     StandardState,
     density_from_dict,
     density_to_dict,
+    load_density,
     random_weights,
     standard_form,
     state_from_dict,
@@ -65,15 +66,7 @@ class VerificationReport:
     runtime_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "measure": {"kind": self.measure.kind, "k": self.measure.k},
-            "dim": self.dim,
-            "trials": self.trials,
-            "seed": self.seed,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "runtime_ms": self.runtime_ms,
-        }
+        return asdict(self)
 
 
 def sample_trials(
@@ -201,8 +194,7 @@ def cmd_monotone(args: argparse.Namespace) -> int:
 
 def cmd_roof(args: argparse.Namespace) -> int:
     measure = MonotoneId(args.measure, args.k)
-    with open(args.rho, encoding="utf-8") as fh:
-        rho = density_from_dict(json.load(fh))
+    rho = load_density(args.rho)
     cfg = RoofConfig(
         ensemble_size=args.ensemble_size,
         restarts=args.restarts,

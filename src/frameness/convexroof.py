@@ -17,7 +17,7 @@ import numpy as np
 from .channels import PROB_EPS, Ensemble
 from .errors import NotIsometry, RankMismatch
 from .monotones import MonotoneId, weight_evaluator
-from .numerics import hermitian_eig, validate_density
+from .numerics import _checked_density
 from .states import SPECTRUM_EPS
 
 RANK_EPS = 1e-12
@@ -71,9 +71,8 @@ class RoofResult:
     gapped_support: bool
 
 
-def _support_factor(rho: np.ndarray, eps: float = RANK_EPS) -> np.ndarray:
-    """Columns sqrt(e_j) v_j over the numerically occupied eigenspace."""
-    w, v = hermitian_eig(rho)
+def _support_factor(w: np.ndarray, v: np.ndarray, eps: float = RANK_EPS) -> np.ndarray:
+    """Columns sqrt(e_j) v_j over the numerically occupied part of descending eigenpairs."""
     w = np.clip(w, 0.0, None)
     r = int((w > eps).sum())
     return v[:, :r] * np.sqrt(w[:r])
@@ -147,11 +146,11 @@ def decomposition_from_map(rho: np.ndarray, mix: np.ndarray) -> Ensemble:
     numerical rank of ``rho``; member i is the normalization of
     ``sum_j mix[i, j] sqrt(e_j) v_j``.
     """
-    m_rho = validate_density(rho)
+    _, w, v = _checked_density(rho)
     mat = np.asarray(mix, dtype=np.complex128)
     if mat.ndim != 2:
         raise NotIsometry(f"expected a matrix, got shape {mat.shape}")
-    factor = _support_factor(m_rho)
+    factor = _support_factor(w, v)
     r = factor.shape[1]
     if mat.shape[1] != r:
         raise RankMismatch(
@@ -162,9 +161,13 @@ def decomposition_from_map(rho: np.ndarray, mix: np.ndarray) -> Ensemble:
     gram = mat.conj().T @ mat
     if np.max(np.abs(gram - np.eye(r))) > ISOMETRY_TOL:
         raise NotIsometry("columns are not orthonormal")
+    return _ensemble(factor, mat)
+
+
+def _ensemble(factor: np.ndarray, mix: np.ndarray) -> Ensemble:
     members = []
-    vecs = factor @ mat.T
-    for i in range(mat.shape[0]):
+    vecs = factor @ mix.T
+    for i in range(mix.shape[0]):
         vec = vecs[:, i]
         p = float(np.vdot(vec, vec).real)
         if p <= PROB_EPS:
@@ -182,14 +185,14 @@ def convex_roof(
     stream seeded by (cfg.seed, i), and ties across restarts within 1e-12
     resolve to the lowest restart index.
     """
-    m_rho = validate_density(rho)
+    m_rho, w, v = _checked_density(rho)
     d = m_rho.shape[0]
     evaluator = weight_evaluator(measure, d)
     diag = np.diag(m_rho).real
     occupied = np.flatnonzero(diag > SPECTRUM_EPS)
     gapped = bool(occupied.size > 0 and occupied[-1] - occupied[0] + 1 != occupied.size)
 
-    factor = _support_factor(m_rho)
+    factor = _support_factor(w, v)
     r = factor.shape[1]
     if r == 1:
         vec = factor[:, 0] / np.linalg.norm(factor[:, 0])
@@ -220,7 +223,7 @@ def convex_roof(
             best = (value, params)
 
     assert best is not None
-    ensemble = decomposition_from_map(m_rho, _givens_mesh(m, r, best[1]))
+    ensemble = _ensemble(factor, _givens_mesh(m, r, best[1]))
     value = sum(
         p * evaluator(np.abs(vec) ** 2) for p, vec in ensemble.members
     )
@@ -245,9 +248,9 @@ def brute_force_roof(
     Sampling is sequential from one seeded stream, so enlarging ``samples``
     with the same seed can only improve (or match) the result.
     """
-    m_rho = validate_density(rho)
+    m_rho, w, v = _checked_density(rho)
     evaluator = weight_evaluator(measure, m_rho.shape[0])
-    factor = _support_factor(m_rho)
+    factor = _support_factor(w, v)
     r = factor.shape[1]
     if r == 1:
         vec = factor[:, 0] / np.linalg.norm(factor[:, 0])

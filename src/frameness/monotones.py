@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .channels import Ensemble
 from .errors import BadAngle, BadK, BadProbability, WrongDimension
-from .numerics import hermitian_eig, product_eig_sqrt, psd_sqrt, validate_density
+from .numerics import _checked_density, _product_eig_sqrt_2x2
 from .states import StandardState
 
 KINDS = ("vidal", "entropy", "concurrence", "variance")
@@ -181,11 +181,12 @@ def qubit_R_eigs(rho: np.ndarray) -> np.ndarray:
     m = np.asarray(rho)
     if m.shape != (2, 2):
         raise WrongDimension(f"expected a 2x2 matrix, got shape {m.shape}")
-    m = validate_density(m)
+    m, w, v = _checked_density(m)
+    # rho~ has the spectrum of rho, so both factors are already known PSD.
     tilde = conjugate_flip(m)
-    fast = product_eig_sqrt(m, tilde)
-    root = psd_sqrt(m)
-    direct = hermitian_eig(psd_sqrt(root @ tilde @ root))[0]
+    fast = _product_eig_sqrt_2x2(m, tilde)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    direct = np.sqrt(np.clip(np.linalg.eigvalsh(root @ tilde @ root), 0.0, None))[::-1]
     # The matrix-root route cannot pin a zero eigenvalue tighter than
     # sqrt(machine eps) ~ 1.5e-8, so the guard leaves headroom for
     # rank-deficient inputs; full-rank states agree far below 1e-8.
@@ -289,8 +290,7 @@ def optimal_qubit_decomposition(rho: np.ndarray, rank_eps: float = 1e-12) -> Ens
     m = np.asarray(rho)
     if m.shape != (2, 2):
         raise WrongDimension(f"expected a 2x2 matrix, got shape {m.shape}")
-    m = validate_density(m)
-    w, v = hermitian_eig(m)
+    _, w, v = _checked_density(m)
     w = np.clip(w, 0.0, None)
     keep = w > rank_eps
     if keep.sum() <= 1:

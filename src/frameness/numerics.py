@@ -14,7 +14,6 @@ from .errors import InvalidDensity, NonHermitianInput, NotPositive
 
 H_TOL = 1e-10
 P_TOL = 1e-10
-R_TOL = 1e-10
 TRACE_TOL = 1e-9
 MAX_DIM = 64
 
@@ -44,11 +43,6 @@ def is_psd(a: np.ndarray, tol: float = P_TOL) -> bool:
     return bool(w.min() >= -tol)
 
 
-def is_unit_trace(a: np.ndarray, tol: float = TRACE_TOL) -> bool:
-    m = as_complex_matrix(a)
-    return bool(abs(np.trace(m) - 1.0) <= tol)
-
-
 def hermitian_eig(a: np.ndarray, tol: float = H_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix.
 
@@ -75,6 +69,19 @@ def psd_sqrt(a: np.ndarray, tol: float = P_TOL) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def _product_eig_sqrt_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The 2x2 case of product_eig_sqrt. Recombining trace and determinant
+    # at the root level keeps a zero eigenvalue at ~1e-16 instead of the
+    # sqrt-amplified ~1e-8 a generic eigensolver leaves on rank-1 products.
+    t = max(float(np.trace(a @ b).real), 0.0)
+    det_a = float((a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real)
+    det_b = float((b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]).real)
+    root = np.sqrt(max(det_a, 0.0) * max(det_b, 0.0))
+    s = np.sqrt(max(t + 2.0 * root, 0.0))
+    g = np.sqrt(max(t - 2.0 * root, 0.0))
+    return np.array([0.5 * (s + g), 0.5 * (s - g)])
+
+
 def product_eig_sqrt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Square roots of the eigenvalues of ``a @ b``, sorted descending.
 
@@ -91,32 +98,30 @@ def product_eig_sqrt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not is_psd(mb):
         raise NotPositive("second factor is not positive semidefinite")
     if ma.shape[0] == 2:
-        # Recombining trace and determinant at the root level keeps a zero
-        # eigenvalue at ~1e-16 instead of the sqrt-amplified ~1e-8 that a
-        # generic eigensolver would leave on rank-deficient products.
-        t = max(float(np.trace(ma @ mb).real), 0.0)
-        det_a = float((ma[0, 0] * ma[1, 1] - ma[0, 1] * ma[1, 0]).real)
-        det_b = float((mb[0, 0] * mb[1, 1] - mb[0, 1] * mb[1, 0]).real)
-        root = np.sqrt(max(det_a, 0.0) * max(det_b, 0.0))
-        s = np.sqrt(max(t + 2.0 * root, 0.0))
-        g = np.sqrt(max(t - 2.0 * root, 0.0))
-        return np.array([0.5 * (s + g), 0.5 * (s - g)])
+        return _product_eig_sqrt_2x2(ma, mb)
     ev = np.linalg.eigvals(ma @ mb)
     ev = np.clip(ev.real, 0.0, None)
     return np.sqrt(np.sort(ev)[::-1])
 
 
-def validate_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Return ``rho`` as a checked density matrix or raise :class:`InvalidDensity`."""
+def _checked_density(rho: np.ndarray, dim: int | None = None) -> tuple[np.ndarray, ...]:
+    """The one density check: ``rho`` checked, with its descending eigenpairs."""
     m = as_complex_matrix(rho)
     if dim is not None and m.shape[0] != dim:
         raise InvalidDensity(f"expected dimension {dim}, got {m.shape[0]}")
+    if not np.isfinite(m).all():
+        raise InvalidDensity("density matrix has non-finite entries")
     if not is_hermitian(m):
         raise InvalidDensity("density matrix is not Hermitian")
-    w = np.linalg.eigvalsh(m)
-    if w.min() < -P_TOL:
-        raise InvalidDensity(f"density matrix has eigenvalue {w.min():.3e}")
+    w, v = np.linalg.eigh(m)
+    if w[0] < -P_TOL:
+        raise InvalidDensity(f"density matrix has eigenvalue {w[0]:.3e}")
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvalidDensity(f"trace {tr!r} is not 1")
-    return m
+    return m, w[::-1].copy(), v[:, ::-1].copy()
+
+
+def validate_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Return ``rho`` as a checked density matrix or raise :class:`InvalidDensity`."""
+    return _checked_density(rho, dim)[0]

@@ -222,16 +222,16 @@ def test_covariance_with_twirl():
 
 
 def test_ensemble_validation_and_mixture():
-    with pytest.raises(ValueError):
-        Ensemble(((0.5, StandardState([1.0])),))
-    with pytest.raises(ValueError):
-        Ensemble(((-0.1, StandardState([1.0])), (1.1, StandardState([1.0]))))
     a = StandardState([1.0, 0.0])
     b = StandardState([0.0, 1.0])
-    with pytest.raises(NotProbabilityVector):
-        Ensemble(((np.nan, a), (1.0, b)))
-    with pytest.raises(NotProbabilityVector):
-        Ensemble(((np.inf, a), (-np.inf, b)))
+    for pairs in [
+        ((0.5, a),),
+        ((-0.1, a), (1.1, b)),
+        ((np.nan, a), (1.0, b)),
+        ((np.inf, a), (-np.inf, b)),
+    ]:
+        with pytest.raises(NotProbabilityVector):
+            Ensemble(pairs)
     ens = Ensemble(((0.5, a), (0.5, b)))
     assert np.allclose(ens.mixture(), np.diag([0.5, 0.5]))
 

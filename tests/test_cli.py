@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,18 @@ from frameness.cli import (
     sample_trial,
     sample_trials,
 )
-from frameness.states import density_from_dict, density_to_dict
+from frameness.states import density_from_dict, density_to_dict, random_density_matrix
 
 RT2_INV = 1.0 / np.sqrt(2.0)
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_MARGINS = GOLDEN / "verify_margins.csv"
+# (golden file, dimension, roof arguments) on a full-rank density seeded by dim.
+ROOF_GOLDENS = [
+    ("roof_qubit_concurrence2.json", 2, ["--measure", "concurrence", "--k", "2", "--restarts", "2"]),
+    ("roof_qubit_variance.json", 2, ["--measure", "variance", "--restarts", "2"]),
+    ("roof_qubit_entropy.json", 2, ["--measure", "entropy", "--restarts", "2"]),
+    ("roof_d3_entropy.json", 3, ["--measure", "entropy", "--restarts", "1", "--max-iters", "20"]),
+]
 
 
 @pytest.fixture
@@ -132,6 +140,24 @@ def test_roof_invalid_density(capsys, tmp_path):
     rho = write_density(tmp_path, [[0.9, 0.0], [0.0, 0.9]])
     assert main(["roof", "--measure", "variance", "--rho", rho]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+@pytest.mark.parametrize("verb", ["roof", "twirl"])
+def test_density_rejects_non_finite_entries(capsys, tmp_path, verb, bad):
+    path = tmp_path / "rho.json"
+    path.write_text(f'{{"dim": 2, "matrix": [[[{bad}, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}}')
+    if verb == "roof":
+        argv = ["roof", "--measure", "entropy", "--rho", str(path)]
+    else:
+        argv = ["twirl", "--in", str(path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "density matrix has non-finite entries" in captured.err
 
 
 def test_verify_reports_clean_run(capsys, tmp_path):
@@ -305,6 +331,16 @@ def test_channel_sample_matches_golden_bytes(capsys):
     ]
     assert main(argv) == 0
     expected = (GOLDEN / "channel_sample_d5.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("name, dim, args", ROOF_GOLDENS)
+def test_roof_matches_golden_bytes(capsys, tmp_path, name, dim, args):
+    """``roof`` output equals, byte for byte, a capture from the code that
+    validated and diagonalized each density several times."""
+    path = write_density(tmp_path, random_density_matrix(dim, np.random.default_rng([29, dim])))
+    assert main(["roof", "--rho", path, "--seed", "1", *args]) == 0
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 

@@ -1,5 +1,7 @@
+import csv
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,34 @@ from frameness.monotones import conjugate_flip
 from frameness.numerics import hermitian_eig
 
 PLUS = 0.5 * np.ones((2, 2))
+GOLDEN_CLOSED_FORMS = Path(__file__).parent / "golden" / "qubit_closed_forms.csv"
+CLOSED_FORM_COLUMNS = ["state", "mu1", "mu2", "concurrence", "fof", "members"]
+
+
+def closed_form_rows(count=40):
+    """``repr`` of the qubit closed forms on seeded qubits, 1 in 10 of rank 1.
+
+    ``members`` lists p, the real parts and the imaginary parts of each
+    member of the optimal decomposition.
+    """
+    rows = []
+    for i in range(count):
+        rng = np.random.default_rng([97, i])
+        rho = random_density_matrix(2, rng, rank=1 if i % 10 == 0 else None)
+        mu = qubit_R_eigs(rho)
+        members = optimal_qubit_decomposition(rho).members
+        flat = [x for p, vec in members for x in (p, *vec.real, *vec.imag)]
+        rows.append(
+            [
+                str(i),
+                repr(float(mu[0])),
+                repr(float(mu[1])),
+                repr(qubit_concurrence(rho)),
+                repr(qubit_fof(rho)),
+                " ".join(repr(float(x)) for x in flat),
+            ]
+        )
+    return rows
 
 
 def pure_qubit_concurrence(vec):
@@ -295,3 +325,12 @@ def test_optimal_decomposition_random_states():
             assert abs(pure_qubit_concurrence(vec) - target) < 1e-8
         average = sum(p * pure_qubit_concurrence(vec) for p, vec in ens.members)
         assert abs(average - target) < 1e-8
+
+
+def test_qubit_closed_forms_match_golden():
+    """R spectrum, concurrence, FoF and decomposition equal, bit for bit, a capture
+    from the code that validated each input several times."""
+    with open(GOLDEN_CLOSED_FORMS, newline="", encoding="utf-8") as fh:
+        golden = list(csv.reader(fh))
+    assert golden[0] == CLOSED_FORM_COLUMNS
+    assert closed_form_rows() == golden[1:]

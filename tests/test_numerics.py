@@ -11,7 +11,6 @@ from frameness import (
     hermitian_eig,
     is_hermitian,
     is_psd,
-    is_unit_trace,
     product_eig_sqrt,
     psd_sqrt,
     validate_density,
@@ -109,8 +108,6 @@ def test_predicates():
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert is_psd(np.diag([0.5, 0.5]))
     assert not is_psd(np.diag([1.0, -1.0]))
-    assert is_unit_trace(np.diag([0.25, 0.75]))
-    assert not is_unit_trace(np.eye(2))
 
 
 def test_validate_density():

@@ -1,9 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameness import (
+    InvalidDensity,
     LengthMismatch,
     NotNormalized,
     NotProbabilityVector,
@@ -12,6 +16,7 @@ from frameness import (
     is_gapless,
     majorizes,
     purify,
+    qubit_concurrence,
     random_density_matrix,
     random_standard_state,
     spectrum,
@@ -201,3 +206,44 @@ def test_json_roundtrips():
 
     with pytest.raises(ValueError):
         state_from_dict({"dim": 2})
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def density_payloads(draw):
+    """``density_from_dict`` payloads from 2x2 to 4x4 with up to two NaN or
+    infinite parts; before those go in, the matrix is raw, Hermitian, or
+    a normalized Gram matrix."""
+    dim = draw(st.integers(2, 4))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * dim * dim, max_size=2 * dim * dim))
+    a = np.reshape(parts[: dim * dim], (dim, dim)) + 1j * np.reshape(parts[dim * dim :], (dim, dim))
+    form = draw(st.sampled_from(["raw", "hermitian", "density"]))
+    if form != "raw":
+        a = 0.5 * (a + a.conj().T)
+    if form == "density":
+        a = a @ a.conj().T
+        with np.errstate(all="ignore"):
+            a = a / np.trace(a).real
+    for _ in range(draw(st.integers(0, 2))):
+        part = a.real if draw(st.booleans()) else a.imag
+        part[draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))] = draw(NON_FINITE)
+    return {"dim": dim, "matrix": [[[z.real, z.imag] for z in row] for row in a]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(density_payloads())
+def test_density_loader_rejects_or_returns_a_density(payload):
+    try:
+        rho = density_from_dict(payload)
+    except InvalidDensity:
+        return
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+    assert np.linalg.eigvalsh(rho).min() >= -1e-10
+    assert abs(np.trace(rho).real - 1.0) <= 1e-9
+    if rho.shape == (2, 2):
+        c = qubit_concurrence(rho)
+        assert math.isfinite(c)
+        assert 0.0 <= c <= 1.0
