@@ -19,15 +19,11 @@ from .errors import (
     EmptyShiftSet,
     MixedOutcomeGroup,
     NonFiniteCoefficient,
-    NotProbabilityVector,
     OvercompleteChannel,
     ShiftOutOfRange,
 )
-from .numerics import validate_density
-from .states import StandardState, checked_weights
-
-COMPLETENESS_TOL = 1e-9
-PROB_EPS = 1e-12
+from .numerics import SUM_TOL, ZERO_TOL, validate_density
+from .states import StandardState, _check_probabilities, checked_weights
 
 
 @dataclass(frozen=True)
@@ -124,18 +120,6 @@ class Ensemble:
         return out
 
 
-def _check_probabilities(probs: np.ndarray) -> None:
-    """Raise unless every row along the last axis is a probability vector."""
-    if not np.isfinite(probs).all():
-        raise NotProbabilityVector("probabilities must be finite")
-    if probs.min() < -PROB_EPS:
-        raise NotProbabilityVector(f"negative probability {probs.min():.3e}")
-    totals = probs.sum(axis=-1)
-    off = abs(totals - 1.0) > COMPLETENESS_TOL
-    if off.any():
-        raise NotProbabilityVector(f"probabilities sum to {np.extract(off, totals)[0]!r}")
-
-
 def _as_density(state: Any) -> np.ndarray:
     if isinstance(state, StandardState):
         return state.projector()
@@ -170,7 +154,7 @@ def _completeness_sums(moduli: np.ndarray) -> np.ndarray:
     sums = np.zeros(moduli.shape[:-2] + moduli.shape[-1:])
     for j in range(moduli.shape[-2]):
         sums += moduli[..., j, :]
-    if sums.max() > 1.0 + COMPLETENESS_TOL:
+    if sums.max() > 1.0 + SUM_TOL:
         raise OvercompleteChannel(
             f"completeness sum {sums.max()!r} exceeds 1 on some sector"
         )
@@ -180,7 +164,7 @@ def _completeness_sums(moduli: np.ndarray) -> np.ndarray:
 def validate_channel(channel: U1Channel) -> ChannelReport:
     """Check window bounds and completeness; report per-sector sums."""
     sums = _completeness_sums(_kraus_moduli(list(channel.all_kraus()), channel.dim))
-    tp = bool(np.max(np.abs(sums - 1.0)) <= COMPLETENESS_TOL)
+    tp = bool(np.max(np.abs(sums - 1.0)) <= SUM_TOL)
     return ChannelReport(per_sector_sums=sums, trace_preserving=tp)
 
 
@@ -278,14 +262,14 @@ def apply_slots_pure(
     axes are batch axes shared with ``weights[..., n]``. Returns the
     probabilities ``(..., S)``, the post-state weights ``(..., S, d)`` and
     the mask ``(..., S)`` of kept outcomes: those with probability above
-    ``PROB_EPS``. Dropped outcomes have all-zero post-states.
+    ``ZERO_TOL``. Dropped outcomes have all-zero post-states.
 
     Raises as :func:`apply_channel_pure` does: on an overcomplete or
     non-trace-preserving channel, a post-state that is not normalized, or
     kept probabilities that do not form a probability vector.
     """
     sums = _completeness_sums(moduli)
-    if np.max(np.abs(sums - 1.0)) > COMPLETENESS_TOL:
+    if np.max(np.abs(sums - 1.0)) > SUM_TOL:
         raise ValueError("channel is not trace-preserving")
     d = moduli.shape[-1]
     contrib = weights[..., None, :] * moduli
@@ -299,32 +283,12 @@ def apply_slots_pure(
             posts[..., j, ell:] = contrib[..., j, : max(d - ell, 0)]
         elif ell > -d:
             posts[..., j, : d + ell] = contrib[..., j, -ell:]
-    kept = ~(probs <= PROB_EPS)
+    kept = ~(probs <= ZERO_TOL)
     np.divide(posts, probs[..., None], out=posts, where=kept[..., None])
     posts[~kept] = 0.0
     posts[kept] = checked_weights(posts[kept])
     _check_probabilities(np.where(kept, probs, 0.0))
     return probs, posts, kept
-
-
-def apply_kraus_pure(kraus: U1Kraus, state: StandardState) -> tuple[float, StandardState | None]:
-    """Outcome probability and post-state of one Kraus operator on a pure state.
-
-    Returns ``(0.0, None)`` when the outcome probability falls below
-    ``PROB_EPS``.
-    """
-    d = state.dim
-    p = 0.0
-    new = np.zeros(d)
-    for n, c in kraus.coeffs.items():
-        if c == 0 or not (0 <= n < d and 0 <= n + kraus.shift < d):
-            continue
-        contrib = state.weights[n] * abs(c) ** 2
-        p += contrib
-        new[n + kraus.shift] += contrib
-    if p <= PROB_EPS:
-        return 0.0, None
-    return float(p), StandardState(new / p)
 
 
 def apply_channel_pure(channel: U1Channel, state: StandardState) -> Ensemble:
@@ -358,7 +322,7 @@ def apply_channel_density(channel: U1Channel, rho: np.ndarray) -> Ensemble:
             km = k.matrix(channel.dim)
             acc += km @ m @ km.conj().T
         p = float(np.trace(acc).real)
-        if p <= PROB_EPS:
+        if p <= ZERO_TOL:
             continue
         members.append((p, acc / p))
     return Ensemble(tuple(members))

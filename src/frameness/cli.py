@@ -37,9 +37,8 @@ from .monotones import KINDS, MonotoneId, appendix_closed_form, weight_evaluator
 from .states import (
     SectoredPureState,
     StandardState,
-    density_from_dict,
+    _density_matrix,
     density_to_dict,
-    load_density,
     random_weights,
     standard_form,
     state_from_dict,
@@ -194,7 +193,8 @@ def cmd_monotone(args: argparse.Namespace) -> int:
 
 def cmd_roof(args: argparse.Namespace) -> int:
     measure = MonotoneId(args.measure, args.k)
-    rho = load_density(args.rho)
+    with open(args.rho, encoding="utf-8") as fh:
+        rho = _density_matrix(json.load(fh))
     cfg = RoofConfig(
         ensemble_size=args.ensemble_size,
         restarts=args.restarts,
@@ -253,7 +253,7 @@ def cmd_twirl(args: argparse.Namespace) -> int:
     with open(args.infile, encoding="utf-8") as fh:
         data = json.load(fh)
     if "matrix" in data:
-        rho = density_from_dict(data)
+        rho = _density_matrix(data)
     else:
         state = state_from_dict(data)
         if isinstance(state, SectoredPureState):

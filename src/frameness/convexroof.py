@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PROB_EPS, Ensemble
+from .channels import Ensemble
 from .errors import NotIsometry, RankMismatch
 from .monotones import MonotoneId, weight_evaluator
-from .numerics import _checked_density
-from .states import SPECTRUM_EPS
+from .numerics import ZERO_TOL, _checked_density
 
-RANK_EPS = 1e-12
 ISOMETRY_TOL = 1e-10
 TIE_TOL = 1e-12
 
@@ -71,10 +69,10 @@ class RoofResult:
     gapped_support: bool
 
 
-def _support_factor(w: np.ndarray, v: np.ndarray, eps: float = RANK_EPS) -> np.ndarray:
+def _support_factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Columns sqrt(e_j) v_j over the numerically occupied part of descending eigenpairs."""
     w = np.clip(w, 0.0, None)
-    r = int((w > eps).sum())
+    r = int((w > ZERO_TOL).sum())
     return v[:, :r] * np.sqrt(w[:r])
 
 
@@ -102,7 +100,7 @@ def _average_value(factor: np.ndarray, mix: np.ndarray, evaluator) -> float:
     total = 0.0
     for i in range(mix.shape[0]):
         p = probs[i]
-        if p > PROB_EPS:
+        if p > ZERO_TOL:
             total += p * evaluator(w2[:, i] / p)
     return total
 
@@ -170,10 +168,30 @@ def _ensemble(factor: np.ndarray, mix: np.ndarray) -> Ensemble:
     for i in range(mix.shape[0]):
         vec = vecs[:, i]
         p = float(np.vdot(vec, vec).real)
-        if p <= PROB_EPS:
+        if p <= ZERO_TOL:
             continue
         members.append((p, vec / np.sqrt(p)))
     return Ensemble(tuple(members))
+
+
+def _roof_setup(measure: MonotoneId, rho: np.ndarray, ensemble_size: int | None):
+    """What both roof minimizers start from, with ``rho`` validated once.
+
+    Returns the checked ``rho``, the evaluator, the support factor, the
+    ensemble size m (``min(2r, r + 2)`` by default for rank r) and, for a
+    rank-1 input, which needs no search, its ``(value, vector)``.
+    """
+    m_rho, w, v = _checked_density(rho)
+    evaluator = weight_evaluator(measure, m_rho.shape[0])
+    factor = _support_factor(w, v)
+    r = factor.shape[1]
+    if r == 1:
+        vec = factor[:, 0] / np.linalg.norm(factor[:, 0])
+        return m_rho, evaluator, factor, 1, (evaluator(np.abs(vec) ** 2), vec)
+    m = ensemble_size if ensemble_size is not None else min(2 * r, r + 2)
+    if m < r:
+        raise RankMismatch(f"ensemble size {m} below the state's rank {r}")
+    return m_rho, evaluator, factor, m, None
 
 
 def convex_roof(
@@ -185,18 +203,12 @@ def convex_roof(
     stream seeded by (cfg.seed, i), and ties across restarts within 1e-12
     resolve to the lowest restart index.
     """
-    m_rho, w, v = _checked_density(rho)
-    d = m_rho.shape[0]
-    evaluator = weight_evaluator(measure, d)
+    m_rho, evaluator, factor, m, pure = _roof_setup(measure, rho, cfg.ensemble_size)
     diag = np.diag(m_rho).real
-    occupied = np.flatnonzero(diag > SPECTRUM_EPS)
+    occupied = np.flatnonzero(diag > ZERO_TOL)
     gapped = bool(occupied.size > 0 and occupied[-1] - occupied[0] + 1 != occupied.size)
-
-    factor = _support_factor(w, v)
-    r = factor.shape[1]
-    if r == 1:
-        vec = factor[:, 0] / np.linalg.norm(factor[:, 0])
-        value = evaluator(np.abs(vec) ** 2)
+    if pure is not None:
+        value, vec = pure
         return RoofResult(
             value=float(value),
             ensemble=Ensemble(((1.0, vec),)),
@@ -205,10 +217,7 @@ def convex_roof(
             gapped_support=gapped,
         )
 
-    m = cfg.ensemble_size if cfg.ensemble_size is not None else min(2 * r, r + 2)
-    if m < r:
-        raise RankMismatch(f"ensemble size {m} below the state's rank {r}")
-
+    r = factor.shape[1]
     best: tuple[float, np.ndarray] | None = None
     total_sweeps = 0
     all_converged = True
@@ -248,16 +257,10 @@ def brute_force_roof(
     Sampling is sequential from one seeded stream, so enlarging ``samples``
     with the same seed can only improve (or match) the result.
     """
-    m_rho, w, v = _checked_density(rho)
-    evaluator = weight_evaluator(measure, m_rho.shape[0])
-    factor = _support_factor(w, v)
+    _, evaluator, factor, m, pure = _roof_setup(measure, rho, ensemble_size)
+    if pure is not None:
+        return float(pure[0])
     r = factor.shape[1]
-    if r == 1:
-        vec = factor[:, 0] / np.linalg.norm(factor[:, 0])
-        return float(evaluator(np.abs(vec) ** 2))
-    m = ensemble_size if ensemble_size is not None else min(2 * r, r + 2)
-    if m < r:
-        raise RankMismatch(f"ensemble size {m} below the state's rank {r}")
     rng = np.random.default_rng(seed)
     best = math.inf
     for _ in range(samples):

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .channels import Ensemble
 from .errors import BadAngle, BadK, BadProbability, WrongDimension
-from .numerics import _checked_density, _product_eig_sqrt_2x2
+from .numerics import ZERO_TOL, _checked_density, _product_eig_sqrt_2x2
 from .states import StandardState
 
 KINDS = ("vidal", "entropy", "concurrence", "variance")
@@ -279,7 +279,7 @@ def takagi(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-def optimal_qubit_decomposition(rho: np.ndarray, rank_eps: float = 1e-12) -> Ensemble:
+def optimal_qubit_decomposition(rho: np.ndarray) -> Ensemble:
     """Decomposition of a qubit state whose members all attain the closed-form concurrence.
 
     Follows the classic recipe: diagonalize the preconcurrence matrix of a
@@ -292,7 +292,7 @@ def optimal_qubit_decomposition(rho: np.ndarray, rank_eps: float = 1e-12) -> Ens
         raise WrongDimension(f"expected a 2x2 matrix, got shape {m.shape}")
     _, w, v = _checked_density(m)
     w = np.clip(w, 0.0, None)
-    keep = w > rank_eps
+    keep = w > ZERO_TOL
     if keep.sum() <= 1:
         vec = v[:, 0] / np.linalg.norm(v[:, 0])
         return Ensemble(((1.0, vec),))
@@ -322,7 +322,7 @@ def optimal_qubit_decomposition(rho: np.ndarray, rank_eps: float = 1e-12) -> Ens
     members = []
     for z in zetas:
         p = float(np.vdot(z, z).real)
-        if p <= rank_eps:
+        if p <= ZERO_TOL:
             continue
         members.append((p, z / np.sqrt(p)))
     return Ensemble(tuple(members))

@@ -12,9 +12,19 @@ import numpy as np
 
 from .errors import InvalidDensity, NonHermitianInput, NotPositive
 
+# The package's acceptance thresholds; no call takes a tolerance argument.
+# Numerical zero: entries above -ZERO_TOL count as nonnegative, weights,
+# probabilities and eigenvalues at or below it count as zero, and weight
+# vectors must sum to 1 within it.
+ZERO_TOL = 1e-12
+# How far a total that must be 1 may miss it: a density's trace, a
+# probability vector's sum, a channel's per-sector completeness and a
+# state's norm.
+SUM_TOL = 1e-9
+# Largest accepted entry of |a - a^dagger|, and the lowest accepted
+# eigenvalue (-P_TOL) of a positive semidefinite matrix.
 H_TOL = 1e-10
 P_TOL = 1e-10
-TRACE_TOL = 1e-9
 MAX_DIM = 64
 
 
@@ -30,41 +40,41 @@ def as_complex_matrix(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def is_hermitian(a: np.ndarray, tol: float = H_TOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     m = as_complex_matrix(a)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= H_TOL)
 
 
-def is_psd(a: np.ndarray, tol: float = P_TOL) -> bool:
+def is_psd(a: np.ndarray) -> bool:
     m = as_complex_matrix(a)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         return False
     w = np.linalg.eigvalsh(m)
-    return bool(w.min() >= -tol)
+    return bool(w.min() >= -P_TOL)
 
 
-def hermitian_eig(a: np.ndarray, tol: float = H_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix.
 
-    Raises :class:`NonHermitianInput` if any entry of ``a - a†`` exceeds ``tol``.
+    Raises :class:`NonHermitianInput` if any entry of ``a - a†`` exceeds ``H_TOL``.
     """
     m = as_complex_matrix(a)
     dev = np.max(np.abs(m - m.conj().T))
-    if dev > tol:
+    if dev > H_TOL:
         raise NonHermitianInput(f"matrix deviates from Hermitian by {dev:.3e}")
     w, v = np.linalg.eigh(m)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def psd_sqrt(a: np.ndarray, tol: float = P_TOL) -> np.ndarray:
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in ``[-tol, 0)`` are clamped to zero before the root is
-    taken; anything below ``-tol`` raises :class:`NotPositive`.
+    Eigenvalues in ``[-P_TOL, 0)`` are clamped to zero before the root is
+    taken; anything below ``-P_TOL`` raises :class:`NotPositive`.
     """
     w, v = hermitian_eig(a)
-    if w.min() < -tol:
-        raise NotPositive(f"eigenvalue {w.min():.3e} below -{tol:.1e}")
+    if w.min() < -P_TOL:
+        raise NotPositive(f"eigenvalue {w.min():.3e} below -{P_TOL:.1e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
@@ -117,7 +127,7 @@ def _checked_density(rho: np.ndarray, dim: int | None = None) -> tuple[np.ndarra
     if w[0] < -P_TOL:
         raise InvalidDensity(f"density matrix has eigenvalue {w[0]:.3e}")
     tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if abs(tr - 1.0) > SUM_TOL:
         raise InvalidDensity(f"trace {tr!r} is not 1")
     return m, w[::-1].copy(), v[:, ::-1].copy()
 

@@ -20,11 +20,7 @@ from .errors import (
     NotNormalized,
     NotProbabilityVector,
 )
-from .numerics import validate_density
-
-NORM_TOL = 1e-9
-SPECTRUM_EPS = 1e-12
-MAJORIZE_TOL = 1e-9
+from .numerics import SUM_TOL, ZERO_TOL, validate_density
 
 
 @dataclass(frozen=True)
@@ -86,19 +82,35 @@ class StandardState:
 def checked_weights(weights: np.ndarray) -> np.ndarray:
     """Validate weight vectors along the last axis; return them clipped at 0.
 
-    Every row must be finite, nonnegative up to ``SPECTRUM_EPS`` and sum
-    to 1 within 1e-12; otherwise :class:`NotNormalized` is raised.
+    Every row must be finite, nonnegative up to ``ZERO_TOL`` and sum to 1
+    within ``ZERO_TOL``; otherwise :class:`NotNormalized` is raised.
     """
     w = np.asarray(weights, dtype=np.float64)
     if not np.isfinite(w).all():
         raise NotNormalized("weights must be finite")
-    if w.size and w.min() < -SPECTRUM_EPS:
+    if w.size and w.min() < -ZERO_TOL:
         raise NotNormalized(f"negative weight {w.min():.3e}")
     totals = w.sum(axis=-1)
-    off = abs(totals - 1.0) > 1e-12
+    off = abs(totals - 1.0) > ZERO_TOL
     if off.any():
         raise NotNormalized(f"weights sum to {np.extract(off, totals)[0]!r}, expected 1")
     return np.clip(w, 0.0, None)
+
+
+def _check_probabilities(probs: np.ndarray) -> None:
+    """Raise unless every row along the last axis is a probability vector.
+
+    Entries must be finite and above ``-ZERO_TOL``, and each row must sum
+    to 1 within ``SUM_TOL``; otherwise :class:`NotProbabilityVector` is raised.
+    """
+    if not np.isfinite(probs).all():
+        raise NotProbabilityVector("probabilities must be finite")
+    if probs.min() < -ZERO_TOL:
+        raise NotProbabilityVector(f"negative probability {probs.min():.3e}")
+    totals = probs.sum(axis=-1)
+    off = abs(totals - 1.0) > SUM_TOL
+    if off.any():
+        raise NotProbabilityVector(f"probabilities sum to {np.extract(off, totals)[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -146,10 +158,10 @@ def standard_form(state: SectoredPureState) -> StandardState:
     """Collapse multiplicity amplitudes to per-sector weights.
 
     Raises :class:`NotNormalized` if the input norm deviates from 1 beyond
-    ``NORM_TOL``; the output is renormalized exactly.
+    ``SUM_TOL``; the output is renormalized exactly.
     """
     total = state.squared_norm()
-    if abs(np.sqrt(total) - 1.0) > NORM_TOL:
+    if abs(np.sqrt(total) - 1.0) > SUM_TOL:
         raise NotNormalized(f"state norm {np.sqrt(total)!r} deviates from 1")
     w = np.zeros(state.dim)
     for n, amps in state.sectors.items():
@@ -157,9 +169,9 @@ def standard_form(state: SectoredPureState) -> StandardState:
     return StandardState(w / total)
 
 
-def spectrum(state: StandardState, eps: float = SPECTRUM_EPS) -> NumberSpectrum:
-    """Sector labels carrying weight above ``eps``."""
-    support = tuple(int(n) for n in np.flatnonzero(state.weights > eps))
+def spectrum(state: StandardState) -> NumberSpectrum:
+    """Sector labels carrying weight above ``ZERO_TOL``."""
+    support = tuple(int(n) for n in np.flatnonzero(state.weights > ZERO_TOL))
     return NumberSpectrum(support)
 
 
@@ -201,35 +213,28 @@ def purify(state: StandardState) -> BipartitePureState:
     return BipartitePureState(amps, total=t, system_dim=state.dim)
 
 
-def _as_probability_vector(seq: Sequence[float], tol: float) -> np.ndarray:
-    v = np.asarray(seq, dtype=np.float64)
-    if v.ndim != 1:
-        raise LengthMismatch(f"expected a 1-D sequence, got shape {v.shape}")
-    if v.size == 0:
-        raise LengthMismatch("empty sequence")
-    if not np.isfinite(v).all():
-        raise NotProbabilityVector("entries must be finite")
-    if v.min() < -tol:
-        raise NotProbabilityVector(f"negative entry {v.min():.3e}")
-    if abs(v.sum() - 1.0) > tol:
-        raise NotProbabilityVector(f"entries sum to {v.sum()!r}")
-    return v
-
-
-def majorizes(a: Sequence[float], b: Sequence[float], tol: float = MAJORIZE_TOL) -> bool:
+def majorizes(a: Sequence[float], b: Sequence[float]) -> bool:
     """True when sorted prefix sums of ``a`` dominate those of ``b``.
 
     Both inputs must be probability vectors; the shorter one is padded
-    with zeros.
+    with zeros. Prefix sums are compared within ``ZERO_TOL``.
     """
-    va = _as_probability_vector(a, tol)
-    vb = _as_probability_vector(b, tol)
+    vecs = []
+    for seq in (a, b):
+        v = np.asarray(seq, dtype=np.float64)
+        if v.ndim != 1:
+            raise LengthMismatch(f"expected a 1-D sequence, got shape {v.shape}")
+        if v.size == 0:
+            raise LengthMismatch("empty sequence")
+        _check_probabilities(v)
+        vecs.append(v)
+    va, vb = vecs
     size = max(va.size, vb.size)
     va = np.pad(va, (0, size - va.size))
     vb = np.pad(vb, (0, size - vb.size))
     pa = np.cumsum(np.sort(va)[::-1])
     pb = np.cumsum(np.sort(vb)[::-1])
-    return bool(np.all(pa >= pb - 1e-12))
+    return bool(np.all(pa >= pb - ZERO_TOL))
 
 
 def random_weights(dim: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -279,7 +284,8 @@ def state_from_dict(data: dict) -> SectoredPureState | StandardState:
     raise ValueError("state dictionary needs a 'sectors' or 'weights' key")
 
 
-def density_from_dict(data: dict) -> np.ndarray:
+def _density_matrix(data: dict) -> np.ndarray:
+    """The matrix of a density dictionary, shape-checked but not validated."""
     if "matrix" not in data:
         raise ValueError("density dictionary needs a 'matrix' key")
     dim = int(data["dim"])
@@ -290,7 +296,11 @@ def density_from_dict(data: dict) -> np.ndarray:
     )
     if m.shape != (dim, dim):
         raise InvalidDensity(f"matrix shape {m.shape} does not match dim {dim}")
-    return validate_density(m)
+    return m
+
+
+def density_from_dict(data: dict) -> np.ndarray:
+    return validate_density(_density_matrix(data))
 
 
 def density_to_dict(rho: np.ndarray) -> dict:

@@ -14,7 +14,6 @@ from frameness import (
     U1Kraus,
     apply_channel_density,
     apply_channel_pure,
-    apply_kraus_pure,
     random_channel,
     random_density_matrix,
     random_standard_state,
@@ -22,7 +21,13 @@ from frameness import (
     twirl,
     validate_channel,
 )
-from frameness.channels import channel_from_dict, channel_to_dict
+from frameness.channels import (
+    apply_slots_pure,
+    channel_from_dict,
+    channel_to_dict,
+    sample_coefficients,
+    squared_moduli,
+)
 
 RT2 = np.sqrt(2.0)
 
@@ -112,18 +117,21 @@ def test_random_channel_bad_requests():
         random_channel(2, (5,), seed=0)
 
 
-def test_apply_kraus_pure_shifts_weights():
-    k = U1Kraus(1, {0: 1 / RT2, 1: 1 / RT2})
-    p, out = apply_kraus_pure(k, StandardState([0.5, 0.5, 0.0]))
+def test_apply_channel_pure_shifts_weights():
+    shift = U1Kraus(1, {0: 1 / RT2, 1: 1 / RT2})
+    rest = U1Kraus(0, {0: 1 / RT2, 1: 1 / RT2, 2: 1.0})
+    ens = apply_channel_pure(U1Channel([[shift], [rest]], 3), StandardState([0.5, 0.5, 0.0]))
+    (p, out), _ = ens.members
     assert p == pytest.approx(0.5, abs=1e-15)
     assert np.allclose(out.weights, [0.0, 0.5, 0.5], atol=1e-15)
 
 
-def test_apply_kraus_pure_zero_outcome():
-    k = U1Kraus(0, {2: 1.0})
-    p, out = apply_kraus_pure(k, StandardState([1.0, 0.0, 0.0]))
-    assert p == 0.0
-    assert out is None
+def test_apply_slots_pure_zero_outcome():
+    probs, posts, kept = apply_slots_pure([0, 0, 0], np.eye(3), np.array([1.0, 0.0, 0.0]))
+    assert probs.tolist() == [1.0, 0.0, 0.0]
+    assert kept.tolist() == [True, False, False]
+    assert not posts[1:].any()
+    assert len(apply_channel_pure(measurement_channel(3), StandardState([1.0, 0.0, 0.0])).members) == 1
 
 
 def test_apply_channel_pure_measurement_on_plus():
@@ -166,14 +174,13 @@ def test_outcome_spectrum_shifts_inside_window():
         d = int(rng.integers(3, 7))
         st = random_standard_state(d, rng)
         support = set(spectrum(st).support)
-        ch = random_channel(d, (-1, 1), seed=100 + trial)
-        for group in ch.outcomes:
-            k = group[0]
-            p, out = apply_kraus_pure(k, st)
-            if out is None:
-                continue
-            shifted = {n + k.shift for n in support if 0 <= n + k.shift < d}
-            assert set(spectrum(out).support) <= shifted
+        slot_shifts, coeffs = sample_coefficients(d, (-1, 1), 1, [np.random.default_rng(100 + trial)])
+        _, posts, kept = apply_slots_pure(slot_shifts, squared_moduli(coeffs[0]), st.weights)
+        assert kept.any()
+        for ell, post, keep in zip(slot_shifts, posts, kept):
+            if keep:
+                shifted = {n + ell for n in support if 0 <= n + ell < d}
+                assert set(spectrum(StandardState(post)).support) <= shifted
 
 
 def test_apply_channel_density_dephasing_group():

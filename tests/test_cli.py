@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import frameness
 from frameness import BadAngle, BadTrialCount, MonotoneId, appendix_closed_form, qubit_concurrence
 from frameness.channels import channel_from_dict, validate_channel
 from frameness.cli import (
@@ -158,6 +159,31 @@ def test_density_rejects_non_finite_entries(capsys, tmp_path, verb, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "density matrix has non-finite entries" in captured.err
+
+
+@pytest.mark.parametrize("verb", ["roof", "twirl"])
+def test_density_file_is_diagonalized_once(monkeypatch, capsys, tmp_path, verb):
+    path = write_density(tmp_path, random_density_matrix(3, np.random.default_rng(5)))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    if verb == "roof":
+        argv = ["roof", "--measure", "entropy", "--rho", path, "--restarts", "1", "--max-iters", "2"]
+    else:
+        argv = ["twirl", "--in", path]
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_package_exports_are_defined_once():
+    names = frameness.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(frameness, n)] == []
 
 
 def test_verify_reports_clean_run(capsys, tmp_path):

@@ -170,6 +170,8 @@ def test_majorizes_rejects_bad_input():
         majorizes([1.2, -0.2], [0.5, 0.5])
     with pytest.raises(NotProbabilityVector):
         majorizes([np.nan, 0.5, 0.5], [1.0])
+    with pytest.raises(NotProbabilityVector):
+        majorizes([1 + 5e-10, -5e-10], [0.5, 0.5])
     with pytest.raises(LengthMismatch):
         majorizes(np.eye(2), [0.5, 0.5])
 
