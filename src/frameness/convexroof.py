@@ -174,26 +174,6 @@ def _ensemble(factor: np.ndarray, mix: np.ndarray) -> Ensemble:
     return Ensemble(tuple(members))
 
 
-def _roof_setup(measure: MonotoneId, rho: np.ndarray, ensemble_size: int | None):
-    """What both roof minimizers start from, with ``rho`` validated once.
-
-    Returns the checked ``rho``, the evaluator, the support factor, the
-    ensemble size m (``min(2r, r + 2)`` by default for rank r) and, for a
-    rank-1 input, which needs no search, its ``(value, vector)``.
-    """
-    m_rho, w, v = _checked_density(rho)
-    evaluator = weight_evaluator(measure, m_rho.shape[0])
-    factor = _support_factor(w, v)
-    r = factor.shape[1]
-    if r == 1:
-        vec = factor[:, 0] / np.linalg.norm(factor[:, 0])
-        return m_rho, evaluator, factor, 1, (evaluator(np.abs(vec) ** 2), vec)
-    m = ensemble_size if ensemble_size is not None else min(2 * r, r + 2)
-    if m < r:
-        raise RankMismatch(f"ensemble size {m} below the state's rank {r}")
-    return m_rho, evaluator, factor, m, None
-
-
 def convex_roof(
     measure: MonotoneId, rho: np.ndarray, cfg: RoofConfig = RoofConfig()
 ) -> RoofResult:
@@ -203,21 +183,27 @@ def convex_roof(
     stream seeded by (cfg.seed, i), and ties across restarts within 1e-12
     resolve to the lowest restart index.
     """
-    m_rho, evaluator, factor, m, pure = _roof_setup(measure, rho, cfg.ensemble_size)
+    m_rho, w, v = _checked_density(rho)
+    evaluator = weight_evaluator(measure, m_rho.shape[0])
+    factor = _support_factor(w, v)
+    r = factor.shape[1]
     diag = np.diag(m_rho).real
     occupied = np.flatnonzero(diag > ZERO_TOL)
     gapped = bool(occupied.size > 0 and occupied[-1] - occupied[0] + 1 != occupied.size)
-    if pure is not None:
-        value, vec = pure
+    if r == 1:
+        # A rank-1 input has a single decomposition: no search.
+        vec = factor[:, 0] / np.linalg.norm(factor[:, 0])
         return RoofResult(
-            value=float(value),
+            value=float(evaluator(np.abs(vec) ** 2)),
             ensemble=Ensemble(((1.0, vec),)),
             converged=True,
             iterations_used=0,
             gapped_support=gapped,
         )
+    m = cfg.ensemble_size if cfg.ensemble_size is not None else min(2 * r, r + 2)
+    if m < r:
+        raise RankMismatch(f"ensemble size {m} below the state's rank {r}")
 
-    r = factor.shape[1]
     best: tuple[float, np.ndarray] | None = None
     total_sweeps = 0
     all_converged = True
@@ -243,29 +229,3 @@ def convex_roof(
         iterations_used=total_sweeps,
         gapped_support=gapped,
     )
-
-
-def brute_force_roof(
-    measure: MonotoneId,
-    rho: np.ndarray,
-    samples: int = 200,
-    ensemble_size: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Best average over Haar-random isometry decompositions; scaffolding oracle.
-
-    Sampling is sequential from one seeded stream, so enlarging ``samples``
-    with the same seed can only improve (or match) the result.
-    """
-    _, evaluator, factor, m, pure = _roof_setup(measure, rho, ensemble_size)
-    if pure is not None:
-        return float(pure[0])
-    r = factor.shape[1]
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    for _ in range(samples):
-        z = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
-        q, rr = np.linalg.qr(z)
-        q = q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
-        best = min(best, _average_value(factor, q, evaluator))
-    return best

@@ -11,14 +11,6 @@ class FramenessError(ValueError):
     """Base class for all validation errors raised by this package."""
 
 
-class NonHermitianInput(FramenessError):
-    """Matrix deviates from its conjugate transpose beyond tolerance."""
-
-
-class NotPositive(FramenessError):
-    """Matrix has an eigenvalue below the negative tolerance."""
-
-
 class InvalidDensity(FramenessError):
     """Matrix is not Hermitian, positive semidefinite, and unit trace."""
 

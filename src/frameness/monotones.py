@@ -17,11 +17,10 @@ import scipy.linalg
 
 from .channels import Ensemble
 from .errors import BadAngle, BadK, BadProbability, WrongDimension
-from .numerics import ZERO_TOL, _checked_density, _product_eig_sqrt_2x2
+from .numerics import ZERO_TOL, _checked_density
 from .states import StandardState
 
 KINDS = ("vidal", "entropy", "concurrence", "variance")
-CROSS_CHECK_TOL = 1e-8
 _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 
@@ -172,29 +171,45 @@ def conjugate_flip(rho: np.ndarray) -> np.ndarray:
     return _FLIP @ rho.conj() @ _FLIP
 
 
+def _product_eig_sqrt_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Descending square roots of the eigenvalues of a @ b for 2x2 PSD a, b.
+    # Recombining trace and determinant at the root level keeps a zero
+    # eigenvalue at ~1e-16 instead of the sqrt-amplified ~1e-8 a generic
+    # eigensolver leaves on rank-1 products.
+    t = max(float(np.trace(a @ b).real), 0.0)
+    det_a = float((a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real)
+    det_b = float((b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]).real)
+    root = np.sqrt(max(det_a, 0.0) * max(det_b, 0.0))
+    s = np.sqrt(max(t + 2.0 * root, 0.0))
+    g = np.sqrt(max(t - 2.0 * root, 0.0))
+    return np.array([0.5 * (s + g), 0.5 * (s - g)])
+
+
 def qubit_R_eigs(rho: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of R = sqrt(sqrt(rho) rho~ sqrt(rho)) for a qubit.
 
-    The values come from the product-eigenvalue fast path and are
-    cross-checked against the explicit matrix-root route.
+    The values come from the trace and determinant of rho rho~ and are
+    checked against the exact form sqrt(rho00 rho11) +- |rho01|.
     """
     m = np.asarray(rho)
     if m.shape != (2, 2):
         raise WrongDimension(f"expected a 2x2 matrix, got shape {m.shape}")
-    m, w, v = _checked_density(m)
+    m = _checked_density(m)[0]
     # rho~ has the spectrum of rho, so both factors are already known PSD.
-    tilde = conjugate_flip(m)
-    fast = _product_eig_sqrt_2x2(m, tilde)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    direct = np.sqrt(np.clip(np.linalg.eigvalsh(root @ tilde @ root), 0.0, None))[::-1]
-    # The matrix-root route cannot pin a zero eigenvalue tighter than
-    # sqrt(machine eps) ~ 1.5e-8, so the guard leaves headroom for
-    # rank-deficient inputs; full-rank states agree far below 1e-8.
-    if np.max(np.abs(fast - direct)) > 10.0 * CROSS_CHECK_TOL:
-        raise ArithmeticError(
-            f"R-spectrum paths disagree: {fast} vs {direct}"
-        )
-    return fast
+    mu = _product_eig_sqrt_2x2(m, conjugate_flip(m))
+    # The exact form takes rho01 from the Hermitian part, and clamps mu2 at
+    # zero as the route does for a negative eigenvalue within P_TOL. They
+    # are compared through mu1 + mu2 and (mu1 - mu2)^2, because the route
+    # resolves the gap itself only to ~1e-8 when |rho01| is that small.
+    root = math.sqrt(max(m[0, 0].real * m[1, 1].real, 0.0))
+    off = 0.5 * abs(m[0, 1] + m[1, 0].conjugate())
+    e1, e2 = root + off, max(root - off, 0.0)
+    if (
+        abs(mu[0] + mu[1] - (e1 + e2)) > ZERO_TOL
+        or abs((mu[0] - mu[1]) ** 2 - (e1 - e2) ** 2) > ZERO_TOL
+    ):
+        raise ArithmeticError(f"R-spectrum {mu} differs from the exact form {[e1, e2]}")
+    return mu
 
 
 def qubit_concurrence(rho: np.ndarray) -> float:
@@ -204,7 +219,11 @@ def qubit_concurrence(rho: np.ndarray) -> float:
 
 
 def qubit_fof(rho: np.ndarray) -> float:
-    """Closed-form qubit frameness of formation: the squared concurrence."""
+    """Squared qubit concurrence C^2, the closed form of the variance roof.
+
+    The paper's frameness of formation is h((1 + sqrt(1 - C^2)) / 2), with
+    h the binary entropy; this function does not compute it.
+    """
     return qubit_concurrence(rho) ** 2
 
 

@@ -9,6 +9,7 @@ the standard form: the vector of per-sector squared norms.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -284,16 +285,29 @@ def state_from_dict(data: dict) -> SectoredPureState | StandardState:
     raise ValueError("state dictionary needs a 'sectors' or 'weights' key")
 
 
+def _density_entry(entry: Sequence[float]) -> complex:
+    try:
+        return _complex_from_pair(entry)
+    except (TypeError, ValueError):
+        raise InvalidDensity(f"matrix entry {entry!r} is not a [re, im] pair of numbers") from None
+
+
 def _density_matrix(data: dict) -> np.ndarray:
     """The matrix of a density dictionary, shape-checked but not validated."""
-    if "matrix" not in data:
-        raise ValueError("density dictionary needs a 'matrix' key")
-    dim = int(data["dim"])
-    rows = data["matrix"]
-    m = np.array(
-        [[_complex_from_pair(entry) for entry in row] for row in rows],
-        dtype=np.complex128,
-    )
+    for key in ("dim", "matrix"):
+        if key not in data:
+            raise InvalidDensity(f"density dictionary needs a {key!r} key")
+    try:
+        dim = operator.index(data["dim"])
+    except TypeError:
+        raise InvalidDensity(f"dim {data['dim']!r} is not an integer") from None
+    try:
+        rows = [list(row) for row in data["matrix"]]
+    except TypeError:
+        raise InvalidDensity("matrix must be a list of rows") from None
+    if len({len(row) for row in rows}) > 1:
+        raise InvalidDensity("matrix rows differ in length")
+    m = np.array([[_density_entry(e) for e in row] for row in rows], dtype=np.complex128)
     if m.shape != (dim, dim):
         raise InvalidDensity(f"matrix shape {m.shape} does not match dim {dim}")
     return m

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -7,7 +8,14 @@ import numpy as np
 import pytest
 
 import frameness
-from frameness import BadAngle, BadTrialCount, MonotoneId, appendix_closed_form, qubit_concurrence
+from frameness import (
+    BadAngle,
+    BadTrialCount,
+    InvalidDensity,
+    MonotoneId,
+    appendix_closed_form,
+    qubit_concurrence,
+)
 from frameness.channels import channel_from_dict, validate_channel
 from frameness.cli import (
     VerificationReport,
@@ -159,6 +167,47 @@ def test_density_rejects_non_finite_entries(capsys, tmp_path, verb, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "density matrix has non-finite entries" in captured.err
+
+
+ZERO = [0.0, 0.0]
+# (case, density dictionary, text naming the fault)
+MALFORMED_DENSITIES = [
+    ("no-dim", {"matrix": [[[1.0, 0.0], ZERO], [ZERO, ZERO]]}, "needs a 'dim' key"),
+    ("no-matrix", {"dim": 2}, "needs a 'matrix' key"),
+    ("dim-not-integer", {"dim": "two", "matrix": []}, "dim 'two' is not an integer"),
+    ("dim-fractional", {"dim": 2.5, "matrix": []}, "dim 2.5 is not an integer"),
+    ("dim-infinite", {"dim": float("inf"), "matrix": []}, "dim inf is not an integer"),
+    ("matrix-not-rows", {"dim": 2, "matrix": [0.5, 0.5]}, "matrix must be a list of rows"),
+    ("ragged-rows", {"dim": 2, "matrix": [[[1.0, 0.0], ZERO], [ZERO]]}, "rows differ in length"),
+    ("one-number", {"dim": 2, "matrix": [[[1.0], ZERO], [ZERO, ZERO]]}, "entry [1.0] is not a [re, im] pair"),
+    ("non-numeric", {"dim": 2, "matrix": [[["a", 0.0], ZERO], [ZERO, ZERO]]}, "entry ['a', 0.0] is not a [re, im] pair"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, data, fault",
+    [
+        pytest.param(verb, data, fault, id=f"{verb}-{case}")
+        for case, data, fault in MALFORMED_DENSITIES
+        for verb in ("roof", "twirl")
+        # twirl reads a file without a "matrix" key as a pure state
+        if verb == "roof" or "matrix" in data
+    ],
+)
+def test_malformed_density_is_typed(capsys, tmp_path, verb, data, fault):
+    with pytest.raises(InvalidDensity, match=re.escape(fault)):
+        density_from_dict(data)
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(data))
+    if verb == "roof":
+        argv = ["roof", "--measure", "entropy", "--rho", str(path)]
+    else:
+        argv = ["twirl", "--in", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert fault in captured.err
 
 
 @pytest.mark.parametrize("verb", ["roof", "twirl"])

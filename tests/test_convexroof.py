@@ -8,14 +8,13 @@ from frameness import (
     RoofConfig,
     StandardState,
     apply_channel_density,
-    brute_force_roof,
     convex_roof,
     decomposition_from_map,
+    evaluate_pure,
     qubit_concurrence,
     qubit_fof,
     random_channel,
     random_density_matrix,
-    variance_pure,
 )
 
 CONC2 = MonotoneId("concurrence", 2)
@@ -72,11 +71,13 @@ def test_decomposition_rejects_bad_maps():
 def test_roof_rank_one_is_exact():
     vec = np.array([np.sqrt(0.3), np.sqrt(0.7)])
     rho = np.outer(vec, vec)
-    res = convex_roof(VAR, rho, FAST_CFG)
-    assert res.converged
-    assert res.iterations_used == 0
-    assert res.value == pytest.approx(variance_pure(StandardState([0.3, 0.7])), abs=1e-12)
-    assert len(res.ensemble.members) == 1
+    for measure in (MonotoneId("vidal", 2), MonotoneId("entropy"), CONC2, VAR):
+        res = convex_roof(measure, rho, FAST_CFG)
+        assert res.converged
+        assert res.iterations_used == 0
+        direct = evaluate_pure(measure, StandardState([0.3, 0.7]))
+        assert res.value == pytest.approx(direct, abs=1e-12)
+        assert len(res.ensemble.members) == 1
 
 
 def test_roof_diagonal_qubit_vanishes():
@@ -173,21 +174,6 @@ def test_closed_form_is_ensemble_monotone():
         ens = apply_channel_density(ch, rho)
         avg = sum(p * qubit_concurrence(sigma) for p, sigma in ens.members)
         assert qubit_concurrence(rho) - avg >= -1e-9
-
-
-def test_brute_force_prefix_monotone():
-    rho = random_density_matrix(2, np.random.default_rng(43))
-    small = brute_force_roof(CONC2, rho, samples=100, seed=9)
-    large = brute_force_roof(CONC2, rho, samples=600, seed=9)
-    assert large <= small + 1e-12
-    assert large >= qubit_concurrence(rho) - 1e-9
-
-
-def test_brute_force_pure_input_exact():
-    vec = np.array([np.sqrt(0.4), np.sqrt(0.6)])
-    rho = np.outer(vec, vec)
-    direct = variance_pure(StandardState(np.abs(vec) ** 2 / np.sum(np.abs(vec) ** 2)))
-    assert brute_force_roof(VAR, rho, samples=1) == pytest.approx(direct, abs=1e-12)
 
 
 def test_variance_roof_matches_qubit_fof():

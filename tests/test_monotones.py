@@ -20,8 +20,6 @@ from frameness import (
     evaluate_pure,
     optimal_qubit_decomposition,
     preconcurrence_matrix,
-    product_eig_sqrt,
-    psd_sqrt,
     qubit_R_eigs,
     qubit_concurrence,
     qubit_fof,
@@ -31,8 +29,7 @@ from frameness import (
     variance_pure,
     vidal_f,
 )
-from frameness.monotones import conjugate_flip
-from frameness.numerics import hermitian_eig
+from frameness import monotones
 
 PLUS = 0.5 * np.ones((2, 2))
 GOLDEN_CLOSED_FORMS = Path(__file__).parent / "golden" / "qubit_closed_forms.csv"
@@ -206,15 +203,30 @@ def test_qubit_R_eigs_errors():
         qubit_R_eigs(np.array([[0.5, 0.5], [0.4, 0.5]]))
 
 
-def test_qubit_two_path_agreement():
+def test_qubit_R_eigs_matches_exact_form():
+    # mu = sqrt(rho00 rho11) +- |rho01| on rank-1, diagonal and full-rank qubits
     rng = np.random.default_rng(41)
-    for _ in range(50):
-        rho = random_density_matrix(2, rng)
-        tilde = conjugate_flip(rho)
-        fast = product_eig_sqrt(rho, tilde)
-        root = psd_sqrt(rho)
-        direct = hermitian_eig(psd_sqrt(root @ tilde @ root))[0]
-        assert np.max(np.abs(fast - direct)) < 1e-8
+    for i in range(60):
+        if i % 3 == 0:
+            rho = random_density_matrix(2, rng, rank=1)
+        elif i % 3 == 1:
+            q = rng.uniform()
+            rho = np.diag([q, 1.0 - q])
+        else:
+            rho = random_density_matrix(2, rng)
+        root = math.sqrt(rho[0, 0].real * rho[1, 1].real)
+        exact = [root + abs(rho[0, 1]), root - abs(rho[0, 1])]
+        assert np.max(np.abs(qubit_R_eigs(rho) - exact)) < 1e-12
+
+
+def test_qubit_R_eigs_guard_trips_on_small_error(monkeypatch):
+    route = monotones._product_eig_sqrt_2x2
+    monkeypatch.setattr(monotones, "_product_eig_sqrt_2x2", lambda a, b: route(a, b) + 1e-9)
+    rng = np.random.default_rng(43)
+    for i in range(20):
+        rho = random_density_matrix(2, rng, rank=1 if i % 4 == 0 else None)
+        with pytest.raises(ArithmeticError):
+            qubit_R_eigs(rho)
 
 
 def test_qubit_concurrence_on_pure_states():
