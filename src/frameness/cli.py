@@ -32,7 +32,7 @@ from .channels import (
     validate_channel,
 )
 from .convexroof import RoofConfig, convex_roof
-from .errors import BadTrialCount, FramenessError
+from .errors import BadTrialCount, EmptyShiftSet, FramenessError, LengthMismatch
 from .monotones import KINDS, MonotoneId, appendix_closed_form, weight_evaluator
 from .states import (
     SectoredPureState,
@@ -156,7 +156,7 @@ def run_verification(
 def _parse_shifts(text: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
     if not parts:
-        raise ValueError("empty shift list")
+        raise EmptyShiftSet("empty shift list")
     return tuple(int(p) for p in parts)
 
 
@@ -173,9 +173,7 @@ def _load_weights(path: str, dim: int | None) -> StandardState:
         w = state.weights
         if dim < w.size:
             if w.size and float(w[dim:].max(initial=0.0)) > 0.0:
-                raise ValueError(
-                    f"cannot restrict to dimension {dim}: weight above it"
-                )
+                raise LengthMismatch(f"cannot restrict to dimension {dim}: weight above it")
             w = w[:dim]
         else:
             w = np.pad(w, (0, dim - w.size))
@@ -271,6 +269,7 @@ def cmd_appendix(args: argparse.Namespace) -> int:
             "mu2": res.mu2,
             "concurrence": res.concurrence,
             "fof": res.fof,
+            "formation": res.formation,
             "rho": density_to_dict(res.rho),
         }
     )

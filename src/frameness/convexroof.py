@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Ensemble
-from .errors import NotIsometry, RankMismatch
+from .errors import BadRoofConfig, NotIsometry, RankMismatch
 from .monotones import MonotoneId, weight_evaluator
 from .numerics import ZERO_TOL, _checked_density
 
@@ -40,15 +40,15 @@ class RoofConfig:
 
     def __post_init__(self) -> None:
         if self.ensemble_size is not None and self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be positive")
+            raise BadRoofConfig("ensemble_size must be positive")
         if self.restarts < 1:
-            raise ValueError("restarts must be positive")
+            raise BadRoofConfig("restarts must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+            raise BadRoofConfig("max_iters must be positive")
         if self.step_tolerance <= 0:
-            raise ValueError("step_tolerance must be positive")
+            raise BadRoofConfig("step_tolerance must be positive")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise BadRoofConfig("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,10 @@ class BadAngle(FramenessError):
     """Angle parameter is NaN or infinite."""
 
 
+class BadRoofConfig(FramenessError):
+    """Roof search budget or seed outside its admissible range."""
+
+
 class BadTrialCount(FramenessError):
     """Verification asked for fewer than one trial."""
 

@@ -1,9 +1,9 @@
 """Frameness monotones for states under the charge superselection rule.
 
-Pure-state monotones act on standard-form weight vectors. For qubits the
-mixed-state extension of the order-2 concurrence has a closed form through
-the spectrum of an R matrix; the optimal decomposition achieving it is
-constructed explicitly.
+Pure-state monotones act on standard-form weight vectors. A qubit density
+[[a, c], [c*, b]] has the exact R-spectrum sqrt(ab) +- |c|, so its
+concurrence C = 2|c|, C^2, the frameness of formation and an optimal
+decomposition are read off its entries.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .channels import Ensemble
 from .errors import BadAngle, BadK, BadProbability, WrongDimension
@@ -21,7 +20,6 @@ from .numerics import ZERO_TOL, _checked_density
 from .states import StandardState
 
 KINDS = ("vidal", "entropy", "concurrence", "variance")
-_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -166,65 +164,61 @@ def evaluate_pure(measure: MonotoneId, state: StandardState) -> float:
     return float(weight_evaluator(measure, state.dim)(state.weights))
 
 
-def conjugate_flip(rho: np.ndarray) -> np.ndarray:
-    """Entrywise conjugate followed by the charge-reversing flip on a qubit."""
-    return _FLIP @ rho.conj() @ _FLIP
+def _qubit(rho: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    # The exact R-spectrum of a U(1) qubit [[a, c], [c*, b]], mu =
+    # sqrt(ab) +- |c|, with the density's check. c comes from the Hermitian
+    # part and mu2 is clamped at zero, so states that are Hermitian or PSD
+    # only within H_TOL or P_TOL stay in range.
+    m = np.asarray(rho)
+    if m.shape != (2, 2):
+        raise WrongDimension(f"expected a 2x2 matrix, got shape {m.shape}")
+    checked = _checked_density(m)
+    m = checked[0]
+    root = math.sqrt(max(m[0, 0].real * m[1, 1].real, 0.0))
+    off = 0.5 * abs(m[0, 1] + m[1, 0].conjugate())
+    return np.array([root + off, max(root - off, 0.0)]), checked
 
 
-def _product_eig_sqrt_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Descending square roots of the eigenvalues of a @ b for 2x2 PSD a, b.
-    # Recombining trace and determinant at the root level keeps a zero
-    # eigenvalue at ~1e-16 instead of the sqrt-amplified ~1e-8 a generic
-    # eigensolver leaves on rank-1 products.
-    t = max(float(np.trace(a @ b).real), 0.0)
-    det_a = float((a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real)
-    det_b = float((b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]).real)
-    root = np.sqrt(max(det_a, 0.0) * max(det_b, 0.0))
-    s = np.sqrt(max(t + 2.0 * root, 0.0))
-    g = np.sqrt(max(t - 2.0 * root, 0.0))
-    return np.array([0.5 * (s + g), 0.5 * (s - g)])
+def _member_weights(c: float) -> tuple[float, float, float]:
+    # Weights (x+, x-) = (1 +- s)/2, s = sqrt(1 - c^2), of every optimal
+    # member of a qubit with concurrence c. x- = c^2 / (4 x+) keeps full
+    # relative precision where 1 - x+ would cancel.
+    s = math.sqrt(max(1.0 - c * c, 0.0))
+    xp = 0.5 * (1.0 + s)
+    return xp, c * c / (4.0 * xp), s
 
 
 def qubit_R_eigs(rho: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of R = sqrt(sqrt(rho) rho~ sqrt(rho)) for a qubit.
 
-    The values come from the trace and determinant of rho rho~ and are
-    checked against the exact form sqrt(rho00 rho11) +- |rho01|.
+    Under the charge rule they are exactly sqrt(rho00 rho11) +- |rho01|.
     """
-    m = np.asarray(rho)
-    if m.shape != (2, 2):
-        raise WrongDimension(f"expected a 2x2 matrix, got shape {m.shape}")
-    m = _checked_density(m)[0]
-    # rho~ has the spectrum of rho, so both factors are already known PSD.
-    mu = _product_eig_sqrt_2x2(m, conjugate_flip(m))
-    # The exact form takes rho01 from the Hermitian part, and clamps mu2 at
-    # zero as the route does for a negative eigenvalue within P_TOL. They
-    # are compared through mu1 + mu2 and (mu1 - mu2)^2, because the route
-    # resolves the gap itself only to ~1e-8 when |rho01| is that small.
-    root = math.sqrt(max(m[0, 0].real * m[1, 1].real, 0.0))
-    off = 0.5 * abs(m[0, 1] + m[1, 0].conjugate())
-    e1, e2 = root + off, max(root - off, 0.0)
-    if (
-        abs(mu[0] + mu[1] - (e1 + e2)) > ZERO_TOL
-        or abs((mu[0] - mu[1]) ** 2 - (e1 - e2) ** 2) > ZERO_TOL
-    ):
-        raise ArithmeticError(f"R-spectrum {mu} differs from the exact form {[e1, e2]}")
-    return mu
+    return _qubit(rho)[0]
 
 
 def qubit_concurrence(rho: np.ndarray) -> float:
-    """Closed-form mixed-state concurrence of a qubit: |mu1 - mu2|."""
+    """Closed-form mixed-state concurrence of a qubit: mu1 - mu2 = 2|rho01|."""
     mu = qubit_R_eigs(rho)
-    return float(abs(mu[0] - mu[1]))
+    return float(mu[0] - mu[1])
 
 
 def qubit_fof(rho: np.ndarray) -> float:
-    """Squared qubit concurrence C^2, the closed form of the variance roof.
-
-    The paper's frameness of formation is h((1 + sqrt(1 - C^2)) / 2), with
-    h the binary entropy; this function does not compute it.
-    """
+    """Squared qubit concurrence C^2, the closed form of the variance roof."""
     return qubit_concurrence(rho) ** 2
+
+
+def qubit_formation(rho: np.ndarray) -> float:
+    """The paper's qubit frameness of formation h((1 + sqrt(1 - C^2)) / 2).
+
+    h is the binary entropy in bits; this is the closed form of the
+    entropy roof.
+    """
+    return _formation_bits(qubit_concurrence(rho))
+
+
+def _formation_bits(c: float) -> float:
+    xp, xm, _ = _member_weights(c)
+    return float(_shannon_bits(np.array([xp, xm])))
 
 
 @dataclass(frozen=True)
@@ -235,6 +229,7 @@ class AppendixResult:
     mu2: float
     concurrence: float
     fof: float
+    formation: float
     rho: np.ndarray
 
 
@@ -260,88 +255,38 @@ def appendix_closed_form(p: float, alpha: float) -> AppendixResult:
     phi1 = np.array([math.cos(alpha / 2.0), math.sin(alpha / 2.0)], dtype=np.complex128)
     phi2 = np.array([-math.sin(alpha / 2.0), math.cos(alpha / 2.0)], dtype=np.complex128)
     rho = p * np.outer(phi1, phi1.conj()) + (1.0 - p) * np.outer(phi2, phi2.conj())
+    concurrence = abs((1.0 - 2.0 * p) * s)
     return AppendixResult(
         mu1=mu1,
         mu2=mu2,
-        concurrence=abs((1.0 - 2.0 * p) * s),
+        concurrence=concurrence,
         fof=v,
+        formation=_formation_bits(concurrence),
         rho=rho,
     )
-
-
-def preconcurrence_matrix(phis: Sequence[np.ndarray]) -> np.ndarray:
-    """Matrix of overlaps <phi_i | flip conj(phi_j)> for qubit vectors.
-
-    Symmetric for any collection of vectors; its singular values are the
-    R-spectrum when the vectors form a subnormalized eigendecomposition.
-    """
-    cols = [np.asarray(p, dtype=np.complex128) for p in phis]
-    r = len(cols)
-    tau = np.zeros((r, r), dtype=np.complex128)
-    for i in range(r):
-        for j in range(r):
-            tau[i, j] = np.vdot(cols[i], _FLIP @ cols[j].conj())
-    return tau
-
-
-def takagi(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a complex symmetric matrix as W diag(s) W^T with unitary W.
-
-    Built on the SVD: the gauge V† conj(U) is symmetric unitary and block
-    diagonal over repeated singular values, so its principal square root
-    rotates U onto a valid W.
-    """
-    a = np.asarray(sym, dtype=np.complex128)
-    u, s, vh = np.linalg.svd(a)
-    gauge = vh @ u.conj()
-    w = u @ np.asarray(scipy.linalg.sqrtm(gauge), dtype=np.complex128)
-    return s, w
 
 
 def optimal_qubit_decomposition(rho: np.ndarray) -> Ensemble:
     """Decomposition of a qubit state whose members all attain the closed-form concurrence.
 
-    Follows the classic recipe: diagonalize the preconcurrence matrix of a
-    subnormalized eigendecomposition by a symmetric congruence, flip the
-    second branch's sign, then rotate by the smallest nonnegative angle
-    that equalizes the members' preconcurrences.
+    With x+- = (1 +- s)/2, s = sqrt(1 - C^2), and u the phase of rho01, the
+    members are (sqrt(x+), sqrt(x-) u*) with probability
+    p = (1 + (rho00 - rho11)/s)/2 and (sqrt(x-), sqrt(x+) u*) with 1 - p;
+    each has concurrence 2 sqrt(x+ x-) = C. A rank-1 state is its own
+    single member.
     """
-    m = np.asarray(rho)
-    if m.shape != (2, 2):
-        raise WrongDimension(f"expected a 2x2 matrix, got shape {m.shape}")
-    _, w, v = _checked_density(m)
-    w = np.clip(w, 0.0, None)
-    keep = w > ZERO_TOL
-    if keep.sum() <= 1:
+    mu, (m, w, v) = _qubit(rho)
+    a, b = m[0, 0].real, m[1, 1].real
+    xp, xm, s = _member_weights(float(mu[0] - mu[1]))
+    # At unit trace s^2 = (a - b)^2 + 4 det(rho), so p lies in [0, 1]. A
+    # state accepted with s <= |a - b| through the density tolerances has no
+    # such split; it is pure to within those tolerances.
+    if w[1] <= ZERO_TOL or s <= abs(a - b):
         vec = v[:, 0] / np.linalg.norm(v[:, 0])
         return Ensemble(((1.0, vec),))
-
-    phis = [np.sqrt(w[i]) * v[:, i] for i in range(2)]
-    tau = preconcurrence_matrix(phis)
-    mu, wmat = takagi(tau)
-    y = wmat.conj().T
-    xi = [y[i, 0] * phis[0] + y[i, 1] * phis[1] for i in range(2)]
-    xi[1] = 1j * xi[1]  # preconcurrences now (mu1, -mu2)
-
-    p1 = float(np.vdot(xi[0], xi[0]).real)
-    p2 = float(np.vdot(xi[1], xi[1]).real)
-    gap = float(mu[0] - mu[1])
-    pre1 = mu[0] / p1
-    pre2 = -mu[1] / p2
-    if abs(pre1 - pre2) <= 1e-12:
-        theta = 0.0
-    else:
-        overlap = float(np.vdot(xi[0], xi[1]).real)
-        a = 0.5 * (mu[0] + mu[1] - gap * (p1 - p2))
-        b = gap * overlap
-        theta = (0.5 * math.atan2(a, b)) % (0.5 * math.pi)
-    c, s = math.cos(theta), math.sin(theta)
-    zetas = [c * xi[0] + s * xi[1], -s * xi[0] + c * xi[1]]
-
-    members = []
-    for z in zetas:
-        p = float(np.vdot(z, z).real)
-        if p <= ZERO_TOL:
-            continue
-        members.append((p, z / np.sqrt(p)))
-    return Ensemble(tuple(members))
+    p = 0.5 + 0.5 * (a - b) / s
+    c = m[0, 1]
+    u = np.conj(c / abs(c)) if c != 0 else 1.0
+    rp, rm = math.sqrt(xp), math.sqrt(xm)
+    vecs = np.array([[rp, rm * u], [rm, rp * u]], dtype=np.complex128)
+    return Ensemble(tuple((q, vec) for q, vec in zip((p, 1.0 - p), vecs) if q > ZERO_TOL))

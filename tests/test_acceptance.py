@@ -26,6 +26,7 @@ from frameness import (
     purify,
     qubit_concurrence,
     qubit_fof,
+    qubit_formation,
     qubit_R_eigs,
     random_channel,
     random_density_matrix,
@@ -103,6 +104,7 @@ def test_criterion_3_two_parameter_family_grid():
                 abs(mu[1] - res.mu2),
                 abs(qubit_concurrence(res.rho) - res.concurrence),
                 abs(qubit_fof(res.rho) - res.fof),
+                abs(qubit_formation(res.rho) - res.formation),
             )
             points += 1
     assert points == 30
@@ -264,4 +266,18 @@ def test_criterion_9_structural_invariants():
     print(
         "PASS criterion 9: twirl, purification, channel serialization and "
         f"qubit decompositions hold structural invariants on {checked} instances"
+    )
+
+
+def test_criterion_10_entropy_roof_matches_qubit_formation(qubit_batch):
+    start = time.perf_counter()
+    worst = 0.0
+    for rho, _ in qubit_batch:
+        result = convex_roof(MonotoneId("entropy"), rho, ROOF_CFG)
+        worst = max(worst, abs(result.value - qubit_formation(rho)))
+    elapsed = time.perf_counter() - start
+    assert worst <= 2e-3
+    print(
+        f"PASS criterion 10: entropy roof vs frameness of formation on 100 qubits, "
+        f"worst {worst:.3e} <= 2e-3 in {elapsed:.1f}s"
     )

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,12 +13,18 @@ import pytest
 import frameness
 from frameness import (
     BadAngle,
+    BadRoofConfig,
     BadTrialCount,
+    EmptyShiftSet,
     InvalidDensity,
+    LengthMismatch,
     MonotoneId,
+    RoofConfig,
     appendix_closed_form,
     qubit_concurrence,
+    qubit_formation,
 )
+from frameness import cli
 from frameness.channels import channel_from_dict, validate_channel
 from frameness.cli import (
     VerificationReport,
@@ -380,6 +389,68 @@ def test_verify_rejects_nonpositive_trials(capsys, trials):
         run_verification(MonotoneId("vidal", 2), 3, int(trials), 0, (-1, 0, 1))
 
 
+ROOF_ARGS = ["roof", "--measure", "entropy", "--rho", "RHO"]
+# (CLI arguments, message, error class, the library call behind them on a state file)
+INPUT_ERRORS = {
+    "ensemble-size": (
+        ROOF_ARGS + ["--ensemble-size", "0"],
+        "ensemble_size must be positive",
+        BadRoofConfig,
+        lambda state: RoofConfig(ensemble_size=0),
+    ),
+    "restarts": (
+        ROOF_ARGS + ["--restarts", "0"],
+        "restarts must be positive",
+        BadRoofConfig,
+        lambda state: RoofConfig(restarts=0),
+    ),
+    "max-iters": (
+        ROOF_ARGS + ["--max-iters", "0"],
+        "max_iters must be positive",
+        BadRoofConfig,
+        lambda state: RoofConfig(max_iters=0),
+    ),
+    "step-tolerance": (
+        ROOF_ARGS + ["--step-tolerance", "0"],
+        "step_tolerance must be positive",
+        BadRoofConfig,
+        lambda state: RoofConfig(step_tolerance=0.0),
+    ),
+    "seed": (
+        ROOF_ARGS + ["--seed=-1"],
+        "seed must be nonnegative",
+        BadRoofConfig,
+        lambda state: RoofConfig(seed=-1),
+    ),
+    "shifts": (
+        ["verify", "--measure", "entropy", "--dim", "2", "--shifts=,"],
+        "empty shift list",
+        EmptyShiftSet,
+        lambda state: cli._parse_shifts(","),
+    ),
+    "dim": (
+        ["monotone", "--measure", "entropy", "--state", "STATE", "--dim", "1"],
+        "cannot restrict to dimension 1: weight above it",
+        LengthMismatch,
+        lambda state: cli._load_weights(state, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message, error, call", list(INPUT_ERRORS.values()), ids=list(INPUT_ERRORS)
+)
+def test_input_errors_are_typed(capsys, tmp_path, plus_file, argv, message, error, call):
+    rho = write_density(tmp_path, 0.5 * np.eye(2))
+    argv = [{"RHO": rho, "STATE": plus_file}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    with pytest.raises(error, match=message):
+        call(plus_file)
+
+
 def test_verify_rejects_threads_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--measure", "entropy", "--dim", "2", "--shifts=0", "--threads", "2"])
@@ -457,8 +528,33 @@ def test_appendix_values(capsys):
     assert payload["mu2"] == pytest.approx(0.25, abs=1e-12)
     assert payload["concurrence"] == pytest.approx(0.5, abs=1e-12)
     assert payload["fof"] == pytest.approx(0.25, abs=1e-12)
+    # h((1 + sqrt(3)/2) / 2) for C = 1/2
+    assert payload["formation"] == pytest.approx(0.35457890266527003, abs=1e-12)
     rho = density_from_dict(payload["rho"])
     assert abs(np.trace(rho).real - 1.0) < 1e-12
+
+
+def test_appendix_matches_golden_grid(capsys):
+    """Every appendix field but formation keeps the bytes captured before it was added,
+    on the 30 grid points of acceptance criterion 3."""
+    golden = json.loads((GOLDEN / "appendix_grid.json").read_text(encoding="utf-8"))
+    assert len(golden) == 30
+    for point in golden:
+        assert main(["appendix", "--p", repr(point["p"]), "--alpha", repr(point["alpha"])]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        formation = payload.pop("formation")
+        assert json.dumps(payload, sort_keys=True) == json.dumps(point["output"], sort_keys=True)
+        assert abs(formation - qubit_formation(density_from_dict(payload["rho"]))) <= 1e-12
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, frameness.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_appendix_rejects_bad_probability(capsys):

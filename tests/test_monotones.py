@@ -19,17 +19,15 @@ from frameness import (
     entropy_of_frameness,
     evaluate_pure,
     optimal_qubit_decomposition,
-    preconcurrence_matrix,
     qubit_R_eigs,
     qubit_concurrence,
     qubit_fof,
+    qubit_formation,
     random_density_matrix,
     random_standard_state,
-    takagi,
     variance_pure,
     vidal_f,
 )
-from frameness import monotones
 
 PLUS = 0.5 * np.ones((2, 2))
 GOLDEN_CLOSED_FORMS = Path(__file__).parent / "golden" / "qubit_closed_forms.csv"
@@ -219,16 +217,6 @@ def test_qubit_R_eigs_matches_exact_form():
         assert np.max(np.abs(qubit_R_eigs(rho) - exact)) < 1e-12
 
 
-def test_qubit_R_eigs_guard_trips_on_small_error(monkeypatch):
-    route = monotones._product_eig_sqrt_2x2
-    monkeypatch.setattr(monotones, "_product_eig_sqrt_2x2", lambda a, b: route(a, b) + 1e-9)
-    rng = np.random.default_rng(43)
-    for i in range(20):
-        rho = random_density_matrix(2, rng, rank=1 if i % 4 == 0 else None)
-        with pytest.raises(ArithmeticError):
-            qubit_R_eigs(rho)
-
-
 def test_qubit_concurrence_on_pure_states():
     rng = np.random.default_rng(43)
     for _ in range(25):
@@ -247,6 +235,13 @@ def test_qubit_concurrence_diagonal_is_zero():
         rho = np.diag([q, 1 - q])
         assert qubit_concurrence(rho) <= 1e-12
         assert qubit_fof(rho) <= 1e-12
+
+
+def test_qubit_concurrence_near_diagonal_is_exact():
+    # C = 2|rho01| to rounding, however small the off-diagonal entry
+    for c in (2e-12, 3e-9j, (1 - 1j) * 1e-15):
+        rho = np.array([[0.5, c], [np.conj(c), 0.5]])
+        assert abs(qubit_concurrence(rho) - 2 * abs(c)) <= 1e-15
 
 
 def test_qubit_fof_is_squared_concurrence():
@@ -273,6 +268,7 @@ def test_appendix_matches_R_route():
             assert abs(mu[1] - res.mu2) < 1e-10
             assert abs(abs(mu[0] - mu[1]) - res.concurrence) < 1e-10
             assert abs((mu[0] - mu[1]) ** 2 - res.fof) < 1e-10
+            assert abs(qubit_formation(res.rho) - res.formation) < 1e-10
 
 
 def test_appendix_rejects_bad_probability():
@@ -280,33 +276,6 @@ def test_appendix_rejects_bad_probability():
         appendix_closed_form(1.25, 0.0)
     with pytest.raises(BadProbability):
         appendix_closed_form(-0.1, 0.0)
-
-
-def test_preconcurrence_matrix_symmetric():
-    rng = np.random.default_rng(59)
-    for _ in range(20):
-        phis = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2)]
-        tau = preconcurrence_matrix(phis)
-        assert np.max(np.abs(tau - tau.T)) < 1e-12
-
-
-def test_takagi_factorization():
-    rng = np.random.default_rng(61)
-    for _ in range(25):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        sym = a + a.T
-        s, w = takagi(sym)
-        assert np.all(s >= 0)
-        assert np.all(np.diff(s) <= 1e-12)
-        assert np.max(np.abs(w @ w.conj().T - np.eye(3))) < 1e-10
-        assert np.max(np.abs((w * s) @ w.T - sym)) < 1e-10
-
-
-def test_takagi_degenerate_antidiagonal():
-    sym = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-    s, w = takagi(sym)
-    assert np.allclose(s, [0.5, 0.5])
-    assert np.max(np.abs((w * s) @ w.T - sym)) < 1e-12
 
 
 def test_optimal_decomposition_rank_one():
@@ -326,22 +295,62 @@ def test_optimal_decomposition_maximally_mixed():
         assert pure_qubit_concurrence(vec) <= 1e-8
 
 
+def near_pure_qubit(t):
+    """(1 - t)|psi><psi| + t I/2 with psi = (0.6, 0.8i)."""
+    psi = np.array([0.6, 0.8j])
+    return (1 - t) * np.outer(psi, psi.conj()) + t * np.eye(2) / 2
+
+
 def test_optimal_decomposition_random_states():
     rng = np.random.default_rng(67)
-    for _ in range(50):
-        rho = random_density_matrix(2, rng)
+    inputs = [random_density_matrix(2, rng) for _ in range(50)]
+    inputs += [near_pure_qubit(t) for t in (1e-7, 1e-9, 1e-11)]
+    for rho in inputs:
+        target = qubit_concurrence(rho)
+        ens = optimal_qubit_decomposition(rho)
+        assert len(ens.members) == 2
+        assert np.max(np.abs(ens.mixture() - rho)) < 1e-12
+        for p, vec in ens.members:
+            assert abs(pure_qubit_concurrence(vec) - target) < 1e-12
+        average = sum(p * pure_qubit_concurrence(vec) for p, vec in ens.members)
+        assert abs(average - target) < 1e-12
+
+
+def test_optimal_decomposition_at_density_tolerances():
+    # Accepted only through the trace tolerance: C = 1 (s = 0), and a
+    # near-pure state with s = 1e-6 < |rho00 - rho11| = 4e-5.
+    c = math.sqrt(1 - 1e-12) / 2
+    for rho in (
+        [[0.5 + 4.9e-10, 0.5], [0.5, 0.5 + 4.9e-10]],
+        [[0.5 + 2e-5 + 4.5e-10, c], [c, 0.5 - 2e-5 + 4.5e-10]],
+    ):
+        rho = np.array(rho)
         target = qubit_concurrence(rho)
         ens = optimal_qubit_decomposition(rho)
         assert np.max(np.abs(ens.mixture() - rho)) < 1e-9
         for p, vec in ens.members:
-            assert abs(pure_qubit_concurrence(vec) - target) < 1e-8
-        average = sum(p * pure_qubit_concurrence(vec) for p, vec in ens.members)
-        assert abs(average - target) < 1e-8
+            assert abs(pure_qubit_concurrence(vec) - target) < 1e-9
+
+
+def test_qubit_formation_closed_form():
+    assert qubit_formation(PLUS) == 1.0
+    assert qubit_formation(np.diag([0.3, 0.7])) == 0.0
+    rng = np.random.default_rng(71)
+    for i in range(30):
+        rho = random_density_matrix(2, rng) if i % 3 else near_pure_qubit(10.0 ** -(i // 3 + 1))
+        x = (1 + math.sqrt(1 - qubit_concurrence(rho) ** 2)) / 2
+        h = -x * math.log2(x) - (1 - x) * math.log2(1 - x)
+        formation = qubit_formation(rho)
+        assert abs(formation - h) < 1e-12
+        # every optimal member carries the same weight entropy
+        for p, vec in optimal_qubit_decomposition(rho).members:
+            weights = StandardState(np.abs(vec) ** 2)
+            assert abs(entropy_of_frameness(weights) - formation) < 1e-12
 
 
 def test_qubit_closed_forms_match_golden():
-    """R spectrum, concurrence, FoF and decomposition equal, bit for bit, a capture
-    from the code that validated each input several times."""
+    """R spectrum, concurrence, C^2 and decomposition equal, bit for bit, a capture
+    from the exact closed forms."""
     with open(GOLDEN_CLOSED_FORMS, newline="", encoding="utf-8") as fh:
         golden = list(csv.reader(fh))
     assert golden[0] == CLOSED_FORM_COLUMNS
