@@ -3,8 +3,15 @@
 Every decomposition of a rank-r state into m pure members corresponds to an
 m x r matrix with orthonormal columns acting on the subnormalized
 eigenvectors. The roof is minimized over that manifold with a derivative-free
-coordinate search on a Givens angle/phase mesh, restarted from seeded random
-points.
+first-improvement coordinate search on a Givens angle/phase mesh, restarted
+from seeded random points.
+
+The search probes speculatively in batches: from the current point it builds
+the remaining probes of the sweep in order, evaluates each batch with one
+evaluator call and moves to the first probe that improves. Every probe is
+rounded as if evaluated alone, so the path, the value and the ensemble are
+those of the search that evaluates one probe at a time. A batch holds at
+most ``PROBE_ELEMENTS`` array entries, which bounds memory at any dimension.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ class RoofConfig:
     """Search budget for the roof optimizer.
 
     ``ensemble_size`` of ``None`` means ``min(2r, r + 2)`` for a rank-r
-    input. ``seed`` must be a nonnegative integer; restarts draw their
-    starting points from streams derived from it.
+    input. ``step_tolerance`` must be finite and positive. ``seed`` must be
+    a nonnegative integer; restarts draw their starting points from streams
+    derived from it.
     """
 
     ensemble_size: int | None = None
@@ -45,6 +53,8 @@ class RoofConfig:
             raise BadRoofConfig("restarts must be positive")
         if self.max_iters < 1:
             raise BadRoofConfig("max_iters must be positive")
+        if not math.isfinite(self.step_tolerance):
+            raise BadRoofConfig("step_tolerance must be finite")
         if self.step_tolerance <= 0:
             raise BadRoofConfig("step_tolerance must be positive")
         if self.seed < 0:
@@ -58,8 +68,10 @@ class RoofResult:
     ``value`` is the probability-weighted average of the pure monotone over
     ``ensemble``; ``iterations_used`` counts coordinate sweeps summed over
     restarts, and ``converged`` says whether every restart shrank its step
-    below tolerance within budget. ``gapped_support`` flags inputs whose
-    occupied sectors are not contiguous.
+    below tolerance within budget. A sweep probes every coordinate in order
+    and takes the first improvement; the probes are evaluated in batches,
+    with the same results as one at a time. ``gapped_support`` flags inputs
+    whose occupied sectors are not contiguous.
     """
 
     value: float
@@ -76,33 +88,66 @@ def _support_factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v[:, :r] * np.sqrt(w[:r])
 
 
-def _givens_mesh(m: int, r: int, params: np.ndarray) -> np.ndarray:
-    """First r columns of the unitary built from a full pairwise rotation mesh."""
-    u = np.eye(m, dtype=np.complex128)
-    idx = 0
+# Array entries per batch of speculative probes. One candidate ensemble of
+# m members in dimension d takes about m * (2m + d): its rotation
+# coefficients and its members. A batch holds as many candidates as fit,
+# at least one.
+PROBE_ELEMENTS = 2**16
+
+
+def _trig(angles) -> np.ndarray:
+    """(cos, sin) of each angle, from ``math`` one angle at a time."""
+    return np.array([(math.cos(x), math.sin(x)) for x in angles]).reshape(-1, 2)
+
+
+def _givens_meshes(m: int, r: int, trig: np.ndarray) -> np.ndarray:
+    """First r columns of the unitaries built from full pairwise rotation meshes.
+
+    ``trig`` is a (K, m(m-1), 2) table: for each of K meshes, the cosine and
+    sine of the angle theta and then of the phase phi of each pair (i, j).
+    Rotation (i, j) replaces rows i and j by c u_i - e s u_j and
+    conj(e) s u_i + c u_j, with c, s = cos, sin(theta) and e = exp(i phi).
+    Returns (K, m, r). Each mesh rounds as if built alone: e s is formed
+    componentwise, and the K meshes run along the last, contiguous axis.
+    """
+    k = trig.shape[0]
+    c = trig[:, 0::2, 0].T
+    s = trig[:, 0::2, 1].T
+    es_re = trig[:, 1::2, 0].T * s
+    es_im = trig[:, 1::2, 1].T * s
+    coefficients = np.empty((c.shape[0], 2, 2, 1, k), dtype=np.complex128)
+    coefficients[:, 0, 0, 0] = c
+    coefficients[:, 1, 1, 0] = c
+    coefficients[:, 0, 1, 0].real = -es_re
+    coefficients[:, 0, 1, 0].imag = -es_im
+    coefficients[:, 1, 0, 0].real = es_re
+    coefficients[:, 1, 0, 0].imag = -es_im
+    u = np.eye(m, r, dtype=np.complex128)[:, :, None].repeat(k, axis=2)
+    pair = 0
     for i in range(m - 1):
         for j in range(i + 1, m):
-            c = math.cos(params[idx])
-            s = math.sin(params[idx])
-            e = complex(math.cos(params[idx + 1]), math.sin(params[idx + 1]))
-            idx += 2
-            row_i = u[i, :].copy()
-            row_j = u[j, :]
-            u[i, :] = c * row_i - e * s * row_j
-            u[j, :] = np.conj(e) * s * row_i + c * row_j
-    return u[:, :r]
+            # A view of rows i and j; terms[a, b] is coefficient (a, b) times row b.
+            rows = u[i : j + 1 : j - i]
+            terms = coefficients[pair] * rows
+            np.add(terms[:, 0], terms[:, 1], out=rows)
+            pair += 1
+    return np.ascontiguousarray(u.transpose(2, 0, 1))
 
 
-def _average_value(factor: np.ndarray, mix: np.ndarray, evaluator) -> float:
-    members = factor @ mix.T
+def _average_values(factor: np.ndarray, meshes: np.ndarray, evaluator) -> np.ndarray:
+    """Average monotone of the ensemble each (m, r) mesh induces, in one evaluator call.
+
+    Members with probability at or below ``ZERO_TOL`` are dropped, and each
+    average is accumulated over the members left to right.
+    """
+    members = factor @ meshes.transpose(0, 2, 1)
     w2 = np.abs(members) ** 2
-    probs = w2.sum(axis=0)
-    total = 0.0
-    for i in range(mix.shape[0]):
-        p = probs[i]
-        if p > ZERO_TOL:
-            total += p * evaluator(w2[:, i] / p)
-    return total
+    probs = w2.sum(axis=1)
+    kept = probs > ZERO_TOL
+    p = probs[kept]
+    terms = np.zeros(probs.shape)
+    terms[kept] = p * evaluator(w2.transpose(0, 2, 1)[kept] / p[:, None])
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def _coordinate_search(
@@ -114,27 +159,46 @@ def _coordinate_search(
     max_iters: int,
     step_tolerance: float,
 ) -> tuple[float, np.ndarray, int, bool]:
+    # First-improvement search: probe (c, +step), (c, -step), (c + 1, +step),
+    # ... in order, move to the first probe below the current value and go
+    # on from the next coordinate. The probes after the current one are
+    # evaluated speculatively, a batch at a time; whatever follows the first
+    # improvement is discarded, so the path is that of one probe at a time.
     nparams = m * (m - 1)
     params = rng.uniform(0.0, 2.0 * np.pi, size=nparams)
-    value = _average_value(factor, _givens_mesh(m, r, params), evaluator)
+    trig = _trig(params)
+    value = _average_values(factor, _givens_meshes(m, r, trig[None]), evaluator)[0]
+    batch = max(1, PROBE_ELEMENTS // (m * (2 * m + factor.shape[0])))
+    coord_of = np.arange(2 * nparams) // 2
+    rows = np.arange(batch)
     step = 0.5
     sweeps = 0
     while sweeps < max_iters and step > step_tolerance:
         sweeps += 1
         improved = False
-        for c in range(nparams):
-            for delta in (step, -step):
-                old = params[c]
-                params[c] = old + delta
-                cand = _average_value(factor, _givens_mesh(m, r, params), evaluator)
-                if cand < value - 1e-14:
-                    value = cand
-                    improved = True
-                    break
-                params[c] = old
+        deltas = np.tile([step, -step], nparams)
+        probe = 0
+        while probe < 2 * nparams:
+            end = min(probe + batch, 2 * nparams)
+            coords = coord_of[probe:end]
+            trials = params[coords] + deltas[probe:end]
+            tables = trig[None].repeat(end - probe, axis=0)
+            tables[rows[: end - probe], coords] = _trig(trials)
+            values = _average_values(factor, _givens_meshes(m, r, tables), evaluator)
+            better = values < value - 1e-14
+            hit = int(better.argmax())
+            if not better[hit]:
+                probe = end
+                continue
+            coord = coords[hit]
+            params[coord] = trials[hit]
+            trig = tables[hit]
+            value = values[hit]
+            improved = True
+            probe = 2 * (coord + 1)
         if not improved:
             step *= 0.5
-    return value, params, sweeps, step <= step_tolerance
+    return value, trig, sweeps, step <= step_tolerance
 
 
 def decomposition_from_map(rho: np.ndarray, mix: np.ndarray) -> Ensemble:
@@ -209,19 +273,18 @@ def convex_roof(
     all_converged = True
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
-        value, params, sweeps, conv = _coordinate_search(
+        value, trig, sweeps, conv = _coordinate_search(
             factor, m, r, evaluator, rng, cfg.max_iters, cfg.step_tolerance
         )
         total_sweeps += sweeps
         all_converged = all_converged and conv
         if best is None or value < best[0] - TIE_TOL:
-            best = (value, params)
+            best = (value, trig)
 
     assert best is not None
-    ensemble = _ensemble(factor, _givens_mesh(m, r, best[1]))
-    value = sum(
-        p * evaluator(np.abs(vec) ** 2) for p, vec in ensemble.members
-    )
+    ensemble = _ensemble(factor, _givens_meshes(m, r, best[1][None])[0])
+    values = evaluator(np.abs(np.array([vec for _, vec in ensemble.members])) ** 2)
+    value = sum(p * v for (p, _), v in zip(ensemble.members, values))
     return RoofResult(
         value=float(value),
         ensemble=ensemble,

@@ -181,8 +181,9 @@ def _qubit(rho: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 
 def _member_weights(c: float) -> tuple[float, float, float]:
     # Weights (x+, x-) = (1 +- s)/2, s = sqrt(1 - c^2), of every optimal
-    # member of a qubit with concurrence c. x- = c^2 / (4 x+) keeps full
-    # relative precision where 1 - x+ would cancel.
+    # member of a qubit with concurrence c, capped at 1. x- = c^2 / (4 x+)
+    # keeps full relative precision where 1 - x+ would cancel.
+    c = min(c, 1.0)
     s = math.sqrt(max(1.0 - c * c, 0.0))
     xp = 0.5 * (1.0 + s)
     return xp, c * c / (4.0 * xp), s
@@ -197,9 +198,13 @@ def qubit_R_eigs(rho: np.ndarray) -> np.ndarray:
 
 
 def qubit_concurrence(rho: np.ndarray) -> float:
-    """Closed-form mixed-state concurrence of a qubit: mu1 - mu2 = 2|rho01|."""
+    """Closed-form mixed-state concurrence of a qubit: mu1 - mu2 = 2|rho01|.
+
+    Capped at 1, which a state accepted through the trace tolerance could
+    otherwise exceed.
+    """
     mu = qubit_R_eigs(rho)
-    return float(mu[0] - mu[1])
+    return min(float(mu[0] - mu[1]), 1.0)
 
 
 def qubit_fof(rho: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -44,6 +45,11 @@ ROOF_GOLDENS = [
     ("roof_qubit_variance.json", 2, ["--measure", "variance", "--restarts", "2"]),
     ("roof_qubit_entropy.json", 2, ["--measure", "entropy", "--restarts", "2"]),
     ("roof_d3_entropy.json", 3, ["--measure", "entropy", "--restarts", "1", "--max-iters", "20"]),
+    (
+        "roof_d4_concurrence2.json",
+        4,
+        ["--measure", "concurrence", "--k", "2", "--restarts", "1", "--max-iters", "20"],
+    ),
 ]
 
 
@@ -416,6 +422,18 @@ INPUT_ERRORS = {
         BadRoofConfig,
         lambda state: RoofConfig(step_tolerance=0.0),
     ),
+    "step-tolerance-nan": (
+        ROOF_ARGS + ["--step-tolerance", "nan"],
+        "step_tolerance must be finite",
+        BadRoofConfig,
+        lambda state: RoofConfig(step_tolerance=math.nan),
+    ),
+    "step-tolerance-inf": (
+        ROOF_ARGS + ["--step-tolerance", "inf"],
+        "step_tolerance must be finite",
+        BadRoofConfig,
+        lambda state: RoofConfig(step_tolerance=math.inf),
+    ),
     "seed": (
         ROOF_ARGS + ["--seed=-1"],
         "seed must be nonnegative",
@@ -482,8 +500,10 @@ def test_channel_sample_matches_golden_bytes(capsys):
 
 @pytest.mark.parametrize("name, dim, args", ROOF_GOLDENS)
 def test_roof_matches_golden_bytes(capsys, tmp_path, name, dim, args):
-    """``roof`` output equals, byte for byte, a capture from the code that
-    validated and diagonalized each density several times."""
+    """``roof`` output equals, byte for byte, a capture from earlier code:
+    the qubit and d = 3 files from code that validated and diagonalized each
+    density several times, the d = 4 file from the one-probe-at-a-time roof
+    search."""
     path = write_density(tmp_path, random_density_matrix(dim, np.random.default_rng([29, dim])))
     assert main(["roof", "--rho", path, "--seed", "1", *args]) == 0
     expected = (GOLDEN / name).read_text(encoding="utf-8")

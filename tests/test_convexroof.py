@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from frameness import (
     random_channel,
     random_density_matrix,
 )
+from frameness.convexroof import TIE_TOL, _ensemble, _givens_meshes, _support_factor
+from frameness.monotones import weight_evaluator
+from frameness.numerics import ZERO_TOL, _checked_density
 
 CONC2 = MonotoneId("concurrence", 2)
 VAR = MonotoneId("variance")
@@ -182,3 +187,137 @@ def test_variance_roof_matches_qubit_fof():
     assert qubit_fof(rho) == qubit_concurrence(rho) ** 2
     res = convex_roof(VAR, rho, FAST_CFG)
     assert abs(res.value - qubit_fof(rho)) < 2e-3
+
+
+# The one-probe-at-a-time search that the batched search replaced, kept as an
+# oracle: the batched search must follow its path and return its bytes.
+
+
+def _sequential_mesh(m, r, params):
+    u = np.eye(m, dtype=np.complex128)
+    idx = 0
+    for i in range(m - 1):
+        for j in range(i + 1, m):
+            c = math.cos(params[idx])
+            s = math.sin(params[idx])
+            e = complex(math.cos(params[idx + 1]), math.sin(params[idx + 1]))
+            idx += 2
+            row_i = u[i, :].copy()
+            row_j = u[j, :]
+            u[i, :] = c * row_i - e * s * row_j
+            u[j, :] = np.conj(e) * s * row_i + c * row_j
+    return u[:, :r]
+
+
+def _sequential_value(factor, mix, evaluator):
+    members = factor @ mix.T
+    w2 = np.abs(members) ** 2
+    probs = w2.sum(axis=0)
+    total = 0.0
+    for i in range(mix.shape[0]):
+        p = probs[i]
+        if p > ZERO_TOL:
+            total += p * evaluator(w2[:, i] / p)
+    return total
+
+
+def _sequential_search(factor, m, r, evaluator, rng, max_iters, step_tolerance):
+    nparams = m * (m - 1)
+    params = rng.uniform(0.0, 2.0 * np.pi, size=nparams)
+    value = _sequential_value(factor, _sequential_mesh(m, r, params), evaluator)
+    step = 0.5
+    sweeps = 0
+    while sweeps < max_iters and step > step_tolerance:
+        sweeps += 1
+        improved = False
+        for c in range(nparams):
+            for delta in (step, -step):
+                old = params[c]
+                params[c] = old + delta
+                cand = _sequential_value(factor, _sequential_mesh(m, r, params), evaluator)
+                if cand < value - 1e-14:
+                    value = cand
+                    improved = True
+                    break
+                params[c] = old
+        if not improved:
+            step *= 0.5
+    return value, params, sweeps, step <= step_tolerance
+
+
+def _sequential_roof(measure, rho, cfg):
+    m_rho, w, v = _checked_density(rho)
+    evaluator = weight_evaluator(measure, m_rho.shape[0])
+    factor = _support_factor(w, v)
+    r = factor.shape[1]
+    m = cfg.ensemble_size if cfg.ensemble_size is not None else min(2 * r, r + 2)
+    best = None
+    total_sweeps = 0
+    all_converged = True
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, restart])
+        value, params, sweeps, conv = _sequential_search(
+            factor, m, r, evaluator, rng, cfg.max_iters, cfg.step_tolerance
+        )
+        total_sweeps += sweeps
+        all_converged = all_converged and conv
+        if best is None or value < best[0] - TIE_TOL:
+            best = (value, params)
+    ensemble = _ensemble(factor, _sequential_mesh(m, r, best[1]))
+    value = sum(p * evaluator(np.abs(vec) ** 2) for p, vec in ensemble.members)
+    return float(value), ensemble, all_converged, total_sweeps
+
+
+def _roof_bytes(value, ensemble, converged, iterations_used):
+    parts = [repr(value), str(iterations_used), str(converged)]
+    for p, vec in ensemble.members:
+        parts.append(repr(p))
+        parts.append(np.asarray(vec).tobytes().hex())
+    return parts
+
+
+KINDS = (MonotoneId("vidal", 2), MonotoneId("entropy"), CONC2, VAR)
+
+
+def test_batched_search_matches_sequential_reference():
+    rng = np.random.default_rng(43)
+    outcomes = set()
+    for d in range(2, 6):
+        for rank in range(2, d + 1):
+            rho = random_density_matrix(d, rng, rank=rank)
+            for size in (rank, None, 2 * rank):
+                for kind in KINDS:
+                    cfg = RoofConfig(
+                        ensemble_size=size, restarts=1, max_iters=5,
+                        step_tolerance=0.2, seed=d + rank,
+                    )
+                    res = convex_roof(kind, rho, cfg)
+                    got = _roof_bytes(res.value, res.ensemble, res.converged, res.iterations_used)
+                    assert got == _roof_bytes(*_sequential_roof(kind, rho, cfg)), (d, rank, size, kind)
+                    outcomes.add(res.converged)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("candidates, largest", [(None, 40), (1, 1), (3, 3)])
+def test_roof_batch_size_invariant(monkeypatch, candidates, largest):
+    # d = 3 at full rank: m = 5, so one candidate takes 5 * (2 * 5 + 3) = 65
+    # entries, and the default budget holds a whole sweep of 40 probes.
+    rho = random_density_matrix(3, np.random.default_rng(53))
+    cfg = RoofConfig(restarts=2, max_iters=8, seed=4)
+    whole = convex_roof(VAR, rho, cfg)
+    if candidates is not None:
+        monkeypatch.setattr("frameness.convexroof.PROBE_ELEMENTS", candidates * 65)
+    batches = []
+
+    def recording(m, r, trig):
+        batches.append(trig.shape[0])
+        return _givens_meshes(m, r, trig)
+
+    monkeypatch.setattr("frameness.convexroof._givens_meshes", recording)
+    pieces = convex_roof(VAR, rho, cfg)
+    assert _roof_bytes(pieces.value, pieces.ensemble, pieces.converged, pieces.iterations_used) == (
+        _roof_bytes(whole.value, whole.ensemble, whole.converged, whole.iterations_used)
+    )
+    # one start per restart and the final ensemble are single meshes
+    assert batches.count(1) >= cfg.restarts + 1
+    assert max(batches) == largest

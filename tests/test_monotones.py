@@ -244,6 +244,14 @@ def test_qubit_concurrence_near_diagonal_is_exact():
         assert abs(qubit_concurrence(rho) - 2 * abs(c)) <= 1e-15
 
 
+def test_qubit_concurrence_capped_at_one():
+    # trace 1 + 8e-10 passes the density check; 2|rho01| would be 1 + 8e-10
+    rho = np.full((2, 2), 0.5 + 4e-10)
+    assert qubit_concurrence(rho) == 1.0
+    assert qubit_fof(rho) == 1.0
+    assert qubit_formation(rho) == 1.0
+
+
 def test_qubit_fof_is_squared_concurrence():
     rng = np.random.default_rng(53)
     for _ in range(20):
