@@ -6,16 +6,20 @@ eigenvectors. The roof is minimized over that manifold with a derivative-free
 first-improvement coordinate search on a Givens angle/phase mesh, restarted
 from seeded random points.
 
-The search probes speculatively in batches: from the current point it builds
-the remaining probes of the sweep in order, evaluates each batch with one
-evaluator call and moves to the first probe that improves. Every probe is
-rounded as if evaluated alone, so the path, the value and the ensemble are
-those of the search that evaluates one probe at a time. A batch holds at
-most ``PROBE_ELEMENTS`` array entries, which bounds memory at any dimension.
+The restarts run in lockstep. Each round takes, for every live restart, the
+next run of probes of its current sweep (as many as its share of the
+round's budget allows, up to the end of the sweep), scores all of them with
+one evaluator call and moves each restart to its own first improving probe.
+Every probe is rounded as if evaluated alone, so the paths, the value and
+the ensemble are those of a search that runs the restarts one after another
+and evaluates one probe at a time. A round builds at most ``PROBE_ELEMENTS``
+array entries of candidates, which bounds memory at any dimension and
+restart count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,9 +39,11 @@ class RoofConfig:
     """Search budget for the roof optimizer.
 
     ``ensemble_size`` of ``None`` means ``min(2r, r + 2)`` for a rank-r
-    input. ``step_tolerance`` must be finite and positive. ``seed`` must be
-    a nonnegative integer; restarts draw their starting points from streams
-    derived from it.
+    input. ``ensemble_size``, ``restarts``, ``max_iters`` and ``seed`` must
+    be integers (Python or numpy, not ``bool``) and are stored as ``int``.
+    ``step_tolerance`` must be finite and positive. ``seed`` must be
+    nonnegative; restarts draw their starting points from streams derived
+    from it.
     """
 
     ensemble_size: int | None = None
@@ -47,6 +53,13 @@ class RoofConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("ensemble_size", "restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "ensemble_size":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise BadRoofConfig(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.ensemble_size is not None and self.ensemble_size < 1:
             raise BadRoofConfig("ensemble_size must be positive")
         if self.restarts < 1:
@@ -69,9 +82,10 @@ class RoofResult:
     ``ensemble``; ``iterations_used`` counts coordinate sweeps summed over
     restarts, and ``converged`` says whether every restart shrank its step
     below tolerance within budget. A sweep probes every coordinate in order
-    and takes the first improvement; the probes are evaluated in batches,
-    with the same results as one at a time. ``gapped_support`` flags inputs
-    whose occupied sectors are not contiguous.
+    and takes the first improvement. The restarts advance in lockstep
+    rounds that score the probes of all live restarts together, with the
+    same results as one probe and one restart at a time. ``gapped_support``
+    flags inputs whose occupied sectors are not contiguous.
     """
 
     value: float
@@ -88,16 +102,20 @@ def _support_factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v[:, :r] * np.sqrt(w[:r])
 
 
-# Array entries per batch of speculative probes. One candidate ensemble of
+# Array entries per round of speculative probes. One candidate ensemble of
 # m members in dimension d takes about m * (2m + d): its rotation
-# coefficients and its members. A batch holds as many candidates as fit,
+# coefficients and its members. A round holds as many candidates as fit,
 # at least one.
 PROBE_ELEMENTS = 2**16
 
 
 def _trig(angles) -> np.ndarray:
     """(cos, sin) of each angle, from ``math`` one angle at a time."""
-    return np.array([(math.cos(x), math.sin(x)) for x in angles]).reshape(-1, 2)
+    values = angles.tolist()
+    table = np.empty((len(values), 2))
+    table[:, 0] = np.fromiter(map(math.cos, values), float, len(values))
+    table[:, 1] = np.fromiter(map(math.sin, values), float, len(values))
+    return table
 
 
 def _givens_meshes(m: int, r: int, trig: np.ndarray) -> np.ndarray:
@@ -111,26 +129,30 @@ def _givens_meshes(m: int, r: int, trig: np.ndarray) -> np.ndarray:
     componentwise, and the K meshes run along the last, contiguous axis.
     """
     k = trig.shape[0]
-    c = trig[:, 0::2, 0].T
-    s = trig[:, 0::2, 1].T
-    es_re = trig[:, 1::2, 0].T * s
-    es_im = trig[:, 1::2, 1].T * s
+    table = trig.T
+    c = table[0, 0::2]
+    s = table[1, 0::2]
+    es_re = table[0, 1::2] * s
+    es_im = table[1, 1::2] * s
     coefficients = np.empty((c.shape[0], 2, 2, 1, k), dtype=np.complex128)
     coefficients[:, 0, 0, 0] = c
     coefficients[:, 1, 1, 0] = c
-    coefficients[:, 0, 1, 0].real = -es_re
-    coefficients[:, 0, 1, 0].imag = -es_im
-    coefficients[:, 1, 0, 0].real = es_re
-    coefficients[:, 1, 0, 0].imag = -es_im
-    u = np.eye(m, r, dtype=np.complex128)[:, :, None].repeat(k, axis=2)
-    pair = 0
-    for i in range(m - 1):
-        for j in range(i + 1, m):
-            # A view of rows i and j; terms[a, b] is coefficient (a, b) times row b.
-            rows = u[i : j + 1 : j - i]
-            terms = coefficients[pair] * rows
-            np.add(terms[:, 0], terms[:, 1], out=rows)
-            pair += 1
+    upper = coefficients[:, 0, 1, 0]
+    lower = coefficients[:, 1, 0, 0]
+    np.negative(es_re, out=upper.real)
+    np.negative(es_im, out=upper.imag)
+    lower.real = es_re
+    lower.imag = upper.imag
+    # u starts as the first r columns of the m x m identity.
+    u = np.zeros((m, r, k), dtype=np.complex128)
+    u.reshape(m * r, k)[: r * (r + 1) : r + 1] = 1.0
+    # terms[a, b] is coefficient (a, b) times row b of the pair.
+    terms = np.empty((2, 2, r, k), dtype=np.complex128)
+    first, second = terms[:, 0], terms[:, 1]
+    for coefficient, (i, j) in zip(coefficients, itertools.combinations(range(m), 2)):
+        rows = u[i : j + 1 : j - i]
+        np.multiply(coefficient, rows, out=terms)
+        np.add(first, second, out=rows)
     return np.ascontiguousarray(u.transpose(2, 0, 1))
 
 
@@ -138,67 +160,106 @@ def _average_values(factor: np.ndarray, meshes: np.ndarray, evaluator) -> np.nda
     """Average monotone of the ensemble each (m, r) mesh induces, in one evaluator call.
 
     Members with probability at or below ``ZERO_TOL`` are dropped, and each
-    average is accumulated over the members left to right.
+    average is accumulated over the members left to right. The evaluator
+    scores every member's weights as a row of its own, so a dropped
+    member's row (divided by 1) changes no other.
     """
     members = factor @ meshes.transpose(0, 2, 1)
-    w2 = np.abs(members) ** 2
-    probs = w2.sum(axis=1)
+    w2 = np.square(np.abs(members))
+    probs = np.add.reduce(w2, axis=1)
     kept = probs > ZERO_TOL
-    p = probs[kept]
-    terms = np.zeros(probs.shape)
-    terms[kept] = p * evaluator(w2.transpose(0, 2, 1)[kept] / p[:, None])
+    weights = np.divide(w2.transpose(0, 2, 1), np.where(kept, probs, 1.0)[..., None], order="C")
+    terms = np.where(kept, probs * evaluator(weights), 0.0)
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-def _coordinate_search(
-    factor: np.ndarray,
-    m: int,
-    r: int,
-    evaluator,
-    rng: np.random.Generator,
-    max_iters: int,
-    step_tolerance: float,
-) -> tuple[float, np.ndarray, int, bool]:
-    # First-improvement search: probe (c, +step), (c, -step), (c + 1, +step),
-    # ... in order, move to the first probe below the current value and go
-    # on from the next coordinate. The probes after the current one are
-    # evaluated speculatively, a batch at a time; whatever follows the first
-    # improvement is discarded, so the path is that of one probe at a time.
+def _lockstep_search(
+    factor: np.ndarray, m: int, evaluator, seeds: list[list[int]], budget: int, cfg: RoofConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run one first-improvement search per seed, all in lockstep.
+
+    Returns each restart's final value, its (cos, sin) table, its sweep
+    count and whether its step shrank below tolerance. A round builds at
+    most ``budget`` candidate meshes when ``len(seeds) <= budget``.
+    """
+    # Each restart runs a first-improvement search: probe (c, +step),
+    # (c, -step), (c + 1, +step), ... in order, move to the first probe below
+    # the current value and go on from the next coordinate; a sweep without
+    # a move halves the step. Row i of every state array is restart i:
+    # point[i, c] holds coordinate c's angle with its cosine and sine, and
+    # probes[i, k] the same for probe k of the current sweep, its column k.
+    # A round takes a window of the next probes of every live restart's
+    # sweep, scores them all in one evaluator call and moves each restart to
+    # its own first improvement; the probes after it are discarded, so every
+    # restart follows the path of one probe at a time. A move changes only
+    # the coordinate it probed, and the rest of the sweep probes later
+    # coordinates, so each probe's angle, cosine and sine are computed once,
+    # as its sweep starts.
+    r = factor.shape[1]
     nparams = m * (m - 1)
-    params = rng.uniform(0.0, 2.0 * np.pi, size=nparams)
-    trig = _trig(params)
-    value = _average_values(factor, _givens_meshes(m, r, trig[None]), evaluator)[0]
-    batch = max(1, PROBE_ELEMENTS // (m * (2 * m + factor.shape[0])))
-    coord_of = np.arange(2 * nparams) // 2
-    rows = np.arange(batch)
-    step = 0.5
-    sweeps = 0
-    while sweeps < max_iters and step > step_tolerance:
-        sweeps += 1
-        improved = False
-        deltas = np.tile([step, -step], nparams)
-        probe = 0
-        while probe < 2 * nparams:
-            end = min(probe + batch, 2 * nparams)
-            coords = coord_of[probe:end]
-            trials = params[coords] + deltas[probe:end]
-            tables = trig[None].repeat(end - probe, axis=0)
-            tables[rows[: end - probe], coords] = _trig(trials)
-            values = _average_values(factor, _givens_meshes(m, r, tables), evaluator)
-            better = values < value - 1e-14
-            hit = int(better.argmax())
-            if not better[hit]:
-                probe = end
-                continue
-            coord = coords[hit]
-            params[coord] = trials[hit]
-            trig = tables[hit]
-            value = values[hit]
-            improved = True
-            probe = 2 * (coord + 1)
-        if not improved:
-            step *= 0.5
-    return value, trig, sweeps, step <= step_tolerance
+    width = 2 * nparams
+    columns = np.arange(width)
+    coord_of = columns >> 1
+    # After a move at probe k, the sweep goes on from the first probe of
+    # the next coordinate.
+    after = (columns | 1) + 1
+    signs = np.tile([1.0, -1.0], nparams)
+    restarts = len(seeds)
+    lanes = np.arange(restarts)
+    point = np.empty((restarts, nparams, 3))
+    point[..., 0] = [np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, nparams) for s in seeds]
+    point[..., 1:] = _trig(point[..., 0].ravel()).reshape(restarts, nparams, 2)
+    value = _average_values(factor, _givens_meshes(m, r, point[..., 1:]), evaluator)
+    probes = np.empty((restarts, width, 3))
+    scores = np.empty((restarts, width))
+    step = np.full(restarts, 0.5)
+    sweeps = np.zeros(restarts, dtype=np.int64)
+    live = np.ones(restarts, dtype=bool)
+    # Every restart starts at the end of a sweep that moved, so the sweep
+    # bookkeeping starts its first sweep, or none if the budget allows none.
+    # A finished restart keeps its row, with no probes left in it.
+    position = np.full(restarts, width)
+    improved = np.ones(restarts, dtype=bool)
+    while True:
+        ended = live & (position == width)
+        if np.count_nonzero(ended):
+            step[ended & ~improved] *= 0.5
+            more = ended & (sweeps < cfg.max_iters) & (step > cfg.step_tolerance)
+            live &= more | ~ended
+            count = np.count_nonzero(live)
+            if not count:
+                break
+            quota = max(1, budget // count)
+            starting = more.nonzero()[0]
+            sweeps[starting] += 1
+            improved[starting] = False
+            position[starting] = 0
+            sweep = point[starting[:, None], coord_of]
+            sweep[..., 0] += step[starting, None] * signs
+            sweep[..., 1:] = _trig(sweep[..., 0].ravel()).reshape(-1, width, 2)
+            probes[starting] = sweep
+        window = columns >= position[:, None]
+        stop = width
+        if quota < width:
+            stop = np.minimum(position + quota, width)
+            window &= columns < stop[:, None]
+        owner, column = window.nonzero()
+        tables = point.repeat(stop - position, axis=0)
+        tables[np.arange(owner.size), coord_of[column]] = probes[owner, column]
+        scores.fill(np.inf)
+        scores[window] = _average_values(factor, _givens_meshes(m, r, tables[..., 1:]), evaluator)
+        limit = value - 1e-14
+        first = (scores < limit[:, None]).argmax(axis=1)
+        best = scores[lanes, first]
+        moved = best < limit
+        movers = moved.nonzero()[0]
+        if movers.size:
+            hit = first[movers]
+            point[movers, hit >> 1] = probes[movers, hit]
+        value = np.where(moved, best, value)
+        improved |= moved
+        position = np.where(moved, after[first], stop)
+    return value, point[..., 1:], sweeps, step <= cfg.step_tolerance
 
 
 def decomposition_from_map(rho: np.ndarray, mix: np.ndarray) -> Ensemble:
@@ -268,27 +329,27 @@ def convex_roof(
     if m < r:
         raise RankMismatch(f"ensemble size {m} below the state's rank {r}")
 
-    best: tuple[float, np.ndarray] | None = None
-    total_sweeps = 0
-    all_converged = True
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
-        value, trig, sweeps, conv = _coordinate_search(
-            factor, m, r, evaluator, rng, cfg.max_iters, cfg.step_tolerance
-        )
-        total_sweeps += sweeps
-        all_converged = all_converged and conv
-        if best is None or value < best[0] - TIE_TOL:
-            best = (value, trig)
+    # A round builds at most the budget's worth of candidate meshes, one
+    # probe per restart at the least, so restarts run in groups of at most
+    # that many.
+    budget = max(1, PROBE_ELEMENTS // (m * (2 * m + factor.shape[0])))
+    runs = []
+    for first in range(0, cfg.restarts, budget):
+        seeds = [[cfg.seed, restart] for restart in range(first, min(first + budget, cfg.restarts))]
+        runs.append(_lockstep_search(factor, m, evaluator, seeds, budget, cfg))
+    finals, trigs, sweeps, converged = (np.concatenate(parts) for parts in zip(*runs))
+    best = 0
+    for restart in range(1, cfg.restarts):
+        if finals[restart] < finals[best] - TIE_TOL:
+            best = restart
 
-    assert best is not None
-    ensemble = _ensemble(factor, _givens_meshes(m, r, best[1][None])[0])
+    ensemble = _ensemble(factor, _givens_meshes(m, r, trigs[best : best + 1])[0])
     values = evaluator(np.abs(np.array([vec for _, vec in ensemble.members])) ** 2)
     value = sum(p * v for (p, _), v in zip(ensemble.members, values))
     return RoofResult(
         value=float(value),
         ensemble=ensemble,
-        converged=all_converged,
-        iterations_used=total_sweeps,
+        converged=bool(converged.all()),
+        iterations_used=int(sweeps.sum()),
         gapped_support=gapped,
     )

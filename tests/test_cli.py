@@ -50,6 +50,16 @@ ROOF_GOLDENS = [
         4,
         ["--measure", "concurrence", "--k", "2", "--restarts", "1", "--max-iters", "20"],
     ),
+    (
+        "roof_d3_variance_restarts32.json",
+        3,
+        ["--measure", "variance", "--restarts", "32", "--max-iters", "20"],
+    ),
+    (
+        "roof_qubit_concurrence2_restarts8.json",
+        2,
+        ["--measure", "concurrence", "--k", "2", "--restarts", "8"],
+    ),
 ]
 
 
@@ -503,7 +513,8 @@ def test_roof_matches_golden_bytes(capsys, tmp_path, name, dim, args):
     """``roof`` output equals, byte for byte, a capture from earlier code:
     the qubit and d = 3 files from code that validated and diagonalized each
     density several times, the d = 4 file from the one-probe-at-a-time roof
-    search."""
+    search, and the two multi-restart files from the search that ran its
+    restarts one after another."""
     path = write_density(tmp_path, random_density_matrix(dim, np.random.default_rng([29, dim])))
     assert main(["roof", "--rho", path, "--seed", "1", *args]) == 0
     expected = (GOLDEN / name).read_text(encoding="utf-8")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frameness import (
+    BadRoofConfig,
     MonotoneId,
     NotIsometry,
     RankMismatch,
@@ -18,6 +19,7 @@ from frameness import (
     random_channel,
     random_density_matrix,
 )
+from frameness import convexroof
 from frameness.convexroof import TIE_TOL, _ensemble, _givens_meshes, _support_factor
 from frameness.monotones import weight_evaluator
 from frameness.numerics import ZERO_TOL, _checked_density
@@ -147,6 +149,28 @@ def test_roof_deterministic():
         assert np.array_equal(va, vb)
 
 
+@pytest.mark.parametrize("field", ["ensemble_size", "restarts", "max_iters", "seed"])
+def test_roof_config_rejects_non_integer_fields(field):
+    for bad in (2.5, 3.0, True, np.bool_(True), "3"):
+        with pytest.raises(BadRoofConfig, match=f"{field} must be an integer"):
+            RoofConfig(**{field: bad})
+
+
+def test_roof_config_accepts_numpy_integers():
+    fields = ("ensemble_size", "restarts", "max_iters", "seed")
+    cfg = RoofConfig(
+        ensemble_size=np.int64(2), restarts=np.int32(3), max_iters=np.uint8(9), seed=np.int16(7)
+    )
+    plain = RoofConfig(ensemble_size=2, restarts=3, max_iters=9, seed=7)
+    assert cfg == plain
+    assert all(type(getattr(cfg, name)) is int for name in fields)
+    rho = random_density_matrix(2, np.random.default_rng(59))
+    a, b = convex_roof(VAR, rho, cfg), convex_roof(VAR, rho, plain)
+    assert _roof_bytes(a.value, a.ensemble, a.converged, a.iterations_used) == (
+        _roof_bytes(b.value, b.ensemble, b.converged, b.iterations_used)
+    )
+
+
 def test_roof_rejects_too_small_ensemble():
     rho = random_density_matrix(3, np.random.default_rng(31))
     with pytest.raises(RankMismatch):
@@ -189,8 +213,9 @@ def test_variance_roof_matches_qubit_fof():
     assert abs(res.value - qubit_fof(rho)) < 2e-3
 
 
-# The one-probe-at-a-time search that the batched search replaced, kept as an
-# oracle: the batched search must follow its path and return its bytes.
+# The search that evaluates one probe at a time and runs the restarts one
+# after another, kept as an oracle: the lockstep search must follow its paths
+# and return its bytes.
 
 
 def _sequential_mesh(m, r, params):
@@ -285,39 +310,75 @@ def test_batched_search_matches_sequential_reference():
     for d in range(2, 6):
         for rank in range(2, d + 1):
             rho = random_density_matrix(d, rng, rank=rank)
-            for size in (rank, None, 2 * rank):
-                for kind in KINDS:
-                    cfg = RoofConfig(
-                        ensemble_size=size, restarts=1, max_iters=5,
-                        step_tolerance=0.2, seed=d + rank,
-                    )
-                    res = convex_roof(kind, rho, cfg)
-                    got = _roof_bytes(res.value, res.ensemble, res.converged, res.iterations_used)
-                    assert got == _roof_bytes(*_sequential_roof(kind, rho, cfg)), (d, rank, size, kind)
-                    outcomes.add(res.converged)
+            # Three restarts only up to d = 3, where the oracle stays quick.
+            for restarts in (1, 3) if d < 4 else (1,):
+                for size in (rank, None, 2 * rank):
+                    for kind in KINDS:
+                        cfg = RoofConfig(
+                            ensemble_size=size, restarts=restarts, max_iters=5,
+                            step_tolerance=0.2, seed=d + rank,
+                        )
+                        res = convex_roof(kind, rho, cfg)
+                        got = _roof_bytes(res.value, res.ensemble, res.converged, res.iterations_used)
+                        expected = _roof_bytes(*_sequential_roof(kind, rho, cfg))
+                        assert got == expected, (d, rank, restarts, size, kind)
+                        outcomes.add(res.converged)
     assert outcomes == {True, False}
+    # Diagonal inputs whose restarts end within TIE_TOL of each other at
+    # different ensembles, with a later restart slightly lower: only the
+    # lowest-index tie-break returns the oracle's ensemble.
+    for weights, size in (([0.3, 0.7], 2), ([0.3, 0.7], 3), ([0.2, 0.3, 0.5], 3)):
+        rho = np.diag(weights)
+        cfg = RoofConfig(ensemble_size=size, restarts=3, seed=0)
+        res = convex_roof(MonotoneId("vidal", 2), rho, cfg)
+        got = _roof_bytes(res.value, res.ensemble, res.converged, res.iterations_used)
+        assert got == _roof_bytes(*_sequential_roof(MonotoneId("vidal", 2), rho, cfg)), (weights, size)
 
 
-@pytest.mark.parametrize("candidates, largest", [(None, 40), (1, 1), (3, 3)])
-def test_roof_batch_size_invariant(monkeypatch, candidates, largest):
+def test_average_values_drop_empty_members():
+    # Angles of 1e-7 give nearly the identity mesh, whose members r.. have
+    # probability near 1e-14, below ZERO_TOL: they add nothing, and the
+    # random meshes scored with them keep the bytes of the
+    # one-member-at-a-time sum.
+    rng = np.random.default_rng(61)
+    for d, rank, m in ((2, 1, 3), (3, 2, 4), (4, 4, 6)):
+        _, w, v = _checked_density(random_density_matrix(d, rng, rank=rank))
+        factor = _support_factor(w, v)
+        params = rng.uniform(0.0, 2.0 * np.pi, size=(3, m * (m - 1)))
+        params[1] = 1e-7
+        trig = convexroof._trig(params.ravel()).reshape(3, -1, 2)
+        for kind in KINDS:
+            evaluator = weight_evaluator(kind, d)
+            got = convexroof._average_values(factor, _givens_meshes(m, rank, trig), evaluator)
+            expected = [_sequential_value(factor, _sequential_mesh(m, rank, row), evaluator) for row in params]
+            assert [float(x).hex() for x in got] == [float(x).hex() for x in expected], (d, rank, m, kind)
+
+
+@pytest.mark.parametrize("candidates", [None, 1, 3])
+def test_roof_batch_size_invariant(monkeypatch, candidates):
     # d = 3 at full rank: m = 5, so one candidate takes 5 * (2 * 5 + 3) = 65
-    # entries, and the default budget holds a whole sweep of 40 probes.
+    # entries, and a sweep has 40 probes. The default budget holds 1,008
+    # candidates: whole sweeps of 2 restarts, or 31 probes each of 32.
     rho = random_density_matrix(3, np.random.default_rng(53))
-    cfg = RoofConfig(restarts=2, max_iters=8, seed=4)
-    whole = convex_roof(VAR, rho, cfg)
-    if candidates is not None:
-        monkeypatch.setattr("frameness.convexroof.PROBE_ELEMENTS", candidates * 65)
-    batches = []
+    for restarts in (2, 32):
+        cfg = RoofConfig(restarts=restarts, max_iters=8, seed=4)
+        whole = convex_roof(VAR, rho, cfg)
+        batches = []
 
-    def recording(m, r, trig):
-        batches.append(trig.shape[0])
-        return _givens_meshes(m, r, trig)
+        def recording(m, r, trig):
+            batches.append(trig.shape[0])
+            return _givens_meshes(m, r, trig)
 
-    monkeypatch.setattr("frameness.convexroof._givens_meshes", recording)
-    pieces = convex_roof(VAR, rho, cfg)
-    assert _roof_bytes(pieces.value, pieces.ensemble, pieces.converged, pieces.iterations_used) == (
-        _roof_bytes(whole.value, whole.ensemble, whole.converged, whole.iterations_used)
-    )
-    # one start per restart and the final ensemble are single meshes
-    assert batches.count(1) >= cfg.restarts + 1
-    assert max(batches) == largest
+        with monkeypatch.context() as patch:
+            if candidates is not None:
+                patch.setattr("frameness.convexroof.PROBE_ELEMENTS", candidates * 65)
+            patch.setattr("frameness.convexroof._givens_meshes", recording)
+            pieces = convex_roof(VAR, rho, cfg)
+            bound = max(1, convexroof.PROBE_ELEMENTS // 65)
+        assert _roof_bytes(pieces.value, pieces.ensemble, pieces.converged, pieces.iterations_used) == (
+            _roof_bytes(whole.value, whole.ensemble, whole.converged, whole.iterations_used)
+        )
+        assert max(batches) <= bound
+        if candidates is None:
+            # Rounds score several restarts' probes in one call.
+            assert max(batches) > 40
