@@ -220,16 +220,19 @@ def _lockstep_search(
     # A finished restart keeps its row, with no probes left in it.
     position = np.full(restarts, width)
     improved = np.ones(restarts, dtype=bool)
+    quota = max(1, budget // restarts)
     while True:
         ended = live & (position == width)
         if np.count_nonzero(ended):
             step[ended & ~improved] *= 0.5
             more = ended & (sweeps < cfg.max_iters) & (step > cfg.step_tolerance)
-            live &= more | ~ended
-            count = np.count_nonzero(live)
-            if not count:
-                break
-            quota = max(1, budget // count)
+            done = ended & ~more
+            if np.count_nonzero(done):
+                live &= ~done
+                count = np.count_nonzero(live)
+                if not count:
+                    break
+                quota = max(1, budget // count)
             starting = more.nonzero()[0]
             sweeps[starting] += 1
             improved[starting] = False
