@@ -9,7 +9,6 @@ single (generally mixed) output.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -106,10 +105,6 @@ class Ensemble:
     @property
     def probabilities(self) -> np.ndarray:
         return np.array([p for p, _ in self.members])
-
-    @property
-    def states(self) -> tuple:
-        return tuple(s for _, s in self.members)
 
     def mixture(self) -> np.ndarray:
         out: np.ndarray | None = None
@@ -359,8 +354,3 @@ def channel_to_dict(channel: U1Channel) -> dict:
             for group in channel.outcomes
         ],
     }
-
-
-def load_channel(path: str) -> U1Channel:
-    with open(path, encoding="utf-8") as fh:
-        return channel_from_dict(json.load(fh))

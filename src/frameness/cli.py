@@ -193,13 +193,9 @@ def cmd_roof(args: argparse.Namespace) -> int:
     measure = MonotoneId(args.measure, args.k)
     with open(args.rho, encoding="utf-8") as fh:
         rho = _density_matrix(json.load(fh))
-    cfg = RoofConfig(
-        ensemble_size=args.ensemble_size,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        step_tolerance=args.step_tolerance,
-        seed=args.seed,
-    )
+    # Flags left out keep RoofConfig's defaults.
+    given = {name: getattr(args, name) for name in ("ensemble_size", "restarts", "max_iters", "seed")}
+    cfg = RoofConfig(**{name: value for name, value in given.items() if value is not None})
     result = convex_roof(measure, rho, cfg)
     _emit(
         {
@@ -302,11 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_roof = sub.add_parser("roof", help="convex-roof value of a density matrix")
     add_measure(p_roof)
     p_roof.add_argument("--rho", required=True)
-    p_roof.add_argument("--ensemble-size", type=int, default=None)
-    p_roof.add_argument("--restarts", type=int, default=32)
-    p_roof.add_argument("--max-iters", type=int, default=120)
-    p_roof.add_argument("--step-tolerance", type=float, default=1e-6)
-    p_roof.add_argument("--seed", type=int, default=0)
+    for flag in ("--ensemble-size", "--restarts", "--max-iters", "--seed"):
+        p_roof.add_argument(flag, type=int, default=None)
     p_roof.set_defaults(func=cmd_roof)
 
     p_verify = sub.add_parser("verify", help="stress-test ensemble monotonicity")

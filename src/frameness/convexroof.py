@@ -14,13 +14,14 @@ Every probe is rounded as if evaluated alone, so the paths, the value and
 the ensemble are those of a search that runs the restarts one after another
 and evaluates one probe at a time. A round builds at most ``PROBE_ELEMENTS``
 array entries of candidates, which bounds memory at any dimension and
-restart count.
+restart count. A restart stops when a sweep without a move halves its
+step to ``STEP_TOLERANCE`` or below, or when it has used ``max_iters``
+sweeps.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ from .numerics import ZERO_TOL, _checked_density
 
 ISOMETRY_TOL = 1e-10
 TIE_TOL = 1e-12
+# A restart has converged once its step is at or below this.
+STEP_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -41,15 +44,14 @@ class RoofConfig:
     ``ensemble_size`` of ``None`` means ``min(2r, r + 2)`` for a rank-r
     input. ``ensemble_size``, ``restarts``, ``max_iters`` and ``seed`` must
     be integers (Python or numpy, not ``bool``) and are stored as ``int``.
-    ``step_tolerance`` must be finite and positive. ``seed`` must be
-    nonnegative; restarts draw their starting points from streams derived
-    from it.
+    ``seed`` must be nonnegative; restarts draw their starting points from
+    streams derived from it. The step floor is the module constant
+    ``STEP_TOLERANCE``.
     """
 
     ensemble_size: int | None = None
     restarts: int = 32
     max_iters: int = 120
-    step_tolerance: float = 1e-6
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -66,10 +68,6 @@ class RoofConfig:
             raise BadRoofConfig("restarts must be positive")
         if self.max_iters < 1:
             raise BadRoofConfig("max_iters must be positive")
-        if not math.isfinite(self.step_tolerance):
-            raise BadRoofConfig("step_tolerance must be finite")
-        if self.step_tolerance <= 0:
-            raise BadRoofConfig("step_tolerance must be positive")
         if self.seed < 0:
             raise BadRoofConfig("seed must be nonnegative")
 
@@ -81,11 +79,12 @@ class RoofResult:
     ``value`` is the probability-weighted average of the pure monotone over
     ``ensemble``; ``iterations_used`` counts coordinate sweeps summed over
     restarts, and ``converged`` says whether every restart shrank its step
-    below tolerance within budget. A sweep probes every coordinate in order
-    and takes the first improvement. The restarts advance in lockstep
-    rounds that score the probes of all live restarts together, with the
-    same results as one probe and one restart at a time. ``gapped_support``
-    flags inputs whose occupied sectors are not contiguous.
+    to ``STEP_TOLERANCE`` within ``max_iters`` sweeps. A sweep probes every
+    coordinate in order and takes the first improvement. The restarts
+    advance in lockstep rounds that score the probes of all live restarts
+    together, with the same results as one probe and one restart at a
+    time. ``gapped_support`` flags inputs whose occupied sectors are not
+    contiguous.
     """
 
     value: float
@@ -107,15 +106,6 @@ def _support_factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 # coefficients and its members. A round holds as many candidates as fit,
 # at least one.
 PROBE_ELEMENTS = 2**16
-
-
-def _trig(angles) -> np.ndarray:
-    """(cos, sin) of each angle, from ``math`` one angle at a time."""
-    values = angles.tolist()
-    table = np.empty((len(values), 2))
-    table[:, 0] = np.fromiter(map(math.cos, values), float, len(values))
-    table[:, 1] = np.fromiter(map(math.sin, values), float, len(values))
-    return table
 
 
 def _givens_meshes(m: int, r: int, trig: np.ndarray) -> np.ndarray:
@@ -179,7 +169,7 @@ def _lockstep_search(
     """Run one first-improvement search per seed, all in lockstep.
 
     Returns each restart's final value, its (cos, sin) table, its sweep
-    count and whether its step shrank below tolerance. A round builds at
+    count and whether its step shrank to ``STEP_TOLERANCE``. A round builds at
     most ``budget`` candidate meshes when ``len(seeds) <= budget``.
     """
     # Each restart runs a first-improvement search: probe (c, +step),
@@ -208,7 +198,8 @@ def _lockstep_search(
     lanes = np.arange(restarts)
     point = np.empty((restarts, nparams, 3))
     point[..., 0] = [np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, nparams) for s in seeds]
-    point[..., 1:] = _trig(point[..., 0].ravel()).reshape(restarts, nparams, 2)
+    np.cos(point[..., 0], out=point[..., 1])
+    np.sin(point[..., 0], out=point[..., 2])
     value = _average_values(factor, _givens_meshes(m, r, point[..., 1:]), evaluator)
     probes = np.empty((restarts, width, 3))
     scores = np.empty((restarts, width))
@@ -225,7 +216,7 @@ def _lockstep_search(
         ended = live & (position == width)
         if np.count_nonzero(ended):
             step[ended & ~improved] *= 0.5
-            more = ended & (sweeps < cfg.max_iters) & (step > cfg.step_tolerance)
+            more = ended & (sweeps < cfg.max_iters) & (step > STEP_TOLERANCE)
             done = ended & ~more
             if np.count_nonzero(done):
                 live &= ~done
@@ -239,7 +230,8 @@ def _lockstep_search(
             position[starting] = 0
             sweep = point[starting[:, None], coord_of]
             sweep[..., 0] += step[starting, None] * signs
-            sweep[..., 1:] = _trig(sweep[..., 0].ravel()).reshape(-1, width, 2)
+            np.cos(sweep[..., 0], out=sweep[..., 1])
+            np.sin(sweep[..., 0], out=sweep[..., 2])
             probes[starting] = sweep
         window = columns >= position[:, None]
         stop = width
@@ -262,7 +254,7 @@ def _lockstep_search(
         value = np.where(moved, best, value)
         improved |= moved
         position = np.where(moved, after[first], stop)
-    return value, point[..., 1:], sweeps, step <= cfg.step_tolerance
+    return value, point[..., 1:], sweeps, step <= STEP_TOLERANCE
 
 
 def decomposition_from_map(rho: np.ndarray, mix: np.ndarray) -> Ensemble:

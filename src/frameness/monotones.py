@@ -35,9 +35,10 @@ class MonotoneId:
         if self.kind in ("vidal", "concurrence"):
             if self.k is None:
                 raise BadK(f"{self.kind} needs an order k")
-            if int(self.k) < 2:
-                raise BadK(f"order k must be at least 2, got {self.k}")
-            object.__setattr__(self, "k", int(self.k))
+            k = _integer_order(self.k)
+            if k < 2:
+                raise BadK(f"order k must be at least 2, got {k}")
+            object.__setattr__(self, "k", k)
         elif self.k is not None:
             raise BadK(f"{self.kind} does not take an order k")
 
@@ -45,8 +46,15 @@ class MonotoneId:
         return self.kind if self.k is None else f"{self.kind}[{self.k}]"
 
 
+def _integer_order(k) -> int:
+    """``k`` as an ``int``; a Python or numpy integer, not ``bool``."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise BadK(f"order k must be an integer, got {k!r}")
+    return int(k)
+
+
 def _check_k(k: int, dim: int) -> int:
-    k = int(k)
+    k = _integer_order(k)
     if not 2 <= k <= dim:
         raise BadK(f"order k={k} outside 2..{dim}")
     return k

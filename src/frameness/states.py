@@ -8,7 +8,6 @@ the standard form: the vector of per-sector squared norms.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -325,13 +324,3 @@ def density_to_dict(rho: np.ndarray) -> dict:
             [[float(z.real), float(z.imag)] for z in row] for row in m
         ],
     }
-
-
-def load_state(path: str) -> SectoredPureState | StandardState:
-    with open(path, encoding="utf-8") as fh:
-        return state_from_dict(json.load(fh))
-
-
-def load_density(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return density_from_dict(json.load(fh))

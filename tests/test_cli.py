@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 import os
 import re
 import subprocess
@@ -22,6 +21,7 @@ from frameness import (
     MonotoneId,
     RoofConfig,
     appendix_closed_form,
+    convex_roof,
     qubit_concurrence,
     qubit_formation,
 )
@@ -426,24 +426,6 @@ INPUT_ERRORS = {
         BadRoofConfig,
         lambda state: RoofConfig(max_iters=0),
     ),
-    "step-tolerance": (
-        ROOF_ARGS + ["--step-tolerance", "0"],
-        "step_tolerance must be positive",
-        BadRoofConfig,
-        lambda state: RoofConfig(step_tolerance=0.0),
-    ),
-    "step-tolerance-nan": (
-        ROOF_ARGS + ["--step-tolerance", "nan"],
-        "step_tolerance must be finite",
-        BadRoofConfig,
-        lambda state: RoofConfig(step_tolerance=math.nan),
-    ),
-    "step-tolerance-inf": (
-        ROOF_ARGS + ["--step-tolerance", "inf"],
-        "step_tolerance must be finite",
-        BadRoofConfig,
-        lambda state: RoofConfig(step_tolerance=math.inf),
-    ),
     "seed": (
         ROOF_ARGS + ["--seed=-1"],
         "seed must be nonnegative",
@@ -486,6 +468,16 @@ def test_verify_rejects_threads_flag(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_roof_rejects_step_tolerance_flag(capsys, tmp_path):
+    rho = write_density(tmp_path, 0.5 * np.eye(2))
+    with pytest.raises(SystemExit) as exc:
+        main(["roof", "--measure", "entropy", "--rho", rho, "--step-tolerance", "0.1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --step-tolerance 0.1" in captured.err
+
+
 def test_channel_sample_deterministic(capsys):
     argv = ["channel", "sample", "--dim", "4", "--shifts=-1,0,1", "--seed", "7"]
     assert main(argv) == 0
@@ -519,6 +511,24 @@ def test_roof_matches_golden_bytes(capsys, tmp_path, name, dim, args):
     assert main(["roof", "--rho", path, "--seed", "1", *args]) == 0
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_roof_without_budget_flags_uses_roof_config_defaults(capsys, tmp_path):
+    path = write_density(tmp_path, random_density_matrix(2, np.random.default_rng([31, 2])))
+    assert main(["roof", "--measure", "variance", "--rho", path]) == 0
+    with open(path, encoding="utf-8") as fh:
+        rho = density_from_dict(json.load(fh))
+    result = convex_roof(MonotoneId("variance"), rho, RoofConfig())
+    expected = {
+        "value": result.value,
+        "converged": result.converged,
+        "iterations_used": result.iterations_used,
+        "gapped_support": result.gapped_support,
+        "ensemble": [
+            {"p": p, "state": [[z.real, z.imag] for z in vec]} for p, vec in result.ensemble.members
+        ],
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_channel_sample_check_prints_sums(capsys):

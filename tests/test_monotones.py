@@ -78,6 +78,25 @@ def test_monotone_id_validation():
         MonotoneId("negativity")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: MonotoneId("vidal", k),
+        lambda k: MonotoneId("concurrence", k),
+        lambda k: vidal_f(StandardState([0.5, 0.3, 0.2]), k),
+        lambda k: concurrence_pure(StandardState([0.5, 0.3, 0.2]), k),
+        lambda k: elementary_symmetric([0.5, 0.3, 0.2], k),
+    ],
+    ids=["MonotoneId-vidal", "MonotoneId-concurrence", "vidal_f", "concurrence_pure", "elementary_symmetric"],
+)
+def test_non_integer_orders_are_rejected(call):
+    for bad in (2.5, np.float64(2.9), 3.0, True, np.bool_(True), "3"):
+        with pytest.raises(BadK, match="order k must be an integer"):
+            call(bad)
+    for good in (2, np.int64(3), np.uint8(2)):
+        call(good)
+
+
 def test_vidal_examples():
     st = StandardState([0.5, 0.3, 0.2])
     assert vidal_f(st, 2) == pytest.approx(0.5, abs=1e-15)
