@@ -1,40 +1,45 @@
 """Convex-roof extension of pure-state monotones to density matrices.
 
-Every decomposition of a rank-r state into m pure members corresponds to an
-m x r matrix with orthonormal columns acting on the subnormalized
-eigenvectors. The roof is minimized over that manifold with a derivative-free
-first-improvement coordinate search on a Givens angle/phase mesh, restarted
-from seeded random points.
-
-The restarts run in lockstep. Each round takes, for every live restart, the
-next run of probes of its current sweep (as many as its share of the
-round's budget allows, up to the end of the sweep), scores all of them with
-one evaluator call and moves each restart to its own first improving probe.
-Every probe is rounded as if evaluated alone, so the paths, the value and
-the ensemble are those of a search that runs the restarts one after another
-and evaluates one probe at a time. A round builds at most ``PROBE_ELEMENTS``
-array entries of candidates, which bounds memory at any dimension and
-restart count. A restart stops when a sweep without a move halves its
-step to ``STEP_TOLERANCE`` or below, or when it has used ``max_iters``
-sweeps.
+A decomposition of a rank-r state into m pure members is an m x r isometry
+U: the members are the rows of V = U F^T, F the support factor. With each
+monotone written as a degree-1 homogeneous function h of the weights
+a = |V|^2 (``monotones.weight_gradient``), the roof average
+sum_i h(|V_i|^2) has a closed-form gradient in U. It is minimized by
+Riemannian gradient descent on the isometries (Wen and Yin, Math. Program.
+142, 397, 2013): Barzilai-Borwein steps under a nonmonotone Armijo test,
+projected onto the tangent space and retracted by the polar factor.
+Restart i starts from a Haar isometry drawn from the stream seeded by
+(seed, i). All live restarts share one objective-and-gradient call per
+round, and each follows the path it would follow alone. Where vidal's tail
+sums and the concurrence cap are not smooth, the search follows a
+subgradient.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import Ensemble
 from .errors import BadRoofConfig, NotIsometry, RankMismatch
-from .monotones import MonotoneId, weight_evaluator
+from .monotones import MonotoneId, weight_evaluator, weight_gradient
 from .numerics import ZERO_TOL, _checked_density
 
 ISOMETRY_TOL = 1e-10
 TIE_TOL = 1e-12
-# A restart has converged once its step is at or below this.
-STEP_TOLERANCE = 1e-6
+# A restart has converged once the norm of its Riemannian gradient is at
+# or below this.
+GRADIENT_TOL = 1e-8
+# Nonmonotone Armijo line search (Wen and Yin): the first step length, the
+# sufficient-decrease factor, the factor a failed step shrinks by, the
+# failures after which an iteration ends without a move, and the weight of
+# past values in the reference value.
+INITIAL_STEP = 1e-3
+ARMIJO = 1e-4
+BACKTRACK = 0.1
+MAX_BACKTRACKS = 5
+AVERAGING = 0.85
 
 
 @dataclass(frozen=True)
@@ -45,8 +50,9 @@ class RoofConfig:
     input. ``ensemble_size``, ``restarts``, ``max_iters`` and ``seed`` must
     be integers (Python or numpy, not ``bool``) and are stored as ``int``.
     ``seed`` must be nonnegative; restarts draw their starting points from
-    streams derived from it. The step floor is the module constant
-    ``STEP_TOLERANCE``.
+    streams derived from it. ``max_iters`` bounds the gradient iterations
+    of each restart; the gradient-norm threshold is the module constant
+    ``GRADIENT_TOL``.
     """
 
     ensemble_size: int | None = None
@@ -77,14 +83,12 @@ class RoofResult:
     """Outcome of a roof minimization.
 
     ``value`` is the probability-weighted average of the pure monotone over
-    ``ensemble``; ``iterations_used`` counts coordinate sweeps summed over
-    restarts, and ``converged`` says whether every restart shrank its step
-    to ``STEP_TOLERANCE`` within ``max_iters`` sweeps. A sweep probes every
-    coordinate in order and takes the first improvement. The restarts
-    advance in lockstep rounds that score the probes of all live restarts
-    together, with the same results as one probe and one restart at a
-    time. ``gapped_support`` flags inputs whose occupied sectors are not
-    contiguous.
+    ``ensemble``; ``iterations_used`` counts gradient iterations summed over
+    restarts, and ``converged`` says whether every restart reached a
+    Riemannian gradient norm at or below ``GRADIENT_TOL`` within
+    ``max_iters`` iterations. An iteration is one accepted step, or a step
+    given up after ``MAX_BACKTRACKS`` backtracks. ``gapped_support`` flags
+    inputs whose occupied sectors are not contiguous.
     """
 
     value: float
@@ -101,160 +105,100 @@ def _support_factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v[:, :r] * np.sqrt(w[:r])
 
 
-# Array entries per round of speculative probes. One candidate ensemble of
-# m members in dimension d takes about m * (2m + d): its rotation
-# coefficients and its members. A round holds as many candidates as fit,
-# at least one.
-PROBE_ELEMENTS = 2**16
+def _objective(factor: np.ndarray, stack: np.ndarray, evaluator, slope) -> tuple[np.ndarray, np.ndarray]:
+    """Roof average of each isometry in a (L, m, r) stack, with its Euclidean gradient.
 
-
-def _givens_meshes(m: int, r: int, trig: np.ndarray) -> np.ndarray:
-    """First r columns of the unitaries built from full pairwise rotation meshes.
-
-    ``trig`` is a (K, m(m-1), 2) table: for each of K meshes, the cosine and
-    sine of the angle theta and then of the phase phi of each pair (i, j).
-    Rotation (i, j) replaces rows i and j by c u_i - e s u_j and
-    conj(e) s u_i + c u_j, with c, s = cos, sin(theta) and e = exp(i phi).
-    Returns (K, m, r). Each mesh rounds as if built alone: e s is formed
-    componentwise, and the K meshes run along the last, contiguous axis.
+    Member i of isometry U is row i of V = U F^T, and the average is the sum
+    of h(|V_i|^2), h the degree-1 extension of the monotone, with gradient
+    2 (D * V) conj(F) in U, D = dh/da. One GEMM builds the members of the
+    whole stack; every other step acts on one row or one isometry at a
+    time, so no isometry's value or gradient depends on the others.
     """
-    k = trig.shape[0]
-    table = trig.T
-    c = table[0, 0::2]
-    s = table[1, 0::2]
-    es_re = table[0, 1::2] * s
-    es_im = table[1, 1::2] * s
-    coefficients = np.empty((c.shape[0], 2, 2, 1, k), dtype=np.complex128)
-    coefficients[:, 0, 0, 0] = c
-    coefficients[:, 1, 1, 0] = c
-    upper = coefficients[:, 0, 1, 0]
-    lower = coefficients[:, 1, 0, 0]
-    np.negative(es_re, out=upper.real)
-    np.negative(es_im, out=upper.imag)
-    lower.real = es_re
-    lower.imag = upper.imag
-    # u starts as the first r columns of the m x m identity.
-    u = np.zeros((m, r, k), dtype=np.complex128)
-    u.reshape(m * r, k)[: r * (r + 1) : r + 1] = 1.0
-    # terms[a, b] is coefficient (a, b) times row b of the pair.
-    terms = np.empty((2, 2, r, k), dtype=np.complex128)
-    first, second = terms[:, 0], terms[:, 1]
-    for coefficient, (i, j) in zip(coefficients, itertools.combinations(range(m), 2)):
-        rows = u[i : j + 1 : j - i]
-        np.multiply(coefficient, rows, out=terms)
-        np.add(first, second, out=rows)
-    return np.ascontiguousarray(u.transpose(2, 0, 1))
+    size, m, r = stack.shape
+    members = stack.reshape(size * m, r) @ factor.T
+    w2 = np.square(members.real) + np.square(members.imag)
+    probs = w2.sum(axis=1)
+    weights = w2 / np.where(probs > 0.0, probs, 1.0)[:, None]
+    values = (probs * evaluator(weights)).reshape(size, m).sum(axis=1)
+    grad = (2.0 * slope(weights) * members) @ factor.conj()
+    return values, grad.reshape(size, m, r)
 
 
-def _average_values(factor: np.ndarray, meshes: np.ndarray, evaluator) -> np.ndarray:
-    """Average monotone of the ensemble each (m, r) mesh induces, in one evaluator call.
-
-    Members with probability at or below ``ZERO_TOL`` are dropped, and each
-    average is accumulated over the members left to right. The evaluator
-    scores every member's weights as a row of its own, so a dropped
-    member's row (divided by 1) changes no other.
-    """
-    members = factor @ meshes.transpose(0, 2, 1)
-    w2 = np.square(np.abs(members))
-    probs = np.add.reduce(w2, axis=1)
-    kept = probs > ZERO_TOL
-    weights = np.divide(w2.transpose(0, 2, 1), np.where(kept, probs, 1.0)[..., None], order="C")
-    terms = np.where(kept, probs * evaluator(weights), 0.0)
-    return np.add.accumulate(terms, axis=1)[:, -1]
+def _tangent(stack: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Projection of each gradient onto the tangent space at its isometry: G - U sym(U^H G)."""
+    inner = stack.conj().transpose(0, 2, 1) @ grad
+    return grad - stack @ (0.5 * (inner + inner.conj().transpose(0, 2, 1)))
 
 
-def _lockstep_search(
-    factor: np.ndarray, m: int, evaluator, seeds: list[list[int]], budget: int, cfg: RoofConfig
+def _polar(stack: np.ndarray) -> np.ndarray:
+    """Nearest isometry to each matrix of the stack, its polar factor W Z^H."""
+    w, _, zh = np.linalg.svd(stack, full_matrices=False)
+    return w @ zh
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Real inner product Re tr(x^H y) of each pair of matrices."""
+    rows = (x.shape[0], x.shape[1] * x.shape[2])
+    return np.vecdot(x.reshape(rows), y.reshape(rows)).real
+
+
+def _descend(
+    factor: np.ndarray, u: np.ndarray, evaluator, slope, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run one first-improvement search per seed, all in lockstep.
+    """Riemannian gradient descent from every isometry of the stack ``u``, updated in place.
 
-    Returns each restart's final value, its (cos, sin) table, its sweep
-    count and whether its step shrank to ``STEP_TOLERANCE``. A round builds at
-    most ``budget`` candidate meshes when ``len(seeds) <= budget``.
+    Each round evaluates one trial point per live restart in one objective
+    call. A restart whose trial passes the nonmonotone Armijo test moves
+    there and takes its next step length from the Barzilai-Borwein ratio;
+    one that fails shrinks its step and tries again in the next round, and
+    after ``MAX_BACKTRACKS`` failures ends the iteration where it is.
+    Returns each restart's final isometry, value, iteration count and
+    whether its gradient norm reached ``GRADIENT_TOL``.
     """
-    # Each restart runs a first-improvement search: probe (c, +step),
-    # (c, -step), (c + 1, +step), ... in order, move to the first probe below
-    # the current value and go on from the next coordinate; a sweep without
-    # a move halves the step. Row i of every state array is restart i:
-    # point[i, c] holds coordinate c's angle with its cosine and sine, and
-    # probes[i, k] the same for probe k of the current sweep, its column k.
-    # A round takes a window of the next probes of every live restart's
-    # sweep, scores them all in one evaluator call and moves each restart to
-    # its own first improvement; the probes after it are discarded, so every
-    # restart follows the path of one probe at a time. A move changes only
-    # the coordinate it probed, and the rest of the sweep probes later
-    # coordinates, so each probe's angle, cosine and sine are computed once,
-    # as its sweep starts.
-    r = factor.shape[1]
-    nparams = m * (m - 1)
-    width = 2 * nparams
-    columns = np.arange(width)
-    coord_of = columns >> 1
-    # After a move at probe k, the sweep goes on from the first probe of
-    # the next coordinate.
-    after = (columns | 1) + 1
-    signs = np.tile([1.0, -1.0], nparams)
-    restarts = len(seeds)
-    lanes = np.arange(restarts)
-    point = np.empty((restarts, nparams, 3))
-    point[..., 0] = [np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, nparams) for s in seeds]
-    np.cos(point[..., 0], out=point[..., 1])
-    np.sin(point[..., 0], out=point[..., 2])
-    value = _average_values(factor, _givens_meshes(m, r, point[..., 1:]), evaluator)
-    probes = np.empty((restarts, width, 3))
-    scores = np.empty((restarts, width))
-    step = np.full(restarts, 0.5)
-    sweeps = np.zeros(restarts, dtype=np.int64)
-    live = np.ones(restarts, dtype=bool)
-    # Every restart starts at the end of a sweep that moved, so the sweep
-    # bookkeeping starts its first sweep, or none if the budget allows none.
-    # A finished restart keeps its row, with no probes left in it.
-    position = np.full(restarts, width)
-    improved = np.ones(restarts, dtype=bool)
-    quota = max(1, budget // restarts)
-    while True:
-        ended = live & (position == width)
-        if np.count_nonzero(ended):
-            step[ended & ~improved] *= 0.5
-            more = ended & (sweeps < cfg.max_iters) & (step > STEP_TOLERANCE)
-            done = ended & ~more
-            if np.count_nonzero(done):
-                live &= ~done
-                count = np.count_nonzero(live)
-                if not count:
-                    break
-                quota = max(1, budget // count)
-            starting = more.nonzero()[0]
-            sweeps[starting] += 1
-            improved[starting] = False
-            position[starting] = 0
-            sweep = point[starting[:, None], coord_of]
-            sweep[..., 0] += step[starting, None] * signs
-            np.cos(sweep[..., 0], out=sweep[..., 1])
-            np.sin(sweep[..., 0], out=sweep[..., 2])
-            probes[starting] = sweep
-        window = columns >= position[:, None]
-        stop = width
-        if quota < width:
-            stop = np.minimum(position + quota, width)
-            window &= columns < stop[:, None]
-        owner, column = window.nonzero()
-        tables = point.repeat(stop - position, axis=0)
-        tables[np.arange(owner.size), coord_of[column]] = probes[owner, column]
-        scores.fill(np.inf)
-        scores[window] = _average_values(factor, _givens_meshes(m, r, tables[..., 1:]), evaluator)
-        limit = value - 1e-14
-        first = (scores < limit[:, None]).argmax(axis=1)
-        best = scores[lanes, first]
-        moved = best < limit
-        movers = moved.nonzero()[0]
-        if movers.size:
-            hit = first[movers]
-            point[movers, hit >> 1] = probes[movers, hit]
-        value = np.where(moved, best, value)
-        improved |= moved
-        position = np.where(moved, after[first], stop)
-    return value, point[..., 1:], sweeps, step <= STEP_TOLERANCE
+    value, grad = _objective(factor, u, evaluator, slope)
+    xi = _tangent(u, grad)
+    norm2 = _inner(xi, xi)
+    reference = value.copy()
+    weight = np.ones_like(value)
+    step = np.full_like(value, INITIAL_STEP)
+    iterations = np.zeros(len(u), dtype=np.int64)
+    failures = np.zeros_like(iterations)
+    converged = norm2 <= GRADIENT_TOL**2
+    live = ~converged
+    while np.count_nonzero(live):
+        lanes = live.nonzero()[0]
+        trial = _polar(u[lanes] - step[lanes, None, None] * xi[lanes])
+        trial_value, trial_grad = _objective(factor, trial, evaluator, slope)
+        passed = trial_value <= reference[lanes] - ARMIJO * step[lanes] * norm2[lanes]
+        failed = lanes[~passed]
+        step[failed] *= BACKTRACK
+        failures[failed] += 1
+        stuck = failed[failures[failed] > MAX_BACKTRACKS]
+        moved = lanes[passed]
+        trial = trial[passed]
+        trial_xi = _tangent(trial, trial_grad[passed])
+        s = trial - u[moved]
+        y = trial_xi - xi[moved]
+        sy = np.abs(_inner(s, y))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Short and long Barzilai-Borwein steps, alternately.
+            bb = np.where(iterations[moved] % 2 == 1, _inner(s, s) / sy, sy / _inner(y, y))
+        step[moved] = np.where(np.isfinite(bb) & (bb > 0.0), bb, step[moved])
+        # The reference value is a running average of the values reached
+        # (Zhang and Hager), which lets a step rise above the last value.
+        total = AVERAGING * weight[moved] + 1.0
+        reference[moved] = (AVERAGING * weight[moved] * reference[moved] + trial_value[passed]) / total
+        weight[moved] = total
+        u[moved] = trial
+        value[moved] = trial_value[passed]
+        xi[moved] = trial_xi
+        norm2[moved] = _inner(trial_xi, trial_xi)
+        converged[moved] = norm2[moved] <= GRADIENT_TOL**2
+        ended = np.concatenate([moved, stuck])
+        iterations[ended] += 1
+        failures[ended] = 0
+        live[ended] = ~converged[ended] & (iterations[ended] < max_iters)
+    return u, value, iterations, converged
 
 
 def decomposition_from_map(rho: np.ndarray, mix: np.ndarray) -> Ensemble:
@@ -324,27 +268,23 @@ def convex_roof(
     if m < r:
         raise RankMismatch(f"ensemble size {m} below the state's rank {r}")
 
-    # A round builds at most the budget's worth of candidate meshes, one
-    # probe per restart at the least, so restarts run in groups of at most
-    # that many.
-    budget = max(1, PROBE_ELEMENTS // (m * (2 * m + factor.shape[0])))
-    runs = []
-    for first in range(0, cfg.restarts, budget):
-        seeds = [[cfg.seed, restart] for restart in range(first, min(first + budget, cfg.restarts))]
-        runs.append(_lockstep_search(factor, m, evaluator, seeds, budget, cfg))
-    finals, trigs, sweeps, converged = (np.concatenate(parts) for parts in zip(*runs))
+    # The polar factor of a complex Gaussian matrix is a Haar isometry.
+    z = np.array([np.random.default_rng([cfg.seed, i]).normal(size=(2, m, r)) for i in range(cfg.restarts)])
+    mixes, finals, iterations, converged = _descend(
+        factor, _polar(z[:, 0] + 1j * z[:, 1]), evaluator, weight_gradient(measure, m_rho.shape[0]), cfg.max_iters
+    )
     best = 0
     for restart in range(1, cfg.restarts):
         if finals[restart] < finals[best] - TIE_TOL:
             best = restart
 
-    ensemble = _ensemble(factor, _givens_meshes(m, r, trigs[best : best + 1])[0])
+    ensemble = _ensemble(factor, mixes[best])
     values = evaluator(np.abs(np.array([vec for _, vec in ensemble.members])) ** 2)
     value = sum(p * v for (p, _), v in zip(ensemble.members, values))
     return RoofResult(
         value=float(value),
         ensemble=ensemble,
         converged=bool(converged.all()),
-        iterations_used=int(sweeps.sum()),
+        iterations_used=int(iterations.sum()),
         gapped_support=gapped,
     )

@@ -43,6 +43,10 @@ class MixedOutcomeGroup(FramenessError):
     """Pure-state channel application hit a multi-Kraus outcome group."""
 
 
+class UnknownMonotone(FramenessError):
+    """Monotone kind outside the known kinds."""
+
+
 class BadK(FramenessError):
     """Monotone order k outside the admissible range."""
 

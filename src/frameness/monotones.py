@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import Ensemble
-from .errors import BadAngle, BadK, BadProbability, WrongDimension
+from .errors import BadAngle, BadK, BadProbability, UnknownMonotone, WrongDimension
 from .numerics import ZERO_TOL, _checked_density
 from .states import StandardState
 
@@ -31,7 +31,7 @@ class MonotoneId:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"unknown monotone kind {self.kind!r}")
+            raise UnknownMonotone(f"unknown monotone kind {self.kind!r}")
         if self.kind in ("vidal", "concurrence"):
             if self.k is None:
                 raise BadK(f"{self.kind} needs an order k")
@@ -165,6 +165,59 @@ def weight_evaluator(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np
         k = _check_k(measure.k, dim)
         return lambda w: _concurrence_weights(w, k)
     return _variance_weights
+
+
+# Each pure monotone f of weights w extends to unnormalized weights a as
+# h(a) = |a| f(a / |a|), with |a| the sum of a. h is homogeneous of degree 1,
+# so its gradient dh/da depends on w = a / |a| alone. The slopes below give
+# it along the last axis of a (..., d) array of weights.
+
+
+def _concurrence_slope(weights: np.ndarray, k: int) -> np.ndarray:
+    # h^(1-k) e_{k-1}(w without w_l) / (k den) below the cap and 1 at it,
+    # the flat state; 0 where h = 0, a subgradient.
+    d = weights.shape[-1]
+    den = math.comb(d, k) / d**k
+    ratio = _elementary_symmetric(weights, k) / den
+    scale = (k * den * np.float_power(np.minimum(ratio, 1.0), (k - 1) / k))[..., None]
+    # acc[j, ..., l] accumulates e_j(w without w_l) as _elementary_symmetric does.
+    others = np.nonzero(~np.eye(d, dtype=bool))[1].reshape(d, d - 1)
+    acc = np.zeros((k,) + weights.shape)
+    acc[0] = 1.0
+    for i in range(d - 1):
+        top = min(i + 1, k - 1)
+        acc[1 : top + 1] += weights[..., others[:, i]] * acc[:top]
+    slope = np.divide(acc[k - 1], scale, out=np.zeros_like(weights), where=scale > 0.0)
+    return np.where(ratio[..., None] >= 1.0, 1.0, slope)
+
+
+def _vidal_slope(weights: np.ndarray, k: int) -> np.ndarray:
+    # Indicator of the d - k + 1 smallest weights, a subgradient at ties.
+    order = np.argsort(weights, axis=-1, kind="stable")
+    slope = np.zeros_like(weights)
+    np.put_along_axis(slope, order[..., : weights.shape[-1] - k + 1], 1.0, axis=-1)
+    return slope
+
+
+def weight_gradient(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Resolve a monotone to the gradient dh/da of its degree-1 extension.
+
+    h(a) = |a| f(a / |a|) on unnormalized weights a. The function maps the
+    normalized ``(..., dim)`` weights a / |a| to the gradient, of the same
+    shape: -log2 w for the entropy (0 on empty sectors) and 4 (n - mu)^2
+    for the variance, with mu the mean charge. Vidal's tail sum and the
+    concurrence at its cap are not smooth; there it gives a subgradient.
+    """
+    if measure.kind == "vidal":
+        k = _check_k(measure.k, dim)
+        return lambda w: _vidal_slope(w, k)
+    if measure.kind == "entropy":
+        return lambda w: -np.log2(np.where(w > 0.0, w, 1.0))
+    if measure.kind == "concurrence":
+        k = _check_k(measure.k, dim)
+        return lambda w: _concurrence_slope(w, k)
+    labels = np.arange(dim)
+    return lambda w: 4.0 * np.square(labels - np.vecdot(w, labels)[..., None])
 
 
 def evaluate_pure(measure: MonotoneId, state: StandardState) -> float:

@@ -49,7 +49,7 @@ ROOF_GOLDENS = [
     (
         "roof_d4_concurrence2.json",
         4,
-        ["--measure", "concurrence", "--k", "2", "--restarts", "1", "--max-iters", "20"],
+        ["--measure", "concurrence", "--k", "2", "--restarts", "1", "--max-iters", "200"],
     ),
     (
         "roof_d3_variance_restarts32.json",
@@ -519,15 +519,31 @@ def test_channel_sample_matches_golden_bytes(capsys):
 
 @pytest.mark.parametrize("name, dim, args", ROOF_GOLDENS)
 def test_roof_matches_golden_bytes(capsys, tmp_path, name, dim, args):
-    """``roof`` output equals, byte for byte, a capture from earlier code:
-    the qubit and d = 3 files from code that validated and diagonalized each
-    density several times, the d = 4 file from the one-probe-at-a-time roof
-    search, and the two multi-restart files from the search that ran its
-    restarts one after another."""
+    """``roof`` output equals, byte for byte, a capture of the gradient roof search."""
     path = write_density(tmp_path, random_density_matrix(dim, np.random.default_rng([29, dim])))
     assert main(["roof", "--rho", path, "--seed", "1", *args]) == 0
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+# The values the Givens coordinate search left in the same files before the
+# gradient search replaced it.
+GIVENS_ROOF_VALUES = {
+    "roof_qubit_concurrence2.json": 0.6474734203762693,
+    "roof_qubit_variance.json": 0.4192218300943338,
+    "roof_qubit_entropy.json": 0.5264121690430663,
+    "roof_d3_entropy.json": 0.5316039061585608,
+    "roof_d4_concurrence2.json": 0.7558717744582515,
+    "roof_d3_variance_restarts32.json": 0.44927800411437113,
+    "roof_qubit_concurrence2_restarts8.json": 0.6474734203762693,
+}
+
+
+def test_roof_goldens_do_not_exceed_givens_values():
+    assert sorted(GIVENS_ROOF_VALUES) == sorted(name for name, _, _ in ROOF_GOLDENS)
+    for name, old in GIVENS_ROOF_VALUES.items():
+        value = json.loads((GOLDEN / name).read_text(encoding="utf-8"))["value"]
+        assert value <= old + 1e-12, (name, value, old)
 
 
 def test_roof_without_budget_flags_uses_roof_config_defaults(capsys, tmp_path):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -16,13 +14,13 @@ from frameness import (
     evaluate_pure,
     qubit_concurrence,
     qubit_fof,
+    qubit_formation,
     random_channel,
     random_density_matrix,
 )
-from frameness import convexroof
-from frameness.convexroof import TIE_TOL, _ensemble, _givens_meshes, _support_factor
-from frameness.monotones import weight_evaluator
-from frameness.numerics import ZERO_TOL, _checked_density
+from frameness.convexroof import _descend, _objective, _polar, _support_factor, _tangent
+from frameness.monotones import weight_evaluator, weight_gradient
+from frameness.numerics import _checked_density
 
 CONC2 = MonotoneId("concurrence", 2)
 VAR = MonotoneId("variance")
@@ -213,86 +211,6 @@ def test_variance_roof_matches_qubit_fof():
     assert abs(res.value - qubit_fof(rho)) < 2e-3
 
 
-# The search that evaluates one probe at a time and runs the restarts one
-# after another, kept as an oracle: the lockstep search must follow its paths
-# and return its bytes.
-
-
-def _sequential_mesh(m, r, params):
-    u = np.eye(m, dtype=np.complex128)
-    idx = 0
-    for i in range(m - 1):
-        for j in range(i + 1, m):
-            c = math.cos(params[idx])
-            s = math.sin(params[idx])
-            e = complex(math.cos(params[idx + 1]), math.sin(params[idx + 1]))
-            idx += 2
-            row_i = u[i, :].copy()
-            row_j = u[j, :]
-            u[i, :] = c * row_i - e * s * row_j
-            u[j, :] = np.conj(e) * s * row_i + c * row_j
-    return u[:, :r]
-
-
-def _sequential_value(factor, mix, evaluator):
-    members = factor @ mix.T
-    w2 = np.abs(members) ** 2
-    probs = w2.sum(axis=0)
-    total = 0.0
-    for i in range(mix.shape[0]):
-        p = probs[i]
-        if p > ZERO_TOL:
-            total += p * evaluator(w2[:, i] / p)
-    return total
-
-
-def _sequential_search(factor, m, r, evaluator, rng, max_iters, step_tolerance):
-    nparams = m * (m - 1)
-    params = rng.uniform(0.0, 2.0 * np.pi, size=nparams)
-    value = _sequential_value(factor, _sequential_mesh(m, r, params), evaluator)
-    step = 0.5
-    sweeps = 0
-    while sweeps < max_iters and step > step_tolerance:
-        sweeps += 1
-        improved = False
-        for c in range(nparams):
-            for delta in (step, -step):
-                old = params[c]
-                params[c] = old + delta
-                cand = _sequential_value(factor, _sequential_mesh(m, r, params), evaluator)
-                if cand < value - 1e-14:
-                    value = cand
-                    improved = True
-                    break
-                params[c] = old
-        if not improved:
-            step *= 0.5
-    return value, params, sweeps, step <= step_tolerance
-
-
-def _sequential_roof(measure, rho, cfg, step_tolerance=1e-6):
-    m_rho, w, v = _checked_density(rho)
-    evaluator = weight_evaluator(measure, m_rho.shape[0])
-    factor = _support_factor(w, v)
-    r = factor.shape[1]
-    m = cfg.ensemble_size if cfg.ensemble_size is not None else min(2 * r, r + 2)
-    best = None
-    total_sweeps = 0
-    all_converged = True
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
-        value, params, sweeps, conv = _sequential_search(
-            factor, m, r, evaluator, rng, cfg.max_iters, step_tolerance
-        )
-        total_sweeps += sweeps
-        all_converged = all_converged and conv
-        if best is None or value < best[0] - TIE_TOL:
-            best = (value, params)
-    ensemble = _ensemble(factor, _sequential_mesh(m, r, best[1]))
-    value = sum(p * evaluator(np.abs(vec) ** 2) for p, vec in ensemble.members)
-    return float(value), ensemble, all_converged, total_sweeps
-
-
 def _roof_bytes(value, ensemble, converged, iterations_used):
     parts = [repr(value), str(iterations_used), str(converged)]
     for p, vec in ensemble.members:
@@ -302,85 +220,129 @@ def _roof_bytes(value, ensemble, converged, iterations_used):
 
 
 KINDS = (MonotoneId("vidal", 2), MonotoneId("entropy"), CONC2, VAR)
+# The acceptance suite's roof budget.
+ACCEPTANCE_CFG = RoofConfig(ensemble_size=2, restarts=8, seed=1)
 
 
-def test_batched_search_matches_sequential_reference(monkeypatch):
-    rng = np.random.default_rng(43)
-    outcomes = set()
-    # A coarse step floor, so that some restarts converge within 5 sweeps.
-    monkeypatch.setattr(convexroof, "STEP_TOLERANCE", 0.2)
+def _smooth_kinds(d):
+    # The kinds whose degree-1 extension is differentiable at generic
+    # weights below the concurrence cap.
+    return [MonotoneId("entropy"), VAR] + [MonotoneId("concurrence", k) for k in range(2, d + 1)]
+
+
+def _extension(measure, d):
+    evaluator = weight_evaluator(measure, d)
+    return lambda a: a.sum() * float(evaluator(a / a.sum()))
+
+
+def test_weight_gradient_matches_central_differences():
+    rng = np.random.default_rng(67)
+    for d in range(2, 7):
+        for _ in range(4):
+            a = rng.uniform(0.05, 1.0, size=d) * rng.uniform(0.2, 3.0)
+            for measure in _smooth_kinds(d):
+                h = _extension(measure, d)
+                got = weight_gradient(measure, d)(a / a.sum())
+                step = 1e-6
+                fd = [(h(a + step * e) - h(a - step * e)) / (2 * step) for e in np.eye(d)]
+                assert np.max(np.abs(got - fd)) < 1e-7 * max(1.0, np.max(np.abs(fd))), (d, measure)
+
+
+def test_objective_gradient_matches_central_differences():
+    # The Euclidean gradient 2 (D * V) conj(F) of the roof average, checked
+    # along random directions at random isometries.
+    rng = np.random.default_rng(71)
     for d in range(2, 6):
-        for rank in range(2, d + 1):
-            rho = random_density_matrix(d, rng, rank=rank)
-            # Three restarts only up to d = 3, where the oracle stays quick.
-            for restarts in (1, 3) if d < 4 else (1,):
-                for size in (rank, None, 2 * rank):
-                    for kind in KINDS:
-                        cfg = RoofConfig(
-                            ensemble_size=size, restarts=restarts, max_iters=5, seed=d + rank
-                        )
-                        res = convex_roof(kind, rho, cfg)
-                        got = _roof_bytes(res.value, res.ensemble, res.converged, res.iterations_used)
-                        expected = _roof_bytes(*_sequential_roof(kind, rho, cfg, 0.2))
-                        assert got == expected, (d, rank, restarts, size, kind)
-                        outcomes.add(res.converged)
-    assert outcomes == {True, False}
-    monkeypatch.undo()
-    # Diagonal inputs whose restarts end within TIE_TOL of each other at
-    # different ensembles, with a later restart slightly lower: only the
-    # lowest-index tie-break returns the oracle's ensemble.
-    for weights, size in (([0.3, 0.7], 2), ([0.3, 0.7], 3), ([0.2, 0.3, 0.5], 3)):
-        rho = np.diag(weights)
-        cfg = RoofConfig(ensemble_size=size, restarts=3, seed=0)
-        res = convex_roof(MonotoneId("vidal", 2), rho, cfg)
-        got = _roof_bytes(res.value, res.ensemble, res.converged, res.iterations_used)
-        assert got == _roof_bytes(*_sequential_roof(MonotoneId("vidal", 2), rho, cfg)), (weights, size)
+        rho = random_density_matrix(d, rng)
+        _, w, v = _checked_density(rho)
+        factor = _support_factor(w, v)
+        m = d + 2
+        stack = np.array([haar_isometry(m, d, rng) for _ in range(3)])
+        for measure in _smooth_kinds(d):
+            evaluator, slope = weight_evaluator(measure, d), weight_gradient(measure, d)
+            _, grad = _objective(factor, stack, evaluator, slope)
+            for _ in range(2):
+                e = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
+                step = 1e-6
+                up, _ = _objective(factor, stack + step * e, evaluator, slope)
+                down, _ = _objective(factor, stack - step * e, evaluator, slope)
+                fd = (up - down) / (2 * step)
+                exact = np.sum((grad.conj() * e).real, axis=(1, 2))
+                assert np.max(np.abs(exact - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd))), (d, measure)
 
 
-def test_average_values_drop_empty_members():
-    # Angles of 1e-7 give nearly the identity mesh, whose members r.. have
-    # probability near 1e-14, below ZERO_TOL: they add nothing, and the
-    # random meshes scored with them keep the bytes of the
-    # one-member-at-a-time sum.
-    rng = np.random.default_rng(61)
-    for d, rank, m in ((2, 1, 3), (3, 2, 4), (4, 4, 6)):
+def test_tangent_projection_is_orthogonal():
+    # xi is tangent at the isometry U (U^H xi is skew-Hermitian), and the
+    # residual G - xi is normal there: U S with S Hermitian.
+    rng = np.random.default_rng(73)
+    stack = np.array([haar_isometry(5, 3, rng) for _ in range(4)])
+    adjoint = stack.conj().transpose(0, 2, 1)
+    grad = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
+    xi = _tangent(stack, grad)
+    skew = adjoint @ xi
+    assert np.max(np.abs(skew + skew.conj().transpose(0, 2, 1))) < 1e-13
+    normal = adjoint @ (grad - xi)
+    assert np.max(np.abs(stack @ normal - (grad - xi))) < 1e-13
+    assert np.max(np.abs(normal - normal.conj().transpose(0, 2, 1))) < 1e-13
+    assert np.max(np.abs(_polar(stack) - stack)) < 1e-13
+
+
+def test_batched_restarts_match_each_restart_alone():
+    rng = np.random.default_rng(79)
+    for d, rank, m in ((2, 2, 2), (3, 2, 4), (4, 4, 6), (9, 3, 5)):
         _, w, v = _checked_density(random_density_matrix(d, rng, rank=rank))
         factor = _support_factor(w, v)
-        params = rng.uniform(0.0, 2.0 * np.pi, size=(3, m * (m - 1)))
-        params[1] = 1e-7
-        trig = np.stack([np.cos(params), np.sin(params)], axis=-1)
-        for kind in KINDS:
-            evaluator = weight_evaluator(kind, d)
-            got = convexroof._average_values(factor, _givens_meshes(m, rank, trig), evaluator)
-            expected = [_sequential_value(factor, _sequential_mesh(m, rank, row), evaluator) for row in params]
-            assert [float(x).hex() for x in got] == [float(x).hex() for x in expected], (d, rank, m, kind)
+        starts = np.array([haar_isometry(m, rank, rng) for _ in range(5)])
+        for measure in KINDS:
+            evaluator, slope = weight_evaluator(measure, d), weight_gradient(measure, d)
+            batch = _descend(factor, starts.copy(), evaluator, slope, 30)
+            for i in range(len(starts)):
+                alone = _descend(factor, starts[i : i + 1].copy(), evaluator, slope, 30)
+                assert np.array_equal(alone[0][0], batch[0][i]), (d, rank, m, measure, i)
+                assert alone[1][0].hex() == batch[1][i].hex()
+                assert (alone[2][0], alone[3][0]) == (batch[2][i], batch[3][i])
 
 
-@pytest.mark.parametrize("candidates", [None, 1, 3])
-def test_roof_batch_size_invariant(monkeypatch, candidates):
-    # d = 3 at full rank: m = 5, so one candidate takes 5 * (2 * 5 + 3) = 65
-    # entries, and a sweep has 40 probes. The default budget holds 1,008
-    # candidates: whole sweeps of 2 restarts, or 31 probes each of 32.
-    rho = random_density_matrix(3, np.random.default_rng(53))
-    for restarts in (2, 32):
-        cfg = RoofConfig(restarts=restarts, max_iters=8, seed=4)
-        whole = convex_roof(VAR, rho, cfg)
-        batches = []
-
-        def recording(m, r, trig):
-            batches.append(trig.shape[0])
-            return _givens_meshes(m, r, trig)
-
-        with monkeypatch.context() as patch:
-            if candidates is not None:
-                patch.setattr("frameness.convexroof.PROBE_ELEMENTS", candidates * 65)
-            patch.setattr("frameness.convexroof._givens_meshes", recording)
-            pieces = convex_roof(VAR, rho, cfg)
-            bound = max(1, convexroof.PROBE_ELEMENTS // 65)
-        assert _roof_bytes(pieces.value, pieces.ensemble, pieces.converged, pieces.iterations_used) == (
-            _roof_bytes(whole.value, whole.ensemble, whole.converged, whole.iterations_used)
+@pytest.mark.parametrize("measure", KINDS, ids=lambda k: k.label())
+def test_roof_repeats_its_bytes(measure):
+    rng = np.random.default_rng(83)
+    for d in (3, 4):
+        rho = random_density_matrix(d, rng)
+        cfg = RoofConfig(restarts=3, max_iters=25, seed=9)
+        a, b = convex_roof(measure, rho, cfg), convex_roof(measure, rho, cfg)
+        assert _roof_bytes(a.value, a.ensemble, a.converged, a.iterations_used) == (
+            _roof_bytes(b.value, b.ensemble, b.converged, b.iterations_used)
         )
-        assert max(batches) <= bound
-        if candidates is None:
-            # Rounds score several restarts' probes in one call.
-            assert max(batches) > 40
+
+
+def _fisher_information(rho):
+    # F_Q = 2 sum_ij (l_i - l_j)^2 / (l_i + l_j) |<i|N|j>|^2, the exact
+    # variance roof (Toth and Petz, PRA 87, 032324, 2013).
+    lam, vecs = np.linalg.eigh(rho)
+    n = vecs.conj().T @ np.diag(np.arange(rho.shape[0])) @ vecs
+    total = 0.0
+    for i in range(len(lam)):
+        for j in range(len(lam)):
+            if lam[i] + lam[j] > 0.0:
+                total += 2.0 * (lam[i] - lam[j]) ** 2 / (lam[i] + lam[j]) * abs(n[i, j]) ** 2
+    return total
+
+
+def test_variance_roof_reaches_quantum_fisher_information():
+    worst = 0.0
+    for d in (3, 4, 5):
+        for s in range(2):
+            rho = random_density_matrix(d, np.random.default_rng([29, d, s]))
+            res = convex_roof(VAR, rho, RoofConfig(restarts=2, max_iters=4000, seed=1))
+            worst = max(worst, abs(res.value - _fisher_information(rho)))
+    assert worst <= 1e-10
+
+
+def test_qubit_roofs_match_closed_forms_at_acceptance_budget():
+    rng = np.random.default_rng(89)
+    closed = ((MonotoneId("entropy"), qubit_formation), (CONC2, qubit_concurrence), (VAR, qubit_fof))
+    for _ in range(20):
+        rho = random_density_matrix(2, rng)
+        for measure, exact in closed:
+            res = convex_roof(measure, rho, ACCEPTANCE_CFG)
+            assert abs(res.value - exact(rho)) <= 1e-12, (measure, res.value - exact(rho))

@@ -9,9 +9,11 @@ import pytest
 from frameness import (
     BadK,
     BadProbability,
+    FramenessError,
     InvalidDensity,
     MonotoneId,
     StandardState,
+    UnknownMonotone,
     WrongDimension,
     appendix_closed_form,
     concurrence_pure,
@@ -76,6 +78,13 @@ def test_monotone_id_validation():
         MonotoneId("variance", 2)
     with pytest.raises(ValueError):
         MonotoneId("negativity")
+
+
+def test_unknown_monotone_kind_is_typed():
+    for kind in ("negativity", "Entropy", ""):
+        with pytest.raises(UnknownMonotone, match="unknown monotone kind"):
+            MonotoneId(kind)
+    assert issubclass(UnknownMonotone, FramenessError)
 
 
 @pytest.mark.parametrize(
