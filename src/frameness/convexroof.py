@@ -10,9 +10,11 @@ Riemannian gradient descent on the isometries (Wen and Yin, Math. Program.
 projected onto the tangent space and retracted by the polar factor.
 Restart i starts from a Haar isometry drawn from the stream seeded by
 (seed, i). All live restarts share one objective-and-gradient call per
-round, and each follows the path it would follow alone. Where vidal's tail
-sums and the concurrence cap are not smooth, the search follows a
-subgradient.
+round, and each follows the path it would follow alone. Vidal's tail sum
+is not smooth: its search descends a log-sum-exp stand-in
+(``monotones.smoothed_tail_sum``) of shrinking width before the tail sum
+itself, whose plateaus would otherwise hold each member on the sectors it
+starts with. At the concurrence cap the search follows a subgradient.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .channels import Ensemble
 from .errors import BadRoofConfig, NotIsometry, RankMismatch
-from .monotones import MonotoneId, weight_evaluator, weight_gradient
+from .monotones import MonotoneId, smoothed_tail_sum, weight_evaluator, weight_gradient
 from .numerics import ZERO_TOL, _checked_density
 
 ISOMETRY_TOL = 1e-10
@@ -40,6 +42,10 @@ ARMIJO = 1e-4
 BACKTRACK = 0.1
 MAX_BACKTRACKS = 5
 AVERAGING = 0.85
+# Widths of the smoothed tail sums a vidal search descends in turn; each
+# stage ends once the gradient norm is at or below STAGE_TOL times its width.
+SMOOTHING_WIDTHS = (0.2, 0.06, 0.018, 0.0054)
+STAGE_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,8 @@ class RoofConfig:
     be integers (Python or numpy, not ``bool``) and are stored as ``int``.
     ``seed`` must be nonnegative; restarts draw their starting points from
     streams derived from it. ``max_iters`` bounds the gradient iterations
-    of each restart; the gradient-norm threshold is the module constant
-    ``GRADIENT_TOL``.
+    of each restart, summed over a vidal search's stages; the gradient-norm
+    threshold is the module constant ``GRADIENT_TOL``.
     """
 
     ensemble_size: int | None = None
@@ -87,8 +93,11 @@ class RoofResult:
     restarts, and ``converged`` says whether every restart reached a
     Riemannian gradient norm at or below ``GRADIENT_TOL`` within
     ``max_iters`` iterations. An iteration is one accepted step, or a step
-    given up after ``MAX_BACKTRACKS`` backtracks. ``gapped_support`` flags
-    inputs whose occupied sectors are not contiguous.
+    given up after ``MAX_BACKTRACKS`` backtracks. A vidal roof of rank 2 or
+    more never reports ``converged``: the tail sum has no gradient, and a
+    vanishing subgradient does not show that a plateau is the roof.
+    ``gapped_support`` flags inputs whose occupied sectors are not
+    contiguous.
     """
 
     value: float
@@ -143,17 +152,19 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _descend(
-    factor: np.ndarray, u: np.ndarray, evaluator, slope, max_iters: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    factor: np.ndarray, u: np.ndarray, evaluator, slope, tol: float, iterations: np.ndarray, max_iters: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Riemannian gradient descent from every isometry of the stack ``u``, updated in place.
 
     Each round evaluates one trial point per live restart in one objective
     call. A restart whose trial passes the nonmonotone Armijo test moves
     there and takes its next step length from the Barzilai-Borwein ratio;
     one that fails shrinks its step and tries again in the next round, and
-    after ``MAX_BACKTRACKS`` failures ends the iteration where it is.
-    Returns each restart's final isometry, value, iteration count and
-    whether its gradient norm reached ``GRADIENT_TOL``.
+    after ``MAX_BACKTRACKS`` failures ends the iteration where it is. A
+    restart stops once its gradient norm is at or below ``tol`` or its
+    count in ``iterations``, updated in place, reaches ``max_iters``.
+    Returns each restart's final isometry, value and whether its gradient
+    norm reached ``tol``.
     """
     value, grad = _objective(factor, u, evaluator, slope)
     xi = _tangent(u, grad)
@@ -161,10 +172,9 @@ def _descend(
     reference = value.copy()
     weight = np.ones_like(value)
     step = np.full_like(value, INITIAL_STEP)
-    iterations = np.zeros(len(u), dtype=np.int64)
     failures = np.zeros_like(iterations)
-    converged = norm2 <= GRADIENT_TOL**2
-    live = ~converged
+    converged = norm2 <= tol**2
+    live = ~converged & (iterations < max_iters)
     while np.count_nonzero(live):
         lanes = live.nonzero()[0]
         trial = _polar(u[lanes] - step[lanes, None, None] * xi[lanes])
@@ -193,12 +203,12 @@ def _descend(
         value[moved] = trial_value[passed]
         xi[moved] = trial_xi
         norm2[moved] = _inner(trial_xi, trial_xi)
-        converged[moved] = norm2[moved] <= GRADIENT_TOL**2
+        converged[moved] = norm2[moved] <= tol**2
         ended = np.concatenate([moved, stuck])
         iterations[ended] += 1
         failures[ended] = 0
         live[ended] = ~converged[ended] & (iterations[ended] < max_iters)
-    return u, value, iterations, converged
+    return u, value, converged
 
 
 def decomposition_from_map(rho: np.ndarray, mix: np.ndarray) -> Ensemble:
@@ -270,9 +280,14 @@ def convex_roof(
 
     # The polar factor of a complex Gaussian matrix is a Haar isometry.
     z = np.array([np.random.default_rng([cfg.seed, i]).normal(size=(2, m, r)) for i in range(cfg.restarts)])
-    mixes, finals, iterations, converged = _descend(
-        factor, _polar(z[:, 0] + 1j * z[:, 1]), evaluator, weight_gradient(measure, m_rho.shape[0]), cfg.max_iters
-    )
+    mixes = _polar(z[:, 0] + 1j * z[:, 1])
+    iterations = np.zeros(cfg.restarts, dtype=np.int64)
+    if measure.kind == "vidal":
+        for width in SMOOTHING_WIDTHS:
+            stage = smoothed_tail_sum(measure.k, m_rho.shape[0], width)
+            _descend(factor, mixes, *stage, STAGE_TOL * width, iterations, cfg.max_iters)
+    slope = weight_gradient(measure, m_rho.shape[0])
+    mixes, finals, converged = _descend(factor, mixes, evaluator, slope, GRADIENT_TOL, iterations, cfg.max_iters)
     best = 0
     for restart in range(1, cfg.restarts):
         if finals[restart] < finals[best] - TIE_TOL:
@@ -284,7 +299,7 @@ def convex_roof(
     return RoofResult(
         value=float(value),
         ensemble=ensemble,
-        converged=bool(converged.all()),
+        converged=bool(converged.all()) and measure.kind != "vidal",
         iterations_used=int(iterations.sum()),
         gapped_support=gapped,
     )

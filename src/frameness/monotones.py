@@ -173,6 +173,19 @@ def weight_evaluator(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np
 # it along the last axis of a (..., d) array of weights.
 
 
+def _leave_one_out(values: np.ndarray, j: int) -> np.ndarray:
+    # e_j(values without values_l) at every position l of the last axis;
+    # acc[i, ..., l] accumulates e_i as _elementary_symmetric does.
+    d = values.shape[-1]
+    others = np.nonzero(~np.eye(d, dtype=bool))[1].reshape(d, d - 1)
+    acc = np.zeros((j + 1,) + values.shape)
+    acc[0] = 1.0
+    for i in range(d - 1):
+        top = min(i + 1, j)
+        acc[1 : top + 1] += values[..., others[:, i]] * acc[:top]
+    return acc[j]
+
+
 def _concurrence_slope(weights: np.ndarray, k: int) -> np.ndarray:
     # h^(1-k) e_{k-1}(w without w_l) / (k den) below the cap and 1 at it,
     # the flat state; 0 where h = 0, a subgradient.
@@ -180,14 +193,7 @@ def _concurrence_slope(weights: np.ndarray, k: int) -> np.ndarray:
     den = math.comb(d, k) / d**k
     ratio = _elementary_symmetric(weights, k) / den
     scale = (k * den * np.float_power(np.minimum(ratio, 1.0), (k - 1) / k))[..., None]
-    # acc[j, ..., l] accumulates e_j(w without w_l) as _elementary_symmetric does.
-    others = np.nonzero(~np.eye(d, dtype=bool))[1].reshape(d, d - 1)
-    acc = np.zeros((k,) + weights.shape)
-    acc[0] = 1.0
-    for i in range(d - 1):
-        top = min(i + 1, k - 1)
-        acc[1 : top + 1] += weights[..., others[:, i]] * acc[:top]
-    slope = np.divide(acc[k - 1], scale, out=np.zeros_like(weights), where=scale > 0.0)
+    slope = np.divide(_leave_one_out(weights, k - 1), scale, out=np.zeros_like(weights), where=scale > 0.0)
     return np.where(ratio[..., None] >= 1.0, 1.0, slope)
 
 
@@ -218,6 +224,34 @@ def weight_gradient(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np.
         return lambda w: _concurrence_slope(w, k)
     labels = np.arange(dim)
     return lambda w: 4.0 * np.square(labels - np.vecdot(w, labels)[..., None])
+
+
+def smoothed_tail_sum(k: int, dim: int, width: float) -> tuple[Callable, Callable]:
+    """Evaluator and slope of a smooth stand-in for vidal's tail sum from position k.
+
+    The sum of the k - 1 largest weights is replaced by its log-sum-exp
+    over (k - 1)-subsets, width * log e_{k-1}(exp(w / width)), which exceeds
+    it by at most width * log C(dim, k - 1). The stand-in is concave and
+    differentiable, and tends to the tail sum as ``width`` goes to 0. The
+    slope is dh/da of its degree-1 extension, as ``weight_gradient`` gives.
+    """
+    k = _check_k(k, dim)
+
+    def parts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Shifted by the mean of the k - 1 largest weights, the exponentials
+        # of those weights multiply to 1, so e_{k-1} lies in [1, C(dim, k-1)]
+        # and no exponent exceeds 1 / width.
+        shift = np.partition(w, dim - k + 1, axis=-1)[..., dim - k + 1 :].mean(axis=-1)
+        z = np.exp((w - shift[..., None]) / width)
+        total = _elementary_symmetric(z, k - 1)
+        value = w.sum(axis=-1) - (k - 1) * shift - width * np.log(total)
+        return value, 1.0 - z * _leave_one_out(z, k - 2) / total[..., None]
+
+    def slope(w: np.ndarray) -> np.ndarray:
+        value, grad = parts(w)
+        return grad + (value - np.vecdot(w, grad))[..., None]
+
+    return (lambda w: parts(w)[0]), slope
 
 
 def evaluate_pure(measure: MonotoneId, state: StandardState) -> float:

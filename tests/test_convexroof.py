@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,19 @@ from frameness import (
     random_channel,
     random_density_matrix,
 )
-from frameness.convexroof import _descend, _objective, _polar, _support_factor, _tangent
-from frameness.monotones import weight_evaluator, weight_gradient
+from frameness import convexroof
+from frameness.convexroof import (
+    GRADIENT_TOL,
+    SMOOTHING_WIDTHS,
+    STAGE_TOL,
+    _descend,
+    _ensemble,
+    _objective,
+    _polar,
+    _support_factor,
+    _tangent,
+)
+from frameness.monotones import smoothed_tail_sum, weight_evaluator, weight_gradient
 from frameness.numerics import _checked_density
 
 CONC2 = MonotoneId("concurrence", 2)
@@ -225,14 +238,16 @@ ACCEPTANCE_CFG = RoofConfig(ensemble_size=2, restarts=8, seed=1)
 
 
 def _smooth_kinds(d):
-    # The kinds whose degree-1 extension is differentiable at generic
-    # weights below the concurrence cap.
-    return [MonotoneId("entropy"), VAR] + [MonotoneId("concurrence", k) for k in range(2, d + 1)]
-
-
-def _extension(measure, d):
-    evaluator = weight_evaluator(measure, d)
-    return lambda a: a.sum() * float(evaluator(a / a.sum()))
+    # (label, evaluator, slope) of every objective whose degree-1 extension
+    # is differentiable at generic weights below the concurrence cap: the
+    # smooth kinds and vidal's smoothed tail sums at the widest and
+    # narrowest widths the search uses.
+    kinds = [MonotoneId("entropy"), VAR] + [MonotoneId("concurrence", k) for k in range(2, d + 1)]
+    out = [(m.label(), weight_evaluator(m, d), weight_gradient(m, d)) for m in kinds]
+    for k in range(2, d + 1):
+        for width in (SMOOTHING_WIDTHS[0], SMOOTHING_WIDTHS[-1]):
+            out.append((f"smoothed vidal[{k}] at {width}",) + smoothed_tail_sum(k, d, width))
+    return out
 
 
 def test_weight_gradient_matches_central_differences():
@@ -240,12 +255,28 @@ def test_weight_gradient_matches_central_differences():
     for d in range(2, 7):
         for _ in range(4):
             a = rng.uniform(0.05, 1.0, size=d) * rng.uniform(0.2, 3.0)
-            for measure in _smooth_kinds(d):
-                h = _extension(measure, d)
-                got = weight_gradient(measure, d)(a / a.sum())
+            for label, evaluator, slope in _smooth_kinds(d):
+                h = lambda a: a.sum() * float(evaluator(a / a.sum()))
+                got = slope(a / a.sum())
                 step = 1e-6
                 fd = [(h(a + step * e) - h(a - step * e)) / (2 * step) for e in np.eye(d)]
-                assert np.max(np.abs(got - fd)) < 1e-7 * max(1.0, np.max(np.abs(fd))), (d, measure)
+                assert np.max(np.abs(got - fd)) < 1e-7 * max(1.0, np.max(np.abs(fd))), (d, label)
+
+
+def test_smoothed_tail_sum_brackets_the_tail_sum():
+    # tail - width log C(d, k - 1) <= stand-in <= tail, and the stand-in
+    # stays finite where the gaps between weights are many widths apart.
+    rng = np.random.default_rng(61)
+    for d in (2, 3, 6, 64):
+        w = np.vstack([rng.dirichlet(np.full(d, 0.3), size=20), np.eye(d)[:2], np.full((1, d), 1.0 / d)])
+        for k in sorted({2, 3, d} & set(range(2, d + 1))):
+            tail = weight_evaluator(MonotoneId("vidal", k), d)(w)
+            for width in SMOOTHING_WIDTHS:
+                evaluator, slope = smoothed_tail_sum(k, d, width)
+                value = evaluator(w)
+                assert np.all(np.isfinite(slope(w)))
+                assert np.all(value <= tail + 1e-12), (d, k, width)
+                assert np.all(value >= tail - width * np.log(comb(d, k - 1)) - 1e-12), (d, k, width)
 
 
 def test_objective_gradient_matches_central_differences():
@@ -258,8 +289,7 @@ def test_objective_gradient_matches_central_differences():
         factor = _support_factor(w, v)
         m = d + 2
         stack = np.array([haar_isometry(m, d, rng) for _ in range(3)])
-        for measure in _smooth_kinds(d):
-            evaluator, slope = weight_evaluator(measure, d), weight_gradient(measure, d)
+        for label, evaluator, slope in _smooth_kinds(d):
             _, grad = _objective(factor, stack, evaluator, slope)
             for _ in range(2):
                 e = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
@@ -268,7 +298,7 @@ def test_objective_gradient_matches_central_differences():
                 down, _ = _objective(factor, stack - step * e, evaluator, slope)
                 fd = (up - down) / (2 * step)
                 exact = np.sum((grad.conj() * e).real, axis=(1, 2))
-                assert np.max(np.abs(exact - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd))), (d, measure)
+                assert np.max(np.abs(exact - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd))), (d, label)
 
 
 def test_tangent_projection_is_orthogonal():
@@ -287,20 +317,49 @@ def test_tangent_projection_is_orthogonal():
     assert np.max(np.abs(_polar(stack) - stack)) < 1e-13
 
 
+def _staged_search(factor, stack, measure, d, max_iters):
+    # The stages convex_roof descends: vidal's smoothed tail sums, then the
+    # monotone itself.
+    iterations = np.zeros(len(stack), dtype=np.int64)
+    if measure.kind == "vidal":
+        for width in SMOOTHING_WIDTHS:
+            stage = smoothed_tail_sum(measure.k, d, width)
+            _descend(factor, stack, *stage, STAGE_TOL * width, iterations, max_iters)
+    evaluator, slope = weight_evaluator(measure, d), weight_gradient(measure, d)
+    return _descend(factor, stack, evaluator, slope, GRADIENT_TOL, iterations, max_iters) + (iterations,)
+
+
 def test_batched_restarts_match_each_restart_alone():
     rng = np.random.default_rng(79)
     for d, rank, m in ((2, 2, 2), (3, 2, 4), (4, 4, 6), (9, 3, 5)):
         _, w, v = _checked_density(random_density_matrix(d, rng, rank=rank))
         factor = _support_factor(w, v)
         starts = np.array([haar_isometry(m, rank, rng) for _ in range(5)])
-        for measure in KINDS:
-            evaluator, slope = weight_evaluator(measure, d), weight_gradient(measure, d)
-            batch = _descend(factor, starts.copy(), evaluator, slope, 30)
+        for measure in KINDS + (MonotoneId("vidal", min(3, d)),):
+            batch = _staged_search(factor, starts.copy(), measure, d, 30)
             for i in range(len(starts)):
-                alone = _descend(factor, starts[i : i + 1].copy(), evaluator, slope, 30)
+                alone = _staged_search(factor, starts[i : i + 1].copy(), measure, d, 30)
                 assert np.array_equal(alone[0][0], batch[0][i]), (d, rank, m, measure, i)
                 assert alone[1][0].hex() == batch[1][i].hex()
                 assert (alone[2][0], alone[3][0]) == (batch[2][i], batch[3][i])
+
+
+def test_ties_resolve_to_the_lowest_restart(monkeypatch):
+    # Finals within TIE_TOL of the best so far do not replace it, even when
+    # lower; an argmin over the finals would pick restart 3.
+    finals = np.array([0.5, 0.5 - 0.5e-12, 0.5 - 2e-12, 0.5 - 2.5e-12])
+
+    def fake_descend(factor, stack, evaluator, slope, tol, iterations, max_iters):
+        return stack, finals.copy(), np.ones(len(stack), dtype=bool)
+
+    monkeypatch.setattr(convexroof, "_descend", fake_descend)
+    rho = random_density_matrix(3, np.random.default_rng(97))
+    res = convex_roof(MonotoneId("entropy"), rho, RoofConfig(restarts=4, seed=3))
+    _, w, v = _checked_density(rho)
+    factor = _support_factor(w, v)
+    z = np.random.default_rng([3, 2]).normal(size=(2, 5, 3))
+    expected = _ensemble(factor, _polar((z[0] + 1j * z[1])[None])[0])
+    assert _roof_bytes(0.0, res.ensemble, True, 0) == _roof_bytes(0.0, expected, True, 0)
 
 
 @pytest.mark.parametrize("measure", KINDS, ids=lambda k: k.label())
@@ -346,3 +405,56 @@ def test_qubit_roofs_match_closed_forms_at_acceptance_budget():
         for measure, exact in closed:
             res = convex_roof(measure, rho, ACCEPTANCE_CFG)
             assert abs(res.value - exact(rho)) <= 1e-12, (measure, res.value - exact(rho))
+
+
+# vidal[2] roofs of the Givens coordinate search that the gradient search
+# replaced, on random_density_matrix(d, default_rng([71, d, s])) at
+# RoofConfig(restarts=1, max_iters=60, seed=1).
+GIVENS_VIDAL2_VALUES = {
+    (3, 0): 0.1515813648992573,
+    (3, 1): 0.16330644272195982,
+    (3, 2): 0.1641120107436282,
+    (4, 0): 0.233470826985218,
+    (4, 1): 0.2352645027513111,
+    (4, 2): 0.30633209022631086,
+    (5, 0): 0.2475056725641951,
+    (5, 1): 0.20979719270008393,
+    (5, 2): 0.18907726981327766,
+}
+
+
+def test_vidal_roofs_do_not_exceed_givens_values():
+    vidal2 = MonotoneId("vidal", 2)
+    for (d, s), old in GIVENS_VIDAL2_VALUES.items():
+        rho = random_density_matrix(d, np.random.default_rng([71, d, s]))
+        res = convex_roof(vidal2, rho, RoofConfig(restarts=1, max_iters=60, seed=1))
+        assert res.value <= old + 1e-12, (d, s, res.value, old)
+        assert not res.converged
+
+
+def _geometric_coherence(rho):
+    # 1 - max F(rho, sigma) over dephased sigma, which equals the convex
+    # roof of 1 - max_j w_j (Streltsov et al., PRL 115, 020403, 2015).
+    # With sigma = diag(x)^2, F = ||sqrt(rho) diag(x)||_1^2; alternate the
+    # unitary of the trace norm's polar form and the best unit x >= 0.
+    lam, vecs = np.linalg.eigh(rho)
+    root = (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ vecs.conj().T
+    x = np.sqrt(np.diag(rho).real)
+    for _ in range(20000):
+        left, _, right = np.linalg.svd(root * x)
+        g = np.clip(np.diag((left @ right).conj().T @ root).real, 0.0, None)
+        g /= np.linalg.norm(g)
+        if np.max(np.abs(g - x)) <= 1e-15:
+            break
+        x = g
+    return 1.0 - np.linalg.svd(root * x, compute_uv=False).sum() ** 2
+
+
+def test_vidal2_roof_reaches_geometric_coherence():
+    worst = 0.0
+    for d in (3, 4, 5, 6):
+        for s in range(3):
+            rho = random_density_matrix(d, np.random.default_rng([37, d, s]))
+            res = convex_roof(MonotoneId("vidal", 2), rho, RoofConfig(seed=1))
+            worst = max(worst, abs(res.value - _geometric_coherence(rho)))
+    assert worst <= 1e-9

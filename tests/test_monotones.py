@@ -76,11 +76,6 @@ def test_monotone_id_validation():
         MonotoneId("concurrence", 1)
     with pytest.raises(BadK):
         MonotoneId("variance", 2)
-    with pytest.raises(ValueError):
-        MonotoneId("negativity")
-
-
-def test_unknown_monotone_kind_is_typed():
     for kind in ("negativity", "Entropy", ""):
         with pytest.raises(UnknownMonotone, match="unknown monotone kind"):
             MonotoneId(kind)
