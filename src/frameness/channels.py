@@ -15,6 +15,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    BadSeed,
     EmptyShiftSet,
     MixedOutcomeGroup,
     NonFiniteCoefficient,
@@ -163,13 +164,24 @@ def validate_channel(channel: U1Channel) -> ChannelReport:
     return ChannelReport(per_sector_sums=sums, trace_preserving=tp)
 
 
-def _slot_shifts(shifts: Iterable[int], kraus_per_shift: int) -> tuple[int, ...]:
+def _slot_layout(
+    dim: int, shifts: Iterable[int], kraus_per_shift: int
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """The shift of each slot and the ``(S, dim)`` mask of slots live on each sector."""
     shift_list = sorted(set(int(s) for s in shifts))
     if not shift_list:
         raise EmptyShiftSet("at least one shift is required")
     if kraus_per_shift < 1:
-        raise ValueError("kraus_per_shift must be at least 1")
-    return tuple(ell for ell in shift_list for _ in range(kraus_per_shift))
+        raise EmptyShiftSet("kraus_per_shift must be at least 1")
+    slot_shifts = tuple(ell for ell in shift_list for _ in range(kraus_per_shift))
+    live = _live_slots(slot_shifts, dim)
+    covered = live.any(axis=0)
+    if not covered.all():
+        raise EmptyShiftSet(
+            f"sector {int(np.argmin(covered))} admits no shift from "
+            f"{shift_list}; a trace-preserving channel needs one"
+        )
+    return slot_shifts, live
 
 
 def _live_slots(slot_shifts: Sequence[int], dim: int) -> np.ndarray:
@@ -178,33 +190,31 @@ def _live_slots(slot_shifts: Sequence[int], dim: int) -> np.ndarray:
     return (target >= 0) & (target < dim)
 
 
+def coefficient_draws(dim: int, shifts: Iterable[int], kraus_per_shift: int) -> int:
+    """Normal draws per channel that :func:`sample_coefficients` consumes."""
+    return 2 * int(_slot_layout(dim, shifts, kraus_per_shift)[1].sum())
+
+
 def sample_coefficients(
     dim: int,
     shifts: Iterable[int],
     kraus_per_shift: int,
-    rngs: Sequence[np.random.Generator],
+    draws: np.ndarray,
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """Random trace-preserving coefficients, one ``(S, dim)`` array per generator.
+    """Random trace-preserving coefficients, one ``(S, dim)`` array per row of ``draws``.
 
     The S slots are the (shift, repeat) pairs, shifts ascending. For every
     source sector the coefficients across its admissible slots form an
     independent Haar-uniform complex unit vector, so the per-sector
-    completeness sums are 1. Each generator makes one normal draw that
-    holds, sector by sector, the real then the imaginary parts of that
-    sector's vector. Returns the shift of each slot and the
-    ``(len(rngs), S, dim)`` coefficients, zero outside the window.
+    completeness sums are 1. Each row of the ``(T, coefficient_draws(...))``
+    normal draws holds, sector by sector, the real then the imaginary parts
+    of that sector's vector. Returns the shift of each slot and the
+    ``(T, S, dim)`` coefficients, zero outside the window.
     """
-    slot_shifts = _slot_shifts(shifts, kraus_per_shift)
-    live = _live_slots(slot_shifts, dim)
+    slot_shifts, live = _slot_layout(dim, shifts, kraus_per_shift)
     sizes = live.sum(axis=0)
-    if not sizes.all():
-        raise ValueError(
-            f"sector {int(np.argmin(sizes))} admits no shift from "
-            f"{sorted(set(slot_shifts))}; a trace-preserving channel needs one"
-        )
-    draws = np.array([rng.normal(size=2 * int(sizes.sum())) for rng in rngs])
     starts = np.concatenate(([0], np.cumsum(2 * sizes)[:-1]))
-    coeffs = np.zeros((len(rngs), len(slot_shifts), dim), dtype=np.complex128)
+    coeffs = np.zeros((len(draws), len(slot_shifts), dim), dtype=np.complex128)
     for size in np.unique(sizes):
         sectors = np.flatnonzero(sizes == size)
         re = starts[sectors, None] + np.arange(size)
@@ -233,17 +243,19 @@ def random_channel(
     dim: int,
     shifts: Iterable[int],
     kraus_per_shift: int = 1,
-    seed: Any = 0,
+    seed: int | Sequence[int] = 0,
 ) -> U1Channel:
     """Sample a trace-preserving channel with the given shift set.
 
-    The coefficients come from :func:`sample_coefficients` with one
-    generator seeded by ``seed``. Each Kraus operator forms its own
-    outcome group.
+    The coefficients come from :func:`sample_coefficients` with the normal
+    draws of ``default_rng(seed)``; ``seed`` is a nonnegative int or a
+    sequence of them. Each Kraus operator forms its own outcome group.
     """
-    slot_shifts, coeffs = sample_coefficients(
-        dim, shifts, kraus_per_shift, [np.random.default_rng(seed)]
-    )
+    if np.min(seed) < 0:
+        raise BadSeed(f"seed must be nonnegative, got {seed}")
+    size = coefficient_draws(dim, shifts, kraus_per_shift)
+    draws = np.random.default_rng(seed).normal(size=(1, size))
+    slot_shifts, coeffs = sample_coefficients(dim, shifts, kraus_per_shift, draws)
     return coefficient_channel(slot_shifts, coeffs[0])
 
 

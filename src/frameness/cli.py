@@ -26,6 +26,7 @@ from .channels import (
     apply_slots_pure,
     channel_to_dict,
     coefficient_channel,
+    coefficient_draws,
     random_channel,
     sample_coefficients,
     squared_moduli,
@@ -34,6 +35,7 @@ from .channels import (
 from .convexroof import RoofConfig, convex_roof
 from .errors import BadTrialCount, EmptyShiftSet, FramenessError, LengthMismatch
 from .monotones import KINDS, MonotoneId, appendix_closed_form, weight_evaluator
+from .numerics import seeded_normals
 from .states import (
     SectoredPureState,
     StandardState,
@@ -79,14 +81,15 @@ def sample_trials(
 
     Trial ``t`` draws its state from ``default_rng([seed, t, 0])`` and its
     channel from ``default_rng([seed, t, 1])``, so every measure sees the
-    same trial stream. Returns the ``(T, dim)`` weights, the shift of each
-    channel slot and the ``(T, S, dim)`` channel coefficients.
+    same trial stream; :func:`seeded_normals` makes those draws for the
+    whole range at once. Returns the ``(T, dim)`` weights, the shift of
+    each channel slot and the ``(T, S, dim)`` channel coefficients.
     """
-    weights = random_weights(dim, [np.random.default_rng([seed, t, 0]) for t in trials])
-    slot_shifts, coeffs = sample_coefficients(
-        dim, shifts, kraus_per_shift, [np.random.default_rng([seed, t, 1]) for t in trials]
+    state_draws, channel_draws = seeded_normals(
+        seed, trials, (2 * dim, coefficient_draws(dim, shifts, kraus_per_shift))
     )
-    return weights, slot_shifts, coeffs
+    slot_shifts, coeffs = sample_coefficients(dim, shifts, kraus_per_shift, channel_draws)
+    return random_weights(dim, state_draws), slot_shifts, coeffs
 
 
 def sample_trial(

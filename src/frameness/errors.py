@@ -36,7 +36,11 @@ class ShiftOutOfRange(FramenessError):
 
 
 class EmptyShiftSet(FramenessError):
-    """Channel sampling requested with no shifts at all."""
+    """Channel sampling has no Kraus operator for some sector.
+
+    No shift was given, ``kraus_per_shift`` is below 1, or no given shift
+    maps some sector inside the ambient window.
+    """
 
 
 class MixedOutcomeGroup(FramenessError):
@@ -65,6 +69,10 @@ class BadAngle(FramenessError):
 
 class BadRoofConfig(FramenessError):
     """Roof search budget or seed outside its admissible range."""
+
+
+class BadSeed(FramenessError):
+    """Random seed or trial index is negative."""
 
 
 class BadTrialCount(FramenessError):

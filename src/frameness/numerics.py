@@ -1,4 +1,4 @@
-"""Shared thresholds and the one density check.
+"""Shared thresholds, the one density check and the seeded trial streams.
 
 Matrices are plain ``numpy`` arrays of complex128, capped at ``MAX_DIM``.
 The density check makes one ``numpy.linalg.eigh`` call, and its eigenpairs
@@ -7,9 +7,11 @@ feed the qubit closed forms and the convex roof.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from .errors import InvalidDensity
+from .errors import BadSeed, InvalidDensity
 
 # The package's acceptance thresholds; no call takes a tolerance argument.
 # Numerical zero: entries above -ZERO_TOL count as nonnegative, weights,
@@ -65,3 +67,113 @@ def _checked_density(rho: np.ndarray, dim: int | None = None) -> tuple[np.ndarra
 def validate_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Return ``rho`` as a checked density matrix or raise :class:`InvalidDensity`."""
     return _checked_density(rho, dim)[0]
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the PCG64 multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _words(n: int) -> list[int]:
+    """``n`` as SeedSequence splits it: little-endian 32-bit words, 0 as ``[0]``."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The ``count + 1`` successive hash constants, as a uint32 column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (values ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(8)`` for every column ``e`` of ``entropy``.
+
+    ``entropy`` is ``(L, N)`` uint32 with ``L >= 4``; zero words padding an
+    entropy to the pool's 4 words do not change its hash. The hash of each
+    pool word runs on all N columns at once.
+    """
+    c = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
+    pool = _hashmix(entropy[:4], c[:4], c[1:5])
+    j = 4
+    # Every pool word is mixed into the three others, then each further
+    # entropy word into all four, as SeedSequence.mix_entropy does.
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[j : j + 3], c[j + 1 : j + 4]))
+        j += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, c[j : j + 4], c[j + 1 : j + 5]))
+        j += 4
+    b = _hash_consts(_INIT_B, _MULT_B, 8)
+    return _hashmix(np.tile(pool, (2, 1)), b[:8], b[1:])
+
+
+def seeded_normals(seed: int, trials: range, sizes: Sequence[int]) -> list[np.ndarray]:
+    """Row ``i`` of array ``k`` is ``default_rng([seed, trials[i], k]).normal(size=sizes[k])``.
+
+    The rows equal those draws bit for bit, but no generator is seeded per
+    stream: the SeedSequence hash runs once for every (trial, k) stream as
+    uint32 array arithmetic, grouped by entropy length, and each stream's
+    PCG64 state is then set on one reused generator. Trials must lie below
+    2**64. Raises :class:`BadSeed` on a negative seed or trial.
+    """
+    if seed < 0:
+        raise BadSeed(f"seed must be nonnegative, got {seed}")
+    if trials and min(trials[0], trials[-1]) < 0:
+        raise BadSeed(f"trials must be nonnegative, got {trials}")
+    out = [np.empty((len(trials), n)) for n in sizes]
+    t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
+    seed_words = _words(seed)
+    bitgen = np.random.PCG64(0)  # its state is overwritten per stream
+    gen = np.random.Generator(bitgen)
+    # Trials below 2**32 are one entropy word, those above two.
+    for wide in (False, True):
+        pos = np.flatnonzero((t > _MASK32) == wide)
+        if not pos.size:
+            continue
+        n_words = len(seed_words) + wide + 2
+        entropy = np.zeros((max(4, n_words), len(sizes), pos.size), dtype=np.uint32)
+        entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None, None]
+        entropy[len(seed_words)] = t[pos] & _MASK32
+        if wide:
+            entropy[len(seed_words) + 1] = t[pos] >> 32
+        entropy[n_words - 1] = np.arange(len(sizes))[:, None]
+        words = _seed_words(entropy.reshape(len(entropy), -1)).astype(np.uint64)
+        # PCG64 seeds (state, increment) from the 4 little-endian uint64
+        # words, then steps twice: state = (inc + init) * MULT + inc.
+        halves = (words[0::2] | (words[1::2] << 32)).tolist()
+        for col, (s_hi, s_lo, i_hi, i_lo) in enumerate(zip(*halves)):
+            inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+            state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            k, i = divmod(col, pos.size)
+            gen.standard_normal(out=out[k][pos[i]])
+    return out

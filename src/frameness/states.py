@@ -237,20 +237,19 @@ def majorizes(a: Sequence[float], b: Sequence[float]) -> bool:
     return bool(np.all(pa >= pb - ZERO_TOL))
 
 
-def random_weights(dim: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Standard forms of Haar-uniform pure states, one row per generator.
+def random_weights(dim: int, draws: np.ndarray) -> np.ndarray:
+    """Standard forms of Haar-uniform pure states, one per row of ``draws``.
 
-    Each generator makes one normal draw of ``2 * dim`` values: the real
-    parts, then the imaginary parts, of the state's amplitudes.
+    Each row of the ``(T, 2 * dim)`` normal draws holds the real parts, then
+    the imaginary parts, of the state's amplitudes.
     """
-    draws = np.array([rng.normal(size=2 * dim) for rng in rngs])
     w = np.abs(draws[:, :dim] + 1j * draws[:, dim:]) ** 2
     return checked_weights(w / w.sum(axis=-1, keepdims=True))
 
 
 def random_standard_state(dim: int, rng: np.random.Generator) -> StandardState:
     """Standard form of a Haar-uniform pure state on the ambient sphere."""
-    return StandardState(random_weights(dim, [rng])[0])
+    return StandardState(random_weights(dim, rng.normal(size=(1, 2 * dim)))[0])
 
 
 def random_density_matrix(

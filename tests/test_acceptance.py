@@ -35,7 +35,8 @@ from frameness import (
     validate_channel,
     variance_pure,
 )
-from frameness.cli import VIOLATION_TOL, run_verification, sample_trial
+from frameness.channels import coefficient_channel
+from frameness.cli import VIOLATION_TOL, run_verification, sample_trials
 
 ROOF_CFG = RoofConfig(ensemble_size=2, restarts=8, seed=1)
 VERIFY_DIMS = (2, 3, 4, 6)
@@ -142,8 +143,12 @@ def test_criterion_5_simultaneous_tail_sums():
     for dim in VERIFY_DIMS:
         ks = list(range(2, dim + 1))
         for shifts in VERIFY_SHIFTS:
+            weights, slot_shifts, coeffs = sample_trials(
+                dim, shifts, 1, VERIFY_SEED, range(VERIFY_TRIALS)
+            )
             for trial in range(VERIFY_TRIALS):
-                state, channel = sample_trial(dim, shifts, 1, VERIFY_SEED, trial)
+                state = StandardState(weights[trial])
+                channel = coefficient_channel(slot_shifts, coeffs[trial])
                 ensemble = apply_channel_pure(channel, state)
                 for k in ks:
                     measure = MonotoneId("vidal", k)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frameness import (
+    BadSeed,
     EmptyShiftSet,
     Ensemble,
     MixedOutcomeGroup,
@@ -25,6 +26,7 @@ from frameness.channels import (
     apply_slots_pure,
     channel_from_dict,
     channel_to_dict,
+    coefficient_draws,
     sample_coefficients,
     squared_moduli,
 )
@@ -113,8 +115,13 @@ def test_random_channel_multiple_kraus_per_shift():
 def test_random_channel_bad_requests():
     with pytest.raises(EmptyShiftSet):
         random_channel(3, (), seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyShiftSet, match="sector 0 admits no shift"):
         random_channel(2, (5,), seed=0)
+    with pytest.raises(EmptyShiftSet, match="kraus_per_shift"):
+        random_channel(3, (0,), kraus_per_shift=0, seed=0)
+    for seed in (-1, [2026, -1, 7]):
+        with pytest.raises(BadSeed, match="seed must be nonnegative"):
+            random_channel(3, (-1, 0, 1), seed=seed)
 
 
 def test_apply_channel_pure_shifts_weights():
@@ -174,7 +181,8 @@ def test_outcome_spectrum_shifts_inside_window():
         d = int(rng.integers(3, 7))
         st = random_standard_state(d, rng)
         support = set(spectrum(st).support)
-        slot_shifts, coeffs = sample_coefficients(d, (-1, 1), 1, [np.random.default_rng(100 + trial)])
+        draws = np.random.default_rng(100 + trial).normal(size=(1, coefficient_draws(d, (-1, 1), 1)))
+        slot_shifts, coeffs = sample_coefficients(d, (-1, 1), 1, draws)
         _, posts, kept = apply_slots_pure(slot_shifts, squared_moduli(coeffs[0]), st.weights)
         assert kept.any()
         for ell, post, keep in zip(slot_shifts, posts, kept):

@@ -15,6 +15,7 @@ import frameness
 from frameness import (
     BadAngle,
     BadRoofConfig,
+    BadSeed,
     BadTrialCount,
     EmptyShiftSet,
     InvalidDensity,
@@ -27,7 +28,12 @@ from frameness import (
     qubit_formation,
 )
 from frameness import cli
-from frameness.channels import channel_from_dict, validate_channel
+from frameness.channels import (
+    channel_from_dict,
+    coefficient_draws,
+    sample_coefficients,
+    validate_channel,
+)
 from frameness.cli import (
     VerificationReport,
     main,
@@ -35,7 +41,13 @@ from frameness.cli import (
     sample_trial,
     sample_trials,
 )
-from frameness.states import density_from_dict, density_to_dict, random_density_matrix
+from frameness.numerics import seeded_normals
+from frameness.states import (
+    density_from_dict,
+    density_to_dict,
+    random_density_matrix,
+    random_weights,
+)
 
 RT2_INV = 1.0 / np.sqrt(2.0)
 GOLDEN = Path(__file__).parent / "golden"
@@ -324,6 +336,28 @@ def test_batched_sampler_rows_match_sample_trial(dim, shifts, kraus_per_shift):
             assert k.coeffs == {n: complex(row[n]) for n in np.flatnonzero(row)}
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("trials", [range(3), range(2**32 - 2, 2**32 + 2)])
+def test_sampler_rows_match_default_rng_streams(seed, trials):
+    """Rows equal the draws of generators seeded by ``[seed, t, k]``, built here.
+
+    Seeds and trials from 2**32 on are two or more SeedSequence entropy
+    words, so the trial range across 2**32 mixes two entropy lengths.
+    """
+    dim, shifts, kraus_per_shift = 3, (-1, 0, 1), 2
+    weights, slot_shifts, coeffs = sample_trials(dim, shifts, kraus_per_shift, seed, trials)
+    size = coefficient_draws(dim, shifts, kraus_per_shift)
+    state_draws = np.array([np.random.default_rng([seed, t, 0]).normal(size=2 * dim) for t in trials])
+    channel_draws = np.array([np.random.default_rng([seed, t, 1]).normal(size=size) for t in trials])
+    draws = seeded_normals(seed, trials, (2 * dim, size))
+    assert np.array_equal(draws[0], state_draws)
+    assert np.array_equal(draws[1], channel_draws)
+    assert np.array_equal(weights, random_weights(dim, state_draws))
+    expected_shifts, expected_coeffs = sample_coefficients(dim, shifts, kraus_per_shift, channel_draws)
+    assert slot_shifts == expected_shifts
+    assert np.array_equal(coeffs, expected_coeffs)
+
+
 def test_run_verification_matches_golden_margins():
     """Margins equal, bit for bit, those captured from an earlier implementation.
 
@@ -404,6 +438,27 @@ def test_verify_rejects_nonpositive_trials(capsys, trials):
     assert f"trials must be at least 1, got {trials}" in captured.err
     with pytest.raises(BadTrialCount):
         run_verification(MonotoneId("vidal", 2), 3, int(trials), 0, (-1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--measure", "entropy", "--dim", "3", "--shifts=-1,0,1", "--trials", "4"],
+        ["channel", "sample", "--dim", "3", "--shifts=-1,0,1"],
+    ],
+)
+def test_negative_seed_exits_2(capsys, argv):
+    assert main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be nonnegative, got -1" in captured.err
+
+
+def test_negative_seed_or_trial_is_typed():
+    with pytest.raises(BadSeed, match="seed must be nonnegative"):
+        run_verification(MonotoneId("entropy"), 3, 4, -1, (-1, 0, 1))
+    with pytest.raises(BadSeed, match="trials must be nonnegative"):
+        sample_trial(3, (-1, 0, 1), 1, 0, -1)
 
 
 ROOF_ARGS = ["roof", "--measure", "entropy", "--rho", "RHO"]
