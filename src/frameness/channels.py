@@ -19,6 +19,7 @@ from .errors import (
     EmptyShiftSet,
     MixedOutcomeGroup,
     NonFiniteCoefficient,
+    NotTracePreserving,
     OvercompleteChannel,
     ShiftOutOfRange,
 )
@@ -277,7 +278,7 @@ def apply_slots_pure(
     """
     sums = _completeness_sums(moduli)
     if np.max(np.abs(sums - 1.0)) > SUM_TOL:
-        raise ValueError("channel is not trace-preserving")
+        raise NotTracePreserving("channel is not trace-preserving")
     d = moduli.shape[-1]
     contrib = weights[..., None, :] * moduli
     # A running sum in sector order, rounded as a per-operator loop rounds it.
@@ -321,7 +322,7 @@ def apply_channel_density(channel: U1Channel, rho: np.ndarray) -> Ensemble:
     m = validate_density(rho, dim=channel.dim)
     report = validate_channel(channel)
     if not report.trace_preserving:
-        raise ValueError("channel is not trace-preserving")
+        raise NotTracePreserving("channel is not trace-preserving")
     members = []
     for group in channel.outcomes:
         acc = np.zeros_like(m)

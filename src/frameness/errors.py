@@ -31,6 +31,10 @@ class OvercompleteChannel(FramenessError):
     """Kraus coefficients exceed completeness on some sector."""
 
 
+class NotTracePreserving(FramenessError):
+    """Kraus coefficients fall short of completeness on some sector."""
+
+
 class ShiftOutOfRange(FramenessError):
     """Nonzero Kraus coefficient maps outside the ambient window."""
 

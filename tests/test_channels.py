@@ -8,6 +8,7 @@ from frameness import (
     MixedOutcomeGroup,
     NonFiniteCoefficient,
     NotProbabilityVector,
+    NotTracePreserving,
     OvercompleteChannel,
     ShiftOutOfRange,
     StandardState,
@@ -53,6 +54,18 @@ def test_validate_subnormalized():
     ch = U1Channel([[U1Kraus(0, {0: 0.5, 1: 0.5})]], 2)
     report = validate_channel(ch)
     assert not report.trace_preserving
+
+
+def test_subnormalized_channel_application_is_typed():
+    # One slot of moduli 0.5 on both sectors: each completeness sum is 0.5.
+    moduli = np.full((1, 2), 0.5)
+    with pytest.raises(NotTracePreserving, match="channel is not trace-preserving"):
+        apply_slots_pure([0], moduli, np.array([0.5, 0.5]))
+    ch = U1Channel([[U1Kraus(0, {0: np.sqrt(0.5), 1: np.sqrt(0.5)})]], 2)
+    with pytest.raises(NotTracePreserving, match="channel is not trace-preserving"):
+        apply_channel_pure(ch, StandardState(np.array([0.5, 0.5])))
+    with pytest.raises(NotTracePreserving, match="channel is not trace-preserving"):
+        apply_channel_density(ch, np.eye(2) / 2)
 
 
 def test_validate_overcomplete():

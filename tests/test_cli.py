@@ -419,9 +419,59 @@ def test_run_verification_batch_size_invariant(monkeypatch, elements, sizes):
         return sample_trials(*args)
 
     monkeypatch.setattr("frameness.cli.sample_trials", recording)
+    cli._trial_batch.cache_clear()
     _, pieces = run_verification(measure, 5, 11, 4, (-1, 0, 2))
     assert pieces == whole
     assert batches == sizes
+
+
+# Every measure valid at d = 4, in the order of a verify sweep.
+SWEEP_MEASURES = (
+    [MonotoneId("vidal", k) for k in range(2, 5)]
+    + [MonotoneId("entropy")]
+    + [MonotoneId("concurrence", k) for k in range(2, 5)]
+    + [MonotoneId("variance")]
+)
+
+
+def test_measure_sweep_samples_each_batch_once(monkeypatch):
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return sample_trials(*args)
+
+    monkeypatch.setattr("frameness.cli.sample_trials", recording)
+    cli._trial_batch.cache_clear()
+    for measure in SWEEP_MEASURES:
+        run_verification(measure, 4, 12, 9, (-1, 0, 1))
+    assert calls == [(4, (-1, 0, 1), 1, 9, range(12))]
+
+
+def test_reused_batch_rows_match_cold_calls():
+    cli._trial_batch.cache_clear()
+    warm = [run_verification(m, 4, 12, 9, (-1, 0, 1))[1] for m in SWEEP_MEASURES]
+    for measure, rows in zip(SWEEP_MEASURES, warm):
+        cli._trial_batch.cache_clear()
+        assert run_verification(measure, 4, 12, 9, (-1, 0, 1))[1] == rows, measure
+
+
+def test_cached_batch_is_read_only():
+    cli._trial_batch.cache_clear()
+    run_verification(MonotoneId("entropy"), 3, 5, 2, (-1, 0, 1))
+    weights, _, probs, posts, kept = cli._trial_batch(3, (-1, 0, 1), 1, 2, range(5))
+    assert cli._trial_batch.cache_info().hits == 1
+    for array in (weights, probs, posts, kept):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_shift_list_and_tuple_share_rows():
+    cli._trial_batch.cache_clear()
+    _, from_list = run_verification(MonotoneId("variance"), 3, 7, 5, [-1, 0, 2])
+    cli._trial_batch.cache_clear()
+    _, from_tuple = run_verification(MonotoneId("variance"), 3, 7, 5, (-1, 0, 2))
+    assert from_list == from_tuple
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
