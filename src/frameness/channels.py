@@ -14,16 +14,8 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadSeed,
-    EmptyShiftSet,
-    MixedOutcomeGroup,
-    NonFiniteCoefficient,
-    NotTracePreserving,
-    OvercompleteChannel,
-    ShiftOutOfRange,
-)
-from .numerics import SUM_TOL, ZERO_TOL, validate_density
+from .errors import BadParameter, InvalidChannel, InvalidState
+from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, validate_density
 from .states import StandardState, _check_probabilities, checked_weights
 
 
@@ -38,7 +30,7 @@ class U1Kraus:
         clean = {int(n): complex(c) for n, c in self.coeffs.items()}
         for n, c in clean.items():
             if not cmath.isfinite(c):
-                raise NonFiniteCoefficient(f"coefficient at sector {n} is {c!r}")
+                raise InvalidChannel(f"coefficient at sector {n} is {c!r}")
         object.__setattr__(self, "coeffs", clean)
 
     def window_coeffs(self, dim: int) -> Iterator[tuple[int, complex]]:
@@ -47,7 +39,7 @@ class U1Kraus:
             if c == 0:
                 continue
             if not (0 <= n < dim and 0 <= n + self.shift < dim):
-                raise ShiftOutOfRange(
+                raise InvalidChannel(
                     f"coefficient at sector {n} with shift {self.shift} "
                     f"maps outside 0..{dim - 1}"
                 )
@@ -70,7 +62,7 @@ class U1Channel:
     def __post_init__(self) -> None:
         groups = tuple(tuple(g) for g in self.outcomes)
         if not groups or any(len(g) == 0 for g in groups):
-            raise ValueError("channel needs at least one nonempty outcome group")
+            raise InvalidChannel("channel needs at least one nonempty outcome group")
         object.__setattr__(self, "outcomes", groups)
 
     def all_kraus(self) -> Iterator[U1Kraus]:
@@ -100,7 +92,7 @@ class Ensemble:
     def __post_init__(self) -> None:
         pairs = tuple((float(p), s) for p, s in self.members)
         if not pairs:
-            raise ValueError("ensemble needs at least one member")
+            raise InvalidState("ensemble needs at least one member")
         _check_probabilities(np.array([p for p, _ in pairs]))
         object.__setattr__(self, "members", pairs)
 
@@ -125,7 +117,7 @@ def _as_density(state: Any) -> np.ndarray:
         return np.outer(arr, arr.conj())
     if arr.ndim == 2:
         return arr
-    raise ValueError(f"cannot interpret ensemble member of shape {arr.shape}")
+    raise InvalidState(f"cannot interpret ensemble member of shape {arr.shape}")
 
 
 def squared_moduli(coeffs: np.ndarray) -> np.ndarray:
@@ -152,8 +144,8 @@ def _completeness_sums(moduli: np.ndarray) -> np.ndarray:
     for j in range(moduli.shape[-2]):
         sums += moduli[..., j, :]
     if sums.max() > 1.0 + SUM_TOL:
-        raise OvercompleteChannel(
-            f"completeness sum {sums.max()!r} exceeds 1 on some sector"
+        raise InvalidChannel(
+            f"completeness sum {float(sums.max())!r} exceeds 1 on some sector"
         )
     return sums
 
@@ -169,16 +161,18 @@ def _slot_layout(
     dim: int, shifts: Iterable[int], kraus_per_shift: int
 ) -> tuple[tuple[int, ...], np.ndarray]:
     """The shift of each slot and the ``(S, dim)`` mask of slots live on each sector."""
+    if not 1 <= dim <= MAX_DIM:
+        raise BadParameter(f"dimension {dim} outside 1..{MAX_DIM}")
     shift_list = sorted(set(int(s) for s in shifts))
     if not shift_list:
-        raise EmptyShiftSet("at least one shift is required")
+        raise InvalidChannel("at least one shift is required")
     if kraus_per_shift < 1:
-        raise EmptyShiftSet("kraus_per_shift must be at least 1")
+        raise InvalidChannel("kraus_per_shift must be at least 1")
     slot_shifts = tuple(ell for ell in shift_list for _ in range(kraus_per_shift))
     live = _live_slots(slot_shifts, dim)
     covered = live.any(axis=0)
     if not covered.all():
-        raise EmptyShiftSet(
+        raise InvalidChannel(
             f"sector {int(np.argmin(covered))} admits no shift from "
             f"{shift_list}; a trace-preserving channel needs one"
         )
@@ -253,7 +247,7 @@ def random_channel(
     sequence of them. Each Kraus operator forms its own outcome group.
     """
     if np.min(seed) < 0:
-        raise BadSeed(f"seed must be nonnegative, got {seed}")
+        raise BadParameter(f"seed must be nonnegative, got {seed}")
     size = coefficient_draws(dim, shifts, kraus_per_shift)
     draws = np.random.default_rng(seed).normal(size=(1, size))
     slot_shifts, coeffs = sample_coefficients(dim, shifts, kraus_per_shift, draws)
@@ -278,7 +272,7 @@ def apply_slots_pure(
     """
     sums = _completeness_sums(moduli)
     if np.max(np.abs(sums - 1.0)) > SUM_TOL:
-        raise NotTracePreserving("channel is not trace-preserving")
+        raise InvalidChannel("channel is not trace-preserving")
     d = moduli.shape[-1]
     contrib = weights[..., None, :] * moduli
     # A running sum in sector order, rounded as a per-operator loop rounds it.
@@ -305,7 +299,7 @@ def apply_channel_pure(channel: U1Channel, state: StandardState) -> Ensemble:
     moduli = _kraus_moduli(kraus, channel.dim)
     for group in channel.outcomes:
         if len(group) != 1:
-            raise MixedOutcomeGroup(
+            raise InvalidChannel(
                 f"outcome group with {len(group)} Kraus operators; "
                 "pure-state application needs singletons"
             )
@@ -322,7 +316,7 @@ def apply_channel_density(channel: U1Channel, rho: np.ndarray) -> Ensemble:
     m = validate_density(rho, dim=channel.dim)
     report = validate_channel(channel)
     if not report.trace_preserving:
-        raise NotTracePreserving("channel is not trace-preserving")
+        raise InvalidChannel("channel is not trace-preserving")
     members = []
     for group in channel.outcomes:
         acc = np.zeros_like(m)

@@ -33,9 +33,9 @@ from .channels import (
     validate_channel,
 )
 from .convexroof import RoofConfig, convex_roof
-from .errors import BadTrialCount, EmptyShiftSet, FramenessError, LengthMismatch
+from .errors import BadParameter, FramenessError, InvalidChannel, InvalidDensity, InvalidState
 from .monotones import KINDS, MonotoneId, appendix_closed_form, weight_evaluator
-from .numerics import seeded_normals
+from .numerics import MAX_DIM, seeded_normals
 from .states import (
     SectoredPureState,
     StandardState,
@@ -151,7 +151,7 @@ def run_verification(
     report plus per-trial rows ``(trial, margin, p_count)``.
     """
     if trials < 1:
-        raise BadTrialCount(f"trials must be at least 1, got {trials}")
+        raise BadParameter(f"trials must be at least 1, got {trials}")
     evaluator = weight_evaluator(measure, dim)
     start = time.perf_counter()
     slot_count = len(set(shifts)) * kraus_per_shift
@@ -188,24 +188,40 @@ def run_verification(
 def _parse_shifts(text: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
     if not parts:
-        raise EmptyShiftSet("empty shift list")
-    return tuple(int(p) for p in parts)
+        raise InvalidChannel("empty shift list")
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise InvalidChannel(f"shifts {text!r} are not integers") from None
 
 
 def _emit(data: dict) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _load_weights(path: str, dim: int | None) -> StandardState:
+def _read_json(path: str, error: type[FramenessError]) -> dict:
+    """The JSON object in a file; ``error`` is raised if the file holds anything else."""
     with open(path, encoding="utf-8") as fh:
-        state = state_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes and deep nesting
+            raise error(f"{path} is not a JSON file: {exc}") from None
+    if not isinstance(data, dict):
+        raise error(f"{path} holds a JSON {type(data).__name__}, not an object")
+    return data
+
+
+def _load_weights(path: str, dim: int | None) -> StandardState:
+    state = state_from_dict(_read_json(path, InvalidState))
     if isinstance(state, SectoredPureState):
         state = standard_form(state)
     if dim is not None:
+        if not 1 <= dim <= MAX_DIM:
+            raise BadParameter(f"dimension {dim} outside 1..{MAX_DIM}")
         w = state.weights
         if dim < w.size:
-            if w.size and float(w[dim:].max(initial=0.0)) > 0.0:
-                raise LengthMismatch(f"cannot restrict to dimension {dim}: weight above it")
+            if float(w[dim:].max()) > 0.0:
+                raise InvalidState(f"cannot restrict to dimension {dim}: weight above it")
             w = w[:dim]
         else:
             w = np.pad(w, (0, dim - w.size))
@@ -223,8 +239,7 @@ def cmd_monotone(args: argparse.Namespace) -> int:
 
 def cmd_roof(args: argparse.Namespace) -> int:
     measure = MonotoneId(args.measure, args.k)
-    with open(args.rho, encoding="utf-8") as fh:
-        rho = _density_matrix(json.load(fh))
+    rho = _density_matrix(_read_json(args.rho, InvalidDensity))
     # Flags left out keep RoofConfig's defaults.
     given = {name: getattr(args, name) for name in ("ensemble_size", "restarts", "max_iters", "seed")}
     cfg = RoofConfig(**{name: value for name, value in given.items() if value is not None})
@@ -276,8 +291,7 @@ def cmd_channel_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_twirl(args: argparse.Namespace) -> int:
-    with open(args.infile, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(args.infile, InvalidDensity)
     if "matrix" in data:
         rho = _density_matrix(data)
     else:
@@ -371,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FramenessError, OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
+    except (FramenessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

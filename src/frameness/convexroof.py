@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Ensemble
-from .errors import BadRoofConfig, NotIsometry, RankMismatch
+from .errors import BadDecomposition, BadParameter
 from .monotones import MonotoneId, smoothed_tail_sum, weight_evaluator, weight_gradient
 from .numerics import ZERO_TOL, _checked_density
 
@@ -72,16 +72,16 @@ class RoofConfig:
             if value is None and name == "ensemble_size":
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise BadRoofConfig(f"{name} must be an integer, got {value!r}")
+                raise BadParameter(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.ensemble_size is not None and self.ensemble_size < 1:
-            raise BadRoofConfig("ensemble_size must be positive")
+            raise BadParameter("ensemble_size must be positive")
         if self.restarts < 1:
-            raise BadRoofConfig("restarts must be positive")
+            raise BadParameter("restarts must be positive")
         if self.max_iters < 1:
-            raise BadRoofConfig("max_iters must be positive")
+            raise BadParameter("max_iters must be positive")
         if self.seed < 0:
-            raise BadRoofConfig("seed must be nonnegative")
+            raise BadParameter("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -221,18 +221,18 @@ def decomposition_from_map(rho: np.ndarray, mix: np.ndarray) -> Ensemble:
     _, w, v = _checked_density(rho)
     mat = np.asarray(mix, dtype=np.complex128)
     if mat.ndim != 2:
-        raise NotIsometry(f"expected a matrix, got shape {mat.shape}")
+        raise BadDecomposition(f"expected a matrix, got shape {mat.shape}")
     factor = _support_factor(w, v)
     r = factor.shape[1]
     if mat.shape[1] != r:
-        raise RankMismatch(
+        raise BadDecomposition(
             f"isometry has {mat.shape[1]} columns but the state has rank {r}"
         )
     if mat.shape[0] < r:
-        raise RankMismatch("isometry needs at least rank-many rows")
+        raise BadDecomposition("isometry needs at least rank-many rows")
     gram = mat.conj().T @ mat
     if np.max(np.abs(gram - np.eye(r))) > ISOMETRY_TOL:
-        raise NotIsometry("columns are not orthonormal")
+        raise BadDecomposition("columns are not orthonormal")
     return _ensemble(factor, mat)
 
 
@@ -276,7 +276,7 @@ def convex_roof(
         )
     m = cfg.ensemble_size if cfg.ensemble_size is not None else min(2 * r, r + 2)
     if m < r:
-        raise RankMismatch(f"ensemble size {m} below the state's rank {r}")
+        raise BadDecomposition(f"ensemble size {m} below the state's rank {r}")
 
     # The polar factor of a complex Gaussian matrix is a Haar isometry.
     z = np.array([np.random.default_rng([cfg.seed, i]).normal(size=(2, m, r)) for i in range(cfg.restarts)])

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Every validation failure raises a subclass of :class:`FramenessError`, which
-itself subclasses ``ValueError`` so callers may catch either level.
+Every validation failure raises a :class:`FramenessError`, which itself
+subclasses ``ValueError`` so callers may catch either level. Each subclass
+names the kind of argument that was wrong; the message says what was wrong
+with it.
 """
 
 from __future__ import annotations
@@ -12,84 +14,31 @@ class FramenessError(ValueError):
 
 
 class InvalidDensity(FramenessError):
-    """Matrix is not Hermitian, positive semidefinite, and unit trace."""
+    """Density matrix or its dictionary: malformed, of the wrong dimension,
+    or not Hermitian, positive semidefinite and of unit trace."""
 
 
-class NotNormalized(FramenessError):
-    """State vector or weight vector does not have unit norm."""
+class InvalidState(FramenessError):
+    """Pure state, weight or probability vector, ensemble or state dictionary:
+    malformed, not normalized, or of mismatched length."""
 
 
-class LengthMismatch(FramenessError):
-    """Sequences cannot be brought to a common length."""
+class InvalidChannel(FramenessError):
+    """Kraus operators or shift set: a non-finite or out-of-window
+    coefficient, an overcomplete or non-trace-preserving channel, a shift set
+    that leaves a sector without an operator, or a multi-Kraus outcome group
+    where singletons are needed."""
 
 
-class NotProbabilityVector(FramenessError):
-    """Entries are negative or do not sum to one."""
+class BadMonotone(FramenessError):
+    """Monotone kind outside the known kinds, or order k outside its range."""
 
 
-class OvercompleteChannel(FramenessError):
-    """Kraus coefficients exceed completeness on some sector."""
+class BadDecomposition(FramenessError):
+    """Decomposition map that is not an isometry, or whose size does not fit
+    the state's rank."""
 
 
-class NotTracePreserving(FramenessError):
-    """Kraus coefficients fall short of completeness on some sector."""
-
-
-class ShiftOutOfRange(FramenessError):
-    """Nonzero Kraus coefficient maps outside the ambient window."""
-
-
-class EmptyShiftSet(FramenessError):
-    """Channel sampling has no Kraus operator for some sector.
-
-    No shift was given, ``kraus_per_shift`` is below 1, or no given shift
-    maps some sector inside the ambient window.
-    """
-
-
-class MixedOutcomeGroup(FramenessError):
-    """Pure-state channel application hit a multi-Kraus outcome group."""
-
-
-class UnknownMonotone(FramenessError):
-    """Monotone kind outside the known kinds."""
-
-
-class BadK(FramenessError):
-    """Monotone order k outside the admissible range."""
-
-
-class WrongDimension(FramenessError):
-    """Operation defined only for a specific matrix dimension."""
-
-
-class BadProbability(FramenessError):
-    """Probability parameter outside [0, 1]."""
-
-
-class BadAngle(FramenessError):
-    """Angle parameter is NaN or infinite."""
-
-
-class BadRoofConfig(FramenessError):
-    """Roof search budget or seed outside its admissible range."""
-
-
-class BadSeed(FramenessError):
-    """Random seed or trial index is negative."""
-
-
-class BadTrialCount(FramenessError):
-    """Verification asked for fewer than one trial."""
-
-
-class NotIsometry(FramenessError):
-    """Matrix columns are not orthonormal."""
-
-
-class RankMismatch(FramenessError):
-    """Decomposition size incompatible with the state's rank."""
-
-
-class NonFiniteCoefficient(FramenessError):
-    """Kraus coefficient is NaN or infinite."""
+class BadParameter(FramenessError):
+    """Scalar argument outside its range: a probability, an angle, a roof
+    budget, a seed or trial index, a trial count or a dimension."""

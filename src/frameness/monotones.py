@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import Ensemble
-from .errors import BadAngle, BadK, BadProbability, UnknownMonotone, WrongDimension
+from .errors import BadMonotone, BadParameter, InvalidDensity
 from .numerics import ZERO_TOL, _checked_density
 from .states import StandardState
 
@@ -31,16 +31,16 @@ class MonotoneId:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise UnknownMonotone(f"unknown monotone kind {self.kind!r}")
+            raise BadMonotone(f"unknown monotone kind {self.kind!r}")
         if self.kind in ("vidal", "concurrence"):
             if self.k is None:
-                raise BadK(f"{self.kind} needs an order k")
+                raise BadMonotone(f"{self.kind} needs an order k")
             k = _integer_order(self.k)
             if k < 2:
-                raise BadK(f"order k must be at least 2, got {k}")
+                raise BadMonotone(f"order k must be at least 2, got {k}")
             object.__setattr__(self, "k", k)
         elif self.k is not None:
-            raise BadK(f"{self.kind} does not take an order k")
+            raise BadMonotone(f"{self.kind} does not take an order k")
 
     def label(self) -> str:
         return self.kind if self.k is None else f"{self.kind}[{self.k}]"
@@ -49,14 +49,14 @@ class MonotoneId:
 def _integer_order(k) -> int:
     """``k`` as an ``int``; a Python or numpy integer, not ``bool``."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise BadK(f"order k must be an integer, got {k!r}")
+        raise BadMonotone(f"order k must be an integer, got {k!r}")
     return int(k)
 
 
 def _check_k(k: int, dim: int) -> int:
     k = _integer_order(k)
     if not 2 <= k <= dim:
-        raise BadK(f"order k={k} outside 2..{dim}")
+        raise BadMonotone(f"order k={k} outside 2..{dim}")
     return k
 
 
@@ -266,7 +266,7 @@ def _qubit(rho: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     # only within H_TOL or P_TOL stay in range.
     m = np.asarray(rho)
     if m.shape != (2, 2):
-        raise WrongDimension(f"expected a 2x2 matrix, got shape {m.shape}")
+        raise InvalidDensity(f"expected a 2x2 matrix, got shape {m.shape}")
     checked = _checked_density(m)
     m = checked[0]
     root = math.sqrt(max(m[0, 0].real * m[1, 1].real, 0.0))
@@ -337,15 +337,15 @@ def appendix_closed_form(p: float, alpha: float) -> AppendixResult:
     """Closed forms for rho = p |phi1><phi1| + (1-p) |phi2><phi2|.
 
     Here phi1 = cos(a/2)|0> + sin(a/2)|1> and phi2 is its orthogonal
-    complement. Raises :class:`BadProbability` for p outside [0, 1] and
-    :class:`BadAngle` for a non-finite alpha.
+    complement. Raises :class:`BadParameter` for p outside [0, 1] or a
+    non-finite alpha.
     """
     p = float(p)
     if not 0.0 <= p <= 1.0:
-        raise BadProbability(f"p={p} outside [0, 1]")
+        raise BadParameter(f"p={p} outside [0, 1]")
     alpha = float(alpha)
     if not math.isfinite(alpha):
-        raise BadAngle(f"alpha={alpha} is not finite")
+        raise BadParameter(f"alpha={alpha} is not finite")
     s = math.sin(alpha)
     v = (1.0 - 2.0 * p) ** 2 * s * s
     base = p * (1.0 - p) + 0.5 * v

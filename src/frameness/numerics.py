@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadSeed, InvalidDensity
+from .errors import BadParameter, InvalidDensity
 
 # The package's acceptance thresholds; no call takes a tolerance argument.
 # Numerical zero: entries above -ZERO_TOL count as nonnegative, weights,
@@ -138,12 +138,12 @@ def seeded_normals(seed: int, trials: range, sizes: Sequence[int]) -> list[np.nd
     stream: the SeedSequence hash runs once for every (trial, k) stream as
     uint32 array arithmetic, grouped by entropy length, and each stream's
     PCG64 state is then set on one reused generator. Trials must lie below
-    2**64. Raises :class:`BadSeed` on a negative seed or trial.
+    2**64. Raises :class:`BadParameter` on a negative seed or trial.
     """
     if seed < 0:
-        raise BadSeed(f"seed must be nonnegative, got {seed}")
+        raise BadParameter(f"seed must be nonnegative, got {seed}")
     if trials and min(trials[0], trials[-1]) < 0:
-        raise BadSeed(f"trials must be nonnegative, got {trials}")
+        raise BadParameter(f"trials must be nonnegative, got {trials}")
     out = [np.empty((len(trials), n)) for n in sizes]
     t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
     seed_words = _words(seed)

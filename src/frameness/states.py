@@ -14,13 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidDensity,
-    LengthMismatch,
-    NotNormalized,
-    NotProbabilityVector,
-)
-from .numerics import SUM_TOL, ZERO_TOL, validate_density
+from .errors import BadParameter, InvalidDensity, InvalidState
+from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, validate_density
 
 
 @dataclass(frozen=True)
@@ -36,18 +31,20 @@ class SectoredPureState:
 
     def __post_init__(self) -> None:
         if self.dim < 1:
-            raise ValueError("ambient dimension must be at least 1")
+            raise InvalidState("ambient dimension must be at least 1")
+        if self.dim > MAX_DIM:
+            raise InvalidState(f"dimension {self.dim} exceeds the cap of {MAX_DIM}")
         clean: dict[int, np.ndarray] = {}
         for n, amps in self.sectors.items():
             n = int(n)
             if not 0 <= n < self.dim:
-                raise ValueError(f"sector label {n} outside window 0..{self.dim - 1}")
+                raise InvalidState(f"sector label {n} outside window 0..{self.dim - 1}")
             vec = np.atleast_1d(np.asarray(amps, dtype=np.complex128))
             if vec.ndim != 1 or vec.size == 0:
-                raise ValueError(f"sector {n} needs a nonempty amplitude vector")
+                raise InvalidState(f"sector {n} needs a nonempty amplitude vector")
             clean[n] = vec
         if not clean:
-            raise ValueError("state needs at least one sector")
+            raise InvalidState("state needs at least one sector")
         object.__setattr__(self, "sectors", clean)
 
     def squared_norm(self) -> float:
@@ -63,7 +60,7 @@ class StandardState:
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty 1-D sequence")
+            raise InvalidState("weights must be a nonempty 1-D sequence")
         object.__setattr__(self, "weights", checked_weights(w))
 
     @property
@@ -83,17 +80,18 @@ def checked_weights(weights: np.ndarray) -> np.ndarray:
     """Validate weight vectors along the last axis; return them clipped at 0.
 
     Every row must be finite, nonnegative up to ``ZERO_TOL`` and sum to 1
-    within ``ZERO_TOL``; otherwise :class:`NotNormalized` is raised.
+    within ``ZERO_TOL``; otherwise :class:`InvalidState` is raised.
     """
     w = np.asarray(weights, dtype=np.float64)
     if not np.isfinite(w).all():
-        raise NotNormalized("weights must be finite")
+        raise InvalidState("weights must be finite")
     if w.size and w.min() < -ZERO_TOL:
-        raise NotNormalized(f"negative weight {w.min():.3e}")
-    totals = w.sum(axis=-1)
+        raise InvalidState(f"negative weight {w.min():.3e}")
+    with np.errstate(over="ignore"):  # finite weights may still sum to inf
+        totals = w.sum(axis=-1)
     off = abs(totals - 1.0) > ZERO_TOL
     if off.any():
-        raise NotNormalized(f"weights sum to {np.extract(off, totals)[0]!r}, expected 1")
+        raise InvalidState(f"weights sum to {float(np.extract(off, totals)[0])!r}, expected 1")
     return np.clip(w, 0.0, None)
 
 
@@ -101,16 +99,16 @@ def _check_probabilities(probs: np.ndarray) -> None:
     """Raise unless every row along the last axis is a probability vector.
 
     Entries must be finite and above ``-ZERO_TOL``, and each row must sum
-    to 1 within ``SUM_TOL``; otherwise :class:`NotProbabilityVector` is raised.
+    to 1 within ``SUM_TOL``; otherwise :class:`InvalidState` is raised.
     """
     if not np.isfinite(probs).all():
-        raise NotProbabilityVector("probabilities must be finite")
+        raise InvalidState("probabilities must be finite")
     if probs.min() < -ZERO_TOL:
-        raise NotProbabilityVector(f"negative probability {probs.min():.3e}")
+        raise InvalidState(f"negative probability {probs.min():.3e}")
     totals = probs.sum(axis=-1)
     off = abs(totals - 1.0) > SUM_TOL
     if off.any():
-        raise NotProbabilityVector(f"probabilities sum to {np.extract(off, totals)[0]!r}")
+        raise InvalidState(f"probabilities sum to {float(np.extract(off, totals)[0])!r}")
 
 
 @dataclass(frozen=True)
@@ -157,12 +155,12 @@ class BipartitePureState:
 def standard_form(state: SectoredPureState) -> StandardState:
     """Collapse multiplicity amplitudes to per-sector weights.
 
-    Raises :class:`NotNormalized` if the input norm deviates from 1 beyond
+    Raises :class:`InvalidState` if the input norm deviates from 1 beyond
     ``SUM_TOL``; the output is renormalized exactly.
     """
     total = state.squared_norm()
     if abs(np.sqrt(total) - 1.0) > SUM_TOL:
-        raise NotNormalized(f"state norm {np.sqrt(total)!r} deviates from 1")
+        raise InvalidState(f"state norm {float(np.sqrt(total))!r} deviates from 1")
     w = np.zeros(state.dim)
     for n, amps in state.sectors.items():
         w[n] = np.vdot(amps, amps).real
@@ -178,7 +176,7 @@ def spectrum(state: StandardState) -> NumberSpectrum:
 def is_gapless(spec: NumberSpectrum) -> bool:
     """True when the support is a contiguous run of integers."""
     if not spec.support:
-        raise ValueError("spectrum support is empty")
+        raise InvalidState("spectrum support is empty")
     return spec.n_max - spec.n_min + 1 == len(spec.support)
 
 
@@ -193,7 +191,7 @@ def twirl(rho: np.ndarray, sector_of: Sequence[int] | None = None) -> np.ndarray
     d = m.shape[0]
     labels = np.arange(d) if sector_of is None else np.asarray(sector_of, dtype=int)
     if labels.shape != (d,):
-        raise ValueError(f"sector labels must have length {d}")
+        raise BadParameter(f"sector labels must have length {d}")
     mask = labels[:, None] == labels[None, :]
     return np.where(mask, m, 0.0)
 
@@ -223,9 +221,9 @@ def majorizes(a: Sequence[float], b: Sequence[float]) -> bool:
     for seq in (a, b):
         v = np.asarray(seq, dtype=np.float64)
         if v.ndim != 1:
-            raise LengthMismatch(f"expected a 1-D sequence, got shape {v.shape}")
+            raise InvalidState(f"expected a 1-D sequence, got shape {v.shape}")
         if v.size == 0:
-            raise LengthMismatch("empty sequence")
+            raise InvalidState("empty sequence")
         _check_probabilities(v)
         vecs.append(v)
     va, vb = vecs
@@ -268,25 +266,43 @@ def _complex_from_pair(pair: Sequence[float]) -> complex:
 
 
 def state_from_dict(data: dict) -> SectoredPureState | StandardState:
-    """Build a state from its JSON-level dictionary form."""
+    """Build a state from its JSON-level dictionary form.
+
+    ``dim`` and each sector's ``n`` must be integers, and every amplitude
+    and weight a number; otherwise :class:`InvalidState` is raised.
+    """
     if "sectors" in data:
-        dim = int(data["dim"])
-        sectors = {
-            int(block["n"]): np.array(
-                [_complex_from_pair(p) for p in block["amplitudes"]]
-            )
-            for block in data["sectors"]
-        }
+        if "dim" not in data:
+            raise InvalidState("state dictionary needs a 'dim' key")
+        try:
+            dim = operator.index(data["dim"])
+        except TypeError:
+            raise InvalidState(f"dim {data['dim']!r} is not an integer") from None
+        try:
+            sectors = {
+                operator.index(block["n"]): np.array(
+                    [_complex_from_pair(p) for p in block["amplitudes"]]
+                )
+                for block in data["sectors"]
+            }
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise InvalidState(
+                "each sector needs an integer 'n' and 'amplitudes' of [re, im] pairs"
+            ) from None
         return SectoredPureState(sectors, dim)
     if "weights" in data:
-        return StandardState(np.asarray(data["weights"], dtype=np.float64))
-    raise ValueError("state dictionary needs a 'sectors' or 'weights' key")
+        try:
+            weights = np.asarray(data["weights"], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidState("weights must be numbers") from None
+        return StandardState(weights)
+    raise InvalidState("state dictionary needs a 'sectors' or 'weights' key")
 
 
 def _density_entry(entry: Sequence[float]) -> complex:
     try:
         return _complex_from_pair(entry)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidDensity(f"matrix entry {entry!r} is not a [re, im] pair of numbers") from None
 
 

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from frameness import (
-    BadSeed,
-    EmptyShiftSet,
+    BadParameter,
     Ensemble,
-    MixedOutcomeGroup,
-    NonFiniteCoefficient,
-    NotProbabilityVector,
-    NotTracePreserving,
-    OvercompleteChannel,
-    ShiftOutOfRange,
+    InvalidChannel,
+    InvalidState,
     StandardState,
     U1Channel,
     U1Kraus,
@@ -59,12 +54,12 @@ def test_validate_subnormalized():
 def test_subnormalized_channel_application_is_typed():
     # One slot of moduli 0.5 on both sectors: each completeness sum is 0.5.
     moduli = np.full((1, 2), 0.5)
-    with pytest.raises(NotTracePreserving, match="channel is not trace-preserving"):
+    with pytest.raises(InvalidChannel, match="channel is not trace-preserving"):
         apply_slots_pure([0], moduli, np.array([0.5, 0.5]))
     ch = U1Channel([[U1Kraus(0, {0: np.sqrt(0.5), 1: np.sqrt(0.5)})]], 2)
-    with pytest.raises(NotTracePreserving, match="channel is not trace-preserving"):
+    with pytest.raises(InvalidChannel, match="channel is not trace-preserving"):
         apply_channel_pure(ch, StandardState(np.array([0.5, 0.5])))
-    with pytest.raises(NotTracePreserving, match="channel is not trace-preserving"):
+    with pytest.raises(InvalidChannel, match="channel is not trace-preserving"):
         apply_channel_density(ch, np.eye(2) / 2)
 
 
@@ -72,15 +67,15 @@ def test_validate_overcomplete():
     ch = U1Channel(
         [[U1Kraus(0, {0: 1.0, 1: 1.0})], [U1Kraus(0, {0: 1.0, 1: 1.0})]], 2
     )
-    with pytest.raises(OvercompleteChannel):
+    with pytest.raises(InvalidChannel, match=r"^completeness sum 2\.0 exceeds 1 on some sector$"):
         validate_channel(ch)
 
 
 def test_validate_shift_out_of_range():
     ch = U1Channel([[U1Kraus(1, {1: 1.0})]], 2)
-    with pytest.raises(ShiftOutOfRange):
+    with pytest.raises(InvalidChannel, match=r"sector 1 with shift 1 maps outside 0\.\.1"):
         validate_channel(ch)
-    with pytest.raises(ShiftOutOfRange):
+    with pytest.raises(InvalidChannel, match=r"sector 1 with shift 1 maps outside 0\.\.1"):
         U1Kraus(1, {1: 1.0}).matrix(2)
     # an explicit zero outside the window is tolerated
     ok = U1Channel([[U1Kraus(1, {0: 1.0, 1: 0.0})]], 2)
@@ -89,11 +84,11 @@ def test_validate_shift_out_of_range():
 
 def test_kraus_rejects_non_finite_coefficients():
     for bad in (float("nan"), complex(0.5, float("inf"))):
-        with pytest.raises(NonFiniteCoefficient):
+        with pytest.raises(InvalidChannel, match="coefficient at sector 1 is"):
             U1Kraus(0, {0: 1.0, 1: bad})
     data = channel_to_dict(identity_channel(2))
     data["outcomes"][0][0]["coeffs"]["0"] = [float("nan"), 0.0]
-    with pytest.raises(NonFiniteCoefficient):
+    with pytest.raises(InvalidChannel, match=r"coefficient at sector 0 is \(nan\+0j\)"):
         channel_from_dict(data)
 
 
@@ -126,14 +121,14 @@ def test_random_channel_multiple_kraus_per_shift():
 
 
 def test_random_channel_bad_requests():
-    with pytest.raises(EmptyShiftSet):
+    with pytest.raises(InvalidChannel, match="at least one shift is required"):
         random_channel(3, (), seed=0)
-    with pytest.raises(EmptyShiftSet, match="sector 0 admits no shift"):
+    with pytest.raises(InvalidChannel, match="sector 0 admits no shift"):
         random_channel(2, (5,), seed=0)
-    with pytest.raises(EmptyShiftSet, match="kraus_per_shift"):
+    with pytest.raises(InvalidChannel, match="kraus_per_shift"):
         random_channel(3, (0,), kraus_per_shift=0, seed=0)
     for seed in (-1, [2026, -1, 7]):
-        with pytest.raises(BadSeed, match="seed must be nonnegative"):
+        with pytest.raises(BadParameter, match="seed must be nonnegative"):
             random_channel(3, (-1, 0, 1), seed=seed)
 
 
@@ -171,10 +166,10 @@ def test_apply_channel_pure_identity():
 
 def test_apply_channel_pure_rejects_groups_and_nontp():
     grouped = U1Channel([[U1Kraus(0, {0: 1.0}), U1Kraus(0, {1: 1.0})]], 2)
-    with pytest.raises(MixedOutcomeGroup):
+    with pytest.raises(InvalidChannel, match="outcome group with 2 Kraus operators"):
         apply_channel_pure(grouped, StandardState([0.5, 0.5]))
     lossy = U1Channel([[U1Kraus(0, {0: 0.5, 1: 0.5})]], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidChannel, match="channel is not trace-preserving"):
         apply_channel_pure(lossy, StandardState([0.5, 0.5]))
 
 
@@ -252,13 +247,13 @@ def test_covariance_with_twirl():
 def test_ensemble_validation_and_mixture():
     a = StandardState([1.0, 0.0])
     b = StandardState([0.0, 1.0])
-    for pairs in [
-        ((0.5, a),),
-        ((-0.1, a), (1.1, b)),
-        ((np.nan, a), (1.0, b)),
-        ((np.inf, a), (-np.inf, b)),
+    for pairs, message in [
+        (((0.5, a),), "^probabilities sum to 0.5$"),
+        (((-0.1, a), (1.1, b)), "^negative probability -1.000e-01$"),
+        (((np.nan, a), (1.0, b)), "^probabilities must be finite$"),
+        (((np.inf, a), (-np.inf, b)), "^probabilities must be finite$"),
     ]:
-        with pytest.raises(NotProbabilityVector):
+        with pytest.raises(InvalidState, match=message):
             Ensemble(pairs)
     ens = Ensemble(((0.5, a), (0.5, b)))
     assert np.allclose(ens.mixture(), np.diag([0.5, 0.5]))

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -10,22 +12,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import frameness
 from frameness import (
-    BadAngle,
-    BadRoofConfig,
-    BadSeed,
-    BadTrialCount,
-    EmptyShiftSet,
+    BadParameter,
+    InvalidChannel,
     InvalidDensity,
-    LengthMismatch,
+    InvalidState,
     MonotoneId,
     RoofConfig,
     appendix_closed_form,
     convex_roof,
     qubit_concurrence,
     qubit_formation,
+    random_channel,
 )
 from frameness import cli
 from frameness.channels import (
@@ -48,6 +50,7 @@ from frameness.states import (
     random_density_matrix,
     random_weights,
 )
+from test_states import density_payloads, state_payloads
 
 RT2_INV = 1.0 / np.sqrt(2.0)
 GOLDEN = Path(__file__).parent / "golden"
@@ -156,6 +159,57 @@ def test_monotone_rejects_nan_weight(capsys, tmp_path):
     assert "weights must be finite" in captured.err
 
 
+# (case, state file contents, error text), read by monotone and twirl.
+MALFORMED_STATES = [
+    ("not-json", b"{not json", "is not a JSON file: Expecting property name"),
+    ("not-utf8", b"\xff{}", "is not a JSON file: 'utf-8' codec can't decode byte 0xff"),
+    ("too-deep", b"[" * 100_000, "is not a JSON file: maximum recursion depth exceeded"),
+    ("list", b"[0.5, 0.5]", "holds a JSON list, not an object"),
+    ("no-key", b'{"foo": 1}', "state dictionary needs a 'sectors' or 'weights' key"),
+    ("no-dim", b'{"sectors": [{"n": 0, "amplitudes": [[1, 0]]}]}', "state dictionary needs a 'dim' key"),
+    ("dim-fractional", b'{"dim": 2.9, "sectors": [{"n": 1, "amplitudes": [[1, 0]]}]}', "dim 2.9 is not an integer"),
+    ("n-fractional", b'{"dim": 2, "sectors": [{"n": 1.7, "amplitudes": [[1, 0]]}]}', "each sector needs an integer 'n'"),
+    ("no-n", b'{"dim": 2, "sectors": [{"amplitudes": [[1, 0]]}]}', "each sector needs an integer 'n'"),
+    ("amplitude-text", b'{"dim": 1, "sectors": [{"n": 0, "amplitudes": [["a", 0]]}]}', "[re, im] pairs"),
+    ("weight-text", b'{"weights": ["a", 1]}', "weights must be numbers"),
+    ("weight-overflow", b'{"weights": [1' + b"0" * 400 + b"]}", "weights must be numbers"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, contents, fault",
+    [
+        pytest.param(verb, contents, fault, id=f"{verb}-{case}")
+        for case, contents, fault in MALFORMED_STATES
+        for verb in ("monotone", "twirl")
+        # twirl reads a file that is not a JSON object as a density
+        if verb == "monotone" or contents.startswith(b"{\"")
+    ],
+)
+def test_malformed_state_file_is_typed(capsys, tmp_path, verb, contents, fault):
+    path = tmp_path / "state.json"
+    path.write_bytes(contents)
+    if verb == "monotone":
+        argv = ["monotone", "--measure", "entropy", "--state", str(path)]
+    else:
+        argv = ["twirl", "--in", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert fault in captured.err
+
+
+def test_main_lets_package_bugs_propagate(monkeypatch):
+    def broken(**kwargs):
+        raise TypeError("a bug in the package")
+
+    monkeypatch.setattr("frameness.cli.run_verification", broken)
+    with pytest.raises(TypeError, match="a bug in the package"):
+        main(["verify", "--measure", "entropy", "--dim", "3", "--shifts=-1,0,1"])
+
+
 def test_roof_deterministic_bytes(capsys, tmp_path):
     rho = write_density(tmp_path, [[0.6, 0.2], [0.2, 0.4]])
     argv = [
@@ -219,6 +273,7 @@ MALFORMED_DENSITIES = [
     ("ragged-rows", {"dim": 2, "matrix": [[[1.0, 0.0], ZERO], [ZERO]]}, "rows differ in length"),
     ("one-number", {"dim": 2, "matrix": [[[1.0], ZERO], [ZERO, ZERO]]}, "entry [1.0] is not a [re, im] pair"),
     ("non-numeric", {"dim": 2, "matrix": [[["a", 0.0], ZERO], [ZERO, ZERO]]}, "entry ['a', 0.0] is not a [re, im] pair"),
+    ("entry-overflow", {"dim": 1, "matrix": [[[10**400, 0.0]]]}, "0, 0.0] is not a [re, im] pair"),
 ]
 
 
@@ -486,7 +541,7 @@ def test_verify_rejects_nonpositive_trials(capsys, trials):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"trials must be at least 1, got {trials}" in captured.err
-    with pytest.raises(BadTrialCount):
+    with pytest.raises(BadParameter, match=f"trials must be at least 1, got {trials}"):
         run_verification(MonotoneId("vidal", 2), 3, int(trials), 0, (-1, 0, 1))
 
 
@@ -505,9 +560,9 @@ def test_negative_seed_exits_2(capsys, argv):
 
 
 def test_negative_seed_or_trial_is_typed():
-    with pytest.raises(BadSeed, match="seed must be nonnegative"):
+    with pytest.raises(BadParameter, match="seed must be nonnegative"):
         run_verification(MonotoneId("entropy"), 3, 4, -1, (-1, 0, 1))
-    with pytest.raises(BadSeed, match="trials must be nonnegative"):
+    with pytest.raises(BadParameter, match="trials must be nonnegative"):
         sample_trial(3, (-1, 0, 1), 1, 0, -1)
 
 
@@ -517,19 +572,19 @@ INPUT_ERRORS = {
     "ensemble-size": (
         ROOF_ARGS + ["--ensemble-size", "0"],
         "ensemble_size must be positive",
-        BadRoofConfig,
+        BadParameter,
         lambda state: RoofConfig(ensemble_size=0),
     ),
     "restarts": (
         ROOF_ARGS + ["--restarts", "0"],
         "restarts must be positive",
-        BadRoofConfig,
+        BadParameter,
         lambda state: RoofConfig(restarts=0),
     ),
     "max-iters": (
         ROOF_ARGS + ["--max-iters", "0"],
         "max_iters must be positive",
-        BadRoofConfig,
+        BadParameter,
         lambda state: RoofConfig(max_iters=0),
     ),
     # The removed --step-tolerance flag: argparse rejects the flag before main's
@@ -555,20 +610,32 @@ INPUT_ERRORS = {
     "seed": (
         ROOF_ARGS + ["--seed=-1"],
         "seed must be nonnegative",
-        BadRoofConfig,
+        BadParameter,
         lambda state: RoofConfig(seed=-1),
     ),
     "shifts": (
         ["verify", "--measure", "entropy", "--dim", "2", "--shifts=,"],
         "empty shift list",
-        EmptyShiftSet,
+        InvalidChannel,
         lambda state: cli._parse_shifts(","),
     ),
     "dim": (
         ["monotone", "--measure", "entropy", "--state", "STATE", "--dim", "1"],
         "cannot restrict to dimension 1: weight above it",
-        LengthMismatch,
+        InvalidState,
         lambda state: cli._load_weights(state, 1),
+    ),
+    "shifts-not-integers": (
+        ["verify", "--measure", "entropy", "--dim", "2", "--shifts=a,b"],
+        "shifts 'a,b' are not integers",
+        InvalidChannel,
+        lambda state: cli._parse_shifts("a,b"),
+    ),
+    "dim-negative": (
+        ["monotone", "--measure", "entropy", "--state", "STATE", "--dim", "-2"],
+        "dimension -2 outside 1..64",
+        BadParameter,
+        lambda state: cli._load_weights(state, -2),
     ),
 }
 
@@ -591,6 +658,113 @@ def test_input_errors_are_typed(capsys, tmp_path, plus_file, argv, message, erro
     assert captured.err == f"{lead}error: {message}\n"
     with pytest.raises(error, match=library_message):
         call(plus_file)
+
+
+# (verb arguments, the library call behind them at a given dimension)
+SAMPLING_VERBS = {
+    "verify": (
+        ["verify", "--measure", "entropy", "--trials", "3"],
+        lambda dim: sample_trials(dim, (-1, 0, 1), 1, 0, range(3)),
+    ),
+    "channel": (["channel", "sample"], lambda dim: random_channel(dim, (-1, 0, 1))),
+}
+
+
+@pytest.mark.parametrize("dim", [0, -2, 65])
+@pytest.mark.parametrize("verb", list(SAMPLING_VERBS))
+def test_dimension_outside_range_exits_2(capsys, verb, dim):
+    argv, call = SAMPLING_VERBS[verb]
+    assert main(argv + ["--dim", str(dim), "--shifts=-1,0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: dimension {dim} outside 1..64\n"
+    with pytest.raises(BadParameter, match=rf"^dimension {dim} outside 1\.\.64$"):
+        call(dim)
+
+
+def run_main(argv):
+    """``main(argv)`` with its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def reject_constant(name):
+    raise AssertionError(f"non-finite {name} in the output")
+
+
+def assert_typed_exit(code, out, err):
+    """Exit 2 with one ``error:`` line and no output, or 0 or 1 with finite JSON."""
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+    else:
+        assert code in (0, 1)
+        json.loads(out, parse_constant=reject_constant)
+
+
+FILE_VERBS = [
+    ["monotone", "--measure", "entropy", "--state"],
+    ["twirl", "--in"],
+    ["roof", "--measure", "entropy", "--restarts", "1", "--max-iters", "1", "--rho"],
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["dim", "weights", "sectors", "n", "amplitudes", "matrix"]) | st.text(max_size=2),
+        children,
+        max_size=4,
+    ),
+    max_leaves=16,
+)
+BIG_ENTRY = b'{"dim": 1, "matrix": [[[1' + b"0" * 400 + b", 0]]]}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    verb=st.sampled_from(FILE_VERBS),
+    contents=(JSON_VALUES | state_payloads() | density_payloads()).map(lambda v: json.dumps(v).encode())
+    | st.binary(max_size=40),
+)
+# Each of these escaped main as a bare ValueError, KeyError or OverflowError
+# once main caught only FramenessError and OSError, before the loaders typed
+# it. Deep nesting escaped as a RecursionError even before.
+@example(verb=FILE_VERBS[0], contents=b"{not json")
+@example(verb=FILE_VERBS[0], contents=b"[" * 100_000)
+@example(verb=FILE_VERBS[0], contents=b'{"sectors": [{"n": 0, "amplitudes": [[1, 0]]}]}')
+@example(verb=FILE_VERBS[0], contents=b'{"weights": ["a", 1]}')
+@example(verb=FILE_VERBS[1], contents=BIG_ENTRY)
+@example(verb=FILE_VERBS[2], contents=BIG_ENTRY)
+def test_file_verbs_exit_2_or_give_finite_json(tmp_path_factory, verb, contents):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_bytes(contents)
+    assert_typed_exit(*run_main(verb + [str(path)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    verb=st.sampled_from(["verify", "channel"]),
+    dim=st.integers(-3, 70),
+    trials=st.integers(-2, 5),
+    seed=st.integers(-2, 5),
+    kraus_per_shift=st.integers(-1, 3),
+    shifts=st.sampled_from(["-1,0,1", "0,2", "a,b"]),
+)
+# A negative --dim and --shifts=a,b escaped main as bare ValueErrors.
+@example(verb="verify", dim=-2, trials=3, seed=0, kraus_per_shift=1, shifts="-1,0,1")
+@example(verb="channel", dim=-2, trials=3, seed=0, kraus_per_shift=1, shifts="-1,0,1")
+@example(verb="verify", dim=3, trials=3, seed=0, kraus_per_shift=1, shifts="a,b")
+@example(verb="channel", dim=3, trials=3, seed=0, kraus_per_shift=1, shifts="a,b")
+def test_sampling_flags_exit_2_or_give_finite_json(verb, dim, trials, seed, kraus_per_shift, shifts):
+    if verb == "verify":
+        argv = ["verify", "--measure", "entropy", "--trials", str(trials)]
+    else:
+        argv = ["channel", "sample"]
+    argv += ["--dim", str(dim), "--seed", str(seed), "--kraus-per-shift", str(kraus_per_shift)]
+    assert_typed_exit(*run_main(argv + [f"--shifts={shifts}"]))
 
 
 def test_verify_rejects_threads_flag(capsys):
@@ -747,5 +921,5 @@ def test_appendix_rejects_non_finite_alpha(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
-    with pytest.raises(BadAngle):
+    with pytest.raises(BadParameter, match="alpha=nan is not finite"):
         appendix_closed_form(0.2, float("nan"))

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from frameness import (
-    BadRoofConfig,
+    BadDecomposition,
+    BadParameter,
     MonotoneId,
-    NotIsometry,
-    RankMismatch,
     RoofConfig,
     StandardState,
     apply_channel_density,
@@ -78,11 +77,11 @@ def test_decomposition_random_isometries_reconstruct():
 
 def test_decomposition_rejects_bad_maps():
     rho = random_density_matrix(2, np.random.default_rng(11))
-    with pytest.raises(NotIsometry):
+    with pytest.raises(BadDecomposition, match="columns are not orthonormal"):
         decomposition_from_map(rho, np.ones((2, 2)))
-    with pytest.raises(RankMismatch):
+    with pytest.raises(BadDecomposition, match="isometry has 3 columns but the state has rank 2"):
         decomposition_from_map(rho, np.eye(3))
-    with pytest.raises(RankMismatch):
+    with pytest.raises(BadDecomposition, match="isometry has 2 columns but the state has rank 1"):
         decomposition_from_map(np.diag([1.0, 0.0]), np.eye(2))
 
 
@@ -163,7 +162,7 @@ def test_roof_deterministic():
 @pytest.mark.parametrize("field", ["ensemble_size", "restarts", "max_iters", "seed"])
 def test_roof_config_rejects_non_integer_fields(field):
     for bad in (2.5, 3.0, True, np.bool_(True), "3"):
-        with pytest.raises(BadRoofConfig, match=f"{field} must be an integer"):
+        with pytest.raises(BadParameter, match=f"{field} must be an integer"):
             RoofConfig(**{field: bad})
 
 
@@ -184,7 +183,7 @@ def test_roof_config_accepts_numpy_integers():
 
 def test_roof_rejects_too_small_ensemble():
     rho = random_density_matrix(3, np.random.default_rng(31))
-    with pytest.raises(RankMismatch):
+    with pytest.raises(BadDecomposition, match="ensemble size 2 below the state's rank 3"):
         convex_roof(CONC2, rho, RoofConfig(ensemble_size=2, restarts=2, seed=0))
 
 

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from frameness import (
-    BadK,
-    BadProbability,
+    BadMonotone,
+    BadParameter,
     FramenessError,
     InvalidDensity,
     MonotoneId,
     StandardState,
-    UnknownMonotone,
-    WrongDimension,
     appendix_closed_form,
     concurrence_pure,
     elementary_symmetric,
@@ -70,16 +68,16 @@ def pure_qubit_concurrence(vec):
 def test_monotone_id_validation():
     assert MonotoneId("entropy").label() == "entropy"
     assert MonotoneId("vidal", 3).label() == "vidal[3]"
-    with pytest.raises(BadK):
+    with pytest.raises(BadMonotone, match="vidal needs an order k"):
         MonotoneId("vidal")
-    with pytest.raises(BadK):
+    with pytest.raises(BadMonotone, match="order k must be at least 2, got 1"):
         MonotoneId("concurrence", 1)
-    with pytest.raises(BadK):
+    with pytest.raises(BadMonotone, match="variance does not take an order k"):
         MonotoneId("variance", 2)
     for kind in ("negativity", "Entropy", ""):
-        with pytest.raises(UnknownMonotone, match="unknown monotone kind"):
+        with pytest.raises(BadMonotone, match="unknown monotone kind"):
             MonotoneId(kind)
-    assert issubclass(UnknownMonotone, FramenessError)
+    assert issubclass(BadMonotone, FramenessError)
 
 
 @pytest.mark.parametrize(
@@ -95,7 +93,7 @@ def test_monotone_id_validation():
 )
 def test_non_integer_orders_are_rejected(call):
     for bad in (2.5, np.float64(2.9), 3.0, True, np.bool_(True), "3"):
-        with pytest.raises(BadK, match="order k must be an integer"):
+        with pytest.raises(BadMonotone, match="order k must be an integer"):
             call(bad)
     for good in (2, np.int64(3), np.uint8(2)):
         call(good)
@@ -108,9 +106,9 @@ def test_vidal_examples():
     flat = StandardState(np.full(5, 0.2))
     for k in range(2, 6):
         assert vidal_f(flat, k) == pytest.approx((5 - k + 1) / 5, abs=1e-12)
-    with pytest.raises(BadK):
+    with pytest.raises(BadMonotone, match=r"order k=1 outside 2\.\.3"):
         vidal_f(st, 1)
-    with pytest.raises(BadK):
+    with pytest.raises(BadMonotone, match=r"order k=4 outside 2\.\.3"):
         vidal_f(st, 4)
 
 
@@ -151,7 +149,7 @@ def test_elementary_symmetric_against_enumeration():
             assert elementary_symmetric(vals, k) == pytest.approx(
                 esp_enumeration(vals, k), rel=1e-12
             )
-    with pytest.raises(BadK):
+    with pytest.raises(BadMonotone, match=r"order k=3 outside 2\.\.2"):
         elementary_symmetric([0.5, 0.5], 3)
 
 
@@ -202,7 +200,7 @@ def test_evaluate_pure_dispatch():
     assert evaluate_pure(MonotoneId("entropy"), st) == entropy_of_frameness(st)
     assert evaluate_pure(MonotoneId("concurrence", 2), st) == concurrence_pure(st, 2)
     assert evaluate_pure(MonotoneId("variance"), st) == variance_pure(st)
-    with pytest.raises(BadK):
+    with pytest.raises(BadMonotone, match=r"order k=4 outside 2\.\.3"):
         evaluate_pure(MonotoneId("vidal", 4), st)
 
 
@@ -218,7 +216,7 @@ def test_qubit_R_eigs_maximally_mixed():
 
 
 def test_qubit_R_eigs_errors():
-    with pytest.raises(WrongDimension):
+    with pytest.raises(InvalidDensity, match=r"expected a 2x2 matrix, got shape \(3, 3\)"):
         qubit_R_eigs(np.eye(3) / 3)
     with pytest.raises(InvalidDensity):
         qubit_R_eigs(np.array([[0.5, 0.5], [0.4, 0.5]]))
@@ -303,9 +301,9 @@ def test_appendix_matches_R_route():
 
 
 def test_appendix_rejects_bad_probability():
-    with pytest.raises(BadProbability):
+    with pytest.raises(BadParameter, match=r"p=1.25 outside \[0, 1\]"):
         appendix_closed_form(1.25, 0.0)
-    with pytest.raises(BadProbability):
+    with pytest.raises(BadParameter, match=r"p=-0.1 outside \[0, 1\]"):
         appendix_closed_form(-0.1, 0.0)
 
 

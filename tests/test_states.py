@@ -3,14 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frameness import (
     InvalidDensity,
-    LengthMismatch,
-    NotNormalized,
-    NotProbabilityVector,
+    InvalidState,
     SectoredPureState,
     StandardState,
     is_gapless,
@@ -55,23 +53,23 @@ def test_standard_form_ignores_phases():
 
 
 def test_standard_form_rejects_unnormalized():
-    with pytest.raises(NotNormalized):
+    with pytest.raises(InvalidState, match=r"^state norm 1\.4142135623730951 deviates from 1$"):
         standard_form(SectoredPureState({0: [1.0], 1: [1.0]}, dim=2))
 
 
 def test_sectored_state_window():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidState, match=r"sector label 5 outside window 0\.\.2"):
         SectoredPureState({5: [1.0]}, dim=3)
 
 
 def test_standard_state_checks_weights():
-    with pytest.raises(NotNormalized):
+    with pytest.raises(InvalidState, match="^weights sum to 0.8, expected 1$"):
         StandardState([0.5, 0.3])
-    with pytest.raises(NotNormalized):
+    with pytest.raises(InvalidState, match="^negative weight -5.000e-01$"):
         StandardState([1.5, -0.5])
-    with pytest.raises(NotNormalized):
+    with pytest.raises(InvalidState, match="^weights must be finite$"):
         StandardState([np.nan, 0.5, 0.5])
-    with pytest.raises(NotNormalized):
+    with pytest.raises(InvalidState, match="^weights must be finite$"):
         StandardState([np.inf, -np.inf, 1.0])
 
 
@@ -164,15 +162,15 @@ def test_majorizes_reflexive_and_flat_bottom():
 
 
 def test_majorizes_rejects_bad_input():
-    with pytest.raises(NotProbabilityVector):
+    with pytest.raises(InvalidState, match="^probabilities sum to 0.9$"):
         majorizes([0.5, 0.4], [0.5, 0.5])
-    with pytest.raises(NotProbabilityVector):
+    with pytest.raises(InvalidState, match="^negative probability -2.000e-01$"):
         majorizes([1.2, -0.2], [0.5, 0.5])
-    with pytest.raises(NotProbabilityVector):
+    with pytest.raises(InvalidState, match="^probabilities must be finite$"):
         majorizes([np.nan, 0.5, 0.5], [1.0])
-    with pytest.raises(NotProbabilityVector):
+    with pytest.raises(InvalidState, match="^negative probability -5.000e-10$"):
         majorizes([1 + 5e-10, -5e-10], [0.5, 0.5])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InvalidState, match=r"^expected a 1-D sequence, got shape \(2, 2\)$"):
         majorizes(np.eye(2), [0.5, 0.5])
 
 
@@ -206,7 +204,7 @@ def test_json_roundtrips():
     back = density_from_dict(json.loads(blob))
     assert np.max(np.abs(back - rho)) == 0.0
 
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidState, match="needs a 'sectors' or 'weights' key"):
         state_from_dict({"dim": 2})
 
 
@@ -237,6 +235,7 @@ def density_payloads(draw):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(density_payloads())
+@example({"dim": 1, "matrix": [[[10**400, 0.0]]]})  # escaped as a bare OverflowError
 def test_density_loader_rejects_or_returns_a_density(payload):
     try:
         rho = density_from_dict(payload)
@@ -249,3 +248,79 @@ def test_density_loader_rejects_or_returns_a_density(payload):
         c = qubit_concurrence(rho)
         assert math.isfinite(c)
         assert 0.0 <= c <= 1.0
+
+
+# What a malformed payload may hold where a number, an integer or a list belongs.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["n", "dim", "amplitudes"]), st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def state_payloads(draw):
+    """``state_from_dict`` payloads in the weights or the sectored form.
+
+    Each is drawn well formed and normalized, with one to five sectors and
+    up to two amplitudes per sector; then up to two of its fields are
+    dropped or replaced by junk."""
+    dim = draw(st.integers(1, 5))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * dim, max_size=2 * dim))
+    amps = np.array(parts[:dim]) + 1j * np.array(parts[dim:])
+    if np.linalg.norm(amps) > 0.0:
+        amps = amps / np.linalg.norm(amps)
+    slots = []
+    if draw(st.booleans()):
+        payload = {"weights": (np.abs(amps) ** 2).tolist()}
+        slots += [(payload["weights"], n) for n in range(dim)]
+    else:
+        blocks = []
+        for n in draw(st.permutations(range(dim))):
+            split = draw(st.sampled_from([[amps[n]], [amps[n] * 0.6, amps[n] * 0.8]]))
+            pairs = [[z.real, z.imag] for z in split]
+            blocks.append({"n": n, "amplitudes": pairs})
+            slots += [(blocks[-1], "n"), (blocks[-1], "amplitudes")]
+            slots += [(pair, i) for pair in pairs for i in range(2)]
+        payload = {"dim": dim, "sectors": blocks}
+        slots += [(payload, "sectors")]
+    slots += [(payload, key) for key in ("dim", "weights") if key in payload]
+    for _ in range(draw(st.integers(0, 2))):
+        container, key = draw(st.sampled_from(slots))
+        if isinstance(container, dict) and draw(st.booleans()):
+            container.pop(key, None)
+        else:
+            container[key] = draw(JUNK)
+    return payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_payloads())
+# Each of these escaped as a bare KeyError, TypeError, ValueError,
+# OverflowError, MemoryError or (the last) RuntimeWarning, or (the first)
+# loaded as dim 2, sector 1.
+@example({"dim": 2.9, "sectors": [{"n": 1.7, "amplitudes": [[1.0, 0.0]]}]})
+@example({"sectors": [{"n": 0, "amplitudes": [[1.0, 0.0]]}]})
+@example({"dim": 1, "sectors": [{"amplitudes": [[1.0, 0.0]]}]})
+@example({"dim": 1, "sectors": [{"n": 0, "amplitudes": [["a", 0.0]]}]})
+@example({"dim": 1, "sectors": [{"n": 0, "amplitudes": [[10**400, 0.0]]}]})
+@example({"dim": 10**12, "sectors": [{"n": 0, "amplitudes": [[1.0, 0.0]]}]})
+@example({"weights": ["a", 1.0]})
+@example({"weights": [10**400]})
+@example({"weights": [1e308, 1e308]})
+def test_state_loader_rejects_or_returns_a_state(payload):
+    try:
+        state = state_from_dict(payload)
+        if isinstance(state, SectoredPureState):
+            state = standard_form(state)
+    except InvalidState:
+        return
+    assert isinstance(state, StandardState)
+    assert state.dim == (payload["dim"] if "sectors" in payload else len(payload["weights"]))
+    assert np.isfinite(state.weights).all()
+    assert state.weights.min() >= 0.0
+    assert abs(state.weights.sum() - 1.0) <= 1e-12
