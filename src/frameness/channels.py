@@ -9,6 +9,7 @@ single (generally mixed) output.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import BadParameter, InvalidChannel, InvalidState
 from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, validate_density
-from .states import StandardState, _check_probabilities, checked_weights
+from .states import StandardState, _check_probabilities, _complex_from_pair, checked_weights
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,13 @@ class U1Kraus:
     coeffs: Mapping[int, complex]
 
     def __post_init__(self) -> None:
-        clean = {int(n): complex(c) for n, c in self.coeffs.items()}
+        try:
+            object.__setattr__(self, "shift", operator.index(self.shift))
+            clean = {operator.index(n): complex(c) for n, c in self.coeffs.items()}
+        except (TypeError, ValueError, OverflowError, AttributeError):
+            raise InvalidChannel(
+                "a Kraus operator needs an integer shift and a map from integer sectors to numbers"
+            ) from None
         for n, c in clean.items():
             if not cmath.isfinite(c):
                 raise InvalidChannel(f"coefficient at sector {n} is {c!r}")
@@ -126,7 +133,8 @@ def squared_moduli(coeffs: np.ndarray) -> np.ndarray:
     ``np.abs(coeffs) ** 2`` differs from Python's complex ``abs`` in the
     last bit for about a third of the entries.
     """
-    return np.float_power(np.hypot(coeffs.real, coeffs.imag), 2.0)
+    with np.errstate(over="ignore"):  # moduli above 1e154 square to inf, which the sums reject
+        return np.float_power(np.hypot(coeffs.real, coeffs.imag), 2.0)
 
 
 def _kraus_moduli(kraus: Sequence[U1Kraus], dim: int) -> np.ndarray:
@@ -168,6 +176,8 @@ def _slot_layout(
         raise InvalidChannel("at least one shift is required")
     if kraus_per_shift < 1:
         raise InvalidChannel("kraus_per_shift must be at least 1")
+    if kraus_per_shift > MAX_DIM:
+        raise InvalidChannel(f"kraus_per_shift must be at most {MAX_DIM}, got {kraus_per_shift}")
     slot_shifts = tuple(ell for ell in shift_list for _ in range(kraus_per_shift))
     live = _live_slots(slot_shifts, dim)
     covered = live.any(axis=0)
@@ -331,18 +341,30 @@ def apply_channel_density(channel: U1Channel, rho: np.ndarray) -> Ensemble:
 
 
 def channel_from_dict(data: dict) -> U1Channel:
-    dim = int(data["dim"])
-    outcomes = []
-    for group in data["outcomes"]:
-        ops = []
-        for entry in group:
-            coeffs = {
-                int(n): complex(float(pair[0]), float(pair[1]))
-                for n, pair in entry["coeffs"].items()
-            }
-            ops.append(U1Kraus(shift=int(entry["shift"]), coeffs=coeffs))
-        outcomes.append(ops)
-    return U1Channel(outcomes, dim)
+    """Build a channel from its JSON-level dictionary form.
+
+    ``dim`` must be an integer in 1..``MAX_DIM``, each ``shift`` an integer,
+    each sector key an integer string and each coefficient a [re, im] pair
+    of numbers; otherwise :class:`InvalidChannel` is raised.
+    """
+    try:
+        dim = operator.index(data["dim"])
+        groups = [
+            [
+                # int(str(n)) reads "2" and 2 as sector 2 but rejects 2.5 and "2.0".
+                (entry["shift"], {int(str(n)): _complex_from_pair(p) for n, p in entry["coeffs"].items()})
+                for entry in group
+            ]
+            for group in data["outcomes"]
+        ]
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError):
+        raise InvalidChannel(
+            "a channel needs an integer 'dim' and 'outcomes' of Kraus entries, each "
+            "with an integer 'shift' and 'coeffs' from integer strings to [re, im] pairs"
+        ) from None
+    if not 1 <= dim <= MAX_DIM:
+        raise InvalidChannel(f"dimension {dim} outside 1..{MAX_DIM}")
+    return U1Channel([[U1Kraus(shift, coeffs) for shift, coeffs in group] for group in groups], dim)
 
 
 def channel_to_dict(channel: U1Channel) -> dict:

@@ -27,6 +27,7 @@ from .channels import Ensemble
 from .errors import BadDecomposition, BadParameter
 from .monotones import MonotoneId, smoothed_tail_sum, weight_evaluator, weight_gradient
 from .numerics import ZERO_TOL, _checked_density
+from .states import is_gapless
 
 ISOMETRY_TOL = 1e-10
 TIE_TOL = 1e-12
@@ -261,9 +262,7 @@ def convex_roof(
     evaluator = weight_evaluator(measure, m_rho.shape[0])
     factor = _support_factor(w, v)
     r = factor.shape[1]
-    diag = np.diag(m_rho).real
-    occupied = np.flatnonzero(diag > ZERO_TOL)
-    gapped = bool(occupied.size > 0 and occupied[-1] - occupied[0] + 1 != occupied.size)
+    gapped = not is_gapless(np.flatnonzero(np.diag(m_rho).real > ZERO_TOL))
     if r == 1:
         # A rank-1 input has a single decomposition: no search.
         vec = factor[:, 0] / np.linalg.norm(factor[:, 0])

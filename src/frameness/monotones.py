@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,26 +35,18 @@ class MonotoneId:
         if self.kind in ("vidal", "concurrence"):
             if self.k is None:
                 raise BadMonotone(f"{self.kind} needs an order k")
-            k = _integer_order(self.k)
+            # A Python or numpy integer, not bool, so that 2.7 is never truncated.
+            if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+                raise BadMonotone(f"order k must be an integer, got {self.k!r}")
+            k = int(self.k)
             if k < 2:
                 raise BadMonotone(f"order k must be at least 2, got {k}")
             object.__setattr__(self, "k", k)
         elif self.k is not None:
             raise BadMonotone(f"{self.kind} does not take an order k")
 
-    def label(self) -> str:
-        return self.kind if self.k is None else f"{self.kind}[{self.k}]"
-
-
-def _integer_order(k) -> int:
-    """``k`` as an ``int``; a Python or numpy integer, not ``bool``."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise BadMonotone(f"order k must be an integer, got {k!r}")
-    return int(k)
-
 
 def _check_k(k: int, dim: int) -> int:
-    k = _integer_order(k)
     if not 2 <= k <= dim:
         raise BadMonotone(f"order k={k} outside 2..{dim}")
     return k
@@ -119,35 +111,6 @@ def _variance_weights(weights: np.ndarray) -> np.ndarray:
     m1 = np.vecdot(weights, labels)
     m2 = np.vecdot(weights, labels**2)
     return 4.0 * (m2 - m1 * m1)
-
-
-def vidal_f(state: StandardState, k: int) -> float:
-    """Tail sum of the descending weights from position k (1-based)."""
-    k = _check_k(k, state.dim)
-    return float(_tail_sum(state.weights, k))
-
-
-def entropy_of_frameness(state: StandardState) -> float:
-    """Shannon entropy of the weights, in bits."""
-    return float(_shannon_bits(state.weights))
-
-
-def elementary_symmetric(values: Sequence[float], k: int) -> float:
-    """k-th elementary symmetric polynomial of the given reals."""
-    v = np.asarray(values, dtype=np.float64)
-    k = _check_k(k, v.size)
-    return float(_elementary_symmetric(v, k))
-
-
-def concurrence_pure(state: StandardState, k: int) -> float:
-    """Order-k concurrence: symmetric-polynomial ratio against the flat state."""
-    k = _check_k(k, state.dim)
-    return float(_concurrence_weights(state.weights, k))
-
-
-def variance_pure(state: StandardState) -> float:
-    """Four times the charge variance; sensitive to the sector labels."""
-    return float(_variance_weights(state.weights))
 
 
 def weight_evaluator(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -112,21 +112,6 @@ def _check_probabilities(probs: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class NumberSpectrum:
-    """Occupied sector labels of a state, sorted ascending."""
-
-    support: tuple[int, ...]
-
-    @property
-    def n_min(self) -> int:
-        return self.support[0]
-
-    @property
-    def n_max(self) -> int:
-        return self.support[-1]
-
-
-@dataclass(frozen=True)
 class BipartitePureState:
     """Charge-correlated two-party pure state with fixed total charge."""
 
@@ -167,17 +152,16 @@ def standard_form(state: SectoredPureState) -> StandardState:
     return StandardState(w / total)
 
 
-def spectrum(state: StandardState) -> NumberSpectrum:
-    """Sector labels carrying weight above ``ZERO_TOL``."""
-    support = tuple(int(n) for n in np.flatnonzero(state.weights > ZERO_TOL))
-    return NumberSpectrum(support)
+def spectrum(state: StandardState) -> tuple[int, ...]:
+    """Sector labels carrying weight above ``ZERO_TOL``, ascending."""
+    return tuple(int(n) for n in np.flatnonzero(state.weights > ZERO_TOL))
 
 
-def is_gapless(spec: NumberSpectrum) -> bool:
-    """True when the support is a contiguous run of integers."""
-    if not spec.support:
+def is_gapless(support: Sequence[int]) -> bool:
+    """True when the ascending labels ``support`` are a contiguous run of integers."""
+    if not len(support):
         raise InvalidState("spectrum support is empty")
-    return spec.n_max - spec.n_min + 1 == len(spec.support)
+    return support[-1] - support[0] + 1 == len(support)
 
 
 def twirl(rho: np.ndarray, sector_of: Sequence[int] | None = None) -> np.ndarray:
@@ -189,9 +173,14 @@ def twirl(rho: np.ndarray, sector_of: Sequence[int] | None = None) -> np.ndarray
     """
     m = validate_density(rho)
     d = m.shape[0]
-    labels = np.arange(d) if sector_of is None else np.asarray(sector_of, dtype=int)
+    try:
+        labels = np.arange(d) if sector_of is None else np.asarray(sector_of)
+    except ValueError:  # a ragged nesting of sequences
+        raise BadParameter(f"sector labels must be integers, got {sector_of!r}") from None
     if labels.shape != (d,):
         raise BadParameter(f"sector labels must have length {d}")
+    if labels.dtype.kind not in "iu":
+        raise BadParameter(f"sector labels must be integers, got {sector_of!r}")
     mask = labels[:, None] == labels[None, :]
     return np.where(mask, m, 0.0)
 
@@ -203,11 +192,9 @@ def purify(state: StandardState) -> BipartitePureState:
     joint state has a sharp total charge and its system marginal equals
     the dephased input.
     """
-    spec = spectrum(state)
-    t = spec.n_max
-    amps = {
-        (n, t - n): complex(np.sqrt(state.weights[n])) for n in spec.support
-    }
+    support = spectrum(state)
+    t = support[-1]
+    amps = {(n, t - n): complex(np.sqrt(state.weights[n])) for n in support}
     return BipartitePureState(amps, total=t, system_dim=state.dim)
 
 

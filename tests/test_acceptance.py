@@ -20,7 +20,6 @@ from frameness import (
     channel_from_dict,
     channel_to_dict,
     convex_roof,
-    entropy_of_frameness,
     evaluate_pure,
     optimal_qubit_decomposition,
     purify,
@@ -33,7 +32,6 @@ from frameness import (
     random_standard_state,
     twirl,
     validate_channel,
-    variance_pure,
 )
 from frameness.channels import coefficient_channel
 from frameness.cli import VIOLATION_TOL, run_verification, sample_trials
@@ -189,8 +187,8 @@ def test_criterion_7_reference_bit_values():
     plus = StandardState(np.array([0.5, 0.5]))
     rho_plus = 0.5 * np.ones((2, 2), dtype=complex)
     gaps = (
-        abs(variance_pure(plus) - 1.0),
-        abs(entropy_of_frameness(plus) - 1.0),
+        abs(evaluate_pure(MonotoneId("variance"), plus) - 1.0),
+        abs(evaluate_pure(MonotoneId("entropy"), plus) - 1.0),
         abs(qubit_fof(rho_plus) - 1.0),
     )
     assert max(gaps) <= 1e-12

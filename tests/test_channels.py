@@ -127,6 +127,9 @@ def test_random_channel_bad_requests():
         random_channel(2, (5,), seed=0)
     with pytest.raises(InvalidChannel, match="kraus_per_shift"):
         random_channel(3, (0,), kraus_per_shift=0, seed=0)
+    with pytest.raises(InvalidChannel, match="^kraus_per_shift must be at most 64, got 65$"):
+        random_channel(3, (0,), kraus_per_shift=65, seed=0)
+    assert len(list(random_channel(3, (0,), kraus_per_shift=64, seed=0).all_kraus())) == 64
     for seed in (-1, [2026, -1, 7]):
         with pytest.raises(BadParameter, match="seed must be nonnegative"):
             random_channel(3, (-1, 0, 1), seed=seed)
@@ -188,7 +191,7 @@ def test_outcome_spectrum_shifts_inside_window():
     for trial in range(25):
         d = int(rng.integers(3, 7))
         st = random_standard_state(d, rng)
-        support = set(spectrum(st).support)
+        support = set(spectrum(st))
         draws = np.random.default_rng(100 + trial).normal(size=(1, coefficient_draws(d, (-1, 1), 1)))
         slot_shifts, coeffs = sample_coefficients(d, (-1, 1), 1, draws)
         _, posts, kept = apply_slots_pure(slot_shifts, squared_moduli(coeffs[0]), st.weights)
@@ -196,7 +199,7 @@ def test_outcome_spectrum_shifts_inside_window():
         for ell, post, keep in zip(slot_shifts, posts, kept):
             if keep:
                 shifted = {n + ell for n in support if 0 <= n + ell < d}
-                assert set(spectrum(StandardState(post)).support) <= shifted
+                assert set(spectrum(StandardState(post))) <= shifted
 
 
 def test_apply_channel_density_dephasing_group():

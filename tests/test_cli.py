@@ -637,6 +637,18 @@ INPUT_ERRORS = {
         BadParameter,
         lambda state: cli._load_weights(state, -2),
     ),
+    "kraus-per-shift-huge": (
+        ["verify", "--measure", "entropy", "--dim", "3", "--shifts=-1,0,1", "--kraus-per-shift", "1000000000"],
+        "kraus_per_shift must be at most 64, got 1000000000",
+        InvalidChannel,
+        lambda state: sample_trials(3, (-1, 0, 1), 10**9, 0, range(1)),
+    ),
+    "kraus-per-shift-65": (
+        ["channel", "sample", "--dim", "3", "--shifts=-1,0,1", "--kraus-per-shift", "65"],
+        "kraus_per_shift must be at most 64, got 65",
+        InvalidChannel,
+        lambda state: random_channel(3, (-1, 0, 1), 65),
+    ),
 }
 
 
@@ -750,9 +762,12 @@ def test_file_verbs_exit_2_or_give_finite_json(tmp_path_factory, verb, contents)
     dim=st.integers(-3, 70),
     trials=st.integers(-2, 5),
     seed=st.integers(-2, 5),
-    kraus_per_shift=st.integers(-1, 3),
+    kraus_per_shift=st.one_of(st.integers(-1, 3), st.sampled_from([64, 65, 10**9])),
     shifts=st.sampled_from(["-1,0,1", "0,2", "a,b"]),
 )
+# A --kraus-per-shift of 10**9 built a billion slots before any check.
+@example(verb="verify", dim=3, trials=1, seed=0, kraus_per_shift=10**9, shifts="-1,0,1")
+@example(verb="channel", dim=3, trials=1, seed=0, kraus_per_shift=65, shifts="-1,0,1")
 # A negative --dim and --shifts=a,b escaped main as bare ValueErrors.
 @example(verb="verify", dim=-2, trials=3, seed=0, kraus_per_shift=1, shifts="-1,0,1")
 @example(verb="channel", dim=-2, trials=3, seed=0, kraus_per_shift=1, shifts="-1,0,1")

@@ -242,7 +242,7 @@ def _smooth_kinds(d):
     # smooth kinds and vidal's smoothed tail sums at the widest and
     # narrowest widths the search uses.
     kinds = [MonotoneId("entropy"), VAR] + [MonotoneId("concurrence", k) for k in range(2, d + 1)]
-    out = [(m.label(), weight_evaluator(m, d), weight_gradient(m, d)) for m in kinds]
+    out = [(m, weight_evaluator(m, d), weight_gradient(m, d)) for m in kinds]
     for k in range(2, d + 1):
         for width in (SMOOTHING_WIDTHS[0], SMOOTHING_WIDTHS[-1]):
             out.append((f"smoothed vidal[{k}] at {width}",) + smoothed_tail_sum(k, d, width))
@@ -361,7 +361,7 @@ def test_ties_resolve_to_the_lowest_restart(monkeypatch):
     assert _roof_bytes(0.0, res.ensemble, True, 0) == _roof_bytes(0.0, expected, True, 0)
 
 
-@pytest.mark.parametrize("measure", KINDS, ids=lambda k: k.label())
+@pytest.mark.parametrize("measure", KINDS, ids=lambda m: m.kind if m.k is None else f"{m.kind}[{m.k}]")
 def test_roof_repeats_its_bytes(measure):
     rng = np.random.default_rng(83)
     for d in (3, 4):

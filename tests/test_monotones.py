@@ -14,9 +14,6 @@ from frameness import (
     MonotoneId,
     StandardState,
     appendix_closed_form,
-    concurrence_pure,
-    elementary_symmetric,
-    entropy_of_frameness,
     evaluate_pure,
     optimal_qubit_decomposition,
     qubit_R_eigs,
@@ -25,9 +22,8 @@ from frameness import (
     qubit_formation,
     random_density_matrix,
     random_standard_state,
-    variance_pure,
-    vidal_f,
 )
+from frameness.monotones import _elementary_symmetric, weight_evaluator
 
 PLUS = 0.5 * np.ones((2, 2))
 GOLDEN_CLOSED_FORMS = Path(__file__).parent / "golden" / "qubit_closed_forms.csv"
@@ -66,8 +62,6 @@ def pure_qubit_concurrence(vec):
 
 
 def test_monotone_id_validation():
-    assert MonotoneId("entropy").label() == "entropy"
-    assert MonotoneId("vidal", 3).label() == "vidal[3]"
     with pytest.raises(BadMonotone, match="vidal needs an order k"):
         MonotoneId("vidal")
     with pytest.raises(BadMonotone, match="order k must be at least 2, got 1"):
@@ -85,11 +79,8 @@ def test_monotone_id_validation():
     [
         lambda k: MonotoneId("vidal", k),
         lambda k: MonotoneId("concurrence", k),
-        lambda k: vidal_f(StandardState([0.5, 0.3, 0.2]), k),
-        lambda k: concurrence_pure(StandardState([0.5, 0.3, 0.2]), k),
-        lambda k: elementary_symmetric([0.5, 0.3, 0.2], k),
     ],
-    ids=["MonotoneId-vidal", "MonotoneId-concurrence", "vidal_f", "concurrence_pure", "elementary_symmetric"],
+    ids=["MonotoneId-vidal", "MonotoneId-concurrence"],
 )
 def test_non_integer_orders_are_rejected(call):
     for bad in (2.5, np.float64(2.9), 3.0, True, np.bool_(True), "3"):
@@ -101,36 +92,37 @@ def test_non_integer_orders_are_rejected(call):
 
 def test_vidal_examples():
     st = StandardState([0.5, 0.3, 0.2])
-    assert vidal_f(st, 2) == pytest.approx(0.5, abs=1e-15)
-    assert vidal_f(st, 3) == pytest.approx(0.2, abs=1e-15)
+    assert evaluate_pure(MonotoneId("vidal", 2), st) == pytest.approx(0.5, abs=1e-15)
+    assert evaluate_pure(MonotoneId("vidal", 3), st) == pytest.approx(0.2, abs=1e-15)
     flat = StandardState(np.full(5, 0.2))
     for k in range(2, 6):
-        assert vidal_f(flat, k) == pytest.approx((5 - k + 1) / 5, abs=1e-12)
-    with pytest.raises(BadMonotone, match=r"order k=1 outside 2\.\.3"):
-        vidal_f(st, 1)
-    with pytest.raises(BadMonotone, match=r"order k=4 outside 2\.\.3"):
-        vidal_f(st, 4)
+        assert evaluate_pure(MonotoneId("vidal", k), flat) == pytest.approx((5 - k + 1) / 5, abs=1e-12)
+    with pytest.raises(BadMonotone, match="^order k must be at least 2, got 1$"):
+        evaluate_pure(MonotoneId("vidal", 1), st)
+    with pytest.raises(BadMonotone, match=r"^order k=4 outside 2\.\.3$"):
+        evaluate_pure(MonotoneId("vidal", 4), st)
 
 
 def test_vidal_decreasing_in_k_and_permutation_invariant():
     rng = np.random.default_rng(7)
     for _ in range(20):
         st = random_standard_state(6, rng)
-        vals = [vidal_f(st, k) for k in range(2, 7)]
+        vals = [evaluate_pure(MonotoneId("vidal", k), st) for k in range(2, 7)]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
         perm = StandardState(rng.permutation(st.weights))
         for k in range(2, 7):
-            assert vidal_f(perm, k) == pytest.approx(vidal_f(st, k), abs=1e-15)
+            vidal = MonotoneId("vidal", k)
+            assert evaluate_pure(vidal, perm) == pytest.approx(evaluate_pure(vidal, st), abs=1e-15)
 
 
 def test_entropy_values():
-    assert entropy_of_frameness(StandardState([0.5, 0.5])) == pytest.approx(1.0, abs=1e-15)
+    assert evaluate_pure(MonotoneId("entropy"), StandardState([0.5, 0.5])) == pytest.approx(1.0, abs=1e-15)
     # frozen from -0.25 log2 0.25 - 0.75 log2 0.75
-    assert entropy_of_frameness(StandardState([0.25, 0.75])) == pytest.approx(
+    assert evaluate_pure(MonotoneId("entropy"), StandardState([0.25, 0.75])) == pytest.approx(
         0.8112781244591328, abs=1e-15
     )
-    assert entropy_of_frameness(StandardState([0.0, 1.0, 0.0])) == 0.0
-    assert entropy_of_frameness(StandardState(np.full(8, 0.125))) == pytest.approx(
+    assert evaluate_pure(MonotoneId("entropy"), StandardState([0.0, 1.0, 0.0])) == 0.0
+    assert evaluate_pure(MonotoneId("entropy"), StandardState(np.full(8, 0.125))) == pytest.approx(
         3.0, abs=1e-12
     )
 
@@ -140,30 +132,33 @@ def esp_enumeration(values, k):
 
 
 def test_elementary_symmetric_against_enumeration():
-    assert elementary_symmetric([0.5, 0.3, 0.2], 2) == pytest.approx(0.31, abs=1e-15)
-    assert elementary_symmetric([0.5, 0.3, 0.2], 3) == pytest.approx(0.03, abs=1e-15)
+    assert _elementary_symmetric(np.array([0.5, 0.3, 0.2]), 2) == pytest.approx(0.31, abs=1e-15)
+    assert _elementary_symmetric(np.array([0.5, 0.3, 0.2]), 3) == pytest.approx(0.03, abs=1e-15)
     rng = np.random.default_rng(17)
     for _ in range(20):
         vals = rng.uniform(0.0, 1.0, size=7)
         for k in range(2, 8):
-            assert elementary_symmetric(vals, k) == pytest.approx(
+            assert _elementary_symmetric(vals, k) == pytest.approx(
                 esp_enumeration(vals, k), rel=1e-12
             )
-    with pytest.raises(BadMonotone, match=r"order k=3 outside 2\.\.2"):
-        elementary_symmetric([0.5, 0.5], 3)
+    # Every row of a batch as that row alone; no 3-subset of two values.
+    batch = rng.uniform(0.0, 1.0, size=(4, 7))
+    for k in range(2, 8):
+        assert np.array_equal(_elementary_symmetric(batch, k), [_elementary_symmetric(v, k) for v in batch])
+    assert _elementary_symmetric(np.array([0.5, 0.5]), 3) == 0.0
 
 
 def test_concurrence_pure_examples():
     st = StandardState([0.5, 0.5, 0.0])
     # S_2 = 1/4 against the flat benchmark 1/3
-    assert concurrence_pure(st, 2) == pytest.approx(np.sqrt(0.75), abs=1e-15)
-    assert concurrence_pure(st, 3) == 0.0
+    assert evaluate_pure(MonotoneId("concurrence", 2), st) == pytest.approx(np.sqrt(0.75), abs=1e-15)
+    assert evaluate_pure(MonotoneId("concurrence", 3), st) == 0.0
     flat = StandardState(np.full(4, 0.25))
     for k in range(2, 5):
-        assert concurrence_pure(flat, k) == pytest.approx(1.0, abs=1e-12)
+        assert evaluate_pure(MonotoneId("concurrence", k), flat) == pytest.approx(1.0, abs=1e-12)
     point = StandardState([0.0, 1.0, 0.0])
     for k in (2, 3):
-        assert concurrence_pure(point, k) == 0.0
+        assert evaluate_pure(MonotoneId("concurrence", k), point) == 0.0
 
 
 def test_concurrence_concave():
@@ -175,20 +170,21 @@ def test_concurrence_concave():
         for t in (0.25, 0.5, 0.75):
             mix = StandardState(t * a + (1 - t) * b)
             for k in range(2, d + 1):
-                lhs = concurrence_pure(mix, k)
-                rhs = t * concurrence_pure(StandardState(a), k) + (1 - t) * concurrence_pure(StandardState(b), k)
+                conc = MonotoneId("concurrence", k)
+                lhs = evaluate_pure(conc, mix)
+                rhs = t * evaluate_pure(conc, StandardState(a)) + (1 - t) * evaluate_pure(conc, StandardState(b))
                 assert lhs >= rhs - 1e-10
 
 
 def test_variance_examples():
-    assert variance_pure(StandardState([0.5, 0.5])) == pytest.approx(1.0, abs=1e-15)
-    assert variance_pure(StandardState([0.5, 0.0, 0.5])) == pytest.approx(4.0, abs=1e-15)
-    assert variance_pure(StandardState([0.0, 1.0])) == 0.0
+    assert evaluate_pure(MonotoneId("variance"), StandardState([0.5, 0.5])) == pytest.approx(1.0, abs=1e-15)
+    assert evaluate_pure(MonotoneId("variance"), StandardState([0.5, 0.0, 0.5])) == pytest.approx(4.0, abs=1e-15)
+    assert evaluate_pure(MonotoneId("variance"), StandardState([0.0, 1.0])) == 0.0
 
 
 def test_variance_sees_sector_labels():
-    narrow = variance_pure(StandardState([0.5, 0.5, 0.0]))
-    spread = variance_pure(StandardState([0.5, 0.0, 0.5]))
+    narrow = evaluate_pure(MonotoneId("variance"), StandardState([0.5, 0.5, 0.0]))
+    spread = evaluate_pure(MonotoneId("variance"), StandardState([0.5, 0.0, 0.5]))
     assert narrow == pytest.approx(1.0, abs=1e-15)
     assert spread == pytest.approx(4.0, abs=1e-15)
     assert narrow != spread
@@ -196,10 +192,17 @@ def test_variance_sees_sector_labels():
 
 def test_evaluate_pure_dispatch():
     st = StandardState([0.5, 0.3, 0.2])
-    assert evaluate_pure(MonotoneId("vidal", 2), st) == vidal_f(st, 2)
-    assert evaluate_pure(MonotoneId("entropy"), st) == entropy_of_frameness(st)
-    assert evaluate_pure(MonotoneId("concurrence", 2), st) == concurrence_pure(st, 2)
-    assert evaluate_pure(MonotoneId("variance"), st) == variance_pure(st)
+    # Each kind against its formula on the weights, and bit for bit against
+    # the batched evaluator on a one-row batch.
+    expected = {
+        MonotoneId("vidal", 2): 0.3 + 0.2,
+        MonotoneId("entropy"): -sum(w * math.log2(w) for w in (0.5, 0.3, 0.2)),
+        MonotoneId("concurrence", 2): math.sqrt(esp_enumeration([0.5, 0.3, 0.2], 2) / (3 / 9)),
+        MonotoneId("variance"): 4.0 * ((0.3 + 4 * 0.2) - (0.3 + 2 * 0.2) ** 2),
+    }
+    for measure, value in expected.items():
+        assert evaluate_pure(measure, st) == pytest.approx(value, abs=1e-15)
+        assert evaluate_pure(measure, st) == weight_evaluator(measure, 3)(st.weights[None])[0]
     with pytest.raises(BadMonotone, match=r"order k=4 outside 2\.\.3"):
         evaluate_pure(MonotoneId("vidal", 4), st)
 
@@ -374,7 +377,7 @@ def test_qubit_formation_closed_form():
         # every optimal member carries the same weight entropy
         for p, vec in optimal_qubit_decomposition(rho).members:
             weights = StandardState(np.abs(vec) ** 2)
-            assert abs(entropy_of_frameness(weights) - formation) < 1e-12
+            assert abs(evaluate_pure(MonotoneId("entropy"), weights) - formation) < 1e-12
 
 
 def test_qubit_closed_forms_match_golden():

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -7,10 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frameness import (
+    BadParameter,
+    InvalidChannel,
     InvalidDensity,
     InvalidState,
     SectoredPureState,
     StandardState,
+    U1Kraus,
     is_gapless,
     majorizes,
     purify,
@@ -20,7 +24,9 @@ from frameness import (
     spectrum,
     standard_form,
     twirl,
+    validate_channel,
 )
+from frameness.channels import channel_from_dict, channel_to_dict, random_channel
 from frameness.states import (
     density_from_dict,
     density_to_dict,
@@ -75,13 +81,13 @@ def test_standard_state_checks_weights():
 
 def test_spectrum_and_gaps():
     gapped = spectrum(StandardState([0.5, 0.0, 0.5]))
-    assert gapped.support == (0, 2)
+    assert gapped == (0, 2)
     assert not is_gapless(gapped)
     solid = spectrum(StandardState([0.3, 0.7]))
-    assert solid.support == (0, 1)
+    assert solid == (0, 1)
     assert is_gapless(solid)
     point = spectrum(StandardState([0.0, 1.0, 0.0]))
-    assert point.support == (1,)
+    assert point == (1,)
     assert is_gapless(point)
 
 
@@ -98,6 +104,18 @@ def test_twirl_idempotent_and_trace_preserving():
         assert np.array_equal(twirl(once), once)
         assert np.array_equal(np.diag(once), np.diag(rho))
         assert np.linalg.eigvalsh(once).min() > -1e-12
+
+
+def test_twirl_rejects_non_integer_labels():
+    # [0, 0.7, 1.9] read as int labels [0, 0, 1] kept the 0-1 coherence.
+    flat = np.full((3, 3), 1 / 3)
+    for labels in ([0, 0.7, 1.9], np.array([0.0, 0.0, 1.0]), [True, False, True], ["0", "0", "1"], [[0], [0, 1], 2]):
+        with pytest.raises(BadParameter, match="^sector labels must be integers, got "):
+            twirl(flat, sector_of=labels)
+    with pytest.raises(BadParameter, match="^sector labels must have length 3$"):
+        twirl(flat, sector_of=[0, 1])
+    out = twirl(flat, sector_of=np.array([0, 0, 1], dtype=np.uint8))
+    assert np.array_equal(out != 0, [[True, True, False], [True, True, False], [False, False, True]])
 
 
 def test_twirl_keeps_multiplicity_blocks():
@@ -324,3 +342,68 @@ def test_state_loader_rejects_or_returns_a_state(payload):
     assert np.isfinite(state.weights).all()
     assert state.weights.min() >= 0.0
     assert abs(state.weights.sum() - 1.0) <= 1e-12
+
+
+@st.composite
+def channel_payloads(draw):
+    """``channel_from_dict`` payloads: the dictionary form of a random
+    channel, then up to two of its fields dropped, replaced by junk or, for
+    a sector key, renamed to junk."""
+    dim = draw(st.integers(1, 4))
+    shifts = draw(st.sampled_from([(0,), (0, 1), (-1, 0, 1)]))
+    channel = random_channel(dim, shifts, draw(st.integers(1, 2)), seed=draw(st.integers(0, 3)))
+    payload = channel_to_dict(channel)
+    slots = [(payload, "dim"), (payload, "outcomes")]
+    for group in payload["outcomes"]:
+        for entry in group:
+            coeffs = entry["coeffs"]
+            slots += [(group, 0), (entry, "shift"), (entry, "coeffs")]
+            slots += [(coeffs, n) for n in coeffs]
+            slots += [(pair, i) for pair in coeffs.values() for i in range(2)]
+    for _ in range(draw(st.integers(0, 2))):
+        container, key = draw(st.sampled_from(slots))
+        if isinstance(container, dict) and key not in container:
+            continue
+        action = draw(st.sampled_from(["drop", "junk", "rename"]))
+        if action == "drop" and isinstance(container, dict):
+            container.pop(key)
+        elif action == "rename" and container is not payload and isinstance(container, dict):
+            container[draw(st.one_of(st.text(max_size=3), JUNK.filter(lambda j: j.__hash__)))] = container.pop(key)
+        else:
+            container[key] = draw(JUNK)
+    return payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel_payloads())
+# Each of these escaped as a bare KeyError, TypeError, IndexError or
+# ValueError, or loaded with a truncated dim or shift.
+@example({})
+@example({"dim": 2, "outcomes": "ab"})
+@example({"dim": 2, "outcomes": [[{"shift": 0, "coeffs": {"0": [1.0]}}]]})
+@example({"dim": 2, "outcomes": [[{"shift": 0, "coeffs": {"x": [1.0, 0.0]}}]]})
+@example({"dim": 2.7, "outcomes": [[{"shift": 0, "coeffs": {"0": [1.0, 0.0], "1": [1.0, 0.0]}}]]})
+@example({"dim": 2, "outcomes": [[{"shift": 0.5, "coeffs": {"0": [1.0, 0.0], "1": [1.0, 0.0]}}]]})
+@example({"dim": 2, "outcomes": [[{"shift": 0, "coeffs": {1.7: [1.0, 0.0]}}]]})
+@example({"dim": 65, "outcomes": [[{"shift": 0, "coeffs": {"0": [1.0, 0.0]}}]]})
+def test_channel_loader_rejects_or_returns_a_channel(payload):
+    try:
+        channel = channel_from_dict(payload)
+        report = validate_channel(channel)
+    except InvalidChannel:
+        return
+    assert type(channel.dim) is int and 1 <= channel.dim == payload["dim"]
+    for kraus in channel.all_kraus():
+        assert type(kraus.shift) is int
+        assert all(type(n) is int and cmath.isfinite(c) for n, c in kraus.coeffs.items())
+    assert np.isfinite(report.per_sector_sums).all()
+    assert channel_to_dict(channel_from_dict(channel_to_dict(channel))) == channel_to_dict(channel)
+
+
+def test_kraus_operator_reads_integers_only():
+    # Sector 1.7 was stored as 1, and shift 0.5 failed later with an IndexError.
+    for shift, coeffs in ((0, {1.7: 1.0}), (0.5, {0: 1.0}), (0, {"0": 1.0}), (0, [1.0])):
+        with pytest.raises(InvalidChannel, match="^a Kraus operator needs an integer shift"):
+            U1Kraus(shift, coeffs)
+    kraus = U1Kraus(np.int64(-1), {np.uint8(1): 1.0})
+    assert (type(kraus.shift), list(kraus.coeffs)) == (int, [1])
