@@ -9,14 +9,13 @@ single (generally mixed) output.
 from __future__ import annotations
 
 import cmath
-import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BadParameter, InvalidChannel, InvalidState
-from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, validate_density
+from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, integer, number, validate_density
 from .states import StandardState, _check_probabilities, _complex_from_pair, checked_weights
 
 
@@ -28,16 +27,18 @@ class U1Kraus:
     coeffs: Mapping[int, complex]
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "shift", operator.index(self.shift))
-            clean = {operator.index(n): complex(c) for n, c in self.coeffs.items()}
-        except (TypeError, ValueError, OverflowError, AttributeError):
-            raise InvalidChannel(
-                "a Kraus operator needs an integer shift and a map from integer sectors to numbers"
-            ) from None
-        for n, c in clean.items():
-            if not cmath.isfinite(c):
-                raise InvalidChannel(f"coefficient at sector {n} is {c!r}")
+        object.__setattr__(self, "shift", integer(self.shift, InvalidChannel, "shift"))
+        if not isinstance(self.coeffs, Mapping):
+            raise InvalidChannel(f"coefficients must map sectors to numbers, got {self.coeffs!r}")
+        clean = {}
+        for n, c in self.coeffs.items():
+            n = integer(n, InvalidChannel, "sector")
+            try:
+                clean[n] = complex(number(c, InvalidChannel, f"coefficient at sector {n}"))
+            except OverflowError:  # an int beyond the float range
+                clean[n] = complex(cmath.inf)
+            if not cmath.isfinite(clean[n]):
+                raise InvalidChannel(f"coefficient at sector {n} is {clean[n]!r}")
         object.__setattr__(self, "coeffs", clean)
 
     def window_coeffs(self, dim: int) -> Iterator[tuple[int, complex]]:
@@ -67,6 +68,7 @@ class U1Channel:
     dim: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", integer(self.dim, InvalidChannel, "dimension", 1, MAX_DIM))
         groups = tuple(tuple(g) for g in self.outcomes)
         if not groups or any(len(g) == 0 for g in groups):
             raise InvalidChannel("channel needs at least one nonempty outcome group")
@@ -97,7 +99,7 @@ class Ensemble:
     members: tuple = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        pairs = tuple((float(p), s) for p, s in self.members)
+        pairs = tuple((float(number(p, InvalidState, "probability")), s) for p, s in self.members)
         if not pairs:
             raise InvalidState("ensemble needs at least one member")
         _check_probabilities(np.array([p for p, _ in pairs]))
@@ -169,15 +171,11 @@ def _slot_layout(
     dim: int, shifts: Iterable[int], kraus_per_shift: int
 ) -> tuple[tuple[int, ...], np.ndarray]:
     """The shift of each slot and the ``(S, dim)`` mask of slots live on each sector."""
-    if not 1 <= dim <= MAX_DIM:
-        raise BadParameter(f"dimension {dim} outside 1..{MAX_DIM}")
-    shift_list = sorted(set(int(s) for s in shifts))
+    dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
+    shift_list = sorted(set(integer(s, InvalidChannel, "shift") for s in shifts))
     if not shift_list:
         raise InvalidChannel("at least one shift is required")
-    if kraus_per_shift < 1:
-        raise InvalidChannel("kraus_per_shift must be at least 1")
-    if kraus_per_shift > MAX_DIM:
-        raise InvalidChannel(f"kraus_per_shift must be at most {MAX_DIM}, got {kraus_per_shift}")
+    kraus_per_shift = integer(kraus_per_shift, InvalidChannel, "kraus_per_shift", 1, MAX_DIM)
     slot_shifts = tuple(ell for ell in shift_list for _ in range(kraus_per_shift))
     live = _live_slots(slot_shifts, dim)
     covered = live.any(axis=0)
@@ -256,8 +254,8 @@ def random_channel(
     draws of ``default_rng(seed)``; ``seed`` is a nonnegative int or a
     sequence of them. Each Kraus operator forms its own outcome group.
     """
-    if np.min(seed) < 0:
-        raise BadParameter(f"seed must be nonnegative, got {seed}")
+    for s in seed if isinstance(seed, Sequence) else [seed]:
+        integer(s, BadParameter, "seed", 0)
     size = coefficient_draws(dim, shifts, kraus_per_shift)
     draws = np.random.default_rng(seed).normal(size=(1, size))
     slot_shifts, coeffs = sample_coefficients(dim, shifts, kraus_per_shift, draws)
@@ -348,22 +346,23 @@ def channel_from_dict(data: dict) -> U1Channel:
     of numbers; otherwise :class:`InvalidChannel` is raised.
     """
     try:
-        dim = operator.index(data["dim"])
+        dim = data["dim"]
         groups = [
             [
                 # int(str(n)) reads "2" and 2 as sector 2 but rejects 2.5 and "2.0".
-                (entry["shift"], {int(str(n)): _complex_from_pair(p) for n, p in entry["coeffs"].items()})
+                (
+                    entry["shift"],
+                    {int(str(n)): _complex_from_pair(p, InvalidChannel) for n, p in entry["coeffs"].items()},
+                )
                 for entry in group
             ]
             for group in data["outcomes"]
         ]
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError):
+    except (KeyError, TypeError, ValueError, AttributeError):
         raise InvalidChannel(
             "a channel needs an integer 'dim' and 'outcomes' of Kraus entries, each "
             "with an integer 'shift' and 'coeffs' from integer strings to [re, im] pairs"
         ) from None
-    if not 1 <= dim <= MAX_DIM:
-        raise InvalidChannel(f"dimension {dim} outside 1..{MAX_DIM}")
     return U1Channel([[U1Kraus(shift, coeffs) for shift, coeffs in group] for group in groups], dim)
 
 

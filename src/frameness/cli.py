@@ -35,7 +35,7 @@ from .channels import (
 from .convexroof import RoofConfig, convex_roof
 from .errors import BadParameter, FramenessError, InvalidChannel, InvalidDensity, InvalidState
 from .monotones import KINDS, MonotoneId, appendix_closed_form, weight_evaluator
-from .numerics import MAX_DIM, seeded_normals
+from .numerics import MAX_DIM, integer, seeded_normals
 from .states import (
     SectoredPureState,
     StandardState,
@@ -111,7 +111,7 @@ def sample_trial(
     return StandardState(weights[0]), coefficient_channel(slot_shifts, coeffs[0])
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)
 def _trial_batch(
     dim: int,
     shifts: tuple[int, ...],
@@ -150,8 +150,7 @@ def run_verification(
     seed)`` stream reuse the last sampled and transformed batch. Returns the
     report plus per-trial rows ``(trial, margin, p_count)``.
     """
-    if trials < 1:
-        raise BadParameter(f"trials must be at least 1, got {trials}")
+    trials = integer(trials, BadParameter, "trials", 1)
     evaluator = weight_evaluator(measure, dim)
     start = time.perf_counter()
     slot_count = len(set(shifts)) * kraus_per_shift
@@ -216,8 +215,7 @@ def _load_weights(path: str, dim: int | None) -> StandardState:
     if isinstance(state, SectoredPureState):
         state = standard_form(state)
     if dim is not None:
-        if not 1 <= dim <= MAX_DIM:
-            raise BadParameter(f"dimension {dim} outside 1..{MAX_DIM}")
+        dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
         w = state.weights
         if dim < w.size:
             if float(w[dim:].max()) > 0.0:

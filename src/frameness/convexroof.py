@@ -26,7 +26,7 @@ import numpy as np
 from .channels import Ensemble
 from .errors import BadDecomposition, BadParameter
 from .monotones import MonotoneId, smoothed_tail_sum, weight_evaluator, weight_gradient
-from .numerics import ZERO_TOL, _checked_density
+from .numerics import ZERO_TOL, _checked_density, integer
 from .states import is_gapless
 
 ISOMETRY_TOL = 1e-10
@@ -68,21 +68,10 @@ class RoofConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("ensemble_size", "restarts", "max_iters", "seed"):
+        for name, lo in (("ensemble_size", 1), ("restarts", 1), ("max_iters", 1), ("seed", 0)):
             value = getattr(self, name)
-            if value is None and name == "ensemble_size":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise BadParameter(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.ensemble_size is not None and self.ensemble_size < 1:
-            raise BadParameter("ensemble_size must be positive")
-        if self.restarts < 1:
-            raise BadParameter("restarts must be positive")
-        if self.max_iters < 1:
-            raise BadParameter("max_iters must be positive")
-        if self.seed < 0:
-            raise BadParameter("seed must be nonnegative")
+            if value is not None or name != "ensemble_size":
+                object.__setattr__(self, name, integer(value, BadParameter, name, lo))
 
 
 @dataclass(frozen=True)

@@ -41,4 +41,4 @@ class BadDecomposition(FramenessError):
 
 class BadParameter(FramenessError):
     """Scalar argument outside its range: a probability, an angle, a roof
-    budget, a seed or trial index, a trial count or a dimension."""
+    budget, a seed or trial index, a trial count, a dimension or a rank."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import Ensemble
 from .errors import BadMonotone, BadParameter, InvalidDensity
-from .numerics import ZERO_TOL, _checked_density
+from .numerics import ZERO_TOL, _checked_density, integer, number
 from .states import StandardState
 
 KINDS = ("vidal", "entropy", "concurrence", "variance")
@@ -35,21 +35,9 @@ class MonotoneId:
         if self.kind in ("vidal", "concurrence"):
             if self.k is None:
                 raise BadMonotone(f"{self.kind} needs an order k")
-            # A Python or numpy integer, not bool, so that 2.7 is never truncated.
-            if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-                raise BadMonotone(f"order k must be an integer, got {self.k!r}")
-            k = int(self.k)
-            if k < 2:
-                raise BadMonotone(f"order k must be at least 2, got {k}")
-            object.__setattr__(self, "k", k)
+            object.__setattr__(self, "k", integer(self.k, BadMonotone, "order k", 2))
         elif self.k is not None:
             raise BadMonotone(f"{self.kind} does not take an order k")
-
-
-def _check_k(k: int, dim: int) -> int:
-    if not 2 <= k <= dim:
-        raise BadMonotone(f"order k={k} outside 2..{dim}")
-    return k
 
 
 # Each evaluator acts along the last axis of a (..., d) array of weights and
@@ -120,12 +108,12 @@ def weight_evaluator(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np
     values along the last axis; a single vector gives a scalar.
     """
     if measure.kind == "vidal":
-        k = _check_k(measure.k, dim)
+        k = integer(measure.k, BadMonotone, "order k", 2, dim)
         return lambda w: _tail_sum(w, k)
     if measure.kind == "entropy":
         return _shannon_bits
     if measure.kind == "concurrence":
-        k = _check_k(measure.k, dim)
+        k = integer(measure.k, BadMonotone, "order k", 2, dim)
         return lambda w: _concurrence_weights(w, k)
     return _variance_weights
 
@@ -178,12 +166,12 @@ def weight_gradient(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np.
     concurrence at its cap are not smooth; there it gives a subgradient.
     """
     if measure.kind == "vidal":
-        k = _check_k(measure.k, dim)
+        k = integer(measure.k, BadMonotone, "order k", 2, dim)
         return lambda w: _vidal_slope(w, k)
     if measure.kind == "entropy":
         return lambda w: -np.log2(np.where(w > 0.0, w, 1.0))
     if measure.kind == "concurrence":
-        k = _check_k(measure.k, dim)
+        k = integer(measure.k, BadMonotone, "order k", 2, dim)
         return lambda w: _concurrence_slope(w, k)
     labels = np.arange(dim)
     return lambda w: 4.0 * np.square(labels - np.vecdot(w, labels)[..., None])
@@ -198,7 +186,7 @@ def smoothed_tail_sum(k: int, dim: int, width: float) -> tuple[Callable, Callabl
     differentiable, and tends to the tail sum as ``width`` goes to 0. The
     slope is dh/da of its degree-1 extension, as ``weight_gradient`` gives.
     """
-    k = _check_k(k, dim)
+    k = integer(k, BadMonotone, "order k", 2, dim)
 
     def parts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Shifted by the mean of the k - 1 largest weights, the exponentials
@@ -300,13 +288,13 @@ def appendix_closed_form(p: float, alpha: float) -> AppendixResult:
     """Closed forms for rho = p |phi1><phi1| + (1-p) |phi2><phi2|.
 
     Here phi1 = cos(a/2)|0> + sin(a/2)|1> and phi2 is its orthogonal
-    complement. Raises :class:`BadParameter` for p outside [0, 1] or a
-    non-finite alpha.
+    complement. Raises :class:`BadParameter` unless p and alpha are
+    numbers, p lies in [0, 1] and alpha is finite.
     """
-    p = float(p)
+    p = float(number(p, BadParameter, "p"))
     if not 0.0 <= p <= 1.0:
         raise BadParameter(f"p={p} outside [0, 1]")
-    alpha = float(alpha)
+    alpha = float(number(alpha, BadParameter, "alpha"))
     if not math.isfinite(alpha):
         raise BadParameter(f"alpha={alpha} is not finite")
     s = math.sin(alpha)

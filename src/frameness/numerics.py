@@ -1,4 +1,4 @@
-"""Shared thresholds, the one density check and the seeded trial streams.
+"""Shared thresholds, the input readers, the one density check and the trial streams.
 
 Matrices are plain ``numpy`` arrays of complex128, capped at ``MAX_DIM``.
 The density check makes one ``numpy.linalg.eigh`` call, and its eigenpairs
@@ -7,11 +7,12 @@ feed the qubit closed forms and the convex roof.
 
 from __future__ import annotations
 
+import numbers
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParameter, InvalidDensity
+from .errors import BadParameter, FramenessError, InvalidDensity
 
 # The package's acceptance thresholds; no call takes a tolerance argument.
 # Numerical zero: entries above -ZERO_TOL count as nonnegative, weights,
@@ -27,6 +28,32 @@ SUM_TOL = 1e-9
 H_TOL = 1e-10
 P_TOL = 1e-10
 MAX_DIM = 64
+
+
+def integer(value, error: type[FramenessError], name: str, lo=None, hi=None) -> int:
+    """``value`` as an ``int`` in ``lo..hi``; ``error`` is raised on anything else.
+
+    Only Python and numpy integers are read, never ``bool`` or a float, so
+    nothing is truncated: 2.0, 2.5 and ``True`` are all rejected.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    n = int(value)
+    if lo is not None and n < lo:
+        raise error(f"{name} must be at least {lo}, got {n}")
+    if hi is not None and n > hi:
+        raise error(f"{name} must be at most {hi}, got {n}")
+    return n
+
+
+def number(value, error: type[FramenessError], name: str):
+    """``value`` if it is a ``numbers.Number`` other than ``bool``, else raise ``error``.
+
+    Strings and bytes are never parsed: ``"0.5"`` is rejected, not read as 0.5.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        raise error(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def as_complex_matrix(a: np.ndarray) -> np.ndarray:
@@ -138,12 +165,11 @@ def seeded_normals(seed: int, trials: range, sizes: Sequence[int]) -> list[np.nd
     stream: the SeedSequence hash runs once for every (trial, k) stream as
     uint32 array arithmetic, grouped by entropy length, and each stream's
     PCG64 state is then set on one reused generator. Trials must lie below
-    2**64. Raises :class:`BadParameter` on a negative seed or trial.
+    2**64. Raises :class:`BadParameter` on a bad seed or a negative trial.
     """
-    if seed < 0:
-        raise BadParameter(f"seed must be nonnegative, got {seed}")
-    if trials and min(trials[0], trials[-1]) < 0:
-        raise BadParameter(f"trials must be nonnegative, got {trials}")
+    seed = integer(seed, BadParameter, "seed", 0)
+    if trials:
+        integer(min(trials[0], trials[-1]), BadParameter, "trial", 0)
     out = [np.empty((len(trials), n)) for n in sizes]
     t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
     seed_words = _words(seed)

@@ -8,14 +8,13 @@ the standard form: the vector of per-sector squared norms.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, InvalidDensity, InvalidState
-from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, validate_density
+from .errors import BadParameter, FramenessError, InvalidDensity, InvalidState
+from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, integer, number, validate_density
 
 
 @dataclass(frozen=True)
@@ -23,22 +22,17 @@ class SectoredPureState:
     """Pure state given as complex amplitude blocks per charge sector.
 
     ``sectors`` maps a sector label ``n`` to the amplitude vector over that
-    sector's multiplicity space. Labels must lie in ``0..dim-1``.
+    sector's multiplicity space. Labels must be integers in ``0..dim-1``.
     """
 
     sectors: Mapping[int, np.ndarray]
     dim: int
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise InvalidState("ambient dimension must be at least 1")
-        if self.dim > MAX_DIM:
-            raise InvalidState(f"dimension {self.dim} exceeds the cap of {MAX_DIM}")
+        object.__setattr__(self, "dim", integer(self.dim, InvalidState, "dimension", 1, MAX_DIM))
         clean: dict[int, np.ndarray] = {}
         for n, amps in self.sectors.items():
-            n = int(n)
-            if not 0 <= n < self.dim:
-                raise InvalidState(f"sector label {n} outside window 0..{self.dim - 1}")
+            n = integer(n, InvalidState, "sector", 0, self.dim - 1)
             vec = np.atleast_1d(np.asarray(amps, dtype=np.complex128))
             if vec.ndim != 1 or vec.size == 0:
                 raise InvalidState(f"sector {n} needs a nonempty amplitude vector")
@@ -234,6 +228,7 @@ def random_weights(dim: int, draws: np.ndarray) -> np.ndarray:
 
 def random_standard_state(dim: int, rng: np.random.Generator) -> StandardState:
     """Standard form of a Haar-uniform pure state on the ambient sphere."""
+    dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
     return StandardState(random_weights(dim, rng.normal(size=(1, 2 * dim)))[0])
 
 
@@ -241,15 +236,20 @@ def random_density_matrix(
     dim: int, rng: np.random.Generator, rank: int | None = None
 ) -> np.ndarray:
     """Random density matrix from a complex Gaussian factor of given rank."""
-    r = dim if rank is None else rank
+    dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
+    r = dim if rank is None else integer(rank, BadParameter, "rank", 1, dim)
     g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
     m = g @ g.conj().T
     return m / np.trace(m).real
 
 
-def _complex_from_pair(pair: Sequence[float]) -> complex:
-    re, im = pair
-    return complex(float(re), float(im))
+def _complex_from_pair(pair: Sequence[float], error: type[FramenessError]) -> complex:
+    """``complex(re, im)`` of a ``[re, im]`` pair of real numbers, else raise ``error``."""
+    try:
+        re, im = pair
+        return complex(float(number(re, error, "entry")), float(number(im, error, "entry")))
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"entry {pair!r} is not a [re, im] pair of numbers") from None
 
 
 def state_from_dict(data: dict) -> SectoredPureState | StandardState:
@@ -262,35 +262,24 @@ def state_from_dict(data: dict) -> SectoredPureState | StandardState:
         if "dim" not in data:
             raise InvalidState("state dictionary needs a 'dim' key")
         try:
-            dim = operator.index(data["dim"])
-        except TypeError:
-            raise InvalidState(f"dim {data['dim']!r} is not an integer") from None
-        try:
             sectors = {
-                operator.index(block["n"]): np.array(
-                    [_complex_from_pair(p) for p in block["amplitudes"]]
+                integer(block["n"], InvalidState, "sector"): np.array(
+                    [_complex_from_pair(p, InvalidState) for p in block["amplitudes"]]
                 )
                 for block in data["sectors"]
             }
-        except (KeyError, TypeError, ValueError, OverflowError):
+        except (KeyError, TypeError):
             raise InvalidState(
                 "each sector needs an integer 'n' and 'amplitudes' of [re, im] pairs"
             ) from None
-        return SectoredPureState(sectors, dim)
+        return SectoredPureState(sectors, data["dim"])
     if "weights" in data:
         try:
-            weights = np.asarray(data["weights"], dtype=np.float64)
+            weights = np.array([number(w, InvalidState, "weight") for w in data["weights"]], float)
         except (TypeError, ValueError, OverflowError):
             raise InvalidState("weights must be numbers") from None
         return StandardState(weights)
     raise InvalidState("state dictionary needs a 'sectors' or 'weights' key")
-
-
-def _density_entry(entry: Sequence[float]) -> complex:
-    try:
-        return _complex_from_pair(entry)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidDensity(f"matrix entry {entry!r} is not a [re, im] pair of numbers") from None
 
 
 def _density_matrix(data: dict) -> np.ndarray:
@@ -298,17 +287,14 @@ def _density_matrix(data: dict) -> np.ndarray:
     for key in ("dim", "matrix"):
         if key not in data:
             raise InvalidDensity(f"density dictionary needs a {key!r} key")
-    try:
-        dim = operator.index(data["dim"])
-    except TypeError:
-        raise InvalidDensity(f"dim {data['dim']!r} is not an integer") from None
+    dim = integer(data["dim"], InvalidDensity, "dimension", 1, MAX_DIM)
     try:
         rows = [list(row) for row in data["matrix"]]
     except TypeError:
         raise InvalidDensity("matrix must be a list of rows") from None
     if len({len(row) for row in rows}) > 1:
         raise InvalidDensity("matrix rows differ in length")
-    m = np.array([[_density_entry(e) for e in row] for row in rows], dtype=np.complex128)
+    m = np.array([[_complex_from_pair(e, InvalidDensity) for e in row] for row in rows], complex)
     if m.shape != (dim, dim):
         raise InvalidDensity(f"matrix shape {m.shape} does not match dim {dim}")
     return m

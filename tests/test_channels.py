@@ -125,14 +125,23 @@ def test_random_channel_bad_requests():
         random_channel(3, (), seed=0)
     with pytest.raises(InvalidChannel, match="sector 0 admits no shift"):
         random_channel(2, (5,), seed=0)
-    with pytest.raises(InvalidChannel, match="kraus_per_shift"):
+    with pytest.raises(InvalidChannel, match="^kraus_per_shift must be at least 1, got 0$"):
         random_channel(3, (0,), kraus_per_shift=0, seed=0)
     with pytest.raises(InvalidChannel, match="^kraus_per_shift must be at most 64, got 65$"):
         random_channel(3, (0,), kraus_per_shift=65, seed=0)
     assert len(list(random_channel(3, (0,), kraus_per_shift=64, seed=0).all_kraus())) == 64
     for seed in (-1, [2026, -1, 7]):
-        with pytest.raises(BadParameter, match="seed must be nonnegative"):
+        with pytest.raises(BadParameter, match="^seed must be at least 0, got -1$"):
             random_channel(3, (-1, 0, 1), seed=seed)
+    # Shifts 0.5 and 1.5 made shifts 0 and 1; a float seed raised a bare TypeError.
+    with pytest.raises(InvalidChannel, match=r"^shift must be an integer, got 0\.5$"):
+        random_channel(3, [0.5, 1.5])
+    for seed, bad in ((2.5, "2.5"), ([1, True], "True"), ("7", "'7'")):
+        with pytest.raises(BadParameter, match=f"^seed must be an integer, got {bad}$"):
+            random_channel(3, (-1, 0, 1), seed=seed)
+    for dim, rule in ((2.5, "an integer, got 2.5"), (True, "an integer, got True"), (0, "at least 1, got 0")):
+        with pytest.raises(BadParameter, match=f"^dimension must be {rule}$"):
+            random_channel(dim, (0,))
 
 
 def test_apply_channel_pure_shifts_weights():
@@ -255,6 +264,9 @@ def test_ensemble_validation_and_mixture():
         (((-0.1, a), (1.1, b)), "^negative probability -1.000e-01$"),
         (((np.nan, a), (1.0, b)), "^probabilities must be finite$"),
         (((np.inf, a), (-np.inf, b)), "^probabilities must be finite$"),
+        # Read as 0.5 and 0.5 before.
+        ((("0.5", a), ("0.5", b)), "^probability must be a number, got '0.5'$"),
+        (((True, a), (False, b)), "^probability must be a number, got True$"),
     ]:
         with pytest.raises(InvalidState, match=message):
             Ensemble(pairs)
@@ -266,3 +278,14 @@ def test_channel_json_roundtrip():
     ch = random_channel(3, (-1, 0), seed=5)
     back = channel_from_dict(channel_to_dict(ch))
     assert channel_to_dict(back) == channel_to_dict(ch)
+
+
+def test_channel_dimension_is_an_integer_in_range():
+    # 2.7 raised numpy's bare TypeError in validate_channel; 0 and 10**6 were accepted.
+    kraus = [[U1Kraus(0, {0: 1.0})]]
+    for dim, rule in ((2.7, "an integer, got 2.7"), (True, "an integer, got True"), (0, "at least 1, got 0"), (10**6, "at most 64, got 1000000")):
+        with pytest.raises(InvalidChannel, match=f"^dimension must be {rule}$"):
+            U1Channel(kraus, dim)
+    channel = U1Channel(kraus, np.int64(1))
+    assert type(channel.dim) is int and validate_channel(channel).trace_preserving
+

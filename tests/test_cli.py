@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -167,12 +168,17 @@ MALFORMED_STATES = [
     ("list", b"[0.5, 0.5]", "holds a JSON list, not an object"),
     ("no-key", b'{"foo": 1}', "state dictionary needs a 'sectors' or 'weights' key"),
     ("no-dim", b'{"sectors": [{"n": 0, "amplitudes": [[1, 0]]}]}', "state dictionary needs a 'dim' key"),
-    ("dim-fractional", b'{"dim": 2.9, "sectors": [{"n": 1, "amplitudes": [[1, 0]]}]}', "dim 2.9 is not an integer"),
-    ("n-fractional", b'{"dim": 2, "sectors": [{"n": 1.7, "amplitudes": [[1, 0]]}]}', "each sector needs an integer 'n'"),
+    ("dim-fractional", b'{"dim": 2.9, "sectors": [{"n": 1, "amplitudes": [[1, 0]]}]}', "dimension must be an integer, got 2.9"),
+    ("n-fractional", b'{"dim": 2, "sectors": [{"n": 1.7, "amplitudes": [[1, 0]]}]}', "sector must be an integer, got 1.7"),
     ("no-n", b'{"dim": 2, "sectors": [{"amplitudes": [[1, 0]]}]}', "each sector needs an integer 'n'"),
-    ("amplitude-text", b'{"dim": 1, "sectors": [{"n": 0, "amplitudes": [["a", 0]]}]}', "[re, im] pairs"),
+    ("amplitude-text", b'{"dim": 1, "sectors": [{"n": 0, "amplitudes": [["a", 0]]}]}', "entry ['a', 0] is not a [re, im] pair of numbers"),
     ("weight-text", b'{"weights": ["a", 1]}', "weights must be numbers"),
     ("weight-overflow", b'{"weights": [1' + b"0" * 400 + b"]}", "weights must be numbers"),
+    # Each of these loaded before: as dim 1, sector 1, amplitude 1+0j and weights 0.5.
+    ("dim-bool", b'{"dim": true, "sectors": [{"n": 0, "amplitudes": [[1, 0]]}]}', "dimension must be an integer, got True"),
+    ("n-bool", b'{"dim": 2, "sectors": [{"n": true, "amplitudes": [[1, 0]]}]}', "sector must be an integer, got True"),
+    ("amplitude-string", b'{"dim": 1, "sectors": [{"n": 0, "amplitudes": [["1", "0"]]}]}', "entry ['1', '0'] is not a [re, im] pair of numbers"),
+    ("weight-string", b'{"weights": ["0.5", "0.5"]}', "weights must be numbers"),
 ]
 
 
@@ -266,14 +272,17 @@ ZERO = [0.0, 0.0]
 MALFORMED_DENSITIES = [
     ("no-dim", {"matrix": [[[1.0, 0.0], ZERO], [ZERO, ZERO]]}, "needs a 'dim' key"),
     ("no-matrix", {"dim": 2}, "needs a 'matrix' key"),
-    ("dim-not-integer", {"dim": "two", "matrix": []}, "dim 'two' is not an integer"),
-    ("dim-fractional", {"dim": 2.5, "matrix": []}, "dim 2.5 is not an integer"),
-    ("dim-infinite", {"dim": float("inf"), "matrix": []}, "dim inf is not an integer"),
+    ("dim-not-integer", {"dim": "two", "matrix": []}, "dimension must be an integer, got 'two'"),
+    ("dim-fractional", {"dim": 2.5, "matrix": []}, "dimension must be an integer, got 2.5"),
+    ("dim-infinite", {"dim": float("inf"), "matrix": []}, "dimension must be an integer, got inf"),
     ("matrix-not-rows", {"dim": 2, "matrix": [0.5, 0.5]}, "matrix must be a list of rows"),
     ("ragged-rows", {"dim": 2, "matrix": [[[1.0, 0.0], ZERO], [ZERO]]}, "rows differ in length"),
     ("one-number", {"dim": 2, "matrix": [[[1.0], ZERO], [ZERO, ZERO]]}, "entry [1.0] is not a [re, im] pair"),
     ("non-numeric", {"dim": 2, "matrix": [[["a", 0.0], ZERO], [ZERO, ZERO]]}, "entry ['a', 0.0] is not a [re, im] pair"),
     ("entry-overflow", {"dim": 1, "matrix": [[[10**400, 0.0]]]}, "0, 0.0] is not a [re, im] pair"),
+    # Each of these loaded before: as dim 1 and as the entry 0.5.
+    ("dim-bool", {"dim": True, "matrix": [[[1.0, 0.0]]]}, "dimension must be an integer, got True"),
+    ("entry-string", {"dim": 2, "matrix": [[["0.5", "0"], ZERO], [ZERO, [0.5, 0.0]]]}, "entry ['0.5', '0'] is not a [re, im] pair of numbers"),
 ]
 
 
@@ -326,6 +335,18 @@ def test_package_exports_are_defined_once():
     names = frameness.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(frameness, n)] == []
+
+
+def test_package_exports_every_public_import():
+    # validate_channel was imported but missing from __all__.
+    tree = ast.parse(Path(frameness.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(frameness.__all__) == sorted(n for n in imported if not n.startswith("_"))
 
 
 def test_verify_reports_clean_run(capsys, tmp_path):
@@ -556,13 +577,17 @@ def test_negative_seed_exits_2(capsys, argv):
     assert main(argv + ["--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "seed must be nonnegative, got -1" in captured.err
+    assert captured.err == "error: seed must be at least 0, got -1\n"
 
 
 def test_negative_seed_or_trial_is_typed():
-    with pytest.raises(BadParameter, match="seed must be nonnegative"):
+    with pytest.raises(BadParameter, match="^seed must be at least 0, got -1$"):
         run_verification(MonotoneId("entropy"), 3, 4, -1, (-1, 0, 1))
-    with pytest.raises(BadParameter, match="trials must be nonnegative"):
+    # A bool seed equals 1, so it hit the batch cached for seed 1 and was accepted.
+    run_verification(MonotoneId("entropy"), 3, 4, 1, (-1, 0, 1))
+    with pytest.raises(BadParameter, match="^seed must be an integer, got True$"):
+        run_verification(MonotoneId("entropy"), 3, 4, True, (-1, 0, 1))
+    with pytest.raises(BadParameter, match="^trial must be at least 0, got -1$"):
         sample_trial(3, (-1, 0, 1), 1, 0, -1)
 
 
@@ -571,19 +596,19 @@ ROOF_ARGS = ["roof", "--measure", "entropy", "--rho", "RHO"]
 INPUT_ERRORS = {
     "ensemble-size": (
         ROOF_ARGS + ["--ensemble-size", "0"],
-        "ensemble_size must be positive",
+        "ensemble_size must be at least 1, got 0",
         BadParameter,
         lambda state: RoofConfig(ensemble_size=0),
     ),
     "restarts": (
         ROOF_ARGS + ["--restarts", "0"],
-        "restarts must be positive",
+        "restarts must be at least 1, got 0",
         BadParameter,
         lambda state: RoofConfig(restarts=0),
     ),
     "max-iters": (
         ROOF_ARGS + ["--max-iters", "0"],
-        "max_iters must be positive",
+        "max_iters must be at least 1, got 0",
         BadParameter,
         lambda state: RoofConfig(max_iters=0),
     ),
@@ -609,7 +634,7 @@ INPUT_ERRORS = {
     ),
     "seed": (
         ROOF_ARGS + ["--seed=-1"],
-        "seed must be nonnegative",
+        "seed must be at least 0, got -1",
         BadParameter,
         lambda state: RoofConfig(seed=-1),
     ),
@@ -633,7 +658,7 @@ INPUT_ERRORS = {
     ),
     "dim-negative": (
         ["monotone", "--measure", "entropy", "--state", "STATE", "--dim", "-2"],
-        "dimension -2 outside 1..64",
+        "dimension must be at least 1, got -2",
         BadParameter,
         lambda state: cli._load_weights(state, -2),
     ),
@@ -689,8 +714,9 @@ def test_dimension_outside_range_exits_2(capsys, verb, dim):
     assert main(argv + ["--dim", str(dim), "--shifts=-1,0,1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: dimension {dim} outside 1..64\n"
-    with pytest.raises(BadParameter, match=rf"^dimension {dim} outside 1\.\.64$"):
+    message = f"dimension must be at least 1, got {dim}" if dim < 1 else f"dimension must be at most 64, got {dim}"
+    assert captured.err == f"error: {message}\n"
+    with pytest.raises(BadParameter, match=f"^{message}$"):
         call(dim)
 
 

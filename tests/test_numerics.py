@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from frameness import InvalidDensity, is_hermitian, validate_density
+from frameness import BadParameter, InvalidDensity, is_hermitian, validate_density
+from frameness.numerics import integer, number
 
 
 def test_predicates():
@@ -25,3 +28,31 @@ def test_validate_density():
 def test_validate_density_rejects_oversize():
     with pytest.raises(InvalidDensity, match="exceeds the cap of 64"):
         validate_density(np.eye(65) / 65)
+
+
+# (value, integer(value, ..., 0, 64), number(value, ...)); a str is the rule
+# the value breaks, as the error message states it.
+READER_CASES = {
+    "bool": (True, "an integer, got True", "a number, got True"),
+    "float": (2.5, "an integer, got 2.5", 2.5),
+    "str": ("2", "an integer, got '2'", "a number, got '2'"),
+    "bytes": (b"2", "an integer, got b'2'", "a number, got b'2'"),
+    "int64": (np.int64(2), 2, np.int64(2)),
+    "uint8": (np.uint8(1), 1, np.uint8(1)),
+    "below": (-1, "at least 0, got -1", -1),
+    "above": (10**6, "at most 64, got 1000000", 10**6),
+    "inf": (float("inf"), "an integer, got inf", float("inf")),
+    "complex": (1j, "an integer, got 1j", 1j),
+}
+
+
+@pytest.mark.parametrize("value, as_integer, as_number", list(READER_CASES.values()), ids=list(READER_CASES))
+def test_integer_and_number_readers(value, as_integer, as_number):
+    readers = ((lambda v: integer(v, BadParameter, "x", 0, 64), as_integer), (lambda v: number(v, BadParameter, "x"), as_number))
+    for read, expected in readers:
+        if isinstance(expected, str):
+            with pytest.raises(BadParameter, match=f"^x must be {re.escape(expected)}$"):
+                read(value)
+        else:
+            got = read(value)
+            assert got == expected and type(got) is type(expected)

@@ -64,8 +64,20 @@ def test_standard_form_rejects_unnormalized():
 
 
 def test_sectored_state_window():
-    with pytest.raises(InvalidState, match=r"sector label 5 outside window 0\.\.2"):
+    with pytest.raises(InvalidState, match="^sector must be at most 2, got 5$"):
         SectoredPureState({5: [1.0]}, dim=3)
+    # Sector 0.7 was stored as sector 0, and dims 2.5 and True were accepted.
+    cases = [
+        ({0.7: [1.0]}, 2, r"^sector must be an integer, got 0\.7$"),
+        ({True: [1.0]}, 2, "^sector must be an integer, got True$"),
+        ({0: [1.0]}, 2.5, r"^dimension must be an integer, got 2\.5$"),
+        ({0: [1.0]}, True, "^dimension must be an integer, got True$"),
+        ({0: [1.0]}, 0, "^dimension must be at least 1, got 0$"),
+        ({0: [1.0]}, 65, "^dimension must be at most 64, got 65$"),
+    ]
+    for sectors, dim, message in cases:
+        with pytest.raises(InvalidState, match=message):
+            SectoredPureState(sectors, dim)
 
 
 def test_standard_state_checks_weights():
@@ -192,6 +204,25 @@ def test_majorizes_rejects_bad_input():
         majorizes(np.eye(2), [0.5, 0.5])
 
 
+def test_random_inputs_check_dimension_and_rank():
+    # rank 0 gave an all-NaN matrix, rank 2.5 a bare TypeError, dim 0 the
+    # message "weights sum to 0.0", and dim 100 was accepted.
+    rng = np.random.default_rng(0)
+    cases = [
+        (lambda: random_density_matrix(3, rng, rank=0), "^rank must be at least 1, got 0$"),
+        (lambda: random_density_matrix(3, rng, rank=4), "^rank must be at most 3, got 4$"),
+        (lambda: random_density_matrix(3, rng, rank=2.5), "^rank must be an integer, got 2.5$"),
+        (lambda: random_density_matrix(65, rng), "^dimension must be at most 64, got 65$"),
+        (lambda: random_standard_state(0, rng), "^dimension must be at least 1, got 0$"),
+        (lambda: random_standard_state(100, rng), "^dimension must be at most 64, got 100$"),
+        (lambda: random_standard_state(2.0, rng), "^dimension must be an integer, got 2.0$"),
+    ]
+    for call, message in cases:
+        with pytest.raises(BadParameter, match=message):
+            call()
+    assert np.linalg.matrix_rank(random_density_matrix(3, rng, rank=np.int64(2))) == 2
+
+
 def test_random_standard_state_deterministic():
     a = random_standard_state(4, np.random.default_rng(77))
     b = random_standard_state(4, np.random.default_rng(77))
@@ -229,6 +260,11 @@ def test_json_roundtrips():
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
+def is_number(x) -> bool:
+    """True for a JSON number: an int or a float, never a bool or a string."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @st.composite
 def density_payloads(draw):
     """``density_from_dict`` payloads from 2x2 to 4x4 with up to two NaN or
@@ -254,11 +290,17 @@ def density_payloads(draw):
 @settings(max_examples=300, deadline=None)
 @given(density_payloads())
 @example({"dim": 1, "matrix": [[[10**400, 0.0]]]})  # escaped as a bare OverflowError
+# Each of these loaded: a bool dim read as 1, strings and bools as numbers.
+@example({"dim": True, "matrix": [[[1.0, 0.0]]]})
+@example({"dim": 2, "matrix": [[["0.5", "0"], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]})
+@example({"dim": 1, "matrix": [[[True, False]]]})
 def test_density_loader_rejects_or_returns_a_density(payload):
     try:
         rho = density_from_dict(payload)
     except InvalidDensity:
         return
+    assert type(payload["dim"]) is int
+    assert all(is_number(x) for row in payload["matrix"] for entry in row for x in entry)
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
     assert np.linalg.eigvalsh(rho).min() >= -1e-10
     assert abs(np.trace(rho).real - 1.0) <= 1e-9
@@ -330,6 +372,13 @@ def state_payloads(draw):
 @example({"weights": ["a", 1.0]})
 @example({"weights": [10**400]})
 @example({"weights": [1e308, 1e308]})
+# Each of these loaded: bools read as dim 1 and sector 1, strings and bools
+# as numbers.
+@example({"dim": True, "sectors": [{"n": 0, "amplitudes": [[1.0, 0.0]]}]})
+@example({"dim": 2, "sectors": [{"n": True, "amplitudes": [[1.0, 0.0]]}]})
+@example({"dim": 1, "sectors": [{"n": 0, "amplitudes": [["1", "0"]]}]})
+@example({"weights": ["0.5", "0.5"]})
+@example({"weights": [True, False]})
 def test_state_loader_rejects_or_returns_a_state(payload):
     try:
         state = state_from_dict(payload)
@@ -337,6 +386,13 @@ def test_state_loader_rejects_or_returns_a_state(payload):
             state = standard_form(state)
     except InvalidState:
         return
+    if "sectors" in payload:
+        assert type(payload["dim"]) is int
+        for block in payload["sectors"]:
+            assert type(block["n"]) is int
+            assert all(is_number(x) for pair in block["amplitudes"] for x in pair)
+    else:
+        assert all(is_number(w) for w in payload["weights"])
     assert isinstance(state, StandardState)
     assert state.dim == (payload["dim"] if "sectors" in payload else len(payload["weights"]))
     assert np.isfinite(state.weights).all()
@@ -386,12 +442,23 @@ def channel_payloads(draw):
 @example({"dim": 2, "outcomes": [[{"shift": 0.5, "coeffs": {"0": [1.0, 0.0], "1": [1.0, 0.0]}}]]})
 @example({"dim": 2, "outcomes": [[{"shift": 0, "coeffs": {1.7: [1.0, 0.0]}}]]})
 @example({"dim": 65, "outcomes": [[{"shift": 0, "coeffs": {"0": [1.0, 0.0]}}]]})
+# Each of these loaded: bools read as dim 1 and shift 0, strings and bools
+# as numbers.
+@example({"dim": True, "outcomes": [[{"shift": 0, "coeffs": {"0": [1.0, 0.0]}}]]})
+@example({"dim": 1, "outcomes": [[{"shift": False, "coeffs": {"0": [1.0, 0.0]}}]]})
+@example({"dim": 1, "outcomes": [[{"shift": 0, "coeffs": {"0": ["1", "0"]}}]]})
+@example({"dim": 1, "outcomes": [[{"shift": 0, "coeffs": {"0": [True, False]}}]]})
 def test_channel_loader_rejects_or_returns_a_channel(payload):
     try:
         channel = channel_from_dict(payload)
         report = validate_channel(channel)
     except InvalidChannel:
         return
+    assert type(payload["dim"]) is int
+    for group in payload["outcomes"]:
+        for entry in group:
+            assert type(entry["shift"]) is int
+            assert all(is_number(x) for pair in entry["coeffs"].values() for x in pair)
     assert type(channel.dim) is int and 1 <= channel.dim == payload["dim"]
     for kraus in channel.all_kraus():
         assert type(kraus.shift) is int
@@ -401,9 +468,21 @@ def test_channel_loader_rejects_or_returns_a_channel(payload):
 
 
 def test_kraus_operator_reads_integers_only():
-    # Sector 1.7 was stored as 1, and shift 0.5 failed later with an IndexError.
-    for shift, coeffs in ((0, {1.7: 1.0}), (0.5, {0: 1.0}), (0, {"0": 1.0}), (0, [1.0])):
-        with pytest.raises(InvalidChannel, match="^a Kraus operator needs an integer shift"):
+    # Sector 1.7 was stored as 1, and shift 0.5 failed later with an IndexError;
+    # the string coefficients were stored as 1j and 1+0j.
+    cases = [
+        (0, {1.7: 1.0}, r"^sector must be an integer, got 1\.7$"),
+        (0.5, {0: 1.0}, r"^shift must be an integer, got 0\.5$"),
+        (True, {0: 1.0}, "^shift must be an integer, got True$"),
+        (0, {"0": 1.0}, "^sector must be an integer, got '0'$"),
+        (0, [1.0], r"^coefficients must map sectors to numbers, got \[1\.0\]$"),
+        (0, {0: "1j"}, "^coefficient at sector 0 must be a number, got '1j'$"),
+        (0, {0: "1"}, "^coefficient at sector 0 must be a number, got '1'$"),
+        (0, {0: True}, "^coefficient at sector 0 must be a number, got True$"),
+        (0, {0: 10**400}, r"^coefficient at sector 0 is \(inf\+0j\)$"),
+    ]
+    for shift, coeffs, message in cases:
+        with pytest.raises(InvalidChannel, match=message):
             U1Kraus(shift, coeffs)
     kraus = U1Kraus(np.int64(-1), {np.uint8(1): 1.0})
     assert (type(kraus.shift), list(kraus.coeffs)) == (int, [1])
