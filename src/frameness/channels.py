@@ -34,7 +34,7 @@ class U1Kraus:
         for n, c in self.coeffs.items():
             n = integer(n, InvalidChannel, "sector")
             try:
-                clean[n] = complex(number(c, InvalidChannel, f"coefficient at sector {n}"))
+                clean[n] = complex(number(c, InvalidChannel, f"coefficient at sector {n}", real=False))
             except OverflowError:  # an int beyond the float range
                 clean[n] = complex(cmath.inf)
             if not cmath.isfinite(clean[n]):
@@ -338,27 +338,38 @@ def apply_channel_density(channel: U1Channel, rho: np.ndarray) -> Ensemble:
     return Ensemble(tuple(members))
 
 
+def _sector_coeffs(coeffs: dict) -> dict[int, complex]:
+    """Coefficients by sector. A key is an ``int`` or a decimal string as ``str(n)``
+    writes it: "02", "1_0" and " 2" are rejected, so no two keys read as one sector."""
+    out = {}
+    for key, pair in coeffs.items():
+        if isinstance(key, str):
+            try:
+                n = int(key)
+            except ValueError:
+                n = None
+            if n is None or key != str(n):
+                raise InvalidChannel(f"sector key {key!r} is not an integer as str(n) writes it")
+        else:
+            n = integer(key, InvalidChannel, "sector")
+        if n in out:
+            raise InvalidChannel(f"sector {n} is given twice")
+        out[n] = _complex_from_pair(pair, InvalidChannel)
+    return out
+
+
 def channel_from_dict(data: dict) -> U1Channel:
     """Build a channel from its JSON-level dictionary form.
 
     ``dim`` must be an integer in 1..``MAX_DIM``, each ``shift`` an integer,
-    each sector key an integer string and each coefficient a [re, im] pair
-    of numbers; otherwise :class:`InvalidChannel` is raised.
+    each sector key an integer or its decimal string, no sector may repeat
+    within a Kraus operator, and each coefficient must be a [re, im] pair
+    of real numbers; otherwise :class:`InvalidChannel` is raised.
     """
     try:
         dim = data["dim"]
-        groups = [
-            [
-                # int(str(n)) reads "2" and 2 as sector 2 but rejects 2.5 and "2.0".
-                (
-                    entry["shift"],
-                    {int(str(n)): _complex_from_pair(p, InvalidChannel) for n, p in entry["coeffs"].items()},
-                )
-                for entry in group
-            ]
-            for group in data["outcomes"]
-        ]
-    except (KeyError, TypeError, ValueError, AttributeError):
+        groups = [[(e["shift"], _sector_coeffs(e["coeffs"])) for e in group] for group in data["outcomes"]]
+    except (KeyError, TypeError, AttributeError):
         raise InvalidChannel(
             "a channel needs an integer 'dim' and 'outcomes' of Kraus entries, each "
             "with an integer 'shift' and 'coeffs' from integer strings to [re, im] pairs"

@@ -3,18 +3,18 @@
 A decomposition of a rank-r state into m pure members is an m x r isometry
 U: the members are the rows of V = U F^T, F the support factor. With each
 monotone written as a degree-1 homogeneous function h of the weights
-a = |V|^2 (``monotones.weight_gradient``), the roof average
+a = |V|^2 (``monotones.weight_value_and_slope``), the roof average
 sum_i h(|V_i|^2) has a closed-form gradient in U. It is minimized by
 Riemannian gradient descent on the isometries (Wen and Yin, Math. Program.
 142, 397, 2013): Barzilai-Borwein steps under a nonmonotone Armijo test,
 projected onto the tangent space and retracted by the polar factor.
 Restart i starts from a Haar isometry drawn from the stream seeded by
-(seed, i). All live restarts share one objective-and-gradient call per
-round, and each follows the path it would follow alone. Vidal's tail sum
-is not smooth: its search descends a log-sum-exp stand-in
-(``monotones.smoothed_tail_sum``) of shrinking width before the tail sum
-itself, whose plateaus would otherwise hold each member on the sectors it
-starts with. At the concurrence cap the search follows a subgradient.
+(seed, i). All live restarts share one objective call per round, which
+asks the monotone once for values and slope; each restart follows the
+path it would follow alone. Vidal's tail sum is not smooth: its search
+descends a log-sum-exp stand-in (``monotones.smoothed_tail_sum``) of
+shrinking width first, since the tail sum's plateaus hold each member on
+its starting sectors. At the concurrence cap it follows a subgradient.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import Ensemble
 from .errors import BadDecomposition, BadParameter
-from .monotones import MonotoneId, smoothed_tail_sum, weight_evaluator, weight_gradient
+from .monotones import MonotoneId, smoothed_tail_sum, weight_evaluator, weight_value_and_slope
 from .numerics import ZERO_TOL, _checked_density, integer
 from .states import is_gapless
 
@@ -104,7 +104,7 @@ def _support_factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v[:, :r] * np.sqrt(w[:r])
 
 
-def _objective(factor: np.ndarray, stack: np.ndarray, evaluator, slope) -> tuple[np.ndarray, np.ndarray]:
+def _objective(factor: np.ndarray, stack: np.ndarray, value_and_slope) -> tuple[np.ndarray, np.ndarray]:
     """Roof average of each isometry in a (L, m, r) stack, with its Euclidean gradient.
 
     Member i of isometry U is row i of V = U F^T, and the average is the sum
@@ -118,8 +118,9 @@ def _objective(factor: np.ndarray, stack: np.ndarray, evaluator, slope) -> tuple
     w2 = np.square(members.real) + np.square(members.imag)
     probs = w2.sum(axis=1)
     weights = w2 / np.where(probs > 0.0, probs, 1.0)[:, None]
-    values = (probs * evaluator(weights)).reshape(size, m).sum(axis=1)
-    grad = (2.0 * slope(weights) * members) @ factor.conj()
+    values, slope = value_and_slope(weights)
+    values = (probs * values).reshape(size, m).sum(axis=1)
+    grad = (2.0 * slope * members) @ factor.conj()
     return values, grad.reshape(size, m, r)
 
 
@@ -142,7 +143,7 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _descend(
-    factor: np.ndarray, u: np.ndarray, evaluator, slope, tol: float, iterations: np.ndarray, max_iters: int
+    factor: np.ndarray, u: np.ndarray, value_and_slope, tol: float, iterations: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Riemannian gradient descent from every isometry of the stack ``u``, updated in place.
 
@@ -156,48 +157,49 @@ def _descend(
     Returns each restart's final isometry, value and whether its gradient
     norm reached ``tol``.
     """
-    value, grad = _objective(factor, u, evaluator, slope)
+    value, grad = _objective(factor, u, value_and_slope)
     xi = _tangent(u, grad)
     norm2 = _inner(xi, xi)
-    reference = value.copy()
-    weight = np.ones_like(value)
-    step = np.full_like(value, INITIAL_STEP)
-    failures = np.zeros_like(iterations)
     converged = norm2 <= tol**2
-    live = ~converged & (iterations < max_iters)
-    while np.count_nonzero(live):
-        lanes = live.nonzero()[0]
-        trial = _polar(u[lanes] - step[lanes, None, None] * xi[lanes])
-        trial_value, trial_grad = _objective(factor, trial, evaluator, slope)
-        passed = trial_value <= reference[lanes] - ARMIJO * step[lanes] * norm2[lanes]
-        failed = lanes[~passed]
-        step[failed] *= BACKTRACK
-        failures[failed] += 1
-        stuck = failed[failures[failed] > MAX_BACKTRACKS]
-        moved = lanes[passed]
-        trial = trial[passed]
-        trial_xi = _tangent(trial, trial_grad[passed])
-        s = trial - u[moved]
-        y = trial_xi - xi[moved]
+    # Only the live restarts, compacted; each is written back when it stops.
+    lanes = np.flatnonzero(~converged & (iterations < max_iters))
+    x, fx, g, g2, count = u[lanes], value[lanes], xi[lanes], norm2[lanes], iterations[lanes]
+    reference, weight = fx.copy(), np.ones_like(fx)
+    step, failures = np.full_like(fx, INITIAL_STEP), np.zeros_like(count)
+    while lanes.size:
+        trial = _polar(x - step[:, None, None] * g)
+        trial_value, trial_grad = _objective(factor, trial, value_and_slope)
+        passed = trial_value <= reference - ARMIJO * step * g2
+        # Most rounds pass on every lane and update whole arrays; else failed lanes backtrack, the rest move.
+        moved = ended = slice(None)
+        if np.count_nonzero(passed) < lanes.size:
+            failed = ~passed
+            step[failed] *= BACKTRACK
+            failures[failed] += 1
+            moved, ended = passed, passed | (failed & (failures > MAX_BACKTRACKS))
+            trial, trial_value, trial_grad = trial[moved], trial_value[moved], trial_grad[moved]
+        trial_xi = _tangent(trial, trial_grad)
+        s = trial - x[moved]
+        y = trial_xi - g[moved]
         sy = np.abs(_inner(s, y))
         with np.errstate(divide="ignore", invalid="ignore"):
             # Short and long Barzilai-Borwein steps, alternately.
-            bb = np.where(iterations[moved] % 2 == 1, _inner(s, s) / sy, sy / _inner(y, y))
+            bb = np.where(count[moved] % 2 == 1, _inner(s, s) / sy, sy / _inner(y, y))
         step[moved] = np.where(np.isfinite(bb) & (bb > 0.0), bb, step[moved])
         # The reference value is a running average of the values reached
         # (Zhang and Hager), which lets a step rise above the last value.
         total = AVERAGING * weight[moved] + 1.0
-        reference[moved] = (AVERAGING * weight[moved] * reference[moved] + trial_value[passed]) / total
+        reference[moved] = (AVERAGING * weight[moved] * reference[moved] + trial_value) / total
         weight[moved] = total
-        u[moved] = trial
-        value[moved] = trial_value[passed]
-        xi[moved] = trial_xi
-        norm2[moved] = _inner(trial_xi, trial_xi)
-        converged[moved] = norm2[moved] <= tol**2
-        ended = np.concatenate([moved, stuck])
-        iterations[ended] += 1
+        x[moved], fx[moved], g[moved], g2[moved] = trial, trial_value, trial_xi, _inner(trial_xi, trial_xi)
+        count[ended] += 1
         failures[ended] = 0
-        live[ended] = ~converged[ended] & (iterations[ended] < max_iters)
+        stop = (g2 <= tol**2) | (count >= max_iters)
+        if np.count_nonzero(stop):
+            out = lanes[stop]
+            u[out], value[out], converged[out], iterations[out] = x[stop], fx[stop], g2[stop] <= tol**2, count[stop]
+            state = (lanes, x, fx, g, g2, count, reference, weight, step, failures)
+            lanes, x, fx, g, g2, count, reference, weight, step, failures = (a[~stop] for a in state)
     return u, value, converged
 
 
@@ -273,9 +275,9 @@ def convex_roof(
     if measure.kind == "vidal":
         for width in SMOOTHING_WIDTHS:
             stage = smoothed_tail_sum(measure.k, m_rho.shape[0], width)
-            _descend(factor, mixes, *stage, STAGE_TOL * width, iterations, cfg.max_iters)
-    slope = weight_gradient(measure, m_rho.shape[0])
-    mixes, finals, converged = _descend(factor, mixes, evaluator, slope, GRADIENT_TOL, iterations, cfg.max_iters)
+            _descend(factor, mixes, stage, STAGE_TOL * width, iterations, cfg.max_iters)
+    objective = weight_value_and_slope(measure, m_rho.shape[0])
+    mixes, finals, converged = _descend(factor, mixes, objective, GRADIENT_TOL, iterations, cfg.max_iters)
     best = 0
     for restart in range(1, cfg.restarts):
         if finals[restart] < finals[best] - TIE_TOL:

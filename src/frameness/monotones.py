@@ -55,14 +55,12 @@ _PAIRWISE_BLOCK = 8
 
 def _shannon_bits(weights: np.ndarray) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
-    pos = w > 0.0
     if w.shape[-1] < _PAIRWISE_BLOCK:
-        # Left-to-right sums: the zero terms of empty sectors change nothing.
-        return -(w * np.log2(np.where(pos, w, 1.0))).sum(axis=-1)
+        return _entropy_and_slope(w)[0]
     # Pairwise sums: sum exactly the positive terms of each row, grouping
     # rows by support size so that every group is a rectangular array.
     rows = w.reshape(-1, w.shape[-1])
-    pos = pos.reshape(rows.shape)
+    pos = rows > 0.0
     counts = pos.sum(axis=-1)
     out = np.empty(counts.shape)
     for c in np.unique(counts):
@@ -85,20 +83,20 @@ def _elementary_symmetric(values: np.ndarray, k: int) -> np.ndarray:
     return acc[k]
 
 
-def _concurrence_weights(weights: np.ndarray, k: int) -> np.ndarray:
+def _concurrence_ratio(weights: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    # e_k(w) over its value den on the flat state, capped at 1, and den.
     d = weights.shape[-1]
-    num = _elementary_symmetric(weights, k)
     den = math.comb(d, k) / d**k
-    return np.float_power(np.minimum(num / den, 1.0), 1.0 / k)
+    return np.minimum(_elementary_symmetric(weights, k) / den, 1.0), den
 
 
-def _variance_weights(weights: np.ndarray) -> np.ndarray:
+def _variance_and_mean(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # vecdot runs the same dot per row as the 1-D product; a matrix
     # product would round differently from d = 4 on.
     labels = np.arange(weights.shape[-1])
     m1 = np.vecdot(weights, labels)
     m2 = np.vecdot(weights, labels**2)
-    return 4.0 * (m2 - m1 * m1)
+    return 4.0 * (m2 - m1 * m1), m1
 
 
 def weight_evaluator(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -114,8 +112,8 @@ def weight_evaluator(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np
         return _shannon_bits
     if measure.kind == "concurrence":
         k = integer(measure.k, BadMonotone, "order k", 2, dim)
-        return lambda w: _concurrence_weights(w, k)
-    return _variance_weights
+        return lambda w: np.float_power(_concurrence_ratio(w, k)[0], 1.0 / k)
+    return lambda w: _variance_and_mean(w)[0]
 
 
 # Each pure monotone f of weights w extends to unnormalized weights a as
@@ -124,28 +122,20 @@ def weight_evaluator(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np
 # it along the last axis of a (..., d) array of weights.
 
 
-def _leave_one_out(values: np.ndarray, j: int) -> np.ndarray:
+def _complements(d: int) -> np.ndarray:
+    # Row l lists the positions of a length-d axis other than l.
+    return np.nonzero(~np.eye(d, dtype=bool))[1].reshape(d, d - 1)
+
+
+def _leave_one_out(values: np.ndarray, j: int, others: np.ndarray) -> np.ndarray:
     # e_j(values without values_l) at every position l of the last axis;
     # acc[i, ..., l] accumulates e_i as _elementary_symmetric does.
-    d = values.shape[-1]
-    others = np.nonzero(~np.eye(d, dtype=bool))[1].reshape(d, d - 1)
     acc = np.zeros((j + 1,) + values.shape)
     acc[0] = 1.0
-    for i in range(d - 1):
+    for i in range(others.shape[1]):
         top = min(i + 1, j)
         acc[1 : top + 1] += values[..., others[:, i]] * acc[:top]
     return acc[j]
-
-
-def _concurrence_slope(weights: np.ndarray, k: int) -> np.ndarray:
-    # h^(1-k) e_{k-1}(w without w_l) / (k den) below the cap and 1 at it,
-    # the flat state; 0 where h = 0, a subgradient.
-    d = weights.shape[-1]
-    den = math.comb(d, k) / d**k
-    ratio = _elementary_symmetric(weights, k) / den
-    scale = (k * den * np.float_power(np.minimum(ratio, 1.0), (k - 1) / k))[..., None]
-    slope = np.divide(_leave_one_out(weights, k - 1), scale, out=np.zeros_like(weights), where=scale > 0.0)
-    return np.where(ratio[..., None] >= 1.0, 1.0, slope)
 
 
 def _vidal_slope(weights: np.ndarray, k: int) -> np.ndarray:
@@ -156,39 +146,63 @@ def _vidal_slope(weights: np.ndarray, k: int) -> np.ndarray:
     return slope
 
 
-def weight_gradient(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Resolve a monotone to the gradient dh/da of its degree-1 extension.
+def _entropy_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    logs = np.log2(np.where(w > 0.0, w, 1.0))
+    if w.shape[-1] < _PAIRWISE_BLOCK:
+        # Left-to-right sums: the zero terms of empty sectors change nothing.
+        return -(w * logs).sum(axis=-1), -logs
+    return _shannon_bits(w), -logs
+
+
+def _variance_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    value, mean = _variance_and_mean(w)
+    return value, 4.0 * np.square(np.arange(w.shape[-1]) - mean[..., None])
+
+
+def weight_value_and_slope(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Resolve a monotone to its values and the gradient dh/da of its degree-1 extension.
 
     h(a) = |a| f(a / |a|) on unnormalized weights a. The function maps the
-    normalized ``(..., dim)`` weights a / |a| to the gradient, of the same
-    shape: -log2 w for the entropy (0 on empty sectors) and 4 (n - mu)^2
-    for the variance, with mu the mean charge. Vidal's tail sum and the
-    concurrence at its cap are not smooth; there it gives a subgradient.
+    normalized ``(..., dim)`` weights a / |a| to ``weight_evaluator``'s
+    values, bit for bit, and the gradient: -log2 w for the entropy (0 on
+    empty sectors) and 4 (n - mu)^2 for the variance, with mu the mean
+    charge. Vidal's tail sum and the concurrence at its cap are not smooth;
+    there it gives a subgradient.
     """
     if measure.kind == "vidal":
         k = integer(measure.k, BadMonotone, "order k", 2, dim)
-        return lambda w: _vidal_slope(w, k)
+        return lambda w: (_tail_sum(w, k), _vidal_slope(w, k))
     if measure.kind == "entropy":
-        return lambda w: -np.log2(np.where(w > 0.0, w, 1.0))
+        return _entropy_and_slope
     if measure.kind == "concurrence":
         k = integer(measure.k, BadMonotone, "order k", 2, dim)
-        return lambda w: _concurrence_slope(w, k)
-    labels = np.arange(dim)
-    return lambda w: 4.0 * np.square(labels - np.vecdot(w, labels)[..., None])
+        others = _complements(dim)
+
+        def concurrence(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # h^(1-k) e_{k-1}(w without w_l) / (k den) below the cap and 1 at
+            # it, the flat state; 0 where h = 0, a subgradient.
+            capped, den = _concurrence_ratio(w, k)
+            scale = (k * den * np.float_power(capped, (k - 1) / k))[..., None]
+            slope = np.divide(_leave_one_out(w, k - 1, others), scale, out=np.zeros(w.shape), where=scale > 0.0)
+            return np.float_power(capped, 1.0 / k), np.where(capped[..., None] >= 1.0, 1.0, slope)
+
+        return concurrence
+    return _variance_and_slope
 
 
-def smoothed_tail_sum(k: int, dim: int, width: float) -> tuple[Callable, Callable]:
-    """Evaluator and slope of a smooth stand-in for vidal's tail sum from position k.
+def smoothed_tail_sum(k: int, dim: int, width: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Values and slope of a smooth stand-in for vidal's tail sum from position k.
 
     The sum of the k - 1 largest weights is replaced by its log-sum-exp
     over (k - 1)-subsets, width * log e_{k-1}(exp(w / width)), which exceeds
     it by at most width * log C(dim, k - 1). The stand-in is concave and
-    differentiable, and tends to the tail sum as ``width`` goes to 0. The
-    slope is dh/da of its degree-1 extension, as ``weight_gradient`` gives.
+    differentiable, and tends to the tail sum as ``width`` goes to 0. Maps
+    weights to (values, slope) as ``weight_value_and_slope`` does.
     """
     k = integer(k, BadMonotone, "order k", 2, dim)
+    others = _complements(dim)
 
-    def parts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Shifted by the mean of the k - 1 largest weights, the exponentials
         # of those weights multiply to 1, so e_{k-1} lies in [1, C(dim, k-1)]
         # and no exponent exceeds 1 / width.
@@ -196,13 +210,10 @@ def smoothed_tail_sum(k: int, dim: int, width: float) -> tuple[Callable, Callabl
         z = np.exp((w - shift[..., None]) / width)
         total = _elementary_symmetric(z, k - 1)
         value = w.sum(axis=-1) - (k - 1) * shift - width * np.log(total)
-        return value, 1.0 - z * _leave_one_out(z, k - 2) / total[..., None]
+        grad = 1.0 - z * _leave_one_out(z, k - 2, others) / total[..., None]
+        return value, grad + (value - np.vecdot(w, grad))[..., None]
 
-    def slope(w: np.ndarray) -> np.ndarray:
-        value, grad = parts(w)
-        return grad + (value - np.vecdot(w, grad))[..., None]
-
-    return (lambda w: parts(w)[0]), slope
+    return value_and_slope
 
 
 def evaluate_pure(measure: MonotoneId, state: StandardState) -> float:

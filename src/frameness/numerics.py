@@ -46,13 +46,16 @@ def integer(value, error: type[FramenessError], name: str, lo=None, hi=None) -> 
     return n
 
 
-def number(value, error: type[FramenessError], name: str):
+def number(value, error: type[FramenessError], name: str, real: bool = True):
     """``value`` if it is a ``numbers.Number`` other than ``bool``, else raise ``error``.
 
     Strings and bytes are never parsed: ``"0.5"`` is rejected, not read as 0.5.
+    Complex values are rejected unless ``real`` is false.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Number):
         raise error(f"{name} must be a number, got {value!r}")
+    if real and isinstance(value, (complex, np.complexfloating)):
+        raise error(f"{name} must be a real number, got {value!r}")
     return value
 
 

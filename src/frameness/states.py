@@ -52,7 +52,10 @@ class StandardState:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.asarray(self.weights)
+        if np.iscomplexobj(w):
+            raise InvalidState(f"weights must be real numbers, got {w.dtype}")
+        w = np.asarray(w, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise InvalidState("weights must be a nonempty 1-D sequence")
         object.__setattr__(self, "weights", checked_weights(w))
@@ -255,19 +258,19 @@ def _complex_from_pair(pair: Sequence[float], error: type[FramenessError]) -> co
 def state_from_dict(data: dict) -> SectoredPureState | StandardState:
     """Build a state from its JSON-level dictionary form.
 
-    ``dim`` and each sector's ``n`` must be integers, and every amplitude
-    and weight a number; otherwise :class:`InvalidState` is raised.
+    ``dim`` and each sector's ``n`` must be integers, no ``n`` repeated, and
+    every amplitude and weight a real number; else :class:`InvalidState`.
     """
     if "sectors" in data:
         if "dim" not in data:
             raise InvalidState("state dictionary needs a 'dim' key")
+        sectors = {}
         try:
-            sectors = {
-                integer(block["n"], InvalidState, "sector"): np.array(
-                    [_complex_from_pair(p, InvalidState) for p in block["amplitudes"]]
-                )
-                for block in data["sectors"]
-            }
+            for block in data["sectors"]:
+                n = integer(block["n"], InvalidState, "sector")
+                if n in sectors:
+                    raise InvalidState(f"sector {n} is given twice")
+                sectors[n] = np.array([_complex_from_pair(p, InvalidState) for p in block["amplitudes"]])
         except (KeyError, TypeError):
             raise InvalidState(
                 "each sector needs an integer 'n' and 'amplitudes' of [re, im] pairs"

@@ -267,11 +267,32 @@ def test_ensemble_validation_and_mixture():
         # Read as 0.5 and 0.5 before.
         ((("0.5", a), ("0.5", b)), "^probability must be a number, got '0.5'$"),
         (((True, a), (False, b)), "^probability must be a number, got True$"),
+        # Raised a bare TypeError, or (numpy's complex) dropped the imaginary part.
+        (((1j, a), (1.0, b)), r"^probability must be a real number, got 1j$"),
+        (((np.complex128(0.5), a), (0.5, b)), r"^probability must be a real number, got np\.complex128\(0\.5\+0j\)$"),
     ]:
         with pytest.raises(InvalidState, match=message):
             Ensemble(pairs)
     ens = Ensemble(((0.5, a), (0.5, b)))
     assert np.allclose(ens.mixture(), np.diag([0.5, 0.5]))
+
+
+def test_channel_loader_reads_sector_keys_exactly():
+    # "1_0" loaded as sector 10, and "0" with "00" as one sector 0.
+    cases = [
+        ({"1_0": [1.0, 0.0]}, "^sector key '1_0' is not an integer as str\\(n\\) writes it$"),
+        ({"0": [1.0, 0.0], "00": [0.0, 0.0]}, "^sector key '00' is not an integer as str\\(n\\) writes it$"),
+        ({" 0": [1.0, 0.0]}, "^sector key ' 0' is not an integer as str\\(n\\) writes it$"),
+        ({"+0": [1.0, 0.0]}, "^sector key '\\+0' is not an integer as str\\(n\\) writes it$"),
+        ({"0": [1.0, 0.0], 0: [0.0, 0.0]}, "^sector 0 is given twice$"),
+        ({True: [1.0, 0.0]}, "^sector must be an integer, got True$"),
+    ]
+    for coeffs, message in cases:
+        with pytest.raises(InvalidChannel, match=message):
+            channel_from_dict({"dim": 1, "outcomes": [[{"shift": 0, "coeffs": coeffs}]]})
+    data = {"dim": 2, "outcomes": [[{"shift": 0, "coeffs": {"0": [1.0, 0.0], 1: [1.0, 0.0]}}]]}
+    assert channel_from_dict(data).outcomes[0][0].coeffs == {0: 1.0, 1: 1.0}
+    assert U1Kraus(0, {0: 1j}).coeffs == {0: 1j}
 
 
 def test_channel_json_roundtrip():

@@ -179,6 +179,12 @@ MALFORMED_STATES = [
     ("n-bool", b'{"dim": 2, "sectors": [{"n": true, "amplitudes": [[1, 0]]}]}', "sector must be an integer, got True"),
     ("amplitude-string", b'{"dim": 1, "sectors": [{"n": 0, "amplitudes": [["1", "0"]]}]}', "entry ['1', '0'] is not a [re, im] pair of numbers"),
     ("weight-string", b'{"weights": ["0.5", "0.5"]}', "weights must be numbers"),
+    # Loaded before as weights [1.0]: the repeated sector kept its last block.
+    (
+        "sector-repeated",
+        b'{"dim": 1, "sectors": [{"n": 0, "amplitudes": [[0.6, 0]]}, {"n": 0, "amplitudes": [[1, 0]]}]}',
+        "sector 0 is given twice",
+    ),
 ]
 
 
@@ -837,13 +843,35 @@ def test_channel_sample_matches_golden_bytes(capsys):
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("name, dim, args", ROOF_GOLDENS)
-def test_roof_matches_golden_bytes(capsys, tmp_path, name, dim, args):
-    """``roof`` output equals, byte for byte, a capture of the gradient roof search."""
+def assert_roof_matches_golden(capsys, tmp_path, name, dim, args):
     path = write_density(tmp_path, random_density_matrix(dim, np.random.default_rng([29, dim])))
     assert main(["roof", "--rho", path, "--seed", "1", *args]) == 0
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("name, dim, args", ROOF_GOLDENS)
+def test_roof_matches_golden_bytes(capsys, tmp_path, name, dim, args):
+    """``roof`` output equals, byte for byte, a capture of the gradient roof search."""
+    assert_roof_matches_golden(capsys, tmp_path, name, dim, args)
+
+
+# Paths the goldens above leave out, captured before the objective computed
+# each value together with its slope: vidal's smoothed stages (at d = 4 also
+# the tail sum's own stage), the pairwise entropy sums from d = 8 and a
+# concurrence of order 3.
+PATH_ROOF_GOLDENS = [
+    ("roof_d4_vidal2.json", 4, ["--measure", "vidal", "--k", "2", "--restarts", "2", "--max-iters", "40"]),
+    ("roof_d6_vidal3.json", 6, ["--measure", "vidal", "--k", "3", "--restarts", "2", "--max-iters", "40"]),
+    ("roof_d9_entropy.json", 9, ["--measure", "entropy", "--restarts", "2", "--max-iters", "40"]),
+    ("roof_d5_concurrence3.json", 5, ["--measure", "concurrence", "--k", "3", "--restarts", "2", "--max-iters", "40"]),
+]
+
+
+@pytest.mark.parametrize("name, dim, args", PATH_ROOF_GOLDENS)
+def test_roof_paths_match_golden_bytes(capsys, tmp_path, name, dim, args):
+    """``roof`` output on each path equals, byte for byte, its capture."""
+    assert_roof_matches_golden(capsys, tmp_path, name, dim, args)
 
 
 # The values the Givens coordinate search left in the same files before the

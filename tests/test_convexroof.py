@@ -31,7 +31,7 @@ from frameness.convexroof import (
     _support_factor,
     _tangent,
 )
-from frameness.monotones import smoothed_tail_sum, weight_evaluator, weight_gradient
+from frameness.monotones import smoothed_tail_sum, weight_evaluator, weight_value_and_slope
 from frameness.numerics import _checked_density
 
 CONC2 = MonotoneId("concurrence", 2)
@@ -237,15 +237,15 @@ ACCEPTANCE_CFG = RoofConfig(ensemble_size=2, restarts=8, seed=1)
 
 
 def _smooth_kinds(d):
-    # (label, evaluator, slope) of every objective whose degree-1 extension
+    # (label, value_and_slope) of every objective whose degree-1 extension
     # is differentiable at generic weights below the concurrence cap: the
     # smooth kinds and vidal's smoothed tail sums at the widest and
     # narrowest widths the search uses.
     kinds = [MonotoneId("entropy"), VAR] + [MonotoneId("concurrence", k) for k in range(2, d + 1)]
-    out = [(m, weight_evaluator(m, d), weight_gradient(m, d)) for m in kinds]
+    out = [(m, weight_value_and_slope(m, d)) for m in kinds]
     for k in range(2, d + 1):
         for width in (SMOOTHING_WIDTHS[0], SMOOTHING_WIDTHS[-1]):
-            out.append((f"smoothed vidal[{k}] at {width}",) + smoothed_tail_sum(k, d, width))
+            out.append((f"smoothed vidal[{k}] at {width}", smoothed_tail_sum(k, d, width)))
     return out
 
 
@@ -254,9 +254,9 @@ def test_weight_gradient_matches_central_differences():
     for d in range(2, 7):
         for _ in range(4):
             a = rng.uniform(0.05, 1.0, size=d) * rng.uniform(0.2, 3.0)
-            for label, evaluator, slope in _smooth_kinds(d):
-                h = lambda a: a.sum() * float(evaluator(a / a.sum()))
-                got = slope(a / a.sum())
+            for label, value_and_slope in _smooth_kinds(d):
+                h = lambda a: a.sum() * float(value_and_slope(a / a.sum())[0])
+                got = value_and_slope(a / a.sum())[1]
                 step = 1e-6
                 fd = [(h(a + step * e) - h(a - step * e)) / (2 * step) for e in np.eye(d)]
                 assert np.max(np.abs(got - fd)) < 1e-7 * max(1.0, np.max(np.abs(fd))), (d, label)
@@ -271,9 +271,8 @@ def test_smoothed_tail_sum_brackets_the_tail_sum():
         for k in sorted({2, 3, d} & set(range(2, d + 1))):
             tail = weight_evaluator(MonotoneId("vidal", k), d)(w)
             for width in SMOOTHING_WIDTHS:
-                evaluator, slope = smoothed_tail_sum(k, d, width)
-                value = evaluator(w)
-                assert np.all(np.isfinite(slope(w)))
+                value, slope = smoothed_tail_sum(k, d, width)(w)
+                assert np.all(np.isfinite(slope))
                 assert np.all(value <= tail + 1e-12), (d, k, width)
                 assert np.all(value >= tail - width * np.log(comb(d, k - 1)) - 1e-12), (d, k, width)
 
@@ -288,13 +287,13 @@ def test_objective_gradient_matches_central_differences():
         factor = _support_factor(w, v)
         m = d + 2
         stack = np.array([haar_isometry(m, d, rng) for _ in range(3)])
-        for label, evaluator, slope in _smooth_kinds(d):
-            _, grad = _objective(factor, stack, evaluator, slope)
+        for label, value_and_slope in _smooth_kinds(d):
+            _, grad = _objective(factor, stack, value_and_slope)
             for _ in range(2):
                 e = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
                 step = 1e-6
-                up, _ = _objective(factor, stack + step * e, evaluator, slope)
-                down, _ = _objective(factor, stack - step * e, evaluator, slope)
+                up, _ = _objective(factor, stack + step * e, value_and_slope)
+                down, _ = _objective(factor, stack - step * e, value_and_slope)
                 fd = (up - down) / (2 * step)
                 exact = np.sum((grad.conj() * e).real, axis=(1, 2))
                 assert np.max(np.abs(exact - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd))), (d, label)
@@ -323,9 +322,9 @@ def _staged_search(factor, stack, measure, d, max_iters):
     if measure.kind == "vidal":
         for width in SMOOTHING_WIDTHS:
             stage = smoothed_tail_sum(measure.k, d, width)
-            _descend(factor, stack, *stage, STAGE_TOL * width, iterations, max_iters)
-    evaluator, slope = weight_evaluator(measure, d), weight_gradient(measure, d)
-    return _descend(factor, stack, evaluator, slope, GRADIENT_TOL, iterations, max_iters) + (iterations,)
+            _descend(factor, stack, stage, STAGE_TOL * width, iterations, max_iters)
+    objective = weight_value_and_slope(measure, d)
+    return _descend(factor, stack, objective, GRADIENT_TOL, iterations, max_iters) + (iterations,)
 
 
 def test_batched_restarts_match_each_restart_alone():
@@ -348,7 +347,7 @@ def test_ties_resolve_to_the_lowest_restart(monkeypatch):
     # lower; an argmin over the finals would pick restart 3.
     finals = np.array([0.5, 0.5 - 0.5e-12, 0.5 - 2e-12, 0.5 - 2.5e-12])
 
-    def fake_descend(factor, stack, evaluator, slope, tol, iterations, max_iters):
+    def fake_descend(factor, stack, value_and_slope, tol, iterations, max_iters):
         return stack, finals.copy(), np.ones(len(stack), dtype=bool)
 
     monkeypatch.setattr(convexroof, "_descend", fake_descend)

@@ -23,7 +23,7 @@ from frameness import (
     random_density_matrix,
     random_standard_state,
 )
-from frameness.monotones import _elementary_symmetric, weight_evaluator
+from frameness.monotones import _elementary_symmetric, weight_evaluator, weight_value_and_slope
 
 PLUS = 0.5 * np.ones((2, 2))
 GOLDEN_CLOSED_FORMS = Path(__file__).parent / "golden" / "qubit_closed_forms.csv"
@@ -207,6 +207,25 @@ def test_evaluate_pure_dispatch():
         evaluate_pure(MonotoneId("vidal", 4), st)
 
 
+def test_roof_values_equal_weight_evaluator_bit_for_bit():
+    # The values the roof objective takes with its slope, against the
+    # evaluator that verify, evaluate_pure and the final roof value use: on
+    # both sides of the pairwise entropy block, with empty sectors, on the
+    # pure and the flat state (the concurrence cap), in batches and rows.
+    rng = np.random.default_rng(101)
+    for d in range(2, 10):
+        w = rng.dirichlet(np.full(d, 0.5), size=16)
+        w[:4, 0] = 0.0
+        w[:4] /= w[:4].sum(axis=1, keepdims=True)
+        w = np.vstack([w, np.eye(d)[:2], np.full((1, d), 1.0 / d)])
+        orders = [(kind, k) for kind in ("vidal", "concurrence") for k in range(2, d + 1)]
+        for measure in [MonotoneId("entropy"), MonotoneId("variance")] + [MonotoneId(*o) for o in orders]:
+            for rows in (w, w[0]):
+                values, slope = weight_value_and_slope(measure, d)(rows)
+                assert values.tobytes() == weight_evaluator(measure, d)(rows).tobytes(), (d, measure)
+                assert slope.shape == rows.shape
+
+
 def test_qubit_R_eigs_plus_state():
     mu = qubit_R_eigs(PLUS)
     assert abs(mu[0] - 1.0) < 1e-12
@@ -313,6 +332,11 @@ def test_appendix_rejects_bad_probability():
         appendix_closed_form("0.5", 1.0)
     with pytest.raises(BadParameter, match="^alpha must be a number, got True$"):
         appendix_closed_form(0.5, True)
+    # Raised a bare TypeError before.
+    with pytest.raises(BadParameter, match="^p must be a real number, got 1j$"):
+        appendix_closed_form(1j, 0.0)
+    with pytest.raises(BadParameter, match="^alpha must be a real number, got 1j$"):
+        appendix_closed_form(0.5, 1j)
 
 
 def test_optimal_decomposition_rank_one():

@@ -42,7 +42,8 @@ READER_CASES = {
     "below": (-1, "at least 0, got -1", -1),
     "above": (10**6, "at most 64, got 1000000", 10**6),
     "inf": (float("inf"), "an integer, got inf", float("inf")),
-    "complex": (1j, "an integer, got 1j", 1j),
+    "complex": (1j, "an integer, got 1j", "a real number, got 1j"),
+    "complex128": (np.complex128(1), "an integer, got np.complex128(1+0j)", "a real number, got np.complex128(1+0j)"),
 }
 
 

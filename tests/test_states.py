@@ -89,6 +89,10 @@ def test_standard_state_checks_weights():
         StandardState([np.nan, 0.5, 0.5])
     with pytest.raises(InvalidState, match="^weights must be finite$"):
         StandardState([np.inf, -np.inf, 1.0])
+    # A bare TypeError, and a complex array dropped its imaginary parts.
+    for weights in ([1j], np.array([1.0 + 0j])):
+        with pytest.raises(InvalidState, match="^weights must be real numbers, got complex128$"):
+            StandardState(weights)
 
 
 def test_spectrum_and_gaps():
@@ -379,6 +383,8 @@ def state_payloads(draw):
 @example({"dim": 1, "sectors": [{"n": 0, "amplitudes": [["1", "0"]]}]})
 @example({"weights": ["0.5", "0.5"]})
 @example({"weights": [True, False]})
+# Loaded as weights [1.0]: the repeated sector kept its last block.
+@example({"dim": 1, "sectors": [{"n": 0, "amplitudes": [[0.6, 0]]}, {"n": 0, "amplitudes": [[1, 0]]}]})
 def test_state_loader_rejects_or_returns_a_state(payload):
     try:
         state = state_from_dict(payload)
@@ -391,6 +397,7 @@ def test_state_loader_rejects_or_returns_a_state(payload):
         for block in payload["sectors"]:
             assert type(block["n"]) is int
             assert all(is_number(x) for pair in block["amplitudes"] for x in pair)
+        assert len({block["n"] for block in payload["sectors"]}) == len(payload["sectors"])
     else:
         assert all(is_number(w) for w in payload["weights"])
     assert isinstance(state, StandardState)
@@ -448,6 +455,9 @@ def channel_payloads(draw):
 @example({"dim": 1, "outcomes": [[{"shift": False, "coeffs": {"0": [1.0, 0.0]}}]]})
 @example({"dim": 1, "outcomes": [[{"shift": 0, "coeffs": {"0": ["1", "0"]}}]]})
 @example({"dim": 1, "outcomes": [[{"shift": 0, "coeffs": {"0": [True, False]}}]]})
+# Each of these loaded: "1_0" as sector 10, and "0" with "00" as one sector.
+@example({"dim": 1, "outcomes": [[{"shift": 0, "coeffs": {"0": [1.0, 0.0], "1_0": [0.0, 0.0]}}]]})
+@example({"dim": 1, "outcomes": [[{"shift": 0, "coeffs": {"0": [0.5, 0.0], "00": [1.0, 0.0]}}]]})
 def test_channel_loader_rejects_or_returns_a_channel(payload):
     try:
         channel = channel_from_dict(payload)
@@ -459,6 +469,8 @@ def test_channel_loader_rejects_or_returns_a_channel(payload):
         for entry in group:
             assert type(entry["shift"]) is int
             assert all(is_number(x) for pair in entry["coeffs"].values() for x in pair)
+            assert all(type(n) is int or n == str(int(n)) for n in entry["coeffs"])
+            assert len({int(n) for n in entry["coeffs"]}) == len(entry["coeffs"])
     assert type(channel.dim) is int and 1 <= channel.dim == payload["dim"]
     for kraus in channel.all_kraus():
         assert type(kraus.shift) is int
