@@ -15,7 +15,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import BadParameter, InvalidChannel, InvalidState
-from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, integer, number, validate_density
+from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, array, integer, number, validate_density
 from .states import StandardState, _check_probabilities, _complex_from_pair, checked_weights
 
 
@@ -99,7 +99,12 @@ class Ensemble:
     members: tuple = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        pairs = tuple((float(number(p, InvalidState, "probability")), s) for p, s in self.members)
+        try:
+            pairs = tuple((float(number(p, InvalidState, "probability")), s) for p, s in self.members)
+        except InvalidState:  # a probability that is not a real number
+            raise
+        except (TypeError, ValueError):  # a member, or the members, cannot be unpacked
+            raise InvalidState("ensemble members must be (probability, state) pairs") from None
         if not pairs:
             raise InvalidState("ensemble needs at least one member")
         _check_probabilities(np.array([p for p, _ in pairs]))
@@ -121,7 +126,7 @@ class Ensemble:
 def _as_density(state: Any) -> np.ndarray:
     if isinstance(state, StandardState):
         return state.projector()
-    arr = np.asarray(state, dtype=np.complex128)
+    arr = array(state, InvalidState, "ensemble entry", real=False)
     if arr.ndim == 1:
         return np.outer(arr, arr.conj())
     if arr.ndim == 2:

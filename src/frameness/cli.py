@@ -37,12 +37,10 @@ from .errors import BadParameter, FramenessError, InvalidChannel, InvalidDensity
 from .monotones import KINDS, MonotoneId, appendix_closed_form, weight_evaluator
 from .numerics import MAX_DIM, integer, seeded_normals
 from .states import (
-    SectoredPureState,
     StandardState,
     _density_matrix,
     density_to_dict,
     random_weights,
-    standard_form,
     state_from_dict,
     twirl,
 )
@@ -212,8 +210,6 @@ def _read_json(path: str, error: type[FramenessError]) -> dict:
 
 def _load_weights(path: str, dim: int | None) -> StandardState:
     state = state_from_dict(_read_json(path, InvalidState))
-    if isinstance(state, SectoredPureState):
-        state = standard_form(state)
     if dim is not None:
         dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
         w = state.weights
@@ -293,10 +289,7 @@ def cmd_twirl(args: argparse.Namespace) -> int:
     if "matrix" in data:
         rho = _density_matrix(data)
     else:
-        state = state_from_dict(data)
-        if isinstance(state, SectoredPureState):
-            state = standard_form(state)
-        rho = state.projector()
+        rho = state_from_dict(data).projector()
     _emit(density_to_dict(twirl(rho)))
     return 0
 

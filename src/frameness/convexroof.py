@@ -26,7 +26,7 @@ import numpy as np
 from .channels import Ensemble
 from .errors import BadDecomposition, BadParameter
 from .monotones import MonotoneId, smoothed_tail_sum, weight_evaluator, weight_value_and_slope
-from .numerics import ZERO_TOL, _checked_density, integer
+from .numerics import ZERO_TOL, _checked_density, array, integer
 from .states import is_gapless
 
 ISOMETRY_TOL = 1e-10
@@ -211,7 +211,7 @@ def decomposition_from_map(rho: np.ndarray, mix: np.ndarray) -> Ensemble:
     ``sum_j mix[i, j] sqrt(e_j) v_j``.
     """
     _, w, v = _checked_density(rho)
-    mat = np.asarray(mix, dtype=np.complex128)
+    mat = array(mix, BadDecomposition, "isometry entry", real=False)
     if mat.ndim != 2:
         raise BadDecomposition(f"expected a matrix, got shape {mat.shape}")
     factor = _support_factor(w, v)

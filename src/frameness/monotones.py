@@ -226,11 +226,10 @@ def _qubit(rho: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     # sqrt(ab) +- |c|, with the density's check. c comes from the Hermitian
     # part and mu2 is clamped at zero, so states that are Hermitian or PSD
     # only within H_TOL or P_TOL stay in range.
-    m = np.asarray(rho)
+    checked = _checked_density(rho)
+    m = checked[0]
     if m.shape != (2, 2):
         raise InvalidDensity(f"expected a 2x2 matrix, got shape {m.shape}")
-    checked = _checked_density(m)
-    m = checked[0]
     root = math.sqrt(max(m[0, 0].real * m[1, 1].real, 0.0))
     off = 0.5 * abs(m[0, 1] + m[1, 0].conjugate())
     return np.array([root + off, max(root - off, 0.0)]), checked

@@ -59,9 +59,29 @@ def number(value, error: type[FramenessError], name: str, real: bool = True):
     return value
 
 
+def array(values, error: type[FramenessError], name: str, real: bool = True) -> np.ndarray:
+    """``values`` as a float64 array of any shape, complex128 unless ``real``.
+
+    An ``ndarray`` of ints or floats (or complex numbers, unless ``real``) is
+    converted whole; anything else is read entry by entry through :func:`number`.
+    Ragged nesting and integers beyond the float range also raise ``error``.
+    """
+    dtype = np.float64 if real else np.complex128
+    if isinstance(values, np.ndarray) and values.dtype.kind in ("iuf" if real else "iufc"):
+        return np.asarray(values, dtype=dtype)
+    try:
+        entries = np.asarray(values, dtype=object)
+    except ValueError:  # arrays of differing shapes
+        raise error(f"ragged nesting of {name} values") from None
+    try:
+        return np.array([number(v, error, name, real) for v in entries.flat], dtype).reshape(entries.shape)
+    except OverflowError:
+        raise error(f"{name} out of float range") from None
+
+
 def as_complex_matrix(a: np.ndarray) -> np.ndarray:
-    """Coerce to a square complex128 matrix, enforcing the size cap."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Read a square complex128 matrix, enforcing the size cap."""
+    m = array(a, InvalidDensity, "matrix entry", real=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDensity(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
@@ -83,7 +103,7 @@ def _checked_density(rho: np.ndarray, dim: int | None = None) -> tuple[np.ndarra
         raise InvalidDensity(f"expected dimension {dim}, got {m.shape[0]}")
     if not np.isfinite(m).all():
         raise InvalidDensity("density matrix has non-finite entries")
-    if not is_hermitian(m):
+    if np.max(np.abs(m - m.conj().T)) > H_TOL:  # is_hermitian, on the matrix read once
         raise InvalidDensity("density matrix is not Hermitian")
     w, v = np.linalg.eigh(m)
     if w[0] < -P_TOL:

@@ -2,47 +2,19 @@
 
 A pure state decomposes over charge sectors labelled by nonnegative integers
 ``n`` inside a fixed ambient window ``0..dim-1``. Sectors may carry extra
-multiplicity amplitudes at ingestion, but every downstream computation uses
-the standard form: the vector of per-sector squared norms.
+multiplicity amplitudes at ingestion; :func:`standard_form` collapses them to
+the one pure-state type, :class:`StandardState`: per-sector squared norms.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import BadParameter, FramenessError, InvalidDensity, InvalidState
-from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, integer, number, validate_density
-
-
-@dataclass(frozen=True)
-class SectoredPureState:
-    """Pure state given as complex amplitude blocks per charge sector.
-
-    ``sectors`` maps a sector label ``n`` to the amplitude vector over that
-    sector's multiplicity space. Labels must be integers in ``0..dim-1``.
-    """
-
-    sectors: Mapping[int, np.ndarray]
-    dim: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", integer(self.dim, InvalidState, "dimension", 1, MAX_DIM))
-        clean: dict[int, np.ndarray] = {}
-        for n, amps in self.sectors.items():
-            n = integer(n, InvalidState, "sector", 0, self.dim - 1)
-            vec = np.atleast_1d(np.asarray(amps, dtype=np.complex128))
-            if vec.ndim != 1 or vec.size == 0:
-                raise InvalidState(f"sector {n} needs a nonempty amplitude vector")
-            clean[n] = vec
-        if not clean:
-            raise InvalidState("state needs at least one sector")
-        object.__setattr__(self, "sectors", clean)
-
-    def squared_norm(self) -> float:
-        return float(sum(np.vdot(v, v).real for v in self.sectors.values()))
+from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, array, integer, number, validate_density
 
 
 @dataclass(frozen=True)
@@ -52,10 +24,7 @@ class StandardState:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights)
-        if np.iscomplexobj(w):
-            raise InvalidState(f"weights must be real numbers, got {w.dtype}")
-        w = np.asarray(w, dtype=np.float64)
+        w = array(self.weights, InvalidState, "weight")
         if w.ndim != 1 or w.size == 0:
             raise InvalidState("weights must be a nonempty 1-D sequence")
         object.__setattr__(self, "weights", checked_weights(w))
@@ -134,18 +103,30 @@ class BipartitePureState:
         return rho
 
 
-def standard_form(state: SectoredPureState) -> StandardState:
-    """Collapse multiplicity amplitudes to per-sector weights.
+def standard_form(sectors: Mapping[int, Sequence[complex]], dim: int) -> StandardState:
+    """Collapse amplitude blocks per charge sector to per-sector weights.
 
-    Raises :class:`InvalidState` if the input norm deviates from 1 beyond
-    ``SUM_TOL``; the output is renormalized exactly.
+    ``sectors`` maps each label ``n`` in ``0..dim-1`` to the amplitudes over
+    that sector's multiplicity space. Raises :class:`InvalidState` on a bad
+    label, block or ``dim``, or if the norm deviates from 1 beyond
+    ``SUM_TOL``; the weights are renormalized exactly.
     """
-    total = state.squared_norm()
+    dim = integer(dim, InvalidState, "dimension", 1, MAX_DIM)
+    if not isinstance(sectors, Mapping):
+        raise InvalidState(f"sectors must map labels to amplitudes, got {sectors!r}")
+    if not sectors:
+        raise InvalidState("state needs at least one sector")
+    w = np.zeros(dim)
+    total = 0.0  # summed over the blocks in the order given
+    for n, amps in sectors.items():
+        n = integer(n, InvalidState, "sector", 0, dim - 1)
+        vec = np.atleast_1d(array(amps, InvalidState, "amplitude", real=False))
+        if vec.ndim != 1 or vec.size == 0:
+            raise InvalidState(f"sector {n} needs a nonempty amplitude vector")
+        w[n] = np.vdot(vec, vec).real
+        total += w[n]
     if abs(np.sqrt(total) - 1.0) > SUM_TOL:
         raise InvalidState(f"state norm {float(np.sqrt(total))!r} deviates from 1")
-    w = np.zeros(state.dim)
-    for n, amps in state.sectors.items():
-        w[n] = np.vdot(amps, amps).real
     return StandardState(w / total)
 
 
@@ -171,13 +152,12 @@ def twirl(rho: np.ndarray, sector_of: Sequence[int] | None = None) -> np.ndarray
     m = validate_density(rho)
     d = m.shape[0]
     try:
-        labels = np.arange(d) if sector_of is None else np.asarray(sector_of)
-    except ValueError:  # a ragged nesting of sequences
-        raise BadParameter(f"sector labels must be integers, got {sector_of!r}") from None
+        labels = np.arange(d) if sector_of is None else np.asarray(sector_of, dtype=object)
+    except ValueError:  # arrays of differing shapes
+        raise BadParameter(f"sector label must be an integer, got {sector_of!r}") from None
     if labels.shape != (d,):
         raise BadParameter(f"sector labels must have length {d}")
-    if labels.dtype.kind not in "iu":
-        raise BadParameter(f"sector labels must be integers, got {sector_of!r}")
+    labels = np.array([integer(n, BadParameter, "sector label") for n in labels])
     mask = labels[:, None] == labels[None, :]
     return np.where(mask, m, 0.0)
 
@@ -203,11 +183,9 @@ def majorizes(a: Sequence[float], b: Sequence[float]) -> bool:
     """
     vecs = []
     for seq in (a, b):
-        v = np.asarray(seq, dtype=np.float64)
-        if v.ndim != 1:
-            raise InvalidState(f"expected a 1-D sequence, got shape {v.shape}")
-        if v.size == 0:
-            raise InvalidState("empty sequence")
+        v = array(seq, InvalidState, "probability")
+        if v.ndim != 1 or v.size == 0:
+            raise InvalidState(f"probabilities must be a nonempty 1-D sequence, got shape {v.shape}")
         _check_probabilities(v)
         vecs.append(v)
     va, vb = vecs
@@ -255,11 +233,12 @@ def _complex_from_pair(pair: Sequence[float], error: type[FramenessError]) -> co
         raise error(f"entry {pair!r} is not a [re, im] pair of numbers") from None
 
 
-def state_from_dict(data: dict) -> SectoredPureState | StandardState:
-    """Build a state from its JSON-level dictionary form.
+def state_from_dict(data: dict) -> StandardState:
+    """Build a state from its JSON-level dictionary form, in either file form.
 
     ``dim`` and each sector's ``n`` must be integers, no ``n`` repeated, and
-    every amplitude and weight a real number; else :class:`InvalidState`.
+    every amplitude and weight a real number; a ``dim`` next to ``weights``
+    must equal their number. Else :class:`InvalidState` is raised.
     """
     if "sectors" in data:
         if "dim" not in data:
@@ -275,13 +254,12 @@ def state_from_dict(data: dict) -> SectoredPureState | StandardState:
             raise InvalidState(
                 "each sector needs an integer 'n' and 'amplitudes' of [re, im] pairs"
             ) from None
-        return SectoredPureState(sectors, data["dim"])
+        return standard_form(sectors, data["dim"])
     if "weights" in data:
-        try:
-            weights = np.array([number(w, InvalidState, "weight") for w in data["weights"]], float)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidState("weights must be numbers") from None
-        return StandardState(weights)
+        state = StandardState(data["weights"])
+        if "dim" in data and integer(data["dim"], InvalidState, "dimension") != state.dim:
+            raise InvalidState(f"dimension {data['dim']} does not match the {state.dim} weights")
+        return state
     raise InvalidState("state dictionary needs a 'sectors' or 'weights' key")
 
 

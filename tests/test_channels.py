@@ -270,9 +270,15 @@ def test_ensemble_validation_and_mixture():
         # Raised a bare TypeError, or (numpy's complex) dropped the imaginary part.
         (((1j, a), (1.0, b)), r"^probability must be a real number, got 1j$"),
         (((np.complex128(0.5), a), (0.5, b)), r"^probability must be a real number, got np\.complex128\(0\.5\+0j\)$"),
+        # A bare ValueError and TypeError: members that are not pairs.
+        (((0.5,),), r"^ensemble members must be \(probability, state\) pairs$"),
+        ([1.0], r"^ensemble members must be \(probability, state\) pairs$"),
     ]:
         with pytest.raises(InvalidState, match=message):
             Ensemble(pairs)
+    # A bare ValueError from the mixture.
+    with pytest.raises(InvalidState, match="^ensemble entry must be a number, got 'abc'$"):
+        Ensemble(((1.0, "abc"),)).mixture()
     ens = Ensemble(((0.5, a), (0.5, b)))
     assert np.allclose(ens.mixture(), np.diag([0.5, 0.5]))
 

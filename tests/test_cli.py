@@ -172,19 +172,22 @@ MALFORMED_STATES = [
     ("n-fractional", b'{"dim": 2, "sectors": [{"n": 1.7, "amplitudes": [[1, 0]]}]}', "sector must be an integer, got 1.7"),
     ("no-n", b'{"dim": 2, "sectors": [{"amplitudes": [[1, 0]]}]}', "each sector needs an integer 'n'"),
     ("amplitude-text", b'{"dim": 1, "sectors": [{"n": 0, "amplitudes": [["a", 0]]}]}', "entry ['a', 0] is not a [re, im] pair of numbers"),
-    ("weight-text", b'{"weights": ["a", 1]}', "weights must be numbers"),
-    ("weight-overflow", b'{"weights": [1' + b"0" * 400 + b"]}", "weights must be numbers"),
+    ("weight-text", b'{"weights": ["a", 1]}', "weight must be a number, got 'a'"),
+    ("weight-overflow", b'{"weights": [1' + b"0" * 400 + b"]}", "weight out of float range"),
     # Each of these loaded before: as dim 1, sector 1, amplitude 1+0j and weights 0.5.
     ("dim-bool", b'{"dim": true, "sectors": [{"n": 0, "amplitudes": [[1, 0]]}]}', "dimension must be an integer, got True"),
     ("n-bool", b'{"dim": 2, "sectors": [{"n": true, "amplitudes": [[1, 0]]}]}', "sector must be an integer, got True"),
     ("amplitude-string", b'{"dim": 1, "sectors": [{"n": 0, "amplitudes": [["1", "0"]]}]}', "entry ['1', '0'] is not a [re, im] pair of numbers"),
-    ("weight-string", b'{"weights": ["0.5", "0.5"]}', "weights must be numbers"),
+    ("weight-string", b'{"weights": ["0.5", "0.5"]}', "weight must be a number, got '0.5'"),
     # Loaded before as weights [1.0]: the repeated sector kept its last block.
     (
         "sector-repeated",
         b'{"dim": 1, "sectors": [{"n": 0, "amplitudes": [[0.6, 0]]}, {"n": 0, "amplitudes": [[1, 0]]}]}',
         "sector 0 is given twice",
     ),
+    # Each of these loaded before as a dim-2 state: a dim next to weights was not read.
+    ("weights-dim-mismatch", b'{"dim": 3, "weights": [0.5, 0.5]}', "dimension 3 does not match the 2 weights"),
+    ("weights-dim-text", b'{"dim": "x", "weights": [0.5, 0.5]}', "dimension must be an integer, got 'x'"),
 ]
 
 

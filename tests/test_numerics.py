@@ -3,8 +3,18 @@ import re
 import numpy as np
 import pytest
 
-from frameness import BadParameter, InvalidDensity, is_hermitian, validate_density
-from frameness.numerics import integer, number
+from frameness import (
+    BadDecomposition,
+    BadParameter,
+    InvalidDensity,
+    MonotoneId,
+    convex_roof,
+    decomposition_from_map,
+    is_hermitian,
+    qubit_concurrence,
+    validate_density,
+)
+from frameness.numerics import array, integer, number
 
 
 def test_predicates():
@@ -57,3 +67,42 @@ def test_integer_and_number_readers(value, as_integer, as_number):
         else:
             got = read(value)
             assert got == expected and type(got) is type(expected)
+
+
+def test_array_reader_converts_numeric_arrays_whole():
+    complex_matrix = np.eye(2, dtype=np.complex128)
+    assert array(complex_matrix, BadParameter, "x", real=False) is complex_matrix
+    small = array(np.array([[1, 2]], dtype=np.int8), BadParameter, "x")
+    assert small.dtype == np.float64 and small.tolist() == [[1.0, 2.0]]
+    # Object arrays and nested lists are read entry by entry.
+    assert array(np.array([0.5, 1], dtype=object), BadParameter, "x").tolist() == [0.5, 1.0]
+    assert array([[1j, 2], [3, 4.5]], BadParameter, "x", real=False).tolist() == [[1j, 2], [3, 4.5]]
+    with pytest.raises(BadParameter, match=r"^x must be a real number, got \(1\+0j\)$"):
+        array(complex_matrix, BadParameter, "x")
+
+
+STRINGS = [["0.5", "0"], ["0", "0.5"]]
+# (call, error class, message): every matrix a library call takes is read
+# through numerics.array. Before, the strings and the ragged rows raised a
+# bare ValueError or were read as numbers (the concurrence was 0.0 and the
+# roof ran), the bool matrix counted as Hermitian and the overflow raised a
+# bare OverflowError.
+MATRIX_READS = {
+    "validate_density": (lambda: validate_density([["a"]]), InvalidDensity, "^matrix entry must be a number, got 'a'$"),
+    "qubit_concurrence": (lambda: qubit_concurrence(STRINGS), InvalidDensity, "^matrix entry must be a number, got '0.5'$"),
+    "is_hermitian": (lambda: is_hermitian([[True]]), InvalidDensity, "^matrix entry must be a number, got True$"),
+    "convex_roof": (lambda: convex_roof(MonotoneId("entropy"), STRINGS), InvalidDensity, "^matrix entry must be a number, got '0.5'$"),
+    "decomposition_from_map": (
+        lambda: decomposition_from_map(np.eye(2) / 2, [["a", "b"], ["c", "d"]]),
+        BadDecomposition,
+        "^isometry entry must be a number, got 'a'$",
+    ),
+    "ragged": (lambda: validate_density([[0.5], [0.0, 0.5]]), InvalidDensity, r"^matrix entry must be a number, got \[0\.5\]$"),
+    "overflow": (lambda: validate_density([[10**400]]), InvalidDensity, "^matrix entry out of float range$"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", list(MATRIX_READS.values()), ids=list(MATRIX_READS))
+def test_matrix_inputs_are_read_as_numbers(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

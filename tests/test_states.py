@@ -12,7 +12,6 @@ from frameness import (
     InvalidChannel,
     InvalidDensity,
     InvalidState,
-    SectoredPureState,
     StandardState,
     U1Kraus,
     is_gapless,
@@ -38,8 +37,7 @@ RT2 = np.sqrt(2.0)
 
 def test_standard_form_merges_multiplicities():
     # (|0,a> + |0,b> + sqrt(2)|1,a>) / 2 carries weight 1/2 on each sector
-    state = SectoredPureState({0: [0.5, 0.5], 1: [RT2 / 2]}, dim=2)
-    std = standard_form(state)
+    std = standard_form({0: [0.5, 0.5], 1: [RT2 / 2]}, dim=2)
     assert np.allclose(std.weights, [0.5, 0.5], atol=1e-15)
 
 
@@ -49,23 +47,23 @@ def test_standard_form_ignores_phases():
         amps = {0: rng.normal(size=3) + 1j * rng.normal(size=3), 2: rng.normal(size=2)}
         norm = np.sqrt(sum(np.vdot(v, v).real for v in amps.values()))
         amps = {n: v / norm for n, v in amps.items()}
-        base = standard_form(SectoredPureState(amps, dim=4))
+        base = standard_form(amps, dim=4)
         phased = {
             n: v * np.exp(1j * rng.uniform(0, 2 * np.pi, size=v.shape))
             for n, v in amps.items()
         }
-        rot = standard_form(SectoredPureState(phased, dim=4))
+        rot = standard_form(phased, dim=4)
         assert np.max(np.abs(base.weights - rot.weights)) < 1e-14
 
 
 def test_standard_form_rejects_unnormalized():
     with pytest.raises(InvalidState, match=r"^state norm 1\.4142135623730951 deviates from 1$"):
-        standard_form(SectoredPureState({0: [1.0], 1: [1.0]}, dim=2))
+        standard_form({0: [1.0], 1: [1.0]}, dim=2)
 
 
 def test_sectored_state_window():
     with pytest.raises(InvalidState, match="^sector must be at most 2, got 5$"):
-        SectoredPureState({5: [1.0]}, dim=3)
+        standard_form({5: [1.0]}, dim=3)
     # Sector 0.7 was stored as sector 0, and dims 2.5 and True were accepted.
     cases = [
         ({0.7: [1.0]}, 2, r"^sector must be an integer, got 0\.7$"),
@@ -74,10 +72,17 @@ def test_sectored_state_window():
         ({0: [1.0]}, True, "^dimension must be an integer, got True$"),
         ({0: [1.0]}, 0, "^dimension must be at least 1, got 0$"),
         ({0: [1.0]}, 65, "^dimension must be at most 64, got 65$"),
+        # A list of blocks raised a bare AttributeError; the string and the
+        # bool amplitudes were read as 1+0j, and the overflow raised a bare
+        # OverflowError.
+        ([[1.0]], 1, r"^sectors must map labels to amplitudes, got \[\[1\.0\]\]$"),
+        ({0: ["1"]}, 1, "^amplitude must be a number, got '1'$"),
+        ({0: [True]}, 1, "^amplitude must be a number, got True$"),
+        ({0: [10**400]}, 1, "^amplitude out of float range$"),
     ]
     for sectors, dim, message in cases:
         with pytest.raises(InvalidState, match=message):
-            SectoredPureState(sectors, dim)
+            standard_form(sectors, dim)
 
 
 def test_standard_state_checks_weights():
@@ -90,8 +95,20 @@ def test_standard_state_checks_weights():
     with pytest.raises(InvalidState, match="^weights must be finite$"):
         StandardState([np.inf, -np.inf, 1.0])
     # A bare TypeError, and a complex array dropped its imaginary parts.
-    for weights in ([1j], np.array([1.0 + 0j])):
-        with pytest.raises(InvalidState, match="^weights must be real numbers, got complex128$"):
+    # The strings and the bools then loaded as [0.5, 0.5] and [1, 0], and
+    # the overflow and the ragged arrays raised a bare OverflowError and
+    # ValueError.
+    cases = [
+        ([1j], "^weight must be a real number, got 1j$"),
+        (np.array([1.0 + 0j]), r"^weight must be a real number, got \(1\+0j\)$"),
+        (["0.5", "0.5"], "^weight must be a number, got '0.5'$"),
+        ([True, False], "^weight must be a number, got True$"),
+        (np.array([True, False]), "^weight must be a number, got True$"),
+        ([10**400], "^weight out of float range$"),
+        ([np.zeros((2, 2)), np.zeros((2, 3))], "^ragged nesting of weight values$"),
+    ]
+    for weights, message in cases:
+        with pytest.raises(InvalidState, match=message):
             StandardState(weights)
 
 
@@ -125,8 +142,9 @@ def test_twirl_idempotent_and_trace_preserving():
 def test_twirl_rejects_non_integer_labels():
     # [0, 0.7, 1.9] read as int labels [0, 0, 1] kept the 0-1 coherence.
     flat = np.full((3, 3), 1 / 3)
-    for labels in ([0, 0.7, 1.9], np.array([0.0, 0.0, 1.0]), [True, False, True], ["0", "0", "1"], [[0], [0, 1], 2]):
-        with pytest.raises(BadParameter, match="^sector labels must be integers, got "):
+    # [0, 0, True] read the bool as sector 1.
+    for labels in ([0, 0.7, 1.9], np.array([0.0, 0.0, 1.0]), [True, False, True], ["0", "0", "1"], [[0], [0, 1], 2], [0, 0, True]):
+        with pytest.raises(BadParameter, match="^sector label must be an integer, got "):
             twirl(flat, sector_of=labels)
     with pytest.raises(BadParameter, match="^sector labels must have length 3$"):
         twirl(flat, sector_of=[0, 1])
@@ -204,8 +222,17 @@ def test_majorizes_rejects_bad_input():
         majorizes([np.nan, 0.5, 0.5], [1.0])
     with pytest.raises(InvalidState, match="^negative probability -5.000e-10$"):
         majorizes([1 + 5e-10, -5e-10], [0.5, 0.5])
-    with pytest.raises(InvalidState, match=r"^expected a 1-D sequence, got shape \(2, 2\)$"):
+    with pytest.raises(InvalidState, match=r"^probabilities must be a nonempty 1-D sequence, got shape \(2, 2\)$"):
         majorizes(np.eye(2), [0.5, 0.5])
+    with pytest.raises(InvalidState, match=r"^probabilities must be a nonempty 1-D sequence, got shape \(0,\)$"):
+        majorizes([], [0.5, 0.5])
+    # A bare TypeError; the strings and the bools were read as numbers.
+    with pytest.raises(InvalidState, match="^probability must be a real number, got 1j$"):
+        majorizes([1j], [1.0])
+    with pytest.raises(InvalidState, match="^probability must be a number, got '0.5'$"):
+        majorizes([1.0], ["0.5", "0.5"])
+    with pytest.raises(InvalidState, match="^probability must be a number, got True$"):
+        majorizes([True, False], [1.0])
 
 
 def test_random_inputs_check_dimension_and_rank():
@@ -245,8 +272,8 @@ def test_json_roundtrips():
             ],
         }
     )
-    assert isinstance(state, SectoredPureState)
-    assert np.allclose(standard_form(state).weights, [0.5, 0.5])
+    assert isinstance(state, StandardState)
+    assert np.allclose(state.weights, [0.5, 0.5])
 
     flat = state_from_dict({"dim": 3, "weights": [0.2, 0.5, 0.3]})
     assert isinstance(flat, StandardState)
@@ -341,6 +368,8 @@ def state_payloads(draw):
     slots = []
     if draw(st.booleans()):
         payload = {"weights": (np.abs(amps) ** 2).tolist()}
+        if draw(st.booleans()):
+            payload["dim"] = dim
         slots += [(payload["weights"], n) for n in range(dim)]
     else:
         blocks = []
@@ -385,15 +414,17 @@ def state_payloads(draw):
 @example({"weights": [True, False]})
 # Loaded as weights [1.0]: the repeated sector kept its last block.
 @example({"dim": 1, "sectors": [{"n": 0, "amplitudes": [[0.6, 0]]}, {"n": 0, "amplitudes": [[1, 0]]}]})
+# Each of these loaded as a dim-2 state: the weights' dim was not read.
+@example({"dim": 5, "weights": [0.5, 0.5]})
+@example({"dim": "x", "weights": [0.5, 0.5]})
 def test_state_loader_rejects_or_returns_a_state(payload):
     try:
         state = state_from_dict(payload)
-        if isinstance(state, SectoredPureState):
-            state = standard_form(state)
     except InvalidState:
         return
-    if "sectors" in payload:
+    if "dim" in payload:
         assert type(payload["dim"]) is int
+    if "sectors" in payload:
         for block in payload["sectors"]:
             assert type(block["n"]) is int
             assert all(is_number(x) for pair in block["amplitudes"] for x in pair)
@@ -401,7 +432,9 @@ def test_state_loader_rejects_or_returns_a_state(payload):
     else:
         assert all(is_number(w) for w in payload["weights"])
     assert isinstance(state, StandardState)
-    assert state.dim == (payload["dim"] if "sectors" in payload else len(payload["weights"]))
+    assert state.dim == payload.get("dim", state.dim)
+    if "weights" in payload:
+        assert state.dim == len(payload["weights"])
     assert np.isfinite(state.weights).all()
     assert state.weights.min() >= 0.0
     assert abs(state.weights.sum() - 1.0) <= 1e-12
