@@ -103,6 +103,8 @@ class Ensemble:
             pairs = tuple((float(number(p, InvalidState, "probability")), s) for p, s in self.members)
         except InvalidState:  # a probability that is not a real number
             raise
+        except OverflowError:  # an integer beyond the float range
+            raise InvalidState("probability out of float range") from None
         except (TypeError, ValueError):  # a member, or the members, cannot be unpacked
             raise InvalidState("ensemble members must be (probability, state) pairs") from None
         if not pairs:

@@ -12,12 +12,13 @@ invalid input.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
+import os
+import stat
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +71,8 @@ class VerificationReport:
     runtime_ms: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Equal to dataclasses.asdict(self), without its recursive deep copy.
+        return {**vars(self), "measure": {**vars(self.measure)}}
 
 
 def sample_trials(
@@ -223,6 +225,22 @@ def _load_weights(path: str, dim: int | None) -> StandardState:
     return state
 
 
+def _write_rows(path: str, rows: list[tuple[int, float, int]]) -> None:
+    """Write the per-trial rows as CSV, overwriting ``path`` in place.
+
+    The bytes equal those of ``csv.writer`` (excel dialect). The file is
+    not truncated to zero on open, since a truncated regular file is
+    flushed to disk at close on ext4 and XFS; it is written over and then
+    cut to the new length. A pipe, tty or device is written, never cut.
+    """
+    text = "trial,margin,p_count\r\n" + "".join(f"{t},{m!r},{c}\r\n" for t, m, c in rows)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode())
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def cmd_monotone(args: argparse.Namespace) -> int:
     measure = MonotoneId(args.measure, args.k)
     state = _load_weights(args.state, args.dim)
@@ -264,10 +282,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         kraus_per_shift=args.kraus_per_shift,
     )
     if args.csv is not None:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "margin", "p_count"])
-            writer.writerows(rows)
+        _write_rows(args.csv, rows)
     _emit(report.to_dict())
     return 0 if report.violations == 0 else 1
 

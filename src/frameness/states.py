@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, FramenessError, InvalidDensity, InvalidState
-from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, array, integer, number, validate_density
+from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, array, as_complex_matrix, integer, number, validate_density
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,10 @@ def spectrum(state: StandardState) -> tuple[int, ...]:
 
 def is_gapless(support: Sequence[int]) -> bool:
     """True when the ascending labels ``support`` are a contiguous run of integers."""
-    if not len(support):
+    labels = [integer(n, InvalidState, "sector label") for n in support]
+    if not labels:
         raise InvalidState("spectrum support is empty")
-    return support[-1] - support[0] + 1 == len(support)
+    return labels[-1] - labels[0] + 1 == len(labels)
 
 
 def twirl(rho: np.ndarray, sector_of: Sequence[int] | None = None) -> np.ndarray:
@@ -286,7 +287,7 @@ def density_from_dict(data: dict) -> np.ndarray:
 
 
 def density_to_dict(rho: np.ndarray) -> dict:
-    m = np.asarray(rho, dtype=np.complex128)
+    m = as_complex_matrix(rho)
     return {
         "dim": int(m.shape[0]),
         "matrix": [

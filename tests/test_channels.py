@@ -273,6 +273,8 @@ def test_ensemble_validation_and_mixture():
         # A bare ValueError and TypeError: members that are not pairs.
         (((0.5,),), r"^ensemble members must be \(probability, state\) pairs$"),
         ([1.0], r"^ensemble members must be \(probability, state\) pairs$"),
+        # A bare OverflowError.
+        (((10**400, a),), "^probability out of float range$"),
     ]:
         with pytest.raises(InvalidState, match=message):
             Ensemble(pairs)

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -399,6 +401,76 @@ def test_verify_exit_one_on_violations(monkeypatch, capsys):
     )
     assert code == 1
     assert json.loads(capsys.readouterr().out)["violations"] == 3
+
+
+VERIFY_ARGV = ["verify", "--measure", "entropy", "--dim", "4", "--trials", "30", "--seed", "7", "--shifts=-1,0,1"]
+
+
+def _csv_writer_bytes(rows) -> bytes:
+    """The bytes the standard library's ``csv.writer`` writes for the verify rows."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["trial", "margin", "p_count"])
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "before", [None, b"x" * 100_000, b"trial,margin\r\n"], ids=["fresh", "longer", "shorter"]
+)
+def test_verify_csv_equals_csv_writer_bytes(capsys, tmp_path, before):
+    path = tmp_path / "rows.csv"
+    if before is not None:
+        path.write_bytes(before)
+        path.chmod(0o600)
+        old = path.stat()
+    assert main(VERIFY_ARGV + ["--csv", str(path)]) == 0
+    _, rows = run_verification(MonotoneId("entropy"), 4, 30, 7, (-1, 0, 1))
+    assert path.read_bytes() == _csv_writer_bytes(rows)
+    capsys.readouterr()
+    if before is not None:
+        # Rewritten in place: the same file, cut to the new length.
+        new = path.stat()
+        assert (new.st_ino, new.st_mode) == (old.st_ino, old.st_mode)
+
+
+def test_verify_csv_formats_every_float_as_csv_writer(monkeypatch, capsys, tmp_path):
+    rows = [(0, -0.0, 1), (1, math.nan, 0), (2, math.inf, 3), (3, 5e-324, 2), (10**20, -1.5e300, 7)]
+    report = VerificationReport(MonotoneId("entropy"), 2, len(rows), 0, 0, 0.0, 1.0)
+    monkeypatch.setattr("frameness.cli.run_verification", lambda **kw: (report, rows))
+    path = tmp_path / "rows.csv"
+    assert main(["verify", "--measure", "entropy", "--dim", "2", "--shifts=0", "--csv", str(path)]) == 0
+    assert path.read_bytes() == _csv_writer_bytes(rows)
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs /dev/null and named pipes")
+def test_verify_csv_to_device_or_pipe_is_not_truncated(capsys, tmp_path):
+    assert main(VERIFY_ARGV + ["--csv", os.devnull]) == 0
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(VERIFY_ARGV + ["--csv", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    _, rows = run_verification(MonotoneId("entropy"), 4, 30, 7, (-1, 0, 1))
+    assert received == [_csv_writer_bytes(rows)]
+    capsys.readouterr()
+
+
+def test_verify_csv_into_missing_directory_exits_2(capsys, tmp_path):
+    assert main(VERIFY_ARGV + ["--csv", str(tmp_path / "missing" / "rows.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_report_dict_equals_asdict():
+    report, _ = run_verification(MonotoneId("vidal", 2), 3, 5, 1, (-1, 0, 1))
+    assert report.to_dict() == dataclasses.asdict(report)
+    assert report.to_dict()["measure"] is not vars(report.measure)
 
 
 def test_verify_trials_independent_of_measure():

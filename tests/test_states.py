@@ -122,6 +122,16 @@ def test_spectrum_and_gaps():
     point = spectrum(StandardState([0.0, 1.0, 0.0]))
     assert point == (1,)
     assert is_gapless(point)
+    assert is_gapless(np.array([2, 3, 4]))
+    # True, True and a bare TypeError before.
+    for support, message in [
+        ([0.5, 1.5], "^sector label must be an integer, got 0.5$"),
+        ([True], "^sector label must be an integer, got True$"),
+        ("ab", "^sector label must be an integer, got 'a'$"),
+        ([], "^spectrum support is empty$"),
+    ]:
+        with pytest.raises(InvalidState, match=message):
+            is_gapless(support)
 
 
 def test_twirl_kills_off_diagonals():
@@ -286,6 +296,23 @@ def test_json_roundtrips():
 
     with pytest.raises(InvalidState, match="needs a 'sectors' or 'weights' key"):
         state_from_dict({"dim": 2})
+
+
+def test_density_to_dict_reads_through_the_matrix_reader():
+    rho = random_density_matrix(3, np.random.default_rng(8))
+    # The payloads written before the reader, for ndarrays of each dtype and nested lists.
+    for given in (rho, rho.real.astype(np.float32), np.eye(2, dtype=int), rho.tolist(), [[0.5, 0], [0, 0.5]]):
+        m = np.asarray(given, dtype=np.complex128)
+        old = {"dim": int(m.shape[0]), "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in m]}
+        assert json.dumps(density_to_dict(given)) == json.dumps(old)
+    # A bare ValueError, a matrix written as [[[1.0, 0.0]]] and a bare TypeError before.
+    for given, message in [
+        ([["a"]], "^matrix entry must be a number, got 'a'$"),
+        ([[True]], "^matrix entry must be a number, got True$"),
+        (np.zeros(3), r"^expected a square matrix, got shape \(3,\)$"),
+    ]:
+        with pytest.raises(InvalidDensity, match=message):
+            density_to_dict(given)
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
