@@ -214,6 +214,8 @@ def decomposition_from_map(rho: np.ndarray, mix: np.ndarray) -> Ensemble:
     mat = array(mix, BadDecomposition, "isometry entry", real=False)
     if mat.ndim != 2:
         raise BadDecomposition(f"expected a matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():  # NaN would pass the orthonormality test
+        raise BadDecomposition("isometry has non-finite entries")
     factor = _support_factor(w, v)
     r = factor.shape[1]
     if mat.shape[1] != r:

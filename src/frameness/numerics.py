@@ -1,12 +1,14 @@
 """Shared thresholds, the input readers, the one density check and the trial streams.
 
 Matrices are plain ``numpy`` arrays of complex128, capped at ``MAX_DIM``.
-The density check makes one ``numpy.linalg.eigh`` call, and its eigenpairs
-feed the qubit closed forms and the convex roof.
+The density check makes one ``numpy.linalg.eigh`` call per distinct matrix,
+kept across calls, and its eigenpairs feed the qubit closed forms and the
+convex roof.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from typing import Sequence
 
@@ -97,10 +99,21 @@ def is_hermitian(a: np.ndarray) -> bool:
 
 
 def _checked_density(rho: np.ndarray, dim: int | None = None) -> tuple[np.ndarray, ...]:
-    """The one density check: ``rho`` checked, with its descending eigenpairs."""
+    """The one density check: ``rho`` read, with its descending eigenpairs (read-only)."""
     m = as_complex_matrix(rho)
     if dim is not None and m.shape[0] != dim:
         raise InvalidDensity(f"expected dimension {dim}, got {m.shape[0]}")
+    return (m, *_density_spectrum(m.shape[0], m.tobytes()))
+
+
+# Keyed on the matrix's bytes, so consecutive calls on one density (the three
+# qubit closed forms of a state) share one eigh. Equal bytes are an equal
+# matrix, so a hit returns what a fresh eigh would; an edited array has other
+# bytes, and a rejected matrix raises, so it is never kept. One entry, as for
+# the verify batch: its key and eigenvectors take about 130 KB at MAX_DIM.
+@functools.lru_cache(maxsize=1)
+def _density_spectrum(n: int, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    m = np.frombuffer(data, np.complex128).reshape(n, n)
     if not np.isfinite(m).all():
         raise InvalidDensity("density matrix has non-finite entries")
     if np.max(np.abs(m - m.conj().T)) > H_TOL:  # is_hermitian, on the matrix read once
@@ -111,7 +124,9 @@ def _checked_density(rho: np.ndarray, dim: int | None = None) -> tuple[np.ndarra
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > SUM_TOL:
         raise InvalidDensity(f"trace {tr!r} is not 1")
-    return m, w[::-1].copy(), v[:, ::-1].copy()
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
 
 
 def validate_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:

@@ -208,10 +208,16 @@ def random_weights(dim: int, draws: np.ndarray) -> np.ndarray:
     return checked_weights(w / w.sum(axis=-1, keepdims=True))
 
 
+def _generator(rng) -> np.random.Generator:
+    if not isinstance(rng, np.random.Generator):
+        raise BadParameter(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
+    return rng
+
+
 def random_standard_state(dim: int, rng: np.random.Generator) -> StandardState:
     """Standard form of a Haar-uniform pure state on the ambient sphere."""
     dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
-    return StandardState(random_weights(dim, rng.normal(size=(1, 2 * dim)))[0])
+    return StandardState(random_weights(dim, _generator(rng).normal(size=(1, 2 * dim)))[0])
 
 
 def random_density_matrix(
@@ -220,6 +226,7 @@ def random_density_matrix(
     """Random density matrix from a complex Gaussian factor of given rank."""
     dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
     r = dim if rank is None else integer(rank, BadParameter, "rank", 1, dim)
+    rng = _generator(rng)
     g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
     m = g @ g.conj().T
     return m / np.trace(m).real

@@ -32,7 +32,7 @@ from frameness import (
     qubit_formation,
     random_channel,
 )
-from frameness import cli
+from frameness import cli, numerics
 from frameness.channels import (
     channel_from_dict,
     coefficient_draws,
@@ -334,6 +334,8 @@ def test_density_file_is_diagonalized_once(monkeypatch, capsys, tmp_path, verb):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    # An earlier test may have left this matrix in the density check's memo.
+    numerics._density_spectrum.cache_clear()
     if verb == "roof":
         argv = ["roof", "--measure", "entropy", "--rho", path, "--restarts", "1", "--max-iters", "2"]
     else:

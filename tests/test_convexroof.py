@@ -83,6 +83,11 @@ def test_decomposition_rejects_bad_maps():
         decomposition_from_map(rho, np.eye(3))
     with pytest.raises(BadDecomposition, match="isometry has 2 columns but the state has rank 1"):
         decomposition_from_map(np.diag([1.0, 0.0]), np.eye(2))
+    # NaN passed the orthonormality test, then raised RuntimeWarnings and
+    # InvalidState from the ensemble's probabilities.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(BadDecomposition, match="^isometry has non-finite entries$"):
+            decomposition_from_map(rho, [[bad, 0.0], [0.0, 1.0]])
 
 
 def test_roof_rank_one_is_exact():

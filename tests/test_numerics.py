@@ -8,13 +8,18 @@ from frameness import (
     BadParameter,
     InvalidDensity,
     MonotoneId,
+    RoofConfig,
     convex_roof,
     decomposition_from_map,
     is_hermitian,
+    optimal_qubit_decomposition,
     qubit_concurrence,
+    qubit_fof,
+    random_density_matrix,
     validate_density,
 )
-from frameness.numerics import array, integer, number
+from frameness.monotones import KINDS
+from frameness.numerics import _checked_density, _density_spectrum, array, integer, number
 
 
 def test_predicates():
@@ -106,3 +111,89 @@ MATRIX_READS = {
 def test_matrix_inputs_are_read_as_numbers(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The arguments of every ``np.linalg.eigh`` call, from an empty density memo on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    _density_spectrum.cache_clear()
+    return calls
+
+
+def test_qubit_closed_forms_of_one_density_share_one_eigh(eigh_calls):
+    rho = random_density_matrix(2, np.random.default_rng(4))
+    qubit_concurrence(rho)
+    qubit_fof(rho.tolist())
+    optimal_qubit_decomposition(rho.copy())
+    assert len(eigh_calls) == 1
+
+
+def test_density_edited_in_place_is_checked_again(eigh_calls):
+    rho = random_density_matrix(3, np.random.default_rng(6))
+    entry = rho[0, 1]
+    validate_density(rho)
+    rho[0, 1] += 0.1
+    with pytest.raises(InvalidDensity, match="^density matrix is not Hermitian$"):
+        validate_density(rho)
+    # The rejected matrix was not kept, so the restored one is still a hit.
+    rho[0, 1] = entry
+    validate_density(rho)
+    assert len(eigh_calls) == 1
+
+
+def test_rejected_density_raises_on_every_call(eigh_calls):
+    rho = np.diag([1.5, -0.5])
+    for _ in range(3):
+        with pytest.raises(InvalidDensity, match="^density matrix has eigenvalue -5.000e-01$"):
+            validate_density(rho)
+    assert len(eigh_calls) == 3
+
+
+def test_memoized_eigenpairs_reject_writes(eigh_calls):
+    rho = random_density_matrix(3, np.random.default_rng(8))
+    _, w, v = _checked_density(rho)
+    _, w2, v2 = _checked_density(rho)
+    assert w2 is w and v2 is v
+    for a in (w, v):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert _density_spectrum.cache_info().maxsize == 1
+
+
+def _ensemble_bytes(ensemble):
+    return [(np.float64(p).tobytes(), vec.tobytes()) for p, vec in ensemble.members]
+
+
+def _roof_bytes(measure, rho):
+    res = convex_roof(measure, rho, RoofConfig(restarts=2, max_iters=20))
+    head = (np.float64(res.value).tobytes(), res.converged, res.iterations_used, res.gapped_support)
+    return head, _ensemble_bytes(res.ensemble)
+
+
+def test_memo_hits_return_the_bytes_of_a_fresh_check():
+    for i in range(200):
+        d = 2 + i % 7
+        rho = random_density_matrix(d, np.random.default_rng([12, i]), rank=1 + i % d)
+        kind = KINDS[i % len(KINDS)]
+        measure = MonotoneId(kind, 2) if kind in ("vidal", "concurrence") else MonotoneId(kind)
+        outputs = [lambda: _roof_bytes(measure, rho)]
+        if d == 2:
+            outputs += [
+                lambda: np.float64(qubit_concurrence(rho)).tobytes(),
+                lambda: np.float64(qubit_fof(rho)).tobytes(),
+                lambda: _ensemble_bytes(optimal_qubit_decomposition(rho)),
+            ]
+        for output in outputs:
+            _density_spectrum.cache_clear()
+            fresh = output()
+            hits = _density_spectrum.cache_info().hits
+            assert output() == fresh
+            assert _density_spectrum.cache_info().hits > hits

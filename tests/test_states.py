@@ -264,6 +264,17 @@ def test_random_inputs_check_dimension_and_rank():
     assert np.linalg.matrix_rank(random_density_matrix(3, rng, rank=np.int64(2))) == 2
 
 
+@pytest.mark.parametrize("helper", [random_density_matrix, random_standard_state])
+@pytest.mark.parametrize(
+    "rng", [5, None, np.random.RandomState(0), np.random.PCG64(0)], ids=["int", "None", "RandomState", "PCG64"]
+)
+def test_random_inputs_reject_non_generator_rng(helper, rng):
+    # An int or None raised a bare AttributeError on rng.normal, and a
+    # legacy RandomState was accepted.
+    with pytest.raises(BadParameter, match="^rng must be a numpy.random.Generator, got "):
+        helper(2, rng)
+
+
 def test_random_standard_state_deterministic():
     a = random_standard_state(4, np.random.default_rng(77))
     b = random_standard_state(4, np.random.default_rng(77))
