@@ -9,6 +9,7 @@ single (generally mixed) output.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -117,12 +118,7 @@ class Ensemble:
         return np.array([p for p, _ in self.members])
 
     def mixture(self) -> np.ndarray:
-        out: np.ndarray | None = None
-        for p, s in self.members:
-            rho = _as_density(s)
-            out = p * rho if out is None else out + p * rho
-        assert out is not None
-        return out
+        return functools.reduce(np.add, (p * _as_density(s) for p, s in self.members))
 
 
 def _as_density(state: Any) -> np.ndarray:
@@ -200,31 +196,30 @@ def _live_slots(slot_shifts: Sequence[int], dim: int) -> np.ndarray:
     return (target >= 0) & (target < dim)
 
 
-def coefficient_draws(dim: int, shifts: Iterable[int], kraus_per_shift: int) -> int:
-    """Normal draws per channel that :func:`sample_coefficients` consumes."""
-    return 2 * int(_slot_layout(dim, shifts, kraus_per_shift)[1].sum())
+def coefficient_draws(layout: tuple[tuple[int, ...], np.ndarray]) -> int:
+    """Normal draws per channel that :func:`sample_coefficients` consumes on ``layout``."""
+    return 2 * int(layout[1].sum())
 
 
 def sample_coefficients(
-    dim: int,
-    shifts: Iterable[int],
-    kraus_per_shift: int,
-    draws: np.ndarray,
+    layout: tuple[tuple[int, ...], np.ndarray], draws: np.ndarray
 ) -> tuple[tuple[int, ...], np.ndarray]:
     """Random trace-preserving coefficients, one ``(S, dim)`` array per row of ``draws``.
 
-    The S slots are the (shift, repeat) pairs, shifts ascending. For every
-    source sector the coefficients across its admissible slots form an
-    independent Haar-uniform complex unit vector, so the per-sector
-    completeness sums are 1. Each row of the ``(T, coefficient_draws(...))``
-    normal draws holds, sector by sector, the real then the imaginary parts
-    of that sector's vector. Returns the shift of each slot and the
-    ``(T, S, dim)`` coefficients, zero outside the window.
+    ``layout`` is what :func:`_slot_layout` returns: the shift of each of
+    the S slots, the (shift, repeat) pairs with shifts ascending, and their
+    live mask. For every source sector the coefficients across its
+    admissible slots form an independent Haar-uniform complex unit vector,
+    so the per-sector completeness sums are 1. Each row of the
+    ``(T, coefficient_draws(layout))`` normal draws holds, sector by
+    sector, the real then the imaginary parts of that sector's vector.
+    Returns the slot shifts and the ``(T, S, dim)`` coefficients, zero
+    outside the window.
     """
-    slot_shifts, live = _slot_layout(dim, shifts, kraus_per_shift)
+    slot_shifts, live = layout
     sizes = live.sum(axis=0)
     starts = np.concatenate(([0], np.cumsum(2 * sizes)[:-1]))
-    coeffs = np.zeros((len(draws), len(slot_shifts), dim), dtype=np.complex128)
+    coeffs = np.zeros((len(draws),) + live.shape, dtype=np.complex128)
     for size in np.unique(sizes):
         sectors = np.flatnonzero(sizes == size)
         re = starts[sectors, None] + np.arange(size)
@@ -263,9 +258,9 @@ def random_channel(
     """
     for s in seed if isinstance(seed, Sequence) else [seed]:
         integer(s, BadParameter, "seed", 0)
-    size = coefficient_draws(dim, shifts, kraus_per_shift)
-    draws = np.random.default_rng(seed).normal(size=(1, size))
-    slot_shifts, coeffs = sample_coefficients(dim, shifts, kraus_per_shift, draws)
+    layout = _slot_layout(dim, shifts, kraus_per_shift)
+    draws = np.random.default_rng(seed).normal(size=(1, coefficient_draws(layout)))
+    slot_shifts, coeffs = sample_coefficients(layout, draws)
     return coefficient_channel(slot_shifts, coeffs[0])
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .channels import (
     U1Channel,
+    _slot_layout,
     apply_slots_pure,
     channel_to_dict,
     coefficient_channel,
@@ -90,10 +91,9 @@ def sample_trials(
     whole range at once. Returns the ``(T, dim)`` weights, the shift of
     each channel slot and the ``(T, S, dim)`` channel coefficients.
     """
-    state_draws, channel_draws = seeded_normals(
-        seed, trials, (2 * dim, coefficient_draws(dim, shifts, kraus_per_shift))
-    )
-    slot_shifts, coeffs = sample_coefficients(dim, shifts, kraus_per_shift, channel_draws)
+    layout = _slot_layout(dim, shifts, kraus_per_shift)
+    state_draws, channel_draws = seeded_normals(seed, trials, (2 * dim, coefficient_draws(layout)))
+    slot_shifts, coeffs = sample_coefficients(layout, channel_draws)
     return random_weights(dim, state_draws), slot_shifts, coeffs
 
 

@@ -3,7 +3,7 @@
 A decomposition of a rank-r state into m pure members is an m x r isometry
 U: the members are the rows of V = U F^T, F the support factor. With each
 monotone written as a degree-1 homogeneous function h of the weights
-a = |V|^2 (``monotones.weight_value_and_slope``), the roof average
+a = |V|^2 (``monotones.WeightMonotone.value_and_slope``), the roof average
 sum_i h(|V_i|^2) has a closed-form gradient in U. It is minimized by
 Riemannian gradient descent on the isometries (Wen and Yin, Math. Program.
 142, 397, 2013): Barzilai-Borwein steps under a nonmonotone Armijo test,
@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import Ensemble
 from .errors import BadDecomposition, BadParameter
-from .monotones import MonotoneId, smoothed_tail_sum, weight_evaluator, weight_value_and_slope
+from .monotones import MonotoneId, WeightMonotone, smoothed_tail_sum
 from .numerics import ZERO_TOL, _checked_density, array, integer
 from .states import is_gapless
 
@@ -252,7 +252,7 @@ def convex_roof(
     resolve to the lowest restart index.
     """
     m_rho, w, v = _checked_density(rho)
-    evaluator = weight_evaluator(measure, m_rho.shape[0])
+    monotone = WeightMonotone(measure, m_rho.shape[0])
     factor = _support_factor(w, v)
     r = factor.shape[1]
     gapped = not is_gapless(np.flatnonzero(np.diag(m_rho).real > ZERO_TOL))
@@ -260,7 +260,7 @@ def convex_roof(
         # A rank-1 input has a single decomposition: no search.
         vec = factor[:, 0] / np.linalg.norm(factor[:, 0])
         return RoofResult(
-            value=float(evaluator(np.abs(vec) ** 2)),
+            value=float(monotone.values(np.abs(vec) ** 2)),
             ensemble=Ensemble(((1.0, vec),)),
             converged=True,
             iterations_used=0,
@@ -276,9 +276,9 @@ def convex_roof(
     iterations = np.zeros(cfg.restarts, dtype=np.int64)
     if measure.kind == "vidal":
         for width in SMOOTHING_WIDTHS:
-            stage = smoothed_tail_sum(measure.k, m_rho.shape[0], width)
+            stage = smoothed_tail_sum(monotone, width)
             _descend(factor, mixes, stage, STAGE_TOL * width, iterations, cfg.max_iters)
-    objective = weight_value_and_slope(measure, m_rho.shape[0])
+    objective = monotone.value_and_slope
     mixes, finals, converged = _descend(factor, mixes, objective, GRADIENT_TOL, iterations, cfg.max_iters)
     best = 0
     for restart in range(1, cfg.restarts):
@@ -286,7 +286,7 @@ def convex_roof(
             best = restart
 
     ensemble = _ensemble(factor, mixes[best])
-    values = evaluator(np.abs(np.array([vec for _, vec in ensemble.members])) ** 2)
+    values = monotone.values(np.abs(np.array([vec for _, vec in ensemble.members])) ** 2)
     value = sum(p * v for (p, _), v in zip(ensemble.members, values))
     return RoofResult(
         value=float(value),

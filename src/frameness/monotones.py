@@ -8,6 +8,7 @@ decomposition are read off its entries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -15,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .channels import Ensemble
-from .errors import BadMonotone, BadParameter, InvalidDensity
-from .numerics import ZERO_TOL, _checked_density, integer, number
+from .errors import BadMonotone, BadParameter
+from .numerics import MAX_DIM, ZERO_TOL, _checked_density, integer, number
 from .states import StandardState
 
 KINDS = ("vidal", "entropy", "concurrence", "variance")
@@ -99,32 +100,10 @@ def _variance_and_mean(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 4.0 * (m2 - m1 * m1), m1
 
 
-def weight_evaluator(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Resolve a monotone to a function on weight vectors of length ``dim``.
-
-    The function maps a ``(..., dim)`` array to the ``(...)`` array of
-    values along the last axis; a single vector gives a scalar.
-    """
-    if measure.kind == "vidal":
-        k = integer(measure.k, BadMonotone, "order k", 2, dim)
-        return lambda w: _tail_sum(w, k)
-    if measure.kind == "entropy":
-        return _shannon_bits
-    if measure.kind == "concurrence":
-        k = integer(measure.k, BadMonotone, "order k", 2, dim)
-        return lambda w: np.float_power(_concurrence_ratio(w, k)[0], 1.0 / k)
-    return lambda w: _variance_and_mean(w)[0]
-
-
 # Each pure monotone f of weights w extends to unnormalized weights a as
 # h(a) = |a| f(a / |a|), with |a| the sum of a. h is homogeneous of degree 1,
 # so its gradient dh/da depends on w = a / |a| alone. The slopes below give
 # it along the last axis of a (..., d) array of weights.
-
-
-def _complements(d: int) -> np.ndarray:
-    # Row l lists the positions of a length-d axis other than l.
-    return np.nonzero(~np.eye(d, dtype=bool))[1].reshape(d, d - 1)
 
 
 def _leave_one_out(values: np.ndarray, j: int, others: np.ndarray) -> np.ndarray:
@@ -159,48 +138,79 @@ def _variance_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, 4.0 * np.square(np.arange(w.shape[-1]) - mean[..., None])
 
 
+class WeightMonotone:
+    """``measure`` on weight vectors of length ``dim``, read once: first ``dim`` (1..``MAX_DIM``,
+    else :class:`BadParameter`), then the order k (at most ``dim``, else :class:`BadMonotone`).
+    Each view is built on first use and maps ``(..., dim)`` weights along the last axis."""
+
+    def __init__(self, measure: MonotoneId, dim: int) -> None:
+        self.measure = measure
+        self.dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
+        if measure.k is not None:
+            integer(measure.k, BadMonotone, "order k", 2, self.dim)
+
+    @functools.cached_property
+    def values(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The ``(...)`` values; a single vector gives a scalar."""
+        kind, k = self.measure.kind, self.measure.k
+        if kind == "vidal":
+            return lambda w: _tail_sum(w, k)
+        if kind == "entropy":
+            return _shannon_bits
+        if kind == "concurrence":
+            return lambda w: np.float_power(_concurrence_ratio(w, k)[0], 1.0 / k)
+        return lambda w: _variance_and_mean(w)[0]
+
+    @functools.cached_property
+    def value_and_slope(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """``values``, bit for bit, and dh/da: -log2 w for the entropy (0 on empty sectors),
+        4 (n - mu)^2 for the variance, mu the mean charge, and a subgradient
+        where vidal's tail sum or the capped concurrence is not smooth."""
+        kind, k = self.measure.kind, self.measure.k
+        if kind == "vidal":
+            return lambda w: (_tail_sum(w, k), _vidal_slope(w, k))
+        if kind == "entropy":
+            return _entropy_and_slope
+        if kind == "concurrence":
+            others = self.others
+
+            def concurrence(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                # h^(1-k) e_{k-1}(w without w_l) / (k den) below the cap and 1 at
+                # it, the flat state; 0 where h = 0, a subgradient.
+                capped, den = _concurrence_ratio(w, k)
+                scale = (k * den * np.float_power(capped, (k - 1) / k))[..., None]
+                slope = np.divide(_leave_one_out(w, k - 1, others), scale, out=np.zeros(w.shape), where=scale > 0.0)
+                return np.float_power(capped, 1.0 / k), np.where(capped[..., None] >= 1.0, 1.0, slope)
+
+            return concurrence
+        return _variance_and_slope
+
+    @functools.cached_property
+    def others(self) -> np.ndarray:
+        """Row l lists the positions other than l; ``values`` never builds it."""
+        return np.nonzero(~np.eye(self.dim, dtype=bool))[1].reshape(self.dim, self.dim - 1)
+
+
+def weight_evaluator(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The values of ``measure`` on weight vectors of length ``dim``: ``WeightMonotone(measure, dim).values``."""
+    return WeightMonotone(measure, dim).values
+
+
 def weight_value_and_slope(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Resolve a monotone to its values and the gradient dh/da of its degree-1 extension.
-
-    h(a) = |a| f(a / |a|) on unnormalized weights a. The function maps the
-    normalized ``(..., dim)`` weights a / |a| to ``weight_evaluator``'s
-    values, bit for bit, and the gradient: -log2 w for the entropy (0 on
-    empty sectors) and 4 (n - mu)^2 for the variance, with mu the mean
-    charge. Vidal's tail sum and the concurrence at its cap are not smooth;
-    there it gives a subgradient.
-    """
-    if measure.kind == "vidal":
-        k = integer(measure.k, BadMonotone, "order k", 2, dim)
-        return lambda w: (_tail_sum(w, k), _vidal_slope(w, k))
-    if measure.kind == "entropy":
-        return _entropy_and_slope
-    if measure.kind == "concurrence":
-        k = integer(measure.k, BadMonotone, "order k", 2, dim)
-        others = _complements(dim)
-
-        def concurrence(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # h^(1-k) e_{k-1}(w without w_l) / (k den) below the cap and 1 at
-            # it, the flat state; 0 where h = 0, a subgradient.
-            capped, den = _concurrence_ratio(w, k)
-            scale = (k * den * np.float_power(capped, (k - 1) / k))[..., None]
-            slope = np.divide(_leave_one_out(w, k - 1, others), scale, out=np.zeros(w.shape), where=scale > 0.0)
-            return np.float_power(capped, 1.0 / k), np.where(capped[..., None] >= 1.0, 1.0, slope)
-
-        return concurrence
-    return _variance_and_slope
+    """Values and slope of ``measure``'s degree-1 extension: ``WeightMonotone(measure, dim).value_and_slope``."""
+    return WeightMonotone(measure, dim).value_and_slope
 
 
-def smoothed_tail_sum(k: int, dim: int, width: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Values and slope of a smooth stand-in for vidal's tail sum from position k.
+def smoothed_tail_sum(vidal: WeightMonotone, width: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Values and slope of a smooth stand-in for a resolved vidal monotone's tail sum from position k.
 
     The sum of the k - 1 largest weights is replaced by its log-sum-exp
     over (k - 1)-subsets, width * log e_{k-1}(exp(w / width)), which exceeds
     it by at most width * log C(dim, k - 1). The stand-in is concave and
     differentiable, and tends to the tail sum as ``width`` goes to 0. Maps
-    weights to (values, slope) as ``weight_value_and_slope`` does.
+    weights to (values, slope) as ``WeightMonotone.value_and_slope`` does.
     """
-    k = integer(k, BadMonotone, "order k", 2, dim)
-    others = _complements(dim)
+    k, dim, others = vidal.measure.k, vidal.dim, vidal.others
 
     def value_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Shifted by the mean of the k - 1 largest weights, the exponentials
@@ -226,10 +236,8 @@ def _qubit(rho: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     # sqrt(ab) +- |c|, with the density's check. c comes from the Hermitian
     # part and mu2 is clamped at zero, so states that are Hermitian or PSD
     # only within H_TOL or P_TOL stay in range.
-    checked = _checked_density(rho)
+    checked = _checked_density(rho, 2)
     m = checked[0]
-    if m.shape != (2, 2):
-        raise InvalidDensity(f"expected a 2x2 matrix, got shape {m.shape}")
     root = math.sqrt(max(m[0, 0].real * m[1, 1].real, 0.0))
     off = 0.5 * abs(m[0, 1] + m[1, 0].conjugate())
     return np.array([root + off, max(root - off, 0.0)]), checked

@@ -93,16 +93,14 @@ def as_complex_matrix(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    m = as_complex_matrix(a)
-    return bool(np.max(np.abs(m - m.conj().T)) <= H_TOL)
-
-
 def _checked_density(rho: np.ndarray, dim: int | None = None) -> tuple[np.ndarray, ...]:
-    """The one density check: ``rho`` read, with its descending eigenpairs (read-only)."""
+    """The one density check: ``rho`` read, with its descending eigenpairs (read-only).
+
+    A wrong size raises before the spectrum: it costs no ``eigh`` and leaves the memo.
+    """
     m = as_complex_matrix(rho)
     if dim is not None and m.shape[0] != dim:
-        raise InvalidDensity(f"expected dimension {dim}, got {m.shape[0]}")
+        raise InvalidDensity(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
     return (m, *_density_spectrum(m.shape[0], m.tobytes()))
 
 
@@ -116,7 +114,7 @@ def _density_spectrum(n: int, data: bytes) -> tuple[np.ndarray, np.ndarray]:
     m = np.frombuffer(data, np.complex128).reshape(n, n)
     if not np.isfinite(m).all():
         raise InvalidDensity("density matrix has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > H_TOL:  # is_hermitian, on the matrix read once
+    if np.max(np.abs(m - m.conj().T)) > H_TOL:
         raise InvalidDensity("density matrix is not Hermitian")
     w, v = np.linalg.eigh(m)
     if w[0] < -P_TOL:

@@ -86,20 +86,18 @@ class BipartitePureState:
     system_dim: int
 
     def reduced_system(self) -> np.ndarray:
-        rho = np.zeros((self.system_dim, self.system_dim), dtype=np.complex128)
-        for (ns, nr), a in self.amplitudes.items():
-            for (ms, mr), b in self.amplitudes.items():
-                if nr == mr:
-                    rho[ns, ms] += a * np.conj(b)
-        return rho
+        return self._reduced(0, self.system_dim)
 
     def reduced_reference(self) -> np.ndarray:
-        d = self.total + 1
+        return self._reduced(1, self.total + 1)
+
+    def _reduced(self, keep: int, d: int) -> np.ndarray:
+        # The other party traced out: its labels must agree, the kept ones index rho.
         rho = np.zeros((d, d), dtype=np.complex128)
-        for (ns, nr), a in self.amplitudes.items():
-            for (ms, mr), b in self.amplitudes.items():
-                if ns == ms:
-                    rho[nr, mr] += a * np.conj(b)
+        for x, a in self.amplitudes.items():
+            for y, b in self.amplitudes.items():
+                if x[1 - keep] == y[1 - keep]:
+                    rho[x[keep], y[keep]] += a * np.conj(b)
         return rho
 
 

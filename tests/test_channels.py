@@ -19,6 +19,7 @@ from frameness import (
     validate_channel,
 )
 from frameness.channels import (
+    _slot_layout,
     apply_slots_pure,
     channel_from_dict,
     channel_to_dict,
@@ -201,8 +202,9 @@ def test_outcome_spectrum_shifts_inside_window():
         d = int(rng.integers(3, 7))
         st = random_standard_state(d, rng)
         support = set(spectrum(st))
-        draws = np.random.default_rng(100 + trial).normal(size=(1, coefficient_draws(d, (-1, 1), 1)))
-        slot_shifts, coeffs = sample_coefficients(d, (-1, 1), 1, draws)
+        layout = _slot_layout(d, (-1, 1), 1)
+        draws = np.random.default_rng(100 + trial).normal(size=(1, coefficient_draws(layout)))
+        slot_shifts, coeffs = sample_coefficients(layout, draws)
         _, posts, kept = apply_slots_pure(slot_shifts, squared_moduli(coeffs[0]), st.weights)
         assert kept.any()
         for ell, post, keep in zip(slot_shifts, posts, kept):

@@ -32,8 +32,9 @@ from frameness import (
     qubit_formation,
     random_channel,
 )
-from frameness import cli, numerics
+from frameness import channels, cli, numerics
 from frameness.channels import (
+    _slot_layout,
     channel_from_dict,
     coefficient_draws,
     sample_coefficients,
@@ -505,14 +506,15 @@ def test_sampler_rows_match_default_rng_streams(seed, trials):
     """
     dim, shifts, kraus_per_shift = 3, (-1, 0, 1), 2
     weights, slot_shifts, coeffs = sample_trials(dim, shifts, kraus_per_shift, seed, trials)
-    size = coefficient_draws(dim, shifts, kraus_per_shift)
+    layout = _slot_layout(dim, shifts, kraus_per_shift)
+    size = coefficient_draws(layout)
     state_draws = np.array([np.random.default_rng([seed, t, 0]).normal(size=2 * dim) for t in trials])
     channel_draws = np.array([np.random.default_rng([seed, t, 1]).normal(size=size) for t in trials])
     draws = seeded_normals(seed, trials, (2 * dim, size))
     assert np.array_equal(draws[0], state_draws)
     assert np.array_equal(draws[1], channel_draws)
     assert np.array_equal(weights, random_weights(dim, state_draws))
-    expected_shifts, expected_coeffs = sample_coefficients(dim, shifts, kraus_per_shift, channel_draws)
+    expected_shifts, expected_coeffs = sample_coefficients(layout, channel_draws)
     assert slot_shifts == expected_shifts
     assert np.array_equal(coeffs, expected_coeffs)
 
@@ -605,6 +607,27 @@ def test_measure_sweep_samples_each_batch_once(monkeypatch):
     for measure in SWEEP_MEASURES:
         run_verification(measure, 4, 12, 9, (-1, 0, 1))
     assert calls == [(4, (-1, 0, 1), 1, 9, range(12))]
+
+
+def test_slot_layout_is_built_once_per_sample(monkeypatch):
+    # One checked layout per sampled batch and per random channel: the draw
+    # count and the coefficients both read it.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _slot_layout(*args)
+
+    monkeypatch.setattr(channels, "_slot_layout", counting)
+    monkeypatch.setattr(cli, "_slot_layout", counting, raising=False)
+    cli._trial_batch.cache_clear()
+    for measure in SWEEP_MEASURES:
+        run_verification(measure, 4, 12, 9, (-1, 0, 1))
+    assert len(calls) == cli._trial_batch.cache_info().misses == 1
+    run_verification(MonotoneId("entropy"), 3, 12, 9, (0, 2), 2)
+    assert len(calls) == cli._trial_batch.cache_info().misses == 2
+    random_channel(5, (-1, 1), 2, seed=3)
+    assert calls[-1] == (5, (-1, 1), 2) and len(calls) == 3
 
 
 def test_reused_batch_rows_match_cold_calls():
@@ -787,6 +810,15 @@ SAMPLING_VERBS = {
         lambda dim: sample_trials(dim, (-1, 0, 1), 1, 0, range(3)),
     ),
     "channel": (["channel", "sample"], lambda dim: random_channel(dim, (-1, 0, 1))),
+    # The dimension is read before the order k, which must be at most it.
+    "vidal": (
+        ["verify", "--measure", "vidal", "--k", "2", "--trials", "3"],
+        lambda dim: run_verification(MonotoneId("vidal", 2), dim, 3, 0, (-1, 0, 1)),
+    ),
+    "concurrence": (
+        ["verify", "--measure", "concurrence", "--k", "2", "--trials", "3"],
+        lambda dim: run_verification(MonotoneId("concurrence", 2), dim, 3, 0, (-1, 0, 1)),
+    ),
 }
 
 

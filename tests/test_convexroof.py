@@ -31,7 +31,7 @@ from frameness.convexroof import (
     _support_factor,
     _tangent,
 )
-from frameness.monotones import smoothed_tail_sum, weight_evaluator, weight_value_and_slope
+from frameness.monotones import WeightMonotone, smoothed_tail_sum, weight_value_and_slope
 from frameness.numerics import _checked_density
 
 CONC2 = MonotoneId("concurrence", 2)
@@ -249,8 +249,9 @@ def _smooth_kinds(d):
     kinds = [MonotoneId("entropy"), VAR] + [MonotoneId("concurrence", k) for k in range(2, d + 1)]
     out = [(m, weight_value_and_slope(m, d)) for m in kinds]
     for k in range(2, d + 1):
+        vidal = WeightMonotone(MonotoneId("vidal", k), d)
         for width in (SMOOTHING_WIDTHS[0], SMOOTHING_WIDTHS[-1]):
-            out.append((f"smoothed vidal[{k}] at {width}", smoothed_tail_sum(k, d, width)))
+            out.append((f"smoothed vidal[{k}] at {width}", smoothed_tail_sum(vidal, width)))
     return out
 
 
@@ -274,9 +275,10 @@ def test_smoothed_tail_sum_brackets_the_tail_sum():
     for d in (2, 3, 6, 64):
         w = np.vstack([rng.dirichlet(np.full(d, 0.3), size=20), np.eye(d)[:2], np.full((1, d), 1.0 / d)])
         for k in sorted({2, 3, d} & set(range(2, d + 1))):
-            tail = weight_evaluator(MonotoneId("vidal", k), d)(w)
+            vidal = WeightMonotone(MonotoneId("vidal", k), d)
+            tail = vidal.values(w)
             for width in SMOOTHING_WIDTHS:
-                value, slope = smoothed_tail_sum(k, d, width)(w)
+                value, slope = smoothed_tail_sum(vidal, width)(w)
                 assert np.all(np.isfinite(slope))
                 assert np.all(value <= tail + 1e-12), (d, k, width)
                 assert np.all(value >= tail - width * np.log(comb(d, k - 1)) - 1e-12), (d, k, width)
@@ -326,7 +328,7 @@ def _staged_search(factor, stack, measure, d, max_iters):
     iterations = np.zeros(len(stack), dtype=np.int64)
     if measure.kind == "vidal":
         for width in SMOOTHING_WIDTHS:
-            stage = smoothed_tail_sum(measure.k, d, width)
+            stage = smoothed_tail_sum(WeightMonotone(measure, d), width)
             _descend(factor, stack, stage, STAGE_TOL * width, iterations, max_iters)
     objective = weight_value_and_slope(measure, d)
     return _descend(factor, stack, objective, GRADIENT_TOL, iterations, max_iters) + (iterations,)

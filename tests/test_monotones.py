@@ -23,7 +23,7 @@ from frameness import (
     random_density_matrix,
     random_standard_state,
 )
-from frameness.monotones import _elementary_symmetric, weight_evaluator, weight_value_and_slope
+from frameness.monotones import WeightMonotone, _elementary_symmetric, weight_evaluator, weight_value_and_slope
 
 PLUS = 0.5 * np.ones((2, 2))
 GOLDEN_CLOSED_FORMS = Path(__file__).parent / "golden" / "qubit_closed_forms.csv"
@@ -224,6 +224,19 @@ def test_roof_values_equal_weight_evaluator_bit_for_bit():
                 values, slope = weight_value_and_slope(measure, d)(rows)
                 assert values.tobytes() == weight_evaluator(measure, d)(rows).tobytes(), (d, measure)
                 assert slope.shape == rows.shape
+
+
+def test_weight_monotone_reads_the_dimension_then_the_order():
+    with pytest.raises(BadParameter, match="^dimension must be at least 1, got 0$"):
+        WeightMonotone(MonotoneId("vidal", 2), 0)
+    with pytest.raises(BadMonotone, match="^order k must be at most 2, got 3$"):
+        WeightMonotone(MonotoneId("concurrence", 3), 2)
+    # The values never build the slope's complement table; the slope builds it once.
+    monotone = WeightMonotone(MonotoneId("concurrence", 3), 5)
+    monotone.values(np.full(5, 0.2))
+    assert "others" not in vars(monotone)
+    monotone.value_and_slope(np.full(5, 0.2))
+    assert vars(monotone)["others"].shape == (5, 4)
 
 
 def test_qubit_R_eigs_plus_state():

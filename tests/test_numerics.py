@@ -11,7 +11,6 @@ from frameness import (
     RoofConfig,
     convex_roof,
     decomposition_from_map,
-    is_hermitian,
     optimal_qubit_decomposition,
     qubit_concurrence,
     qubit_fof,
@@ -23,8 +22,10 @@ from frameness.numerics import _checked_density, _density_spectrum, array, integ
 
 
 def test_predicates():
-    assert is_hermitian(np.eye(3))
-    assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # Hermiticity is checked once, inside the density check.
+    validate_density(np.eye(3) / 3)
+    with pytest.raises(InvalidDensity, match="^density matrix is not Hermitian$"):
+        validate_density(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_validate_density():
@@ -36,7 +37,7 @@ def test_validate_density():
         validate_density(np.array([[0.5, 0.5], [-0.5, 0.5]]))
     with pytest.raises(InvalidDensity):
         validate_density(np.diag([1.5, -0.5]))
-    with pytest.raises(InvalidDensity):
+    with pytest.raises(InvalidDensity, match=r"^expected a 3x3 matrix, got shape \(2, 2\)$"):
         validate_density(np.diag([0.5, 0.5]), dim=3)
 
 
@@ -95,7 +96,7 @@ STRINGS = [["0.5", "0"], ["0", "0.5"]]
 MATRIX_READS = {
     "validate_density": (lambda: validate_density([["a"]]), InvalidDensity, "^matrix entry must be a number, got 'a'$"),
     "qubit_concurrence": (lambda: qubit_concurrence(STRINGS), InvalidDensity, "^matrix entry must be a number, got '0.5'$"),
-    "is_hermitian": (lambda: is_hermitian([[True]]), InvalidDensity, "^matrix entry must be a number, got True$"),
+    "bool": (lambda: validate_density([[True]]), InvalidDensity, "^matrix entry must be a number, got True$"),
     "convex_roof": (lambda: convex_roof(MonotoneId("entropy"), STRINGS), InvalidDensity, "^matrix entry must be a number, got '0.5'$"),
     "decomposition_from_map": (
         lambda: decomposition_from_map(np.eye(2) / 2, [["a", "b"], ["c", "d"]]),
@@ -155,6 +156,19 @@ def test_rejected_density_raises_on_every_call(eigh_calls):
         with pytest.raises(InvalidDensity, match="^density matrix has eigenvalue -5.000e-01$"):
             validate_density(rho)
     assert len(eigh_calls) == 3
+
+
+def test_wrong_size_qubit_keeps_the_memo(eigh_calls):
+    # The qubit closed forms check the 2x2 size before the spectrum: the
+    # rejected matrix costs no eigh and the checked qubit stays memoized.
+    rho = random_density_matrix(2, np.random.default_rng(9))
+    value = qubit_concurrence(rho)
+    with pytest.raises(InvalidDensity, match=r"^expected a 2x2 matrix, got shape \(3, 3\)$"):
+        qubit_concurrence(np.eye(3) / 3)
+    assert qubit_concurrence(rho) == value
+    info = _density_spectrum.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert len(eigh_calls) == 1
 
 
 def test_memoized_eigenpairs_reject_writes(eigh_calls):
