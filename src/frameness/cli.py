@@ -325,8 +325,8 @@ def cmd_appendix(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and then reused."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and each verb's parser by name, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="frameness",
         description="Frameness monotones under a charge superselection rule",
@@ -383,12 +383,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_appendix.add_argument("--alpha", type=float, required=True)
     p_appendix.set_defaults(func=cmd_appendix)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
+    return _parsers()[0]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, verbs = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in verbs:
+        # What the root parser's subcommand action would do, without the
+        # root parser's own pass over the same tokens.
+        args, extras = verbs[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (FramenessError, OSError) as exc:

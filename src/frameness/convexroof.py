@@ -47,6 +47,11 @@ AVERAGING = 0.85
 # stage ends once the gradient norm is at or below STAGE_TOL times its width.
 SMOOTHING_WIDTHS = (0.2, 0.06, 0.018, 0.0054)
 STAGE_TOL = 0.1
+# Most restarts x ensemble size x dimension entries a search may hold at
+# once. Each costs about 0.3 KB across the working arrays (more for a
+# concurrence or vidal order near the dimension), so a search within this
+# holds about 300 MB.
+ROOF_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -249,7 +254,9 @@ def convex_roof(
 
     Deterministic for a fixed (input, config) pair: restart i draws from the
     stream seeded by (cfg.seed, i), and ties across restarts within 1e-12
-    resolve to the lowest restart index.
+    resolve to the lowest restart index. A search whose restarts x ensemble
+    size x dimension exceeds ``ROOF_ELEMENTS`` raises ``BadParameter``
+    before any draw.
     """
     m_rho, w, v = _checked_density(rho)
     monotone = WeightMonotone(measure, m_rho.shape[0])
@@ -269,6 +276,12 @@ def convex_roof(
     m = cfg.ensemble_size if cfg.ensemble_size is not None else min(2 * r, r + 2)
     if m < r:
         raise BadDecomposition(f"ensemble size {m} below the state's rank {r}")
+    elements = cfg.restarts * m * m_rho.shape[0]
+    if elements > ROOF_ELEMENTS:
+        raise BadParameter(
+            f"restarts x ensemble size x dimension = {cfg.restarts} x {m} x {m_rho.shape[0]}"
+            f" = {elements} exceeds the roof budget of {ROOF_ELEMENTS} entries"
+        )
 
     # The polar factor of a complex Gaussian matrix is a Haar isometry.
     z = np.array([np.random.default_rng([cfg.seed, i]).normal(size=(2, m, r)) for i in range(cfg.restarts)])

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import csv
@@ -738,6 +739,21 @@ INPUT_ERRORS = {
         TypeError,
         lambda state: RoofConfig(step_tolerance=math.inf),
     ),
+    # Each once escaped main as numpy's MemoryError or kept drawing restarts.
+    "roof-ensemble-size-huge": (
+        ROOF_ARGS + ["--ensemble-size", "1000000000000", "--restarts", "1"],
+        "restarts x ensemble size x dimension = 1 x 1000000000000 x 2 = 2000000000000"
+        " exceeds the roof budget of 1048576 entries",
+        BadParameter,
+        lambda state: convex_roof(MonotoneId("entropy"), 0.5 * np.eye(2), RoofConfig(ensemble_size=10**12, restarts=1)),
+    ),
+    "roof-restarts-huge": (
+        ROOF_ARGS + ["--restarts", "1000000000000"],
+        "restarts x ensemble size x dimension = 1000000000000 x 4 x 2 = 8000000000000"
+        " exceeds the roof budget of 1048576 entries",
+        BadParameter,
+        lambda state: convex_roof(MonotoneId("entropy"), 0.5 * np.eye(2), RoofConfig(restarts=10**12)),
+    ),
     "seed": (
         ROOF_ARGS + ["--seed=-1"],
         "seed must be at least 0, got -1",
@@ -921,6 +937,62 @@ def test_sampling_flags_exit_2_or_give_finite_json(verb, dim, trials, seed, krau
         argv = ["channel", "sample"]
     argv += ["--dim", str(dim), "--seed", str(seed), "--kraus-per-shift", str(kraus_per_shift)]
     assert_typed_exit(*run_main(argv + [f"--shifts={shifts}"]))
+
+
+def _outcome(call, argv):
+    """Exit code, stdout and stderr of ``call(argv)``, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parse_through_root(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+VERIFY_ARGS = ["verify", "--measure", "entropy", "--dim", "3", "--shifts=-1,0,1", "--trials", "4"]
+# (argv, exit code); "PLUS" is a state file.
+USAGE_PATHS = {
+    "empty": ([], 2),
+    "unknown-verb": (["bogus"], 2),
+    "root-help": (["-h"], 0),
+    "verb-help": (["verify", "--help"], 0),
+    "channel-alone": (["channel"], 2),
+    "channel-sample-help": (["channel", "sample", "--help"], 0),
+    "verify-no-shifts": (["verify", "--measure", "entropy", "--dim", "3"], 2),
+    "verify-dim-not-int": (["verify", "--measure", "entropy", "--dim", "x", "--shifts=-1,0,1"], 2),
+    "roof-bad-measure": (["roof", "--measure", "nope", "--rho", "PLUS"], 2),
+    "verify-unknown-flag": (VERIFY_ARGS + ["--bogus"], 2),
+    "channel-sample-stray": (["channel", "sample", "--dim", "3", "--shifts=-1,0,1", "stray"], 2),
+    "abbreviated-flag": (["monotone", "--meas", "entropy", "--state", "PLUS"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, code", list(USAGE_PATHS.values()), ids=list(USAGE_PATHS))
+def test_usage_paths_match_the_root_parser(monkeypatch, plus_file, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
+    argv = [plus_file if a == "PLUS" else a for a in argv]
+    expected = _outcome(_parse_through_root, argv)
+    assert expected[0] == code
+    assert _outcome(main, argv) == expected
+
+
+def test_verb_call_parses_once(monkeypatch):
+    progs = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run_main(VERIFY_ARGS)[0] == 0
+    assert progs == ["frameness verify"]
 
 
 def test_verify_rejects_threads_flag(capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -22,6 +23,7 @@ from frameness import (
 from frameness import convexroof
 from frameness.convexroof import (
     GRADIENT_TOL,
+    ROOF_ELEMENTS,
     SMOOTHING_WIDTHS,
     STAGE_TOL,
     _descend,
@@ -32,7 +34,7 @@ from frameness.convexroof import (
     _tangent,
 )
 from frameness.monotones import WeightMonotone, smoothed_tail_sum, weight_value_and_slope
-from frameness.numerics import _checked_density
+from frameness.numerics import MAX_DIM, _checked_density
 
 CONC2 = MonotoneId("concurrence", 2)
 VAR = MonotoneId("variance")
@@ -190,6 +192,42 @@ def test_roof_rejects_too_small_ensemble():
     rho = random_density_matrix(3, np.random.default_rng(31))
     with pytest.raises(BadDecomposition, match="ensemble size 2 below the state's rank 3"):
         convex_roof(CONC2, rho, RoofConfig(ensemble_size=2, restarts=2, seed=0))
+
+
+@pytest.mark.parametrize(
+    "cfg, product",
+    [
+        (RoofConfig(ensemble_size=10**12, restarts=1), "1 x 1000000000000 x 2 = 2000000000000"),
+        (RoofConfig(restarts=10**12), "1000000000000 x 4 x 2 = 8000000000000"),
+    ],
+)
+def test_roof_budget_is_checked_before_any_draw(cfg, product):
+    # Each once raised numpy's MemoryError or kept drawing restarts without end.
+    rho = random_density_matrix(2, np.random.default_rng(3))
+    _checked_density(rho)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadParameter, match=f"^restarts x ensemble size x dimension = {product} exceeds"):
+            convex_roof(CONC2, rho, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_roof_budget_bound_is_inclusive(monkeypatch):
+    rho = random_density_matrix(2, np.random.default_rng(3))
+    cfg = RoofConfig(ensemble_size=3, restarts=2, max_iters=2)
+    monkeypatch.setattr(convexroof, "ROOF_ELEMENTS", 2 * 3 * 2)
+    convex_roof(CONC2, rho, cfg)
+    monkeypatch.setattr(convexroof, "ROOF_ELEMENTS", 2 * 3 * 2 - 1)
+    with pytest.raises(BadParameter, match="exceeds the roof budget of 11 entries$"):
+        convex_roof(CONC2, rho, cfg)
+
+
+def test_default_roof_fits_the_budget_at_every_dimension():
+    # The default ensemble size is at most rank + 2, and the rank at most MAX_DIM.
+    assert RoofConfig().restarts * (MAX_DIM + 2) * MAX_DIM <= ROOF_ELEMENTS
 
 
 def test_roof_convexity_in_the_state():
