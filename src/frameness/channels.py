@@ -180,7 +180,8 @@ def _slot_layout(
         raise InvalidChannel("at least one shift is required")
     kraus_per_shift = integer(kraus_per_shift, InvalidChannel, "kraus_per_shift", 1, MAX_DIM)
     slot_shifts = tuple(ell for ell in shift_list for _ in range(kraus_per_shift))
-    live = _live_slots(slot_shifts, dim)
+    target = np.arange(dim) + np.asarray(slot_shifts)[:, None]
+    live = (target >= 0) & (target < dim)
     covered = live.any(axis=0)
     if not covered.all():
         raise InvalidChannel(
@@ -190,20 +191,12 @@ def _slot_layout(
     return slot_shifts, live
 
 
-def _live_slots(slot_shifts: Sequence[int], dim: int) -> np.ndarray:
-    """``(S, dim)`` mask: slot ``j`` maps sector ``n`` inside the window."""
-    target = np.arange(dim) + np.asarray(slot_shifts)[:, None]
-    return (target >= 0) & (target < dim)
-
-
 def coefficient_draws(layout: tuple[tuple[int, ...], np.ndarray]) -> int:
     """Normal draws per channel that :func:`sample_coefficients` consumes on ``layout``."""
     return 2 * int(layout[1].sum())
 
 
-def sample_coefficients(
-    layout: tuple[tuple[int, ...], np.ndarray], draws: np.ndarray
-) -> tuple[tuple[int, ...], np.ndarray]:
+def sample_coefficients(layout: tuple[tuple[int, ...], np.ndarray], draws: np.ndarray) -> np.ndarray:
     """Random trace-preserving coefficients, one ``(S, dim)`` array per row of ``draws``.
 
     ``layout`` is what :func:`_slot_layout` returns: the shift of each of
@@ -213,10 +206,9 @@ def sample_coefficients(
     so the per-sector completeness sums are 1. Each row of the
     ``(T, coefficient_draws(layout))`` normal draws holds, sector by
     sector, the real then the imaginary parts of that sector's vector.
-    Returns the slot shifts and the ``(T, S, dim)`` coefficients, zero
-    outside the window.
+    Returns the ``(T, S, dim)`` coefficients, zero outside the window.
     """
-    slot_shifts, live = layout
+    live = layout[1]
     sizes = live.sum(axis=0)
     starts = np.concatenate(([0], np.cumsum(2 * sizes)[:-1]))
     coeffs = np.zeros((len(draws),) + live.shape, dtype=np.complex128)
@@ -229,19 +221,18 @@ def sample_coefficients(
         norm = np.sqrt(np.vecdot(vec.real, vec.real) + np.vecdot(vec.imag, vec.imag))
         slots = np.array([np.flatnonzero(live[:, n]) for n in sectors])
         coeffs[:, slots, sectors[:, None]] = vec / norm[..., None]
-    return slot_shifts, coeffs
+    return coeffs
 
 
-def coefficient_channel(slot_shifts: Sequence[int], coeffs: np.ndarray) -> U1Channel:
-    """Channel with one singleton outcome per slot that maps any sector inside the window."""
-    dim = coeffs.shape[-1]
-    live = _live_slots(slot_shifts, dim)
+def coefficient_channel(layout: tuple[tuple[int, ...], np.ndarray], coeffs: np.ndarray) -> U1Channel:
+    """Channel with one singleton outcome per slot of ``layout`` that maps any sector inside the window."""
+    slot_shifts, live = layout
     outcomes = [
         [U1Kraus(shift=ell, coeffs={int(n): row[n] for n in np.flatnonzero(mask)})]
         for ell, row, mask in zip(slot_shifts, coeffs, live)
         if mask.any()
     ]
-    return U1Channel(outcomes, dim)
+    return U1Channel(outcomes, live.shape[1])
 
 
 def random_channel(
@@ -260,8 +251,7 @@ def random_channel(
         integer(s, BadParameter, "seed", 0)
     layout = _slot_layout(dim, shifts, kraus_per_shift)
     draws = np.random.default_rng(seed).normal(size=(1, coefficient_draws(layout)))
-    slot_shifts, coeffs = sample_coefficients(layout, draws)
-    return coefficient_channel(slot_shifts, coeffs[0])
+    return coefficient_channel(layout, sample_coefficients(layout, draws)[0])
 
 
 def apply_slots_pure(

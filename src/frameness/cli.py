@@ -27,7 +27,6 @@ from .channels import (
     _slot_layout,
     apply_slots_pure,
     channel_to_dict,
-    coefficient_channel,
     coefficient_draws,
     random_channel,
     sample_coefficients,
@@ -42,6 +41,7 @@ from .states import (
     StandardState,
     _density_matrix,
     density_to_dict,
+    random_standard_state,
     random_weights,
     state_from_dict,
     twirl,
@@ -82,19 +82,17 @@ def sample_trials(
     kraus_per_shift: int,
     seed: int,
     trials: range,
-) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
-    """Deterministic (state, channel) arrays for a range of verification trials.
+) -> tuple[np.ndarray, tuple[tuple[int, ...], np.ndarray], np.ndarray]:
+    """The trials of :func:`sample_trial` over a range, as arrays, bit for bit.
 
-    Trial ``t`` draws its state from ``default_rng([seed, t, 0])`` and its
-    channel from ``default_rng([seed, t, 1])``, so every measure sees the
-    same trial stream; :func:`seeded_normals` makes those draws for the
-    whole range at once. Returns the ``(T, dim)`` weights, the shift of
-    each channel slot and the ``(T, S, dim)`` channel coefficients.
+    :func:`seeded_normals` makes the draws of every trial's generators for
+    the whole range at once. Returns the ``(T, dim)`` weights, the channel
+    slot layout of :func:`_slot_layout` and the ``(T, S, dim)`` channel
+    coefficients.
     """
     layout = _slot_layout(dim, shifts, kraus_per_shift)
     state_draws, channel_draws = seeded_normals(seed, trials, (2 * dim, coefficient_draws(layout)))
-    slot_shifts, coeffs = sample_coefficients(layout, channel_draws)
-    return random_weights(dim, state_draws), slot_shifts, coeffs
+    return random_weights(dim, state_draws), layout, sample_coefficients(layout, channel_draws)
 
 
 def sample_trial(
@@ -104,11 +102,16 @@ def sample_trial(
     seed: int,
     trial: int,
 ) -> tuple[StandardState, U1Channel]:
-    """The (state, channel) pair of one verification trial, as objects."""
-    weights, slot_shifts, coeffs = sample_trials(
-        dim, shifts, kraus_per_shift, seed, range(trial, trial + 1)
-    )
-    return StandardState(weights[0]), coefficient_channel(slot_shifts, coeffs[0])
+    """The (state, channel) pair of one verification trial.
+
+    The state is :func:`random_standard_state` on ``default_rng([seed,
+    trial, 0])`` and the channel :func:`random_channel` seeded by ``(seed,
+    trial, 1)``, so every measure sees the same trial stream.
+    """
+    seed = integer(seed, BadParameter, "seed", 0)
+    trial = integer(trial, BadParameter, "trial", 0)
+    state = random_standard_state(dim, np.random.default_rng([seed, trial, 0]))
+    return state, random_channel(dim, shifts, kraus_per_shift, (seed, trial, 1))
 
 
 @functools.lru_cache(maxsize=1, typed=True)
@@ -125,11 +128,11 @@ def _trial_batch(
     outputs. None of it depends on the measure, so the last batch is kept
     for the next call on the same stream.
     """
-    weights, slot_shifts, coeffs = sample_trials(dim, shifts, kraus_per_shift, seed, batch)
-    probs, posts, kept = apply_slots_pure(slot_shifts, squared_moduli(coeffs), weights)
+    weights, layout, coeffs = sample_trials(dim, shifts, kraus_per_shift, seed, batch)
+    probs, posts, kept = apply_slots_pure(layout[0], squared_moduli(coeffs), weights)
     for array in (weights, probs, posts, kept):
         array.flags.writeable = False
-    return weights, slot_shifts, probs, posts, kept
+    return weights, layout[0], probs, posts, kept
 
 
 def run_verification(
@@ -152,6 +155,9 @@ def run_verification(
     """
     trials = integer(trials, BadParameter, "trials", 1)
     evaluator = weight_evaluator(measure, dim)
+    # Read once, as _slot_layout reads them, before any arithmetic on them.
+    shifts = tuple(integer(s, InvalidChannel, "shift") for s in shifts)
+    kraus_per_shift = integer(kraus_per_shift, InvalidChannel, "kraus_per_shift", 1, MAX_DIM)
     start = time.perf_counter()
     slot_count = len(set(shifts)) * kraus_per_shift
     batch_size = max(1, VERIFY_ELEMENTS // max(1, slot_count * dim))
@@ -159,7 +165,7 @@ def run_verification(
     for lo in range(0, trials, batch_size):
         batch = range(lo, min(lo + batch_size, trials))
         weights, slot_shifts, probs, posts, kept = _trial_batch(
-            dim, tuple(shifts), kraus_per_shift, seed, batch
+            dim, shifts, kraus_per_shift, seed, batch
         )
         terms = np.where(kept, probs * evaluator(posts), 0.0)
         # Outcomes add up in slot order, as a sum over the outcome ensemble would.
@@ -256,18 +262,8 @@ def cmd_roof(args: argparse.Namespace) -> int:
     given = {name: getattr(args, name) for name in ("ensemble_size", "restarts", "max_iters", "seed")}
     cfg = RoofConfig(**{name: value for name, value in given.items() if value is not None})
     result = convex_roof(measure, rho, cfg)
-    _emit(
-        {
-            "value": result.value,
-            "converged": result.converged,
-            "iterations_used": result.iterations_used,
-            "gapped_support": result.gapped_support,
-            "ensemble": [
-                {"p": p, "state": [[z.real, z.imag] for z in vec]}
-                for p, vec in result.ensemble.members
-            ],
-        }
-    )
+    ensemble = [{"p": p, "state": [[z.real, z.imag] for z in vec]} for p, vec in result.ensemble.members]
+    _emit({**vars(result), "ensemble": ensemble})
     return 0
 
 
@@ -311,16 +307,7 @@ def cmd_twirl(args: argparse.Namespace) -> int:
 
 def cmd_appendix(args: argparse.Namespace) -> int:
     res = appendix_closed_form(args.p, args.alpha)
-    _emit(
-        {
-            "mu1": res.mu1,
-            "mu2": res.mu2,
-            "concurrence": res.concurrence,
-            "fof": res.fof,
-            "formation": res.formation,
-            "rho": density_to_dict(res.rho),
-        }
-    )
+    _emit({**vars(res), "rho": density_to_dict(res.rho)})
     return 0
 
 
@@ -384,11 +371,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_appendix.set_defaults(func=cmd_appendix)
 
     return parser, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and then reused."""
-    return _parsers()[0]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -196,11 +196,6 @@ def weight_evaluator(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np
     return WeightMonotone(measure, dim).values
 
 
-def weight_value_and_slope(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Values and slope of ``measure``'s degree-1 extension: ``WeightMonotone(measure, dim).value_and_slope``."""
-    return WeightMonotone(measure, dim).value_and_slope
-
-
 def smoothed_tail_sum(vidal: WeightMonotone, width: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Values and slope of a smooth stand-in for a resolved vidal monotone's tail sum from position k.
 

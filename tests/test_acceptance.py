@@ -141,12 +141,12 @@ def test_criterion_5_simultaneous_tail_sums():
     for dim in VERIFY_DIMS:
         ks = list(range(2, dim + 1))
         for shifts in VERIFY_SHIFTS:
-            weights, slot_shifts, coeffs = sample_trials(
+            weights, layout, coeffs = sample_trials(
                 dim, shifts, 1, VERIFY_SEED, range(VERIFY_TRIALS)
             )
             for trial in range(VERIFY_TRIALS):
                 state = StandardState(weights[trial])
-                channel = coefficient_channel(slot_shifts, coeffs[trial])
+                channel = coefficient_channel(layout, coeffs[trial])
                 ensemble = apply_channel_pure(channel, state)
                 for k in ks:
                     measure = MonotoneId("vidal", k)

@@ -204,10 +204,10 @@ def test_outcome_spectrum_shifts_inside_window():
         support = set(spectrum(st))
         layout = _slot_layout(d, (-1, 1), 1)
         draws = np.random.default_rng(100 + trial).normal(size=(1, coefficient_draws(layout)))
-        slot_shifts, coeffs = sample_coefficients(layout, draws)
-        _, posts, kept = apply_slots_pure(slot_shifts, squared_moduli(coeffs[0]), st.weights)
+        coeffs = sample_coefficients(layout, draws)
+        _, posts, kept = apply_slots_pure(layout[0], squared_moduli(coeffs[0]), st.weights)
         assert kept.any()
-        for ell, post, keep in zip(slot_shifts, posts, kept):
+        for ell, post, keep in zip(layout[0], posts, kept):
             if keep:
                 shifted = {n + ell for n in support if 0 <= n + ell < d}
                 assert set(spectrum(StandardState(post))) <= shifted
@@ -222,6 +222,24 @@ def test_apply_channel_density_dephasing_group():
     p, out = ens.members[0]
     assert p == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(out, np.diag([0.5, 0.5]), atol=1e-15)
+
+
+def test_density_outcomes_mix_to_the_channel_output():
+    rho = random_density_matrix(4, np.random.default_rng(29))
+    ch = random_channel(4, (-1, 0, 2), 2, seed=31)
+    ens = apply_channel_density(ch, rho)
+    expected = sum(k.matrix(4) @ rho @ k.matrix(4).conj().T for k in ch.all_kraus())
+    assert np.max(np.abs(ens.mixture() - expected)) < 1e-12
+    # An outcome of probability 0 is left out of the ensemble.
+    ens = apply_channel_density(measurement_channel(2), np.diag([1.0, 0.0]))
+    assert len(ens.members) == 1
+    assert np.array_equal(ens.mixture(), np.diag([1.0, 0.0]))
+
+
+def test_empty_channel_is_rejected():
+    for outcomes in ([], [[U1Kraus(0, {0: 1.0, 1: 1.0})], []]):
+        with pytest.raises(InvalidChannel, match="^channel needs at least one nonempty outcome group$"):
+            U1Channel(outcomes, 2)
 
 
 def test_pure_and_density_routes_agree():
@@ -277,12 +295,15 @@ def test_ensemble_validation_and_mixture():
         ([1.0], r"^ensemble members must be \(probability, state\) pairs$"),
         # A bare OverflowError.
         (((10**400, a),), "^probability out of float range$"),
+        ((), "^ensemble needs at least one member$"),
     ]:
         with pytest.raises(InvalidState, match=message):
             Ensemble(pairs)
     # A bare ValueError from the mixture.
     with pytest.raises(InvalidState, match="^ensemble entry must be a number, got 'abc'$"):
         Ensemble(((1.0, "abc"),)).mixture()
+    with pytest.raises(InvalidState, match=r"^cannot interpret ensemble member of shape \(1, 2, 2\)$"):
+        Ensemble(((1.0, np.zeros((1, 2, 2))),)).mixture()
     ens = Ensemble(((0.5, a), (0.5, b)))
     assert np.allclose(ens.mixture(), np.diag([0.5, 0.5]))
 

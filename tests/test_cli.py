@@ -141,6 +141,11 @@ def test_monotone_dim_override(capsys, plus_file):
     three = float(capsys.readouterr().out)
     assert two == pytest.approx(1.0, abs=1e-12)
     assert three != two
+    # Down to the length of the state again: the weight cut off is zero.
+    padded = Path(plus_file).with_name("padded.json")
+    padded.write_text(json.dumps({"weights": [0.5, 0.5, 0.0]}))
+    assert main(["monotone", "--measure", "concurrence", "--k", "2", "--state", str(padded), "--dim", "2"]) == 0
+    assert float(capsys.readouterr().out) == two
 
 
 def test_monotone_missing_k_is_input_error(capsys, plus_file):
@@ -296,6 +301,7 @@ MALFORMED_DENSITIES = [
     # Each of these loaded before: as dim 1 and as the entry 0.5.
     ("dim-bool", {"dim": True, "matrix": [[[1.0, 0.0]]]}, "dimension must be an integer, got True"),
     ("entry-string", {"dim": 2, "matrix": [[["0.5", "0"], ZERO], [ZERO, [0.5, 0.0]]]}, "entry ['0.5', '0'] is not a [re, im] pair of numbers"),
+    ("wrong-size", {"dim": 2, "matrix": [[[1.0, 0.0]]]}, "matrix shape (1, 1) does not match dim 2"),
 ]
 
 
@@ -487,12 +493,12 @@ def test_verify_trials_independent_of_measure():
 
 @pytest.mark.parametrize("dim, shifts, kraus_per_shift", [(3, (-1, 0, 1), 1), (4, (-2, 0, 1), 2)])
 def test_batched_sampler_rows_match_sample_trial(dim, shifts, kraus_per_shift):
-    weights, slot_shifts, coeffs = sample_trials(dim, shifts, kraus_per_shift, 9, range(6))
+    weights, layout, coeffs = sample_trials(dim, shifts, kraus_per_shift, 9, range(6))
     for trial in range(6):
         state, channel = sample_trial(dim, shifts, kraus_per_shift, 9, trial)
         assert np.array_equal(weights[trial], state.weights)
         kraus = list(channel.all_kraus())
-        assert [k.shift for k in kraus] == list(slot_shifts)
+        assert [k.shift for k in kraus] == list(layout[0])
         for k, row in zip(kraus, coeffs[trial]):
             assert k.coeffs == {n: complex(row[n]) for n in np.flatnonzero(row)}
 
@@ -506,7 +512,7 @@ def test_sampler_rows_match_default_rng_streams(seed, trials):
     words, so the trial range across 2**32 mixes two entropy lengths.
     """
     dim, shifts, kraus_per_shift = 3, (-1, 0, 1), 2
-    weights, slot_shifts, coeffs = sample_trials(dim, shifts, kraus_per_shift, seed, trials)
+    weights, sampled_layout, coeffs = sample_trials(dim, shifts, kraus_per_shift, seed, trials)
     layout = _slot_layout(dim, shifts, kraus_per_shift)
     size = coefficient_draws(layout)
     state_draws = np.array([np.random.default_rng([seed, t, 0]).normal(size=2 * dim) for t in trials])
@@ -515,9 +521,9 @@ def test_sampler_rows_match_default_rng_streams(seed, trials):
     assert np.array_equal(draws[0], state_draws)
     assert np.array_equal(draws[1], channel_draws)
     assert np.array_equal(weights, random_weights(dim, state_draws))
-    expected_shifts, expected_coeffs = sample_coefficients(layout, channel_draws)
-    assert slot_shifts == expected_shifts
-    assert np.array_equal(coeffs, expected_coeffs)
+    assert sampled_layout[0] == layout[0]
+    assert np.array_equal(sampled_layout[1], layout[1])
+    assert np.array_equal(coeffs, sample_coefficients(layout, channel_draws))
 
 
 def test_run_verification_matches_golden_margins():
@@ -654,7 +660,10 @@ def test_shift_list_and_tuple_share_rows():
     _, from_list = run_verification(MonotoneId("variance"), 3, 7, 5, [-1, 0, 2])
     cli._trial_batch.cache_clear()
     _, from_tuple = run_verification(MonotoneId("variance"), 3, 7, 5, (-1, 0, 2))
-    assert from_list == from_tuple
+    cli._trial_batch.cache_clear()
+    # An iterator is read once: its second read was empty ("at least one shift is required").
+    _, from_iterator = run_verification(MonotoneId("variance"), 3, 7, 5, iter([-1, 0, 2]))
+    assert from_list == from_tuple == from_iterator
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -696,6 +705,14 @@ def test_negative_seed_or_trial_is_typed():
         run_verification(MonotoneId("entropy"), 3, 4, True, (-1, 0, 1))
     with pytest.raises(BadParameter, match="^trial must be at least 0, got -1$"):
         sample_trial(3, (-1, 0, 1), 1, 0, -1)
+    # Each raised a bare TypeError from the batch-size arithmetic before its check.
+    for shifts, kraus_per_shift, message in (
+        ([[1]], 1, r"shift must be an integer, got \[1\]"),
+        ((-1, 0, 1), "2", "kraus_per_shift must be an integer, got '2'"),
+        ((-1, 0, 1), 2.0, r"kraus_per_shift must be an integer, got 2\.0"),
+    ):
+        with pytest.raises(InvalidChannel, match=f"^{message}$"):
+            run_verification(MonotoneId("entropy"), 3, 4, 0, shifts, kraus_per_shift)
 
 
 ROOF_ARGS = ["roof", "--measure", "entropy", "--rho", "RHO"]
@@ -809,7 +826,7 @@ def test_input_errors_are_typed(capsys, tmp_path, plus_file, argv, message, erro
         code, lead, library_message = main(argv), "", message
     except SystemExit as exc:  # a removed flag; its library keyword is gone too
         code = exc.code
-        lead = cli.build_parser().format_usage() + "frameness: "
+        lead = cli._parsers()[0].format_usage() + "frameness: "
         library_message = "unexpected keyword argument"
     assert code == 2
     captured = capsys.readouterr()
@@ -951,7 +968,7 @@ def _outcome(call, argv):
 
 
 def _parse_through_root(argv):
-    args = cli.build_parser().parse_args(argv)
+    args = cli._parsers()[0].parse_args(argv)
     return args.func(args)
 
 

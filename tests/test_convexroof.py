@@ -33,7 +33,7 @@ from frameness.convexroof import (
     _support_factor,
     _tangent,
 )
-from frameness.monotones import WeightMonotone, smoothed_tail_sum, weight_value_and_slope
+from frameness.monotones import WeightMonotone, smoothed_tail_sum
 from frameness.numerics import MAX_DIM, _checked_density
 
 CONC2 = MonotoneId("concurrence", 2)
@@ -55,6 +55,9 @@ def test_decomposition_identity_map_is_spectral():
     probs = sorted(ens.probabilities)
     assert np.allclose(probs, np.sort(w), atol=1e-12)
     assert np.max(np.abs(ens.mixture() - rho)) < 1e-12
+    # A zero row of the map gives a member of probability 0, which is left out.
+    padded = decomposition_from_map(rho, np.vstack([np.eye(2), np.zeros((1, 2))]))
+    assert np.array_equal(padded.probabilities, ens.probabilities)
 
 
 def test_decomposition_hadamard_on_mixed():
@@ -85,6 +88,10 @@ def test_decomposition_rejects_bad_maps():
         decomposition_from_map(rho, np.eye(3))
     with pytest.raises(BadDecomposition, match="isometry has 2 columns but the state has rank 1"):
         decomposition_from_map(np.diag([1.0, 0.0]), np.eye(2))
+    with pytest.raises(BadDecomposition, match=r"^expected a matrix, got shape \(2,\)$"):
+        decomposition_from_map(rho, [1.0, 0.0])
+    with pytest.raises(BadDecomposition, match="^isometry needs at least rank-many rows$"):
+        decomposition_from_map(rho, [[1.0, 0.0]])
     # NaN passed the orthonormality test, then raised RuntimeWarnings and
     # InvalidState from the ensemble's probabilities.
     for bad in (np.nan, np.inf):
@@ -285,7 +292,7 @@ def _smooth_kinds(d):
     # smooth kinds and vidal's smoothed tail sums at the widest and
     # narrowest widths the search uses.
     kinds = [MonotoneId("entropy"), VAR] + [MonotoneId("concurrence", k) for k in range(2, d + 1)]
-    out = [(m, weight_value_and_slope(m, d)) for m in kinds]
+    out = [(m, WeightMonotone(m, d).value_and_slope) for m in kinds]
     for k in range(2, d + 1):
         vidal = WeightMonotone(MonotoneId("vidal", k), d)
         for width in (SMOOTHING_WIDTHS[0], SMOOTHING_WIDTHS[-1]):
@@ -368,7 +375,7 @@ def _staged_search(factor, stack, measure, d, max_iters):
         for width in SMOOTHING_WIDTHS:
             stage = smoothed_tail_sum(WeightMonotone(measure, d), width)
             _descend(factor, stack, stage, STAGE_TOL * width, iterations, max_iters)
-    objective = weight_value_and_slope(measure, d)
+    objective = WeightMonotone(measure, d).value_and_slope
     return _descend(factor, stack, objective, GRADIENT_TOL, iterations, max_iters) + (iterations,)
 
 

@@ -23,7 +23,7 @@ from frameness import (
     random_density_matrix,
     random_standard_state,
 )
-from frameness.monotones import WeightMonotone, _elementary_symmetric, weight_evaluator, weight_value_and_slope
+from frameness.monotones import WeightMonotone, _elementary_symmetric, weight_evaluator
 
 PLUS = 0.5 * np.ones((2, 2))
 GOLDEN_CLOSED_FORMS = Path(__file__).parent / "golden" / "qubit_closed_forms.csv"
@@ -221,7 +221,7 @@ def test_roof_values_equal_weight_evaluator_bit_for_bit():
         orders = [(kind, k) for kind in ("vidal", "concurrence") for k in range(2, d + 1)]
         for measure in [MonotoneId("entropy"), MonotoneId("variance")] + [MonotoneId(*o) for o in orders]:
             for rows in (w, w[0]):
-                values, slope = weight_value_and_slope(measure, d)(rows)
+                values, slope = WeightMonotone(measure, d).value_and_slope(rows)
                 assert values.tobytes() == weight_evaluator(measure, d)(rows).tobytes(), (d, measure)
                 assert slope.shape == rows.shape
 

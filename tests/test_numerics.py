@@ -18,7 +18,7 @@ from frameness import (
     validate_density,
 )
 from frameness.monotones import KINDS
-from frameness.numerics import _checked_density, _density_spectrum, array, integer, number
+from frameness.numerics import _checked_density, _density_spectrum, array, as_complex_matrix, integer, number
 
 
 def test_predicates():
@@ -105,6 +105,7 @@ MATRIX_READS = {
     ),
     "ragged": (lambda: validate_density([[0.5], [0.0, 0.5]]), InvalidDensity, r"^matrix entry must be a number, got \[0\.5\]$"),
     "overflow": (lambda: validate_density([[10**400]]), InvalidDensity, "^matrix entry out of float range$"),
+    "empty": (lambda: as_complex_matrix(np.zeros((0, 0))), InvalidDensity, "^empty matrix$"),
 }
 
 

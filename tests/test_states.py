@@ -59,6 +59,11 @@ def test_standard_form_ignores_phases():
 def test_standard_form_rejects_unnormalized():
     with pytest.raises(InvalidState, match=r"^state norm 1\.4142135623730951 deviates from 1$"):
         standard_form({0: [1.0], 1: [1.0]}, dim=2)
+    with pytest.raises(InvalidState, match="^state needs at least one sector$"):
+        standard_form({}, 2)
+    for block in ([], [[1.0]]):
+        with pytest.raises(InvalidState, match="^sector 0 needs a nonempty amplitude vector$"):
+            standard_form({0: block}, 1)
 
 
 def test_sectored_state_window():
@@ -153,7 +158,9 @@ def test_twirl_rejects_non_integer_labels():
     # [0, 0.7, 1.9] read as int labels [0, 0, 1] kept the 0-1 coherence.
     flat = np.full((3, 3), 1 / 3)
     # [0, 0, True] read the bool as sector 1.
-    for labels in ([0, 0.7, 1.9], np.array([0.0, 0.0, 1.0]), [True, False, True], ["0", "0", "1"], [[0], [0, 1], 2], [0, 0, True]):
+    # Arrays numpy cannot stack, even as objects.
+    ragged = [np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 2))]
+    for labels in ([0, 0.7, 1.9], np.array([0.0, 0.0, 1.0]), [True, False, True], ["0", "0", "1"], [[0], [0, 1], 2], [0, 0, True], ragged):
         with pytest.raises(BadParameter, match="^sector label must be an integer, got "):
             twirl(flat, sector_of=labels)
     with pytest.raises(BadParameter, match="^sector labels must have length 3$"):
