@@ -16,7 +16,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import BadParameter, InvalidChannel, InvalidState
-from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, array, integer, number, validate_density
+from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, array, in_order_sum, integer, number, validate_density
 from .states import StandardState, _check_probabilities, _complex_from_pair, checked_weights
 
 
@@ -42,8 +42,9 @@ class U1Kraus:
                 raise InvalidChannel(f"coefficient at sector {n} is {clean[n]!r}")
         object.__setattr__(self, "coeffs", clean)
 
-    def window_coeffs(self, dim: int) -> Iterator[tuple[int, complex]]:
-        """Nonzero ``(n, coeff)`` pairs; raises if one maps outside ``0..dim-1``."""
+    def row(self, dim: int) -> np.ndarray:
+        """The ``(dim,)`` coefficients by sector; raises if a nonzero one maps outside ``0..dim-1``."""
+        row = np.zeros(dim, dtype=np.complex128)
         for n, c in self.coeffs.items():
             if c == 0:
                 continue
@@ -52,12 +53,14 @@ class U1Kraus:
                     f"coefficient at sector {n} with shift {self.shift} "
                     f"maps outside 0..{dim - 1}"
                 )
-            yield n, c
+            row[n] = c
+        return row
 
     def matrix(self, dim: int) -> np.ndarray:
         m = np.zeros((dim, dim), dtype=np.complex128)
-        for n, c in self.window_coeffs(dim):
-            m[n + self.shift, n] = c
+        row = self.row(dim)
+        n = np.flatnonzero(row)
+        m[n + self.shift, n] = row[n]
         return m
 
 
@@ -118,7 +121,11 @@ class Ensemble:
         return np.array([p for p, _ in self.members])
 
     def mixture(self) -> np.ndarray:
-        return functools.reduce(np.add, (p * _as_density(s) for p, s in self.members))
+        terms = [p * _as_density(s) for p, s in self.members]
+        for term in terms[1:]:
+            if term.shape != terms[0].shape:
+                raise InvalidState(f"ensemble members of shapes {terms[0].shape} and {term.shape} do not mix")
+        return functools.reduce(np.add, terms)
 
 
 def _as_density(state: Any) -> np.ndarray:
@@ -142,20 +149,9 @@ def squared_moduli(coeffs: np.ndarray) -> np.ndarray:
         return np.float_power(np.hypot(coeffs.real, coeffs.imag), 2.0)
 
 
-def _kraus_moduli(kraus: Sequence[U1Kraus], dim: int) -> np.ndarray:
-    """``(len(kraus), dim)`` squared moduli; raises if one maps outside the window."""
-    coeffs = np.zeros((len(kraus), dim), dtype=np.complex128)
-    for i, k in enumerate(kraus):
-        for n, c in k.window_coeffs(dim):
-            coeffs[i, n] = c
-    return squared_moduli(coeffs)
-
-
 def _completeness_sums(moduli: np.ndarray) -> np.ndarray:
     """Per-sector sums over the operator axis ``-2``, added in operator order."""
-    sums = np.zeros(moduli.shape[:-2] + moduli.shape[-1:])
-    for j in range(moduli.shape[-2]):
-        sums += moduli[..., j, :]
+    sums = in_order_sum(moduli, -2)
     if sums.max() > 1.0 + SUM_TOL:
         raise InvalidChannel(
             f"completeness sum {float(sums.max())!r} exceeds 1 on some sector"
@@ -165,7 +161,7 @@ def _completeness_sums(moduli: np.ndarray) -> np.ndarray:
 
 def validate_channel(channel: U1Channel) -> ChannelReport:
     """Check window bounds and completeness; report per-sector sums."""
-    sums = _completeness_sums(_kraus_moduli(list(channel.all_kraus()), channel.dim))
+    sums = _completeness_sums(squared_moduli(np.array([k.row(channel.dim) for k in channel.all_kraus()])))
     tp = bool(np.max(np.abs(sums - 1.0)) <= SUM_TOL)
     return ChannelReport(per_sector_sums=sums, trace_preserving=tp)
 
@@ -275,10 +271,7 @@ def apply_slots_pure(
         raise InvalidChannel("channel is not trace-preserving")
     d = moduli.shape[-1]
     contrib = weights[..., None, :] * moduli
-    # A running sum in sector order, rounded as a per-operator loop rounds it.
-    probs = np.zeros(contrib.shape[:-1])
-    for n in range(d):
-        probs += contrib[..., n]
+    probs = in_order_sum(contrib, -1)
     posts = np.zeros_like(contrib)
     for j, ell in enumerate(slot_shifts):
         if ell >= 0:
@@ -295,8 +288,10 @@ def apply_slots_pure(
 
 def apply_channel_pure(channel: U1Channel, state: StandardState) -> Ensemble:
     """Outcome ensemble of a trace-preserving pure-to-pure channel."""
+    if state.dim != channel.dim:
+        raise InvalidState(f"state of dimension {state.dim} on a channel of dimension {channel.dim}")
     kraus = list(channel.all_kraus())
-    moduli = _kraus_moduli(kraus, channel.dim)
+    moduli = squared_moduli(np.array([k.row(channel.dim) for k in kraus]))
     for group in channel.outcomes:
         if len(group) != 1:
             raise InvalidChannel(

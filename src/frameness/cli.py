@@ -36,7 +36,7 @@ from .channels import (
 from .convexroof import RoofConfig, convex_roof
 from .errors import BadParameter, FramenessError, InvalidChannel, InvalidDensity, InvalidState
 from .monotones import KINDS, MonotoneId, appendix_closed_form, weight_evaluator
-from .numerics import MAX_DIM, integer, seeded_normals
+from .numerics import MAX_DIM, in_order_sum, integer, seeded_normals
 from .states import (
     StandardState,
     _density_matrix,
@@ -121,18 +121,18 @@ def _trial_batch(
     kraus_per_shift: int,
     seed: int,
     batch: range,
-) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A batch of sampled trials passed through their channels, read-only.
 
-    Returns the weights, the slot shifts and the :func:`apply_slots_pure`
-    outputs. None of it depends on the measure, so the last batch is kept
-    for the next call on the same stream.
+    Returns the weights and the :func:`apply_slots_pure` outputs. None of it
+    depends on the measure, so the last batch is kept for the next call on
+    the same stream.
     """
     weights, layout, coeffs = sample_trials(dim, shifts, kraus_per_shift, seed, batch)
     probs, posts, kept = apply_slots_pure(layout[0], squared_moduli(coeffs), weights)
     for array in (weights, probs, posts, kept):
         array.flags.writeable = False
-    return weights, layout[0], probs, posts, kept
+    return weights, probs, posts, kept
 
 
 def run_verification(
@@ -164,15 +164,12 @@ def run_verification(
     margins, counts = [], []
     for lo in range(0, trials, batch_size):
         batch = range(lo, min(lo + batch_size, trials))
-        weights, slot_shifts, probs, posts, kept = _trial_batch(
+        weights, probs, posts, kept = _trial_batch(
             dim, shifts, kraus_per_shift, seed, batch
         )
         terms = np.where(kept, probs * evaluator(posts), 0.0)
         # Outcomes add up in slot order, as a sum over the outcome ensemble would.
-        after = np.zeros(len(batch))
-        for j in range(len(slot_shifts)):
-            after += terms[:, j]
-        margins.append(evaluator(weights) - after)
+        margins.append(evaluator(weights) - in_order_sum(terms, 1))
         counts.append(kept.sum(axis=1))
     margins = np.concatenate(margins)
     runtime_ms = (time.perf_counter() - start) * 1e3

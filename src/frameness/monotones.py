@@ -71,16 +71,17 @@ def _shannon_bits(weights: np.ndarray) -> np.ndarray:
     return out.reshape(w.shape[:-1])[()]
 
 
-def _elementary_symmetric(values: np.ndarray, k: int) -> np.ndarray:
-    # Coefficient of x^k in prod(1 + v x), accumulated stably; no
-    # cancellation occurs for nonnegative inputs. acc[j] holds e_j of the
-    # values seen so far, for every row at once.
-    acc = np.zeros((k + 1,) + values.shape[:-1])
+def _elementary_symmetric(values: np.ndarray, k: int, columns: range | np.ndarray) -> np.ndarray:
+    # e_k of v = values[..., c] over c in columns: the coefficient of x^k in
+    # prod(1 + v x), accumulated stably, with no cancellation for nonnegative
+    # v. acc[j] holds e_j of the values seen so far, for every row at once.
+    # range(d) takes whole rows; WeightMonotone.others.T leaves out each l.
+    acc = np.zeros((k + 1,) + values.shape[:-1] + getattr(columns[0], "shape", ()))
     acc[0] = 1.0
-    for i in range(values.shape[-1]):
+    for i, column in enumerate(columns):
         top = min(i + 1, k)
         head = acc[1 : top + 1]
-        head += values[..., i] * acc[:top]
+        head += values[..., column] * acc[:top]
     return acc[k]
 
 
@@ -88,7 +89,7 @@ def _concurrence_ratio(weights: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     # e_k(w) over its value den on the flat state, capped at 1, and den.
     d = weights.shape[-1]
     den = math.comb(d, k) / d**k
-    return np.minimum(_elementary_symmetric(weights, k) / den, 1.0), den
+    return np.minimum(_elementary_symmetric(weights, k, range(d)) / den, 1.0), den
 
 
 def _variance_and_mean(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,17 +105,6 @@ def _variance_and_mean(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # h(a) = |a| f(a / |a|), with |a| the sum of a. h is homogeneous of degree 1,
 # so its gradient dh/da depends on w = a / |a| alone. The slopes below give
 # it along the last axis of a (..., d) array of weights.
-
-
-def _leave_one_out(values: np.ndarray, j: int, others: np.ndarray) -> np.ndarray:
-    # e_j(values without values_l) at every position l of the last axis;
-    # acc[i, ..., l] accumulates e_i as _elementary_symmetric does.
-    acc = np.zeros((j + 1,) + values.shape)
-    acc[0] = 1.0
-    for i in range(others.shape[1]):
-        top = min(i + 1, j)
-        acc[1 : top + 1] += values[..., others[:, i]] * acc[:top]
-    return acc[j]
 
 
 def _vidal_slope(weights: np.ndarray, k: int) -> np.ndarray:
@@ -172,14 +162,14 @@ class WeightMonotone:
         if kind == "entropy":
             return _entropy_and_slope
         if kind == "concurrence":
-            others = self.others
+            complements = self.others.T
 
             def concurrence(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 # h^(1-k) e_{k-1}(w without w_l) / (k den) below the cap and 1 at
                 # it, the flat state; 0 where h = 0, a subgradient.
                 capped, den = _concurrence_ratio(w, k)
                 scale = (k * den * np.float_power(capped, (k - 1) / k))[..., None]
-                slope = np.divide(_leave_one_out(w, k - 1, others), scale, out=np.zeros(w.shape), where=scale > 0.0)
+                slope = np.divide(_elementary_symmetric(w, k - 1, complements), scale, out=np.zeros(w.shape), where=scale > 0.0)
                 return np.float_power(capped, 1.0 / k), np.where(capped[..., None] >= 1.0, 1.0, slope)
 
             return concurrence
@@ -205,7 +195,7 @@ def smoothed_tail_sum(vidal: WeightMonotone, width: float) -> Callable[[np.ndarr
     differentiable, and tends to the tail sum as ``width`` goes to 0. Maps
     weights to (values, slope) as ``WeightMonotone.value_and_slope`` does.
     """
-    k, dim, others = vidal.measure.k, vidal.dim, vidal.others
+    k, dim, complements = vidal.measure.k, vidal.dim, vidal.others.T
 
     def value_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Shifted by the mean of the k - 1 largest weights, the exponentials
@@ -213,9 +203,9 @@ def smoothed_tail_sum(vidal: WeightMonotone, width: float) -> Callable[[np.ndarr
         # and no exponent exceeds 1 / width.
         shift = np.partition(w, dim - k + 1, axis=-1)[..., dim - k + 1 :].mean(axis=-1)
         z = np.exp((w - shift[..., None]) / width)
-        total = _elementary_symmetric(z, k - 1)
+        total = _elementary_symmetric(z, k - 1, range(dim))
         value = w.sum(axis=-1) - (k - 1) * shift - width * np.log(total)
-        grad = 1.0 - z * _leave_one_out(z, k - 2, others) / total[..., None]
+        grad = 1.0 - z * _elementary_symmetric(z, k - 2, complements) / total[..., None]
         return value, grad + (value - np.vecdot(w, grad))[..., None]
 
     return value_and_slope

@@ -81,6 +81,20 @@ def array(values, error: type[FramenessError], name: str, real: bool = True) -> 
         raise error(f"{name} out of float range") from None
 
 
+def in_order_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """The float64 sum of ``a`` over ``axis``: its slices added to 0.0 in index order.
+
+    It rounds as a Python loop over the slices rounds, whatever their number;
+    ``a.sum(axis)`` adds 8 or more entries of the last axis pairwise instead.
+    """
+    axis %= a.ndim
+    lead = (slice(None),) * axis
+    total = np.zeros(a.shape[:axis] + a.shape[axis + 1 :])
+    for j in range(a.shape[axis]):
+        total += a[lead + (j,)]
+    return total
+
+
 def as_complex_matrix(a: np.ndarray) -> np.ndarray:
     """Read a square complex128 matrix, enforcing the size cap."""
     m = array(a, InvalidDensity, "matrix entry", real=False)
@@ -200,12 +214,13 @@ def seeded_normals(seed: int, trials: range, sizes: Sequence[int]) -> list[np.nd
     The rows equal those draws bit for bit, but no generator is seeded per
     stream: the SeedSequence hash runs once for every (trial, k) stream as
     uint32 array arithmetic, grouped by entropy length, and each stream's
-    PCG64 state is then set on one reused generator. Trials must lie below
-    2**64. Raises :class:`BadParameter` on a bad seed or a negative trial.
+    PCG64 state is then set on one reused generator. Raises
+    :class:`BadParameter` on a bad seed or a trial outside 0..2**64-1.
     """
     seed = integer(seed, BadParameter, "seed", 0)
     if trials:
         integer(min(trials[0], trials[-1]), BadParameter, "trial", 0)
+        integer(max(trials[0], trials[-1]), BadParameter, "trial", hi=2**64 - 1)
     out = [np.empty((len(trials), n)) for n in sizes]
     t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
     seed_words = _words(seed)

@@ -184,6 +184,10 @@ def test_apply_channel_pure_rejects_groups_and_nontp():
     lossy = U1Channel([[U1Kraus(0, {0: 0.5, 1: 0.5})]], 2)
     with pytest.raises(InvalidChannel, match="channel is not trace-preserving"):
         apply_channel_pure(lossy, StandardState([0.5, 0.5]))
+    # A bare broadcast ValueError, and a dimension-1 state was broadcast over every sector.
+    for weights in ([0.5, 0.25, 0.25], [1.0]):
+        with pytest.raises(InvalidState, match=f"^state of dimension {len(weights)} on a channel of dimension 2$"):
+            apply_channel_pure(lossy, StandardState(weights))
 
 
 def test_apply_channel_pure_probabilities_sum():
@@ -304,6 +308,9 @@ def test_ensemble_validation_and_mixture():
         Ensemble(((1.0, "abc"),)).mixture()
     with pytest.raises(InvalidState, match=r"^cannot interpret ensemble member of shape \(1, 2, 2\)$"):
         Ensemble(((1.0, np.zeros((1, 2, 2))),)).mixture()
+    # A bare broadcast ValueError.
+    with pytest.raises(InvalidState, match=r"^ensemble members of shapes \(2, 2\) and \(3, 3\) do not mix$"):
+        Ensemble(((0.5, [1, 0]), (0.5, [1, 0, 0]))).mixture()
     ens = Ensemble(((0.5, a), (0.5, b)))
     assert np.allclose(ens.mixture(), np.diag([0.5, 0.5]))
 

@@ -648,7 +648,7 @@ def test_reused_batch_rows_match_cold_calls():
 def test_cached_batch_is_read_only():
     cli._trial_batch.cache_clear()
     run_verification(MonotoneId("entropy"), 3, 5, 2, (-1, 0, 1))
-    weights, _, probs, posts, kept = cli._trial_batch(3, (-1, 0, 1), 1, 2, range(5))
+    weights, probs, posts, kept = cli._trial_batch(3, (-1, 0, 1), 1, 2, range(5))
     assert cli._trial_batch.cache_info().hits == 1
     for array in (weights, probs, posts, kept):
         with pytest.raises(ValueError, match="read-only"):
@@ -705,6 +705,13 @@ def test_negative_seed_or_trial_is_typed():
         run_verification(MonotoneId("entropy"), 3, 4, True, (-1, 0, 1))
     with pytest.raises(BadParameter, match="^trial must be at least 0, got -1$"):
         sample_trial(3, (-1, 0, 1), 1, 0, -1)
+    # The batch sampler's uint64 trials end at 2**64 - 1; above, it raised a bare OverflowError.
+    weights, _, _ = sample_trials(3, (-1, 0, 1), 1, 0, range(2**64 - 1, 2**64))
+    assert np.array_equal(weights[0], sample_trial(3, (-1, 0, 1), 1, 0, 2**64 - 1)[0].weights)
+    for trials in (range(2**64, 2**64 + 1), range(2**64, 2**64 - 3, -1)):
+        with pytest.raises(BadParameter, match=f"^trial must be at most {2**64 - 1}, got {2**64}$"):
+            sample_trials(3, (-1, 0, 1), 1, 0, trials)
+    sample_trial(3, (-1, 0, 1), 1, 0, 2**64)
     # Each raised a bare TypeError from the batch-size arithmetic before its check.
     for shifts, kraus_per_shift, message in (
         ([[1]], 1, r"shift must be an integer, got \[1\]"),

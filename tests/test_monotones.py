@@ -132,20 +132,33 @@ def esp_enumeration(values, k):
 
 
 def test_elementary_symmetric_against_enumeration():
-    assert _elementary_symmetric(np.array([0.5, 0.3, 0.2]), 2) == pytest.approx(0.31, abs=1e-15)
-    assert _elementary_symmetric(np.array([0.5, 0.3, 0.2]), 3) == pytest.approx(0.03, abs=1e-15)
+    assert _elementary_symmetric(np.array([0.5, 0.3, 0.2]), 2, range(3)) == pytest.approx(0.31, abs=1e-15)
+    assert _elementary_symmetric(np.array([0.5, 0.3, 0.2]), 3, range(3)) == pytest.approx(0.03, abs=1e-15)
     rng = np.random.default_rng(17)
+    complements = WeightMonotone(MonotoneId("concurrence", 2), 7).others.T
     for _ in range(20):
         vals = rng.uniform(0.0, 1.0, size=7)
         for k in range(2, 8):
-            assert _elementary_symmetric(vals, k) == pytest.approx(
+            assert _elementary_symmetric(vals, k, range(7)) == pytest.approx(
                 esp_enumeration(vals, k), rel=1e-12
             )
+        # The complement columns: e_k of the row with entry l deleted, at every l.
+        for k in range(7):
+            left_out = _elementary_symmetric(vals, k, complements)
+            assert left_out.shape == (7,)
+            for l in range(7):
+                assert left_out[l] == pytest.approx(esp_enumeration(np.delete(vals, l), k), rel=1e-12)
     # Every row of a batch as that row alone; no 3-subset of two values.
     batch = rng.uniform(0.0, 1.0, size=(4, 7))
     for k in range(2, 8):
-        assert np.array_equal(_elementary_symmetric(batch, k), [_elementary_symmetric(v, k) for v in batch])
-    assert _elementary_symmetric(np.array([0.5, 0.5]), 3) == 0.0
+        assert np.array_equal(
+            _elementary_symmetric(batch, k, range(7)), [_elementary_symmetric(v, k, range(7)) for v in batch]
+        )
+        assert np.array_equal(
+            _elementary_symmetric(batch, k - 1, complements),
+            [_elementary_symmetric(v, k - 1, complements) for v in batch],
+        )
+    assert _elementary_symmetric(np.array([0.5, 0.5]), 3, range(2)) == 0.0
 
 
 def test_concurrence_pure_examples():

@@ -18,7 +18,15 @@ from frameness import (
     validate_density,
 )
 from frameness.monotones import KINDS
-from frameness.numerics import _checked_density, _density_spectrum, array, as_complex_matrix, integer, number
+from frameness.numerics import (
+    _checked_density,
+    _density_spectrum,
+    array,
+    as_complex_matrix,
+    in_order_sum,
+    integer,
+    number,
+)
 
 
 def test_predicates():
@@ -73,6 +81,18 @@ def test_integer_and_number_readers(value, as_integer, as_number):
         else:
             got = read(value)
             assert got == expected and type(got) is type(expected)
+
+
+def test_in_order_sum_rounds_as_a_python_loop():
+    a = np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, 3, 9)) * np.logspace(0, 8, 9)
+    for axis in (-1, 2, 1, 0, -3):
+        loop = np.zeros(np.delete(a.shape, axis))
+        for j in range(a.shape[axis]):
+            loop += np.take(a, j, axis=axis)
+        assert np.array_equal(in_order_sum(a, axis), loop)
+    # numpy adds the 9 entries of a last-axis row pairwise, which rounds otherwise.
+    assert not np.array_equal(a.sum(axis=-1), in_order_sum(a, -1))
+    assert in_order_sum(np.zeros((2, 0)), 1).tolist() == [0.0, 0.0]
 
 
 def test_array_reader_converts_numeric_arrays_whole():
