@@ -134,7 +134,7 @@ def _as_density(state: Any) -> np.ndarray:
     arr = array(state, InvalidState, "ensemble entry", real=False)
     if arr.ndim == 1:
         return np.outer(arr, arr.conj())
-    if arr.ndim == 2:
+    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
         return arr
     raise InvalidState(f"cannot interpret ensemble member of shape {arr.shape}")
 
@@ -149,20 +149,19 @@ def squared_moduli(coeffs: np.ndarray) -> np.ndarray:
         return np.float_power(np.hypot(coeffs.real, coeffs.imag), 2.0)
 
 
-def _completeness_sums(moduli: np.ndarray) -> np.ndarray:
-    """Per-sector sums over the operator axis ``-2``, added in operator order."""
+def _completeness_sums(moduli: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Per-sector sums over the operator axis ``-2`` in operator order, and whether each is 1 within ``SUM_TOL``."""
     sums = in_order_sum(moduli, -2)
     if sums.max() > 1.0 + SUM_TOL:
         raise InvalidChannel(
             f"completeness sum {float(sums.max())!r} exceeds 1 on some sector"
         )
-    return sums
+    return sums, bool(np.max(np.abs(sums - 1.0)) <= SUM_TOL)
 
 
 def validate_channel(channel: U1Channel) -> ChannelReport:
     """Check window bounds and completeness; report per-sector sums."""
-    sums = _completeness_sums(squared_moduli(np.array([k.row(channel.dim) for k in channel.all_kraus()])))
-    tp = bool(np.max(np.abs(sums - 1.0)) <= SUM_TOL)
+    sums, tp = _completeness_sums(squared_moduli(np.array([k.row(channel.dim) for k in channel.all_kraus()])))
     return ChannelReport(per_sector_sums=sums, trace_preserving=tp)
 
 
@@ -266,8 +265,7 @@ def apply_slots_pure(
     non-trace-preserving channel, a post-state that is not normalized, or
     kept probabilities that do not form a probability vector.
     """
-    sums = _completeness_sums(moduli)
-    if np.max(np.abs(sums - 1.0)) > SUM_TOL:
+    if not _completeness_sums(moduli)[1]:
         raise InvalidChannel("channel is not trace-preserving")
     d = moduli.shape[-1]
     contrib = weights[..., None, :] * moduli

@@ -35,7 +35,7 @@ from .channels import (
 )
 from .convexroof import RoofConfig, convex_roof
 from .errors import BadParameter, FramenessError, InvalidChannel, InvalidDensity, InvalidState
-from .monotones import KINDS, MonotoneId, appendix_closed_form, weight_evaluator
+from .monotones import KINDS, MonotoneId, appendix_closed_form, evaluate_pure, weight_evaluator
 from .numerics import MAX_DIM, in_order_sum, integer, seeded_normals
 from .states import (
     StandardState,
@@ -246,9 +246,7 @@ def _write_rows(path: str, rows: list[tuple[int, float, int]]) -> None:
 
 def cmd_monotone(args: argparse.Namespace) -> int:
     measure = MonotoneId(args.measure, args.k)
-    state = _load_weights(args.state, args.dim)
-    value = weight_evaluator(measure, state.dim)(state.weights)
-    print(f"{value:.12f}")
+    print(f"{evaluate_pure(measure, _load_weights(args.state, args.dim)):.12f}")
     return 0
 
 
@@ -325,6 +323,12 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         )
         p.add_argument("--k", type=int, default=None)
 
+    def add_sampling(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--dim", type=int, required=True)
+        p.add_argument("--shifts", required=True, help="e.g. --shifts=-1,0,1")
+        p.add_argument("--kraus-per-shift", type=int, default=1)
+        p.add_argument("--seed", type=int, default=0)
+
     p_mono = sub.add_parser("monotone", help="evaluate a pure-state monotone")
     add_measure(p_mono)
     p_mono.add_argument("--state", required=True)
@@ -340,21 +344,15 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p_verify = sub.add_parser("verify", help="stress-test ensemble monotonicity")
     add_measure(p_verify)
-    p_verify.add_argument("--dim", type=int, required=True)
+    add_sampling(p_verify)
     p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--shifts", required=True, help="e.g. --shifts=-1,0,1")
-    p_verify.add_argument("--kraus-per-shift", type=int, default=1)
     p_verify.add_argument("--csv", default=None, help="write per-trial rows here")
     p_verify.set_defaults(func=cmd_verify)
 
     p_channel = sub.add_parser("channel", help="channel utilities")
     channel_sub = p_channel.add_subparsers(dest="channel_command", required=True)
     p_sample = channel_sub.add_parser("sample", help="sample a random channel")
-    p_sample.add_argument("--dim", type=int, required=True)
-    p_sample.add_argument("--shifts", required=True, help="e.g. --shifts=-1,0,1")
-    p_sample.add_argument("--kraus-per-shift", type=int, default=1)
-    p_sample.add_argument("--seed", type=int, default=0)
+    add_sampling(p_sample)
     p_sample.add_argument("--check", action="store_true")
     p_sample.set_defaults(func=cmd_channel_sample)
 

@@ -54,10 +54,7 @@ def _tail_sum(weights: np.ndarray, k: int) -> np.ndarray:
 _PAIRWISE_BLOCK = 8
 
 
-def _shannon_bits(weights: np.ndarray) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape[-1] < _PAIRWISE_BLOCK:
-        return _entropy_and_slope(w)[0]
+def _grouped_entropy(w: np.ndarray) -> np.ndarray:
     # Pairwise sums: sum exactly the positive terms of each row, grouping
     # rows by support size so that every group is a rectangular array.
     rows = w.reshape(-1, w.shape[-1])
@@ -67,7 +64,7 @@ def _shannon_bits(weights: np.ndarray) -> np.ndarray:
     for c in np.unique(counts):
         group = counts == c
         v = rows[group][pos[group]].reshape(np.count_nonzero(group), c)
-        out[group] = -(v * np.log2(v)).sum(axis=-1)
+        out[group] = 0.0 - (v * np.log2(v)).sum(axis=-1)
     return out.reshape(w.shape[:-1])[()]
 
 
@@ -116,11 +113,12 @@ def _vidal_slope(weights: np.ndarray, k: int) -> np.ndarray:
 
 
 def _entropy_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # 0.0 - s, not -s: a charge eigenstate's zero sum stays +0.0.
     logs = np.log2(np.where(w > 0.0, w, 1.0))
     if w.shape[-1] < _PAIRWISE_BLOCK:
         # Left-to-right sums: the zero terms of empty sectors change nothing.
-        return -(w * logs).sum(axis=-1), -logs
-    return _shannon_bits(w), -logs
+        return 0.0 - (w * logs).sum(axis=-1), -logs
+    return _grouped_entropy(w), -logs
 
 
 def _variance_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +144,7 @@ class WeightMonotone:
         if kind == "vidal":
             return lambda w: _tail_sum(w, k)
         if kind == "entropy":
-            return _shannon_bits
+            return lambda w: _entropy_and_slope(np.asarray(w, dtype=np.float64))[0]
         if kind == "concurrence":
             return lambda w: np.float_power(_concurrence_ratio(w, k)[0], 1.0 / k)
         return lambda w: _variance_and_mean(w)[0]
@@ -272,7 +270,7 @@ def qubit_formation(rho: np.ndarray) -> float:
 
 def _formation_bits(c: float) -> float:
     xp, xm, _ = _member_weights(c)
-    return float(_shannon_bits(np.array([xp, xm])))
+    return float(_entropy_and_slope(np.array([xp, xm]))[0])
 
 
 @dataclass(frozen=True)

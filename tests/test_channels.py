@@ -306,8 +306,10 @@ def test_ensemble_validation_and_mixture():
     # A bare ValueError from the mixture.
     with pytest.raises(InvalidState, match="^ensemble entry must be a number, got 'abc'$"):
         Ensemble(((1.0, "abc"),)).mixture()
-    with pytest.raises(InvalidState, match=r"^cannot interpret ensemble member of shape \(1, 2, 2\)$"):
-        Ensemble(((1.0, np.zeros((1, 2, 2))),)).mixture()
+    # A non-square 2-D member was returned as a (2, 3) "mixture".
+    for member, shape in [(np.zeros((1, 2, 2)), r"\(1, 2, 2\)"), (np.ones((2, 3)), r"\(2, 3\)")]:
+        with pytest.raises(InvalidState, match=rf"^cannot interpret ensemble member of shape {shape}$"):
+            Ensemble(((1.0, member),)).mixture()
     # A bare broadcast ValueError.
     with pytest.raises(InvalidState, match=r"^ensemble members of shapes \(2, 2\) and \(3, 3\) do not mix$"):
         Ensemble(((0.5, [1, 0]), (0.5, [1, 0, 0]))).mixture()

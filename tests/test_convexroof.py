@@ -109,6 +109,9 @@ def test_roof_rank_one_is_exact():
         direct = evaluate_pure(measure, StandardState([0.3, 0.7]))
         assert res.value == pytest.approx(direct, abs=1e-12)
         assert len(res.ensemble.members) == 1
+    # On a charge eigenstate every roof is +0.0; the entropy roof was -0.0.
+    for measure in (MonotoneId("vidal", 2), MonotoneId("entropy"), CONC2, VAR):
+        assert not np.signbit(convex_roof(measure, np.diag([0.0, 1.0]), FAST_CFG).value), measure
 
 
 def test_roof_diagonal_qubit_vanishes():

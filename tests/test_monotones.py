@@ -218,6 +218,15 @@ def test_evaluate_pure_dispatch():
         assert evaluate_pure(measure, st) == weight_evaluator(measure, 3)(st.weights[None])[0]
     with pytest.raises(BadMonotone, match="^order k must be at most 3, got 4$"):
         evaluate_pure(MonotoneId("vidal", 4), st)
+    # Every kind and order is +0.0 on a charge eigenstate, alone and in a
+    # batch, on both sides of the pairwise entropy block; the entropy was -0.0.
+    for d in range(1, 13):
+        orders = [(kind, k) for kind in ("vidal", "concurrence") for k in range(2, d + 1)]
+        for measure in [MonotoneId("entropy"), MonotoneId("variance")] + [MonotoneId(*o) for o in orders]:
+            batch = weight_evaluator(measure, d)(np.eye(d))
+            for w, value in zip(np.eye(d), batch):
+                assert math.copysign(1.0, evaluate_pure(measure, StandardState(w))) == 1.0, (d, measure)
+                assert math.copysign(1.0, value) == 1.0, (d, measure)
 
 
 def test_roof_values_equal_weight_evaluator_bit_for_bit():
@@ -334,6 +343,9 @@ def test_appendix_frozen_point():
     assert res.mu2 == pytest.approx(0.25, abs=1e-15)
     assert res.concurrence == pytest.approx(0.5, abs=1e-15)
     assert res.fof == pytest.approx(0.25, abs=1e-15)
+    # alpha = 0 is the charge basis: zero concurrence and a formation of +0.0.
+    for p in (0.0, 0.5, 1.0):
+        assert math.copysign(1.0, appendix_closed_form(p, 0.0).formation) == 1.0, p
 
 
 def test_appendix_matches_R_route():
@@ -422,6 +434,8 @@ def test_optimal_decomposition_at_density_tolerances():
 def test_qubit_formation_closed_form():
     assert qubit_formation(PLUS) == 1.0
     assert qubit_formation(np.diag([0.3, 0.7])) == 0.0
+    for q in (0.0, 0.3, 0.5, 1.0):
+        assert math.copysign(1.0, qubit_formation(np.diag([q, 1.0 - q]))) == 1.0, q
     rng = np.random.default_rng(71)
     for i in range(30):
         rho = random_density_matrix(2, rng) if i % 3 else near_pure_qubit(10.0 ** -(i // 3 + 1))
