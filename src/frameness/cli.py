@@ -52,6 +52,7 @@ VIOLATION_TOL = 1e-9
 # trials to amortize the numpy call overhead, while each batch's working
 # arrays stay within about 10 MB whatever --dim and --kraus-per-shift.
 VERIFY_ELEMENTS = 2**16
+_ROOF_BUDGET = ("ensemble_size", "restarts", "max_iters", "seed")
 
 
 @dataclass(frozen=True)
@@ -253,9 +254,7 @@ def cmd_monotone(args: argparse.Namespace) -> int:
 def cmd_roof(args: argparse.Namespace) -> int:
     measure = MonotoneId(args.measure, args.k)
     rho = _density_matrix(_read_json(args.rho, InvalidDensity))
-    # Flags left out keep RoofConfig's defaults.
-    given = {name: getattr(args, name) for name in ("ensemble_size", "restarts", "max_iters", "seed")}
-    cfg = RoofConfig(**{name: value for name, value in given.items() if value is not None})
+    cfg = RoofConfig(**{name: getattr(args, name) for name in _ROOF_BUDGET})
     result = convex_roof(measure, rho, cfg)
     ensemble = [{"p": p, "state": [[z.real, z.imag] for z in vec]} for p, vec in result.ensemble.members]
     _emit({**vars(result), "ensemble": ensemble})
@@ -307,8 +306,8 @@ def cmd_appendix(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The root parser and each verb's parser by name, built on first use and then reused."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]]:
+    """The root parser, and each parser with subcommands mapped to theirs by name; built once."""
     parser = argparse.ArgumentParser(
         prog="frameness",
         description="Frameness monotones under a charge superselection rule",
@@ -338,8 +337,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_roof = sub.add_parser("roof", help="convex-roof value of a density matrix")
     add_measure(p_roof)
     p_roof.add_argument("--rho", required=True)
-    for flag in ("--ensemble-size", "--restarts", "--max-iters", "--seed"):
-        p_roof.add_argument(flag, type=int, default=None)
+    for name in _ROOF_BUDGET:
+        p_roof.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(RoofConfig, name))
     p_roof.set_defaults(func=cmd_roof)
 
     p_verify = sub.add_parser("verify", help="stress-test ensemble monotonicity")
@@ -365,20 +364,21 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_appendix.add_argument("--alpha", type=float, required=True)
     p_appendix.set_defaults(func=cmd_appendix)
 
-    return parser, sub.choices
+    return parser, {parser: sub.choices, p_channel: channel_sub.choices}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, verbs = _parsers()
+    root, subcommands = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in verbs:
-        # What the root parser's subcommand action would do, without the
-        # root parser's own pass over the same tokens.
-        args, extras = verbs[argv[0]].parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    else:
-        args = parser.parse_args(argv)
+    # Down the leading subcommand names to the deepest parser, which reads the rest once:
+    # what the root parser's parse_args does, without each level's own pass over the tokens.
+    parser, depth = root, 0
+    while depth < len(argv) and argv[depth] in subcommands.get(parser, ()):
+        parser = subcommands[parser][argv[depth]]
+        depth += 1
+    args, extras = parser.parse_known_args(argv[depth:])
+    if extras:
+        root.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (FramenessError, OSError) as exc:

@@ -994,6 +994,11 @@ USAGE_PATHS = {
     "verify-unknown-flag": (VERIFY_ARGS + ["--bogus"], 2),
     "channel-sample-stray": (["channel", "sample", "--dim", "3", "--shifts=-1,0,1", "stray"], 2),
     "abbreviated-flag": (["monotone", "--meas", "entropy", "--state", "PLUS"], 0),
+    "channel-unknown-subcommand": (["channel", "bogus"], 2),
+    "channel-help": (["channel", "--help"], 0),
+    "roof-help": (["roof", "--help"], 0),
+    "channel-sample-sample": (["channel", "sample", "sample"], 2),
+    "root-unknown-flag": (["--bogus"] + VERIFY_ARGS, 2),
 }
 
 
@@ -1006,7 +1011,19 @@ def test_usage_paths_match_the_root_parser(monkeypatch, plus_file, argv, code):
     assert _outcome(main, argv) == expected
 
 
-def test_verb_call_parses_once(monkeypatch):
+# One successful call per verb; "PLUS" is a state file and "RHO" a density file.
+VERB_CALLS = {
+    "monotone": ["monotone", "--measure", "entropy", "--state", "PLUS"],
+    "roof": ["roof", "--measure", "entropy", "--rho", "RHO", "--restarts", "1"],
+    "verify": VERIFY_ARGS,
+    "channel sample": ["channel", "sample", "--dim", "3", "--shifts=-1,0,1"],
+    "twirl": ["twirl", "--in", "PLUS"],
+    "appendix": ["appendix", "--p", "0.25", "--alpha", "0.5"],
+}
+
+
+def test_verb_call_parses_once(monkeypatch, tmp_path, plus_file):
+    files = {"PLUS": plus_file, "RHO": write_density(tmp_path, np.diag([0.75, 0.25]))}
     progs = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -1015,8 +1032,10 @@ def test_verb_call_parses_once(monkeypatch):
         return parse_known_args(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-    assert run_main(VERIFY_ARGS)[0] == 0
-    assert progs == ["frameness verify"]
+    for verb, argv in VERB_CALLS.items():
+        progs.clear()
+        assert run_main([files.get(a, a) for a in argv])[0] == 0, verb
+        assert progs == [f"frameness {verb}"]
 
 
 def test_verify_rejects_threads_flag(capsys):

@@ -235,7 +235,7 @@ def test_roof_values_equal_weight_evaluator_bit_for_bit():
     # both sides of the pairwise entropy block, with empty sectors, on the
     # pure and the flat state (the concurrence cap), in batches and rows.
     rng = np.random.default_rng(101)
-    for d in range(2, 10):
+    for d in range(2, 17):
         w = rng.dirichlet(np.full(d, 0.5), size=16)
         w[:4, 0] = 0.0
         w[:4] /= w[:4].sum(axis=1, keepdims=True)
