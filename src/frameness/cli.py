@@ -36,7 +36,7 @@ from .channels import (
 from .convexroof import RoofConfig, convex_roof
 from .errors import BadParameter, FramenessError, InvalidChannel, InvalidDensity, InvalidState
 from .monotones import KINDS, MonotoneId, appendix_closed_form, evaluate_pure, weight_evaluator
-from .numerics import MAX_DIM, in_order_sum, integer, seeded_normals
+from .numerics import MAX_DIM, ZERO_TOL, in_order_sum, integer, seeded_normals
 from .states import (
     StandardState,
     _density_matrix,
@@ -155,10 +155,12 @@ def run_verification(
     report plus per-trial rows ``(trial, margin, p_count)``.
     """
     trials = integer(trials, BadParameter, "trials", 1)
+    dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
     evaluator = weight_evaluator(measure, dim)
-    # Read once, as _slot_layout reads them, before any arithmetic on them.
+    # Read once, as _slot_layout and seeded_normals read them, before any arithmetic on them.
     shifts = tuple(integer(s, InvalidChannel, "shift") for s in shifts)
     kraus_per_shift = integer(kraus_per_shift, InvalidChannel, "kraus_per_shift", 1, MAX_DIM)
+    seed = integer(seed, BadParameter, "seed", 0)
     start = time.perf_counter()
     slot_count = len(set(shifts)) * kraus_per_shift
     batch_size = max(1, VERIFY_ELEMENTS // max(1, slot_count * dim))
@@ -220,7 +222,7 @@ def _load_weights(path: str, dim: int | None) -> StandardState:
         dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
         w = state.weights
         if dim < w.size:
-            if float(w[dim:].max()) > 0.0:
+            if float(w[dim:].max()) > ZERO_TOL:
                 raise InvalidState(f"cannot restrict to dimension {dim}: weight above it")
             w = w[:dim]
         else:

@@ -58,13 +58,14 @@ ROOF_ELEMENTS = 2**20
 class RoofConfig:
     """Search budget for the roof optimizer.
 
-    ``ensemble_size`` of ``None`` means ``min(2r, r + 2)`` for a rank-r
-    input. ``ensemble_size``, ``restarts``, ``max_iters`` and ``seed`` must
-    be integers (Python or numpy, not ``bool``) and are stored as ``int``.
-    ``seed`` must be nonnegative; restarts draw their starting points from
-    streams derived from it. ``max_iters`` bounds the gradient iterations
-    of each restart, summed over a vidal search's stages; the gradient-norm
-    threshold is the module constant ``GRADIENT_TOL``.
+    ``ensemble_size`` of ``None`` means ``r + 2`` for a rank-r input (a
+    rank-1 input needs no search). ``ensemble_size``, ``restarts``,
+    ``max_iters`` and ``seed`` must be integers (Python or numpy, not
+    ``bool``) and are stored as ``int``. ``seed`` must be nonnegative;
+    restarts draw their starting points from streams derived from it.
+    ``max_iters`` bounds the gradient iterations of each restart, summed
+    over a vidal search's stages; the gradient-norm threshold is the module
+    constant ``GRADIENT_TOL``.
     """
 
     ensemble_size: int | None = None
@@ -273,7 +274,7 @@ def convex_roof(
             iterations_used=0,
             gapped_support=gapped,
         )
-    m = cfg.ensemble_size if cfg.ensemble_size is not None else min(2 * r, r + 2)
+    m = cfg.ensemble_size if cfg.ensemble_size is not None else r + 2
     if m < r:
         raise BadDecomposition(f"ensemble size {m} below the state's rank {r}")
     elements = cfg.restarts * m * m_rho.shape[0]

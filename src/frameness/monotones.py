@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import Ensemble
 from .errors import BadMonotone, BadParameter
-from .numerics import MAX_DIM, ZERO_TOL, _checked_density, integer, number
+from .numerics import MAX_DIM, ZERO_TOL, _checked_density, in_order_sum, integer, number
 from .states import StandardState
 
 KINDS = ("vidal", "entropy", "concurrence", "variance")
@@ -48,24 +48,6 @@ class MonotoneId:
 def _tail_sum(weights: np.ndarray, k: int) -> np.ndarray:
     ordered = np.sort(weights, axis=-1)[..., ::-1]
     return ordered[..., k - 1 :].sum(axis=-1)
-
-
-# numpy adds runs shorter than this left to right and longer ones pairwise.
-_PAIRWISE_BLOCK = 8
-
-
-def _grouped_entropy(w: np.ndarray) -> np.ndarray:
-    # Pairwise sums: sum exactly the positive terms of each row, grouping
-    # rows by support size so that every group is a rectangular array.
-    rows = w.reshape(-1, w.shape[-1])
-    pos = rows > 0.0
-    counts = pos.sum(axis=-1)
-    out = np.empty(counts.shape)
-    for c in np.unique(counts):
-        group = counts == c
-        v = rows[group][pos[group]].reshape(np.count_nonzero(group), c)
-        out[group] = 0.0 - (v * np.log2(v)).sum(axis=-1)
-    return out.reshape(w.shape[:-1])[()]
 
 
 def _elementary_symmetric(values: np.ndarray, k: int, columns: range | np.ndarray) -> np.ndarray:
@@ -113,12 +95,10 @@ def _vidal_slope(weights: np.ndarray, k: int) -> np.ndarray:
 
 
 def _entropy_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # 0.0 - s, not -s: a charge eigenstate's zero sum stays +0.0.
+    # Terms added in sector order, so the zero terms of empty sectors change
+    # nothing; 0.0 - s, not -s: a charge eigenstate's zero sum stays +0.0.
     logs = np.log2(np.where(w > 0.0, w, 1.0))
-    if w.shape[-1] < _PAIRWISE_BLOCK:
-        # Left-to-right sums: the zero terms of empty sectors change nothing.
-        return 0.0 - (w * logs).sum(axis=-1), -logs
-    return _grouped_entropy(w), -logs
+    return 0.0 - in_order_sum(w * logs, -1), -logs
 
 
 def _variance_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -84,9 +84,12 @@ def array(values, error: type[FramenessError], name: str, real: bool = True) -> 
 def in_order_sum(a: np.ndarray, axis: int) -> np.ndarray:
     """The float64 sum of ``a`` over ``axis``: its slices added to 0.0 in index order.
 
-    It rounds as a Python loop over the slices rounds, whatever their number;
-    ``a.sum(axis)`` adds 8 or more entries of the last axis pairwise instead.
+    It rounds as a Python loop over the slices rounds, whatever their number.
+    numpy's own ``a.sum(axis)`` does so below 8 entries, so it sums those;
+    from 8 on it adds the entries of the last axis pairwise instead.
     """
+    if a.shape[axis] < 8:
+        return a.sum(axis)
     axis %= a.ndim
     lead = (slice(None),) * axis
     total = np.zeros(a.shape[:axis] + a.shape[axis + 1 :])

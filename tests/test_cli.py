@@ -141,11 +141,17 @@ def test_monotone_dim_override(capsys, plus_file):
     three = float(capsys.readouterr().out)
     assert two == pytest.approx(1.0, abs=1e-12)
     assert three != two
-    # Down to the length of the state again: the weight cut off is zero.
+    # Down to the length of the state again: the weight cut off is zero, or
+    # at most ZERO_TOL, which `spectrum` counts as empty too.
     padded = Path(plus_file).with_name("padded.json")
-    padded.write_text(json.dumps({"weights": [0.5, 0.5, 0.0]}))
-    assert main(["monotone", "--measure", "concurrence", "--k", "2", "--state", str(padded), "--dim", "2"]) == 0
-    assert float(capsys.readouterr().out) == two
+    argv = ["monotone", "--measure", "concurrence", "--k", "2", "--state", str(padded), "--dim", "2"]
+    for weights in ([0.5, 0.5, 0.0], [0.5, 0.49999999999999999, 1e-17]):
+        padded.write_text(json.dumps({"weights": weights}))
+        assert main(argv) == 0
+        assert float(capsys.readouterr().out) == two
+    padded.write_text(json.dumps({"weights": [0.5, 0.5 - 2e-12, 2e-12]}))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: cannot restrict to dimension 2: weight above it\n")
 
 
 def test_monotone_missing_k_is_input_error(capsys, plus_file):
@@ -571,6 +577,19 @@ def test_run_verification_matches_wide_golden_margins():
             kraus_per_shift=kraus_per_shift,
         )
         assert [(t, repr(m), c) for t, m, c in rows] == expected, (dim, shifts, kind, k)
+
+
+def test_run_verification_reads_numpy_integers():
+    # dim and seed are read as trials is: numpy integers give the report and
+    # rows of Python ints, and the report serializes.
+    measure = MonotoneId("concurrence", 2)
+    expected, expected_rows = run_verification(measure, 3, 5, 2, (-1, 0, 1))
+    report, rows = run_verification(measure, np.int64(3), np.int64(5), np.int64(2), (-1, 0, 1), np.int64(1))
+    masked = {**report.to_dict(), "runtime_ms": None}
+    assert masked == {**expected.to_dict(), "runtime_ms": None}
+    assert [type(masked[key]) for key in ("dim", "trials", "seed")] == [int, int, int]
+    assert rows == expected_rows
+    assert json.loads(json.dumps(report.to_dict()))["seed"] == 2
 
 
 @pytest.mark.parametrize("elements, sizes", [(60, [4, 4, 3]), (1, [1] * 11)])
@@ -1082,8 +1101,8 @@ def test_roof_matches_golden_bytes(capsys, tmp_path, name, dim, args):
 
 # Paths the goldens above leave out, captured before the objective computed
 # each value together with its slope: vidal's smoothed stages (at d = 4 also
-# the tail sum's own stage), the pairwise entropy sums from d = 8 and a
-# concurrence of order 3.
+# the tail sum's own stage), an entropy of 9 sectors, whose terms numpy's own
+# sum would add pairwise, and a concurrence of order 3.
 PATH_ROOF_GOLDENS = [
     ("roof_d4_vidal2.json", 4, ["--measure", "vidal", "--k", "2", "--restarts", "2", "--max-iters", "40"]),
     ("roof_d6_vidal3.json", 6, ["--measure", "vidal", "--k", "3", "--restarts", "2", "--max-iters", "40"]),

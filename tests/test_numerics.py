@@ -83,16 +83,34 @@ def test_integer_and_number_readers(value, as_integer, as_number):
             assert got == expected and type(got) is type(expected)
 
 
+def _loop_sum(a, axis):
+    loop = np.zeros(np.delete(a.shape, axis))
+    for j in range(a.shape[axis]):
+        loop += np.take(a, j, axis=axis)
+    return loop
+
+
 def test_in_order_sum_rounds_as_a_python_loop():
     a = np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, 3, 9)) * np.logspace(0, 8, 9)
     for axis in (-1, 2, 1, 0, -3):
-        loop = np.zeros(np.delete(a.shape, axis))
-        for j in range(a.shape[axis]):
-            loop += np.take(a, j, axis=axis)
-        assert np.array_equal(in_order_sum(a, axis), loop)
+        assert np.array_equal(in_order_sum(a, axis), _loop_sum(a, axis))
     # numpy adds the 9 entries of a last-axis row pairwise, which rounds otherwise.
     assert not np.array_equal(a.sum(axis=-1), in_order_sum(a, -1))
     assert in_order_sum(np.zeros((2, 0)), 1).tolist() == [0.0, 0.0]
+    # Every length on both sides of numpy's 8-term block, on every axis of
+    # contiguous arrays and transposed views, with -0.0 entries and slices of
+    # -0.0 only, whose loop sum is +0.0: bit for bit, signs of zero included.
+    rng = np.random.default_rng(6)
+    for n in range(10):
+        for axis in range(3):
+            shape = [4, 3, 5]
+            shape[axis] = n
+            b = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            b[rng.random(shape) < 0.3] = -0.0
+            b[:1] = b[..., :1] = -0.0
+            for view in (b, b.T):
+                for ax in range(3):
+                    assert in_order_sum(view, ax).tobytes() == _loop_sum(view, ax).tobytes(), (n, axis, ax)
 
 
 def test_array_reader_converts_numeric_arrays_whole():
