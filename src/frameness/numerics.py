@@ -3,7 +3,8 @@
 Matrices are plain ``numpy`` arrays of complex128, capped at ``MAX_DIM``.
 The density check makes one ``numpy.linalg.eigh`` call per distinct matrix,
 kept across calls, and its eigenpairs feed the qubit closed forms and the
-convex roof.
+convex roof. The trial streams hash their numpy seeds for a whole batch as
+array arithmetic, and numpy seeds each stream's PCG64 from the hashed words.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numbers
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import BadParameter, FramenessError, InvalidDensity
 
@@ -149,17 +151,14 @@ def validate_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     return _checked_density(rho, dim)[0]
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# the PCG64 multiplier (numpy/random/src/pcg64/pcg64.h).
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 
 
 def _words(n: int) -> list[int]:
@@ -189,11 +188,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(e).generate_state(8)`` for every column ``e`` of ``entropy``.
+    """Row ``i`` is ``SeedSequence(entropy[:, i]).generate_state(4, np.uint64)``.
 
     ``entropy`` is ``(L, N)`` uint32 with ``L >= 4``; zero words padding an
     entropy to the pool's 4 words do not change its hash. The hash of each
-    pool word runs on all N columns at once.
+    pool word runs on all N columns at once; the ``(N, 4)`` rows are C-contiguous.
     """
     c = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
     pool = _hashmix(entropy[:4], c[:4], c[1:5])
@@ -208,27 +207,39 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
         pool = _mix(pool, _hashmix(word, c[j : j + 4], c[j + 1 : j + 5]))
         j += 4
     b = _hash_consts(_INIT_B, _MULT_B, 8)
-    return _hashmix(np.tile(pool, (2, 1)), b[:8], b[1:])
+    words = _hashmix(np.tile(pool, (2, 1)), b[:8], b[1:]).astype(np.uint64)
+    # Each uint64 word is two hashed uint32 words, low first.
+    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
+
+
+class _Words(ISeedSequence):
+    """PCG64's seed: it asks for 4 uint64 words and reads the buffer of ``words``, a C-contiguous row."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def seeded_normals(seed: int, trials: range, sizes: Sequence[int]) -> list[np.ndarray]:
     """Row ``i`` of array ``k`` is ``default_rng([seed, trials[i], k]).normal(size=sizes[k])``.
 
-    The rows equal those draws bit for bit, but no generator is seeded per
-    stream: the SeedSequence hash runs once for every (trial, k) stream as
-    uint32 array arithmetic, grouped by entropy length, and each stream's
-    PCG64 state is then set on one reused generator. Raises
-    :class:`BadParameter` on a bad seed or a trial outside 0..2**64-1.
+    The rows equal those draws bit for bit: the SeedSequence hash runs once
+    for every (trial, k) stream as uint32 array arithmetic, grouped by entropy
+    length, and numpy seeds each stream's PCG64 from the hashed words. Raises
+    :class:`BadParameter` on a bad seed, a ``trials`` that is not a ``range``
+    or a trial outside 0..2**64-1.
     """
     seed = integer(seed, BadParameter, "seed", 0)
+    if not isinstance(trials, range):
+        raise BadParameter(f"trials must be a range, got {type(trials).__name__}")
     if trials:
         integer(min(trials[0], trials[-1]), BadParameter, "trial", 0)
         integer(max(trials[0], trials[-1]), BadParameter, "trial", hi=2**64 - 1)
     out = [np.empty((len(trials), n)) for n in sizes]
     t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
     seed_words = _words(seed)
-    bitgen = np.random.PCG64(0)  # its state is overwritten per stream
-    gen = np.random.Generator(bitgen)
     # Trials below 2**32 are one entropy word, those above two.
     for wide in (False, True):
         pos = np.flatnonzero((t > _MASK32) == wide)
@@ -241,19 +252,7 @@ def seeded_normals(seed: int, trials: range, sizes: Sequence[int]) -> list[np.nd
         if wide:
             entropy[len(seed_words) + 1] = t[pos] >> 32
         entropy[n_words - 1] = np.arange(len(sizes))[:, None]
-        words = _seed_words(entropy.reshape(len(entropy), -1)).astype(np.uint64)
-        # PCG64 seeds (state, increment) from the 4 little-endian uint64
-        # words, then steps twice: state = (inc + init) * MULT + inc.
-        halves = (words[0::2] | (words[1::2] << 32)).tolist()
-        for col, (s_hi, s_lo, i_hi, i_lo) in enumerate(zip(*halves)):
-            inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-            state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+        for col, row in enumerate(_seed_words(entropy.reshape(len(entropy), -1))):
             k, i = divmod(col, pos.size)
-            gen.standard_normal(out=out[k][pos[i]])
+            np.random.Generator(np.random.PCG64(_Words(row))).standard_normal(out=out[k][pos[i]])
     return out

@@ -510,12 +510,15 @@ def test_batched_sampler_rows_match_sample_trial(dim, shifts, kraus_per_shift):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
-@pytest.mark.parametrize("trials", [range(3), range(2**32 - 2, 2**32 + 2)])
+@pytest.mark.parametrize(
+    "trials", [range(3), range(2**32 - 2, 2**32 + 2), range(7, 0, -2), range(2**64 - 3, 2**64)]
+)
 def test_sampler_rows_match_default_rng_streams(seed, trials):
     """Rows equal the draws of generators seeded by ``[seed, t, k]``, built here.
 
     Seeds and trials from 2**32 on are two or more SeedSequence entropy
-    words, so the trial range across 2**32 mixes two entropy lengths.
+    words, so the trial range across 2**32 mixes two entropy lengths; the
+    reversed, stepped range and the top of the uint64 trials pin both ends.
     """
     dim, shifts, kraus_per_shift = 3, (-1, 0, 1), 2
     weights, sampled_layout, coeffs = sample_trials(dim, shifts, kraus_per_shift, seed, trials)
@@ -731,6 +734,9 @@ def test_negative_seed_or_trial_is_typed():
         with pytest.raises(BadParameter, match=f"^trial must be at most {2**64 - 1}, got {2**64}$"):
             sample_trials(3, (-1, 0, 1), 1, 0, trials)
     sample_trial(3, (-1, 0, 1), 1, 0, 2**64)
+    # A list of trials raised a bare AttributeError for its missing ``start``.
+    with pytest.raises(BadParameter, match="^trials must be a range, got list$"):
+        sample_trials(3, (-1, 0, 1), 1, 0, [0, 1])
     # Each raised a bare TypeError from the batch-size arithmetic before its check.
     for shifts, kraus_per_shift, message in (
         ([[1]], 1, r"shift must be an integer, got \[1\]"),
