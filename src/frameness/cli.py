@@ -61,7 +61,9 @@ class VerificationReport:
 
     ``runtime_ms`` is the wall time of the sampling, channel application
     and evaluation; on a batch reused from the previous call on the same
-    stream it covers the evaluation only.
+    stream it covers the evaluation only. Normal draws kept from an earlier
+    call on the same seed and trials are not drawn again, and the time
+    leaves their drawing out.
     """
 
     measure: MonotoneId
@@ -87,9 +89,10 @@ def sample_trials(
     """The trials of :func:`sample_trial` over a range, as arrays, bit for bit.
 
     :func:`seeded_normals` makes the draws of every trial's generators for
-    the whole range at once. Returns the ``(T, dim)`` weights, the channel
-    slot layout of :func:`_slot_layout` and the ``(T, S, dim)`` channel
-    coefficients.
+    the whole range at once, or serves them as a prefix of the draws it
+    kept for the same seed and range. Returns the ``(T, dim)`` weights, the
+    channel slot layout of :func:`_slot_layout` and the ``(T, S, dim)``
+    channel coefficients.
     """
     layout = _slot_layout(dim, shifts, kraus_per_shift)
     state_draws, channel_draws = seeded_normals(seed, trials, (2 * dim, coefficient_draws(layout)))

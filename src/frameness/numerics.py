@@ -4,7 +4,8 @@ Matrices are plain ``numpy`` arrays of complex128, capped at ``MAX_DIM``.
 The density check makes one ``numpy.linalg.eigh`` call per distinct matrix,
 kept across calls, and its eigenpairs feed the qubit closed forms and the
 convex roof. The trial streams hash their numpy seeds for a whole batch as
-array arithmetic, and numpy seeds each stream's PCG64 from the hashed words.
+array arithmetic, numpy seeds each stream's PCG64 from the hashed words, and
+the draws of the last seed and trial range are kept and served as prefixes.
 """
 
 from __future__ import annotations
@@ -222,22 +223,57 @@ class _Words(ISeedSequence):
         return self.words
 
 
+# The draws of the last (seed, trials) key: one read-only (T, width) array per
+# stream index k, whose first n columns are the stream's first n normals.
+# seeded_normals serves prefixes of it and publishes a new (key, draws) pair in
+# one assignment, so a concurrent caller never pairs a key with another's draws
+# (two publishing at once may drop one's growth, which costs only a redraw).
+# No Generator is kept (about 1.5 KB each): a wider request redraws its k.
+_tape: tuple[tuple[int, range] | None, tuple[np.ndarray, ...]] = (None, ())
+
+
 def seeded_normals(seed: int, trials: range, sizes: Sequence[int]) -> list[np.ndarray]:
     """Row ``i`` of array ``k`` is ``default_rng([seed, trials[i], k]).normal(size=sizes[k])``.
 
-    The rows equal those draws bit for bit: the SeedSequence hash runs once
-    for every (trial, k) stream as uint32 array arithmetic, grouped by entropy
-    length, and numpy seeds each stream's PCG64 from the hashed words. Raises
-    :class:`BadParameter` on a bad seed, a ``trials`` that is not a ``range``
-    or a trial outside 0..2**64-1.
+    The rows equal those draws bit for bit, as read-only views. The draws of
+    the last ``(seed, trials)`` are kept for each k, and a request no wider
+    than them is served as their prefix. A wider one redraws that k at twice
+    the kept width or more, so the kept draws stay at most twice the widest
+    request; a new ``(seed, trials)`` replaces them. A redraw hashes every
+    missing (trial, k) stream at once as uint32 array arithmetic, grouped by
+    entropy length, and numpy seeds each stream's PCG64 from the hashed
+    words. A size of 0 draws nothing. Raises :class:`BadParameter` on a bad
+    seed or size, a ``trials`` that is not a ``range`` or a trial outside
+    0..2**64-1.
     """
+    global _tape
     seed = integer(seed, BadParameter, "seed", 0)
     if not isinstance(trials, range):
         raise BadParameter(f"trials must be a range, got {type(trials).__name__}")
     if trials:
         integer(min(trials[0], trials[-1]), BadParameter, "trial", 0)
         integer(max(trials[0], trials[-1]), BadParameter, "trial", hi=2**64 - 1)
-    out = [np.empty((len(trials), n)) for n in sizes]
+    sizes = [integer(n, BadParameter, "size", 0) for n in sizes]
+    key = (seed, trials)
+    tape_key, draws = _tape
+    draws = list(draws) if tape_key == key else []
+    if len(draws) < len(sizes):
+        empty = np.empty((len(trials), 0))
+        empty.flags.writeable = False
+        draws += [empty] * (len(sizes) - len(draws))
+    grow = {k: max(n, 2 * draws[k].shape[1]) for k, n in enumerate(sizes) if n > draws[k].shape[1]}
+    if grow:
+        for k, fresh in zip(grow, _draw(seed, trials, grow)):
+            fresh.flags.writeable = False
+            draws[k] = fresh
+        _tape = key, tuple(draws)
+    return [draws[k][:, :n] for k, n in enumerate(sizes)]
+
+
+def _draw(seed: int, trials: range, widths: dict[int, int]) -> list[np.ndarray]:
+    """The first ``widths[k]`` normals of each ``[seed, t, k]`` stream, one ``(T, width)`` array per k."""
+    out = [np.empty((len(trials), n)) for n in widths.values()]
+    ks = np.array(list(widths), dtype=np.uint32)[:, None]
     t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
     seed_words = _words(seed)
     # Trials below 2**32 are one entropy word, those above two.
@@ -246,13 +282,13 @@ def seeded_normals(seed: int, trials: range, sizes: Sequence[int]) -> list[np.nd
         if not pos.size:
             continue
         n_words = len(seed_words) + wide + 2
-        entropy = np.zeros((max(4, n_words), len(sizes), pos.size), dtype=np.uint32)
+        entropy = np.zeros((max(4, n_words), len(ks), pos.size), dtype=np.uint32)
         entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None, None]
         entropy[len(seed_words)] = t[pos] & _MASK32
         if wide:
             entropy[len(seed_words) + 1] = t[pos] >> 32
-        entropy[n_words - 1] = np.arange(len(sizes))[:, None]
+        entropy[n_words - 1] = ks
         for col, row in enumerate(_seed_words(entropy.reshape(len(entropy), -1))):
-            k, i = divmod(col, pos.size)
-            np.random.Generator(np.random.PCG64(_Words(row))).standard_normal(out=out[k][pos[i]])
+            j, i = divmod(col, pos.size)
+            np.random.Generator(np.random.PCG64(_Words(row))).standard_normal(out=out[j][pos[i]])
     return out

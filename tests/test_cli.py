@@ -535,6 +535,131 @@ def test_sampler_rows_match_default_rng_streams(seed, trials):
     assert np.array_equal(coeffs, sample_coefficients(layout, channel_draws))
 
 
+def fresh_normals(seed, trials, sizes):
+    """The draws ``seeded_normals`` promises, from generators built here."""
+    return [
+        np.array([np.random.default_rng([seed, t, k]).normal(size=n) for t in trials]).reshape(len(trials), n)
+        for k, n in enumerate(sizes)
+    ]
+
+
+# Ascending requests: k = 0 grows alone, then both, and the last adds a third k.
+TAPE_SIZES = [(0, 1), (1, 2), (3, 2), (3, 5), (8, 11), (8, 11, 6)]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+def test_tape_serves_default_rng_prefixes(monkeypatch, order):
+    """Every request equals fresh draws, whether the kept draws grow, serve a prefix or are replaced.
+
+    Ascending requests go key by key and grow the kept draws, descending
+    ones are served as their prefixes. Interleaved requests cycle the two
+    seeds and two ranges on every size, so each call replaces the record.
+    """
+    monkeypatch.setattr(numerics, "_tape", (None, ()))
+    keys = [(seed, trials) for seed in (3, 2**32 + 1) for trials in (range(2**32 - 2, 2**32 + 2), range(7, 0, -2))]
+    if order == "interleaved":
+        mixed = [TAPE_SIZES[i] for i in (3, 0, 5, 1, 4, 2)]
+        calls = [(key, sizes) for sizes in mixed for key in keys]
+    else:
+        requests = TAPE_SIZES if order == "ascending" else TAPE_SIZES[::-1]
+        calls = [(key, sizes) for key in keys for sizes in requests]
+    for (seed, trials), sizes in calls:
+        got = seeded_normals(seed, trials, sizes)
+        assert [g.shape for g in got] == [(len(trials), n) for n in sizes]
+        for g, expected in zip(got, fresh_normals(seed, trials, sizes)):
+            assert np.array_equal(g, expected), (seed, trials, sizes)
+
+
+def test_tape_views_are_read_only(monkeypatch):
+    monkeypatch.setattr(numerics, "_tape", (None, ()))
+    drawn = seeded_normals(5, range(3), (4, 0, 2))
+    served = seeded_normals(5, range(3), (1, 0, 2))
+    for array in drawn + served:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert np.array_equal(served[0], drawn[0][:, :1])
+
+
+@pytest.fixture
+def seeded_streams(monkeypatch):
+    """The streams seeded from here on, one entry per PCG64 built, starting from no kept draws."""
+    built = []
+
+    class Counting(numerics._Words):
+        def __init__(self, words):
+            built.append(1)
+            super().__init__(words)
+
+    monkeypatch.setattr(numerics, "_Words", Counting)
+    monkeypatch.setattr(numerics, "_tape", (None, ()), raising=False)
+    cli._trial_batch.cache_clear()
+    return built
+
+
+def test_sweep_draws_each_stream_set_at_most_three_times(seeded_streams):
+    """A criterion-4 sweep at 1000 trials seeds 6 sets of 1000 streams, not one set per group and k.
+
+    Each group needs its own widths for k = 0 and k = 1; a request wider
+    than the kept draws redraws at twice their width, so both k are drawn
+    at dims 2, 3 and 6 only.
+    """
+    for dim in (2, 3, 4, 6):
+        for shifts in ((-1, 0, 1), (0, 2)):
+            for kind, k in [("vidal", k) for k in range(2, dim + 1)] + [("entropy", None)]:
+                run_verification(MonotoneId(kind, k), dim, 1000, 0, shifts)
+    assert len(seeded_streams) <= 6000
+
+
+def test_size_zero_seeds_no_stream(seeded_streams):
+    state, channel = seeded_normals(2, range(10), (0, 3))
+    assert state.shape == (10, 0) and channel.shape == (10, 3)
+    assert len(seeded_streams) == 10
+
+
+def test_sample_trial_reads_no_tape(monkeypatch):
+    dim, shifts, seed, trial = 3, (-1, 0, 1), 4, 5
+    sizes = (2 * dim, coefficient_draws(_slot_layout(dim, shifts, 1)))
+    poison = tuple(np.full((1, n), np.nan) for n in sizes)
+    monkeypatch.setattr(numerics, "_tape", ((seed, range(trial, trial + 1)), poison))
+    assert np.isnan(seeded_normals(seed, range(trial, trial + 1), sizes)[0]).all()
+    state, channel = sample_trial(dim, shifts, 1, seed, trial)
+    assert numerics._tape[1] is poison
+    assert np.array_equal(state.weights, random_weights(dim, fresh_normals(seed, [trial], sizes)[0])[0])
+    expected = random_channel(dim, shifts, 1, (seed, trial, 1))
+    assert [k.coeffs for k in channel.all_kraus()] == [k.coeffs for k in expected.all_kraus()]
+
+
+def test_tape_shared_by_two_threads_serves_fresh_draws(monkeypatch):
+    """Two threads alternating seeds each read one key's draws, whoever published last."""
+    monkeypatch.setattr(numerics, "_tape", (None, ()))
+    trials, widths = range(3), [(2, 3), (6, 1), (4, 8), (1, 1)]
+    expected = {seed: fresh_normals(seed, trials, (6, 8)) for seed in (1, 2)}
+    failures, done = [], []
+
+    def worker(first):
+        for i in range(300):
+            seed = 1 + (first + i) % 2
+            sizes = widths[i % len(widths)]
+            got = seeded_normals(seed, trials, sizes)
+            if not all(np.array_equal(g, e[:, :n]) for g, e, n in zip(got, expected[seed], sizes)):
+                failures.append((seed, sizes))
+        done.append(first)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(first,)) for first in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == [0, 1]
+    assert failures == []
+
+
 def test_run_verification_matches_golden_margins():
     """Margins equal, bit for bit, those captured from an earlier implementation.
 
