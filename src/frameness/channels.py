@@ -251,15 +251,16 @@ def random_channel(
 
 def apply_slots_pure(
     slot_shifts: Sequence[int], moduli: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Outcome probabilities and post-states of singleton-outcome channels on pure states.
 
     ``moduli[..., j, n]`` is ``abs(c) ** 2`` of slot ``j``'s coefficient at
     source sector ``n``; slot ``j`` shifts by ``slot_shifts[j]``. Leading
     axes are batch axes shared with ``weights[..., n]``. Returns the
-    probabilities ``(..., S)``, the post-state weights ``(..., S, d)`` and
-    the mask ``(..., S)`` of kept outcomes: those with probability above
-    ``ZERO_TOL``. Dropped outcomes have all-zero post-states.
+    probabilities ``(..., S)`` and the post-state weights ``(..., S, d)``.
+    An outcome with probability at or below ``ZERO_TOL`` is dropped: its
+    probability and its post-state are all zeros, so the kept outcomes are
+    those with ``probs > 0``.
 
     Raises as :func:`apply_channel_pure` does: on an overcomplete or
     non-trace-preserving channel, a post-state that is not normalized, or
@@ -278,10 +279,11 @@ def apply_slots_pure(
             posts[..., j, : d + ell] = contrib[..., j, -ell:]
     kept = ~(probs <= ZERO_TOL)
     np.divide(posts, probs[..., None], out=posts, where=kept[..., None])
+    probs[~kept] = 0.0
     posts[~kept] = 0.0
     posts[kept] = checked_weights(posts[kept])
-    _check_probabilities(np.where(kept, probs, 0.0))
-    return probs, posts, kept
+    _check_probabilities(probs)
+    return probs, posts
 
 
 def apply_channel_pure(channel: U1Channel, state: StandardState) -> Ensemble:
@@ -296,12 +298,8 @@ def apply_channel_pure(channel: U1Channel, state: StandardState) -> Ensemble:
                 f"outcome group with {len(group)} Kraus operators; "
                 "pure-state application needs singletons"
             )
-    probs, posts, kept = apply_slots_pure(
-        [k.shift for k in kraus], moduli, state.weights
-    )
-    return Ensemble(
-        tuple((p, StandardState(w)) for p, w, keep in zip(probs, posts, kept) if keep)
-    )
+    probs, posts = apply_slots_pure([k.shift for k in kraus], moduli, state.weights)
+    return Ensemble(tuple((p, StandardState(w)) for p, w in zip(probs, posts) if p > 0))
 
 
 def apply_channel_density(channel: U1Channel, rho: np.ndarray) -> Ensemble:

@@ -118,25 +118,27 @@ def sample_trial(
     return state, random_channel(dim, shifts, kraus_per_shift, (seed, trial, 1))
 
 
-@functools.lru_cache(maxsize=1, typed=True)
+@functools.lru_cache(maxsize=1)
 def _trial_batch(
     dim: int,
     shifts: tuple[int, ...],
     kraus_per_shift: int,
     seed: int,
     batch: range,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A batch of sampled trials passed through their channels, read-only.
 
-    Returns the weights and the :func:`apply_slots_pure` outputs. None of it
-    depends on the measure, so the last batch is kept for the next call on
-    the same stream.
+    Returns the ``(T, dim)`` weights, and the ``(T, S)`` probabilities and
+    ``(T, S, dim)`` post-states of :func:`apply_slots_pure`, where a dropped
+    outcome has probability 0 and an all-zero post-state. None of it depends
+    on the measure, so the last batch is kept for the next call on the same
+    stream. The arguments are Python ints, a tuple of them and a ``range``.
     """
     weights, layout, coeffs = sample_trials(dim, shifts, kraus_per_shift, seed, batch)
-    probs, posts, kept = apply_slots_pure(layout[0], squared_moduli(coeffs), weights)
-    for array in (weights, probs, posts, kept):
+    probs, posts = apply_slots_pure(layout[0], squared_moduli(coeffs), weights)
+    for array in (weights, probs, posts):
         array.flags.writeable = False
-    return weights, probs, posts, kept
+    return weights, probs, posts
 
 
 def run_verification(
@@ -170,13 +172,11 @@ def run_verification(
     margins, counts = [], []
     for lo in range(0, trials, batch_size):
         batch = range(lo, min(lo + batch_size, trials))
-        weights, probs, posts, kept = _trial_batch(
-            dim, shifts, kraus_per_shift, seed, batch
-        )
-        terms = np.where(kept, probs * evaluator(posts), 0.0)
-        # Outcomes add up in slot order, as a sum over the outcome ensemble would.
-        margins.append(evaluator(weights) - in_order_sum(terms, 1))
-        counts.append(kept.sum(axis=1))
+        weights, probs, posts = _trial_batch(dim, shifts, kraus_per_shift, seed, batch)
+        # Outcomes add up in slot order, as a sum over the outcome ensemble would. A
+        # dropped outcome's all-zero post-state has value 0.0, so its term is +0.0.
+        margins.append(evaluator(weights) - in_order_sum(probs * evaluator(posts), 1))
+        counts.append(np.count_nonzero(probs, axis=1))
     margins = np.concatenate(margins)
     runtime_ms = (time.perf_counter() - start) * 1e3
 

@@ -73,11 +73,12 @@ def _concurrence_ratio(weights: np.ndarray, k: int) -> tuple[np.ndarray, float]:
 
 def _variance_and_mean(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # vecdot runs the same dot per row as the 1-D product; a matrix
-    # product would round differently from d = 4 on.
+    # product would round differently from d = 4 on. m2 - m1^2 cancels near
+    # a charge eigenstate and can fall below 0 there, so it is clamped.
     labels = np.arange(weights.shape[-1])
     m1 = np.vecdot(weights, labels)
     m2 = np.vecdot(weights, labels**2)
-    return 4.0 * (m2 - m1 * m1), m1
+    return np.maximum(4.0 * (m2 - m1 * m1), 0.0), m1
 
 
 # Each pure monotone f of weights w extends to unnormalized weights a as
@@ -101,15 +102,11 @@ def _entropy_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.0 - in_order_sum(w * logs, -1), -logs
 
 
-def _variance_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    value, mean = _variance_and_mean(w)
-    return value, 4.0 * np.square(np.arange(w.shape[-1]) - mean[..., None])
-
-
 class WeightMonotone:
     """``measure`` on weight vectors of length ``dim``, read once: first ``dim`` (1..``MAX_DIM``,
     else :class:`BadParameter`), then the order k (at most ``dim``, else :class:`BadMonotone`).
-    Each view is built on first use and maps ``(..., dim)`` weights along the last axis."""
+    ``values`` and ``value_and_slope`` map ``(..., dim)`` weights along the last axis; the
+    concurrence slope's complement table ``others`` is built on its first use."""
 
     def __init__(self, measure: MonotoneId, dim: int) -> None:
         self.measure = measure
@@ -117,41 +114,35 @@ class WeightMonotone:
         if measure.k is not None:
             integer(measure.k, BadMonotone, "order k", 2, self.dim)
 
-    @functools.cached_property
-    def values(self) -> Callable[[np.ndarray], np.ndarray]:
+    def values(self, w: np.ndarray) -> np.ndarray:
         """The ``(...)`` values; a single vector gives a scalar."""
         kind, k = self.measure.kind, self.measure.k
         if kind == "vidal":
-            return lambda w: _tail_sum(w, k)
+            return _tail_sum(w, k)
         if kind == "entropy":
-            return lambda w: _entropy_and_slope(np.asarray(w, dtype=np.float64))[0]
+            return _entropy_and_slope(np.asarray(w, dtype=np.float64))[0]
         if kind == "concurrence":
-            return lambda w: np.float_power(_concurrence_ratio(w, k)[0], 1.0 / k)
-        return lambda w: _variance_and_mean(w)[0]
+            return np.float_power(_concurrence_ratio(w, k)[0], 1.0 / k)
+        return _variance_and_mean(w)[0]
 
-    @functools.cached_property
-    def value_and_slope(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    def value_and_slope(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``values``, bit for bit, and dh/da: -log2 w for the entropy (0 on empty sectors),
         4 (n - mu)^2 for the variance, mu the mean charge, and a subgradient
         where vidal's tail sum or the capped concurrence is not smooth."""
         kind, k = self.measure.kind, self.measure.k
         if kind == "vidal":
-            return lambda w: (_tail_sum(w, k), _vidal_slope(w, k))
+            return _tail_sum(w, k), _vidal_slope(w, k)
         if kind == "entropy":
-            return _entropy_and_slope
-        if kind == "concurrence":
-            complements = self.others.T
-
-            def concurrence(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                # h^(1-k) e_{k-1}(w without w_l) / (k den) below the cap and 1 at
-                # it, the flat state; 0 where h = 0, a subgradient.
-                capped, den = _concurrence_ratio(w, k)
-                scale = (k * den * np.float_power(capped, (k - 1) / k))[..., None]
-                slope = np.divide(_elementary_symmetric(w, k - 1, complements), scale, out=np.zeros(w.shape), where=scale > 0.0)
-                return np.float_power(capped, 1.0 / k), np.where(capped[..., None] >= 1.0, 1.0, slope)
-
-            return concurrence
-        return _variance_and_slope
+            return _entropy_and_slope(w)
+        if kind == "variance":
+            value, mean = _variance_and_mean(w)
+            return value, 4.0 * np.square(np.arange(w.shape[-1]) - mean[..., None])
+        # The concurrence: h^(1-k) e_{k-1}(w without w_l) / (k den) below the cap
+        # and 1 at it, the flat state; 0 where h = 0, a subgradient.
+        capped, den = _concurrence_ratio(w, k)
+        scale = (k * den * np.float_power(capped, (k - 1) / k))[..., None]
+        slope = np.divide(_elementary_symmetric(w, k - 1, self.others.T), scale, out=np.zeros(w.shape), where=scale > 0.0)
+        return np.float_power(capped, 1.0 / k), np.where(capped[..., None] >= 1.0, 1.0, slope)
 
     @functools.cached_property
     def others(self) -> np.ndarray:

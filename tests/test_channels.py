@@ -155,11 +155,18 @@ def test_apply_channel_pure_shifts_weights():
 
 
 def test_apply_slots_pure_zero_outcome():
-    probs, posts, kept = apply_slots_pure([0, 0, 0], np.eye(3), np.array([1.0, 0.0, 0.0]))
+    probs, posts = apply_slots_pure([0, 0, 0], np.eye(3), np.array([1.0, 0.0, 0.0]))
     assert probs.tolist() == [1.0, 0.0, 0.0]
-    assert kept.tolist() == [True, False, False]
     assert not posts[1:].any()
     assert len(apply_channel_pure(measurement_channel(3), StandardState([1.0, 0.0, 0.0])).members) == 1
+
+
+def test_apply_slots_pure_drops_outcomes_at_zero_tolerance():
+    # An outcome of probability at or below ZERO_TOL is dropped: probability 0 and an all-zero post-state.
+    probs, posts = apply_slots_pure([0, 0, 0], np.eye(3), np.array([1.0 - 2e-12, 1e-12, 1e-12]))
+    assert probs.tolist() == [1.0 - 2e-12, 0.0, 0.0]
+    assert posts.tolist() == [[1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3]
+    assert len(apply_channel_pure(measurement_channel(3), StandardState([1.0 - 2e-12, 1e-12, 1e-12])).members) == 1
 
 
 def test_apply_channel_pure_measurement_on_plus():
@@ -209,10 +216,10 @@ def test_outcome_spectrum_shifts_inside_window():
         layout = _slot_layout(d, (-1, 1), 1)
         draws = np.random.default_rng(100 + trial).normal(size=(1, coefficient_draws(layout)))
         coeffs = sample_coefficients(layout, draws)
-        _, posts, kept = apply_slots_pure(layout[0], squared_moduli(coeffs[0]), st.weights)
-        assert kept.any()
-        for ell, post, keep in zip(layout[0], posts, kept):
-            if keep:
+        probs, posts = apply_slots_pure(layout[0], squared_moduli(coeffs[0]), st.weights)
+        assert probs.any()
+        for ell, post, p in zip(layout[0], posts, probs):
+            if p > 0:
                 shifted = {n + ell for n in support if 0 <= n + ell < d}
                 assert set(spectrum(StandardState(post))) <= shifted
 

@@ -240,6 +240,22 @@ def test_main_lets_package_bugs_propagate(monkeypatch):
         main(["verify", "--measure", "entropy", "--dim", "3", "--shifts=-1,0,1"])
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["appendix", "--p", "0.25", "--alpha", "0"], 0),
+        (["verify", "--measure", "entropy", "--dim", "0", "--shifts=-1,0,1"], 2),
+    ],
+    ids=["appendix", "verify-dim-0"],
+)
+def test_entry_exits_with_the_code_of_main(monkeypatch, argv, code):
+    # The console script: entry() reads sys.argv and exits with main's return value.
+    monkeypatch.setattr(sys, "argv", ["frameness", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert exit_info.value.code == code
+
+
 def test_roof_deterministic_bytes(capsys, tmp_path):
     rho = write_density(tmp_path, [[0.6, 0.2], [0.2, 0.4]])
     argv = [
@@ -795,9 +811,9 @@ def test_reused_batch_rows_match_cold_calls():
 def test_cached_batch_is_read_only():
     cli._trial_batch.cache_clear()
     run_verification(MonotoneId("entropy"), 3, 5, 2, (-1, 0, 1))
-    weights, probs, posts, kept = cli._trial_batch(3, (-1, 0, 1), 1, 2, range(5))
+    weights, probs, posts = cli._trial_batch(3, (-1, 0, 1), 1, 2, range(5))
     assert cli._trial_batch.cache_info().hits == 1
-    for array in (weights, probs, posts, kept):
+    for array in (weights, probs, posts):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
 

@@ -251,6 +251,24 @@ def test_evaluate_pure_dispatch():
                 assert math.copysign(1.0, value) == 1.0, (d, measure)
 
 
+def test_values_are_nonnegative_near_charge_eigenstates():
+    # Weight 1 - eps at sector n and eps at sector m != n: the variance's
+    # 4 (m2 - m1^2) cancelled there and went below 0 from d = 6 on, to
+    # -1.4e-14 at d = 6 and -3.6e-12 at d = 64.
+    measures = [MonotoneId("vidal", 2), MonotoneId("entropy"), MonotoneId("concurrence", 2), MonotoneId("variance")]
+    eps = np.array([1e-12, 1e-13, 1e-14, 1e-15, 1e-16])
+    for d in range(2, 65):
+        n, m = np.nonzero(~np.eye(d, dtype=bool))
+        rows = np.zeros((len(n), len(eps), d))
+        rows[np.arange(len(n)), :, n] = 1.0 - eps
+        rows[np.arange(len(n)), :, m] = eps
+        for measure in measures:
+            assert not np.signbit(WeightMonotone(measure, d).values(rows)).any(), (d, measure)
+            # One at a time, with the largest charge n = d - 1 against m = 0 and m = d // 2.
+            for w in rows[(n == d - 1) & ((m == 0) | (m == d // 2))].reshape(-1, d):
+                assert math.copysign(1.0, evaluate_pure(measure, StandardState(w))) == 1.0, (d, measure, w)
+
+
 def test_roof_values_equal_weight_evaluator_bit_for_bit():
     # The values the roof objective takes with its slope, against the
     # evaluator that verify, evaluate_pure and the final roof value use:
