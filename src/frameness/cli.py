@@ -52,6 +52,8 @@ VIOLATION_TOL = 1e-9
 # trials to amortize the numpy call overhead, while each batch's working
 # arrays stay within about 10 MB whatever --dim and --kraus-per-shift.
 VERIFY_ELEMENTS = 2**16
+# Most trials of one verify run: at this bound its rows, with their CSV text, peak near 300 MB.
+MAX_TRIALS = 2**20
 _ROOF_BUDGET = ("ensemble_size", "restarts", "max_iters", "seed")
 
 
@@ -153,21 +155,22 @@ def run_verification(
 
     The margin of a trial is the input value minus the probability-weighted
     average over channel outcomes; a violation is a margin below
-    ``-VIOLATION_TOL``. Trials are sampled, transformed and evaluated in
-    batches of about ``VERIFY_ELEMENTS`` channel coefficients (at least one
-    trial). Consecutive calls on the same ``(dim, shifts, kraus_per_shift,
-    seed)`` stream reuse the last sampled and transformed batch. Returns the
-    report plus per-trial rows ``(trial, margin, p_count)``.
+    ``-VIOLATION_TOL``. ``trials`` is checked first, in 1..``MAX_TRIALS``.
+    Trials are sampled, transformed and evaluated in batches of about
+    ``VERIFY_ELEMENTS`` channel coefficients (at least one trial).
+    Consecutive calls on the same ``(dim, shift set, kraus_per_shift,
+    seed)`` stream reuse the last sampled and transformed batch. Returns
+    the report plus per-trial rows ``(trial, margin, p_count)``.
     """
-    trials = integer(trials, BadParameter, "trials", 1)
+    trials = integer(trials, BadParameter, "trials", 1, MAX_TRIALS)
     dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
     evaluator = weight_evaluator(measure, dim)
-    # Read once, as _slot_layout and seeded_normals read them, before any arithmetic on them.
-    shifts = tuple(integer(s, InvalidChannel, "shift") for s in shifts)
+    # Read once, as the sorted set _slot_layout lays out, so one shift set keys one batch.
+    shifts = tuple(sorted({integer(s, InvalidChannel, "shift") for s in shifts}))
     kraus_per_shift = integer(kraus_per_shift, InvalidChannel, "kraus_per_shift", 1, MAX_DIM)
     seed = integer(seed, BadParameter, "seed", 0)
     start = time.perf_counter()
-    slot_count = len(set(shifts)) * kraus_per_shift
+    slot_count = len(shifts) * kraus_per_shift
     batch_size = max(1, VERIFY_ELEMENTS // max(1, slot_count * dim))
     margins, counts = [], []
     for lo in range(0, trials, batch_size):

@@ -240,11 +240,11 @@ def seeded_normals(seed: int, trials: range, sizes: Sequence[int]) -> list[np.nd
     than them is served as their prefix. A wider one redraws that k at twice
     the kept width or more, so the kept draws stay at most twice the widest
     request; a new ``(seed, trials)`` replaces them. A redraw hashes every
-    missing (trial, k) stream at once as uint32 array arithmetic, grouped by
-    entropy length, and numpy seeds each stream's PCG64 from the hashed
-    words. A size of 0 draws nothing. Raises :class:`BadParameter` on a bad
-    seed or size, a ``trials`` that is not a ``range`` or a trial outside
-    0..2**64-1.
+    missing (trial, k) stream at once as uint32 array arithmetic, and numpy
+    seeds each stream's PCG64 from the hashed words. A size of 0 draws
+    nothing. Raises :class:`BadParameter` on a bad seed or size, a
+    ``trials`` that is not a ``range`` or a trial outside 0..2**32-1 (one
+    SeedSequence entropy word; a seed may be any size).
     """
     global _tape
     seed = integer(seed, BadParameter, "seed", 0)
@@ -252,7 +252,7 @@ def seeded_normals(seed: int, trials: range, sizes: Sequence[int]) -> list[np.nd
         raise BadParameter(f"trials must be a range, got {type(trials).__name__}")
     if trials:
         integer(min(trials[0], trials[-1]), BadParameter, "trial", 0)
-        integer(max(trials[0], trials[-1]), BadParameter, "trial", hi=2**64 - 1)
+        integer(max(trials[0], trials[-1]), BadParameter, "trial", hi=_MASK32)
     sizes = [integer(n, BadParameter, "size", 0) for n in sizes]
     key = (seed, trials)
     tape_key, draws = _tape
@@ -271,24 +271,18 @@ def seeded_normals(seed: int, trials: range, sizes: Sequence[int]) -> list[np.nd
 
 
 def _draw(seed: int, trials: range, widths: dict[int, int]) -> list[np.ndarray]:
-    """The first ``widths[k]`` normals of each ``[seed, t, k]`` stream, one ``(T, width)`` array per k."""
+    """The first ``widths[k]`` normals of each ``[seed, t, k]`` stream, one ``(T, width)`` array per k.
+
+    Each stream's entropy is the seed's words, the one word of ``t``, then ``k``.
+    """
     out = [np.empty((len(trials), n)) for n in widths.values()]
-    ks = np.array(list(widths), dtype=np.uint32)[:, None]
-    t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
     seed_words = _words(seed)
-    # Trials below 2**32 are one entropy word, those above two.
-    for wide in (False, True):
-        pos = np.flatnonzero((t > _MASK32) == wide)
-        if not pos.size:
-            continue
-        n_words = len(seed_words) + wide + 2
-        entropy = np.zeros((max(4, n_words), len(ks), pos.size), dtype=np.uint32)
-        entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None, None]
-        entropy[len(seed_words)] = t[pos] & _MASK32
-        if wide:
-            entropy[len(seed_words) + 1] = t[pos] >> 32
-        entropy[n_words - 1] = ks
-        for col, row in enumerate(_seed_words(entropy.reshape(len(entropy), -1))):
-            j, i = divmod(col, pos.size)
-            np.random.Generator(np.random.PCG64(_Words(row))).standard_normal(out=out[j][pos[i]])
+    s = len(seed_words)
+    entropy = np.zeros((max(4, s + 2), len(widths), len(trials)), dtype=np.uint32)
+    entropy[:s] = np.array(seed_words, dtype=np.uint32)[:, None, None]
+    entropy[s] = np.arange(trials.start, trials.stop, trials.step)
+    entropy[s + 1] = np.array(list(widths), dtype=np.uint32)[:, None]
+    for col, row in enumerate(_seed_words(entropy.reshape(len(entropy), -1))):
+        j, i = divmod(col, len(trials))
+        np.random.Generator(np.random.PCG64(_Words(row))).standard_normal(out=out[j][i])
     return out

@@ -42,6 +42,7 @@ from frameness.channels import (
     validate_channel,
 )
 from frameness.cli import (
+    MAX_TRIALS,
     VerificationReport,
     main,
     run_verification,
@@ -527,14 +528,14 @@ def test_batched_sampler_rows_match_sample_trial(dim, shifts, kraus_per_shift):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
 @pytest.mark.parametrize(
-    "trials", [range(3), range(2**32 - 2, 2**32 + 2), range(7, 0, -2), range(2**64 - 3, 2**64)]
+    "trials", [range(3), range(2**32 - 3, 2**32), range(7, 0, -2), range(2**32 - 1, 2**32 - 8, -3)]
 )
 def test_sampler_rows_match_default_rng_streams(seed, trials):
     """Rows equal the draws of generators seeded by ``[seed, t, k]``, built here.
 
-    Seeds and trials from 2**32 on are two or more SeedSequence entropy
-    words, so the trial range across 2**32 mixes two entropy lengths; the
-    reversed, stepped range and the top of the uint64 trials pin both ends.
+    Seeds from 2**32 on are two or more SeedSequence entropy words; a trial
+    is always one, and the ranges at the top of that word, ascending and
+    reversed with a step, pin its upper end.
     """
     dim, shifts, kraus_per_shift = 3, (-1, 0, 1), 2
     weights, sampled_layout, coeffs = sample_trials(dim, shifts, kraus_per_shift, seed, trials)
@@ -572,7 +573,7 @@ def test_tape_serves_default_rng_prefixes(monkeypatch, order):
     seeds and two ranges on every size, so each call replaces the record.
     """
     monkeypatch.setattr(numerics, "_tape", (None, ()))
-    keys = [(seed, trials) for seed in (3, 2**32 + 1) for trials in (range(2**32 - 2, 2**32 + 2), range(7, 0, -2))]
+    keys = [(seed, trials) for seed in (3, 2**32 + 1) for trials in (range(2**32 - 4, 2**32), range(7, 0, -2))]
     if order == "interleaved":
         mixed = [TAPE_SIZES[i] for i in (3, 0, 5, 1, 4, 2)]
         calls = [(key, sizes) for sizes in mixed for key in keys]
@@ -827,6 +828,11 @@ def test_shift_list_and_tuple_share_rows():
     # An iterator is read once: its second read was empty ("at least one shift is required").
     _, from_iterator = run_verification(MonotoneId("variance"), 3, 7, 5, iter([-1, 0, 2]))
     assert from_list == from_tuple == from_iterator
+    # A permuted and a repeated list are the same shift set, and share the one batch.
+    cli._trial_batch.cache_clear()
+    for shifts in ([-1, 0, 2], [2, -1, 0], [0, 2, -1, -1]):
+        assert run_verification(MonotoneId("variance"), 3, 7, 5, shifts)[1] == from_list
+    assert cli._trial_batch.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -843,6 +849,38 @@ def test_verify_rejects_nonpositive_trials(capsys, trials):
     assert f"trials must be at least 1, got {trials}" in captured.err
     with pytest.raises(BadParameter, match=f"trials must be at least 1, got {trials}"):
         run_verification(MonotoneId("vidal", 2), 3, int(trials), 0, (-1, 0, 1))
+
+
+BOUND_ARGV = ["verify", "--measure", "entropy", "--dim", "3", "--shifts=-1,0,1"]
+
+
+def test_verify_bounds_trials_before_any_draw(capsys, seeded_streams):
+    message = "trials must be at most 1048576, got 1048577"
+    with pytest.raises(BadParameter, match=f"^{message}$"):
+        run_verification(MonotoneId("entropy"), 3, MAX_TRIALS + 1, 0, (-1, 0, 1))
+    assert main(BOUND_ARGV + ["--trials", "1048577"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not seeded_streams
+
+
+def test_verify_accepts_max_trials(monkeypatch):
+    """``--trials 1048576`` passes the bound and reaches the sampler, stopped there."""
+
+    class Sampled(Exception):
+        pass
+
+    def stop(*args):
+        raise Sampled(args)
+
+    monkeypatch.setattr(cli, "sample_trials", stop)
+    cli._trial_batch.cache_clear()
+    assert MAX_TRIALS == 2**20
+    with pytest.raises(Sampled):
+        main(BOUND_ARGV + ["--trials", "1048576"])
+    with pytest.raises(Sampled):
+        run_verification(MonotoneId("entropy"), 3, MAX_TRIALS, 0, (-1, 0, 1))
 
 
 @pytest.mark.parametrize(
@@ -868,12 +906,15 @@ def test_negative_seed_or_trial_is_typed():
         run_verification(MonotoneId("entropy"), 3, 4, True, (-1, 0, 1))
     with pytest.raises(BadParameter, match="^trial must be at least 0, got -1$"):
         sample_trial(3, (-1, 0, 1), 1, 0, -1)
-    # The batch sampler's uint64 trials end at 2**64 - 1; above, it raised a bare OverflowError.
-    weights, _, _ = sample_trials(3, (-1, 0, 1), 1, 0, range(2**64 - 1, 2**64))
-    assert np.array_equal(weights[0], sample_trial(3, (-1, 0, 1), 1, 0, 2**64 - 1)[0].weights)
-    for trials in (range(2**64, 2**64 + 1), range(2**64, 2**64 - 3, -1)):
-        with pytest.raises(BadParameter, match=f"^trial must be at most {2**64 - 1}, got {2**64}$"):
+    # The batch sampler's trials are one SeedSequence entropy word, ending at 2**32 - 1.
+    weights, _, _ = sample_trials(3, (-1, 0, 1), 1, 0, range(2**32 - 1, 2**32))
+    assert np.array_equal(weights[0], sample_trial(3, (-1, 0, 1), 1, 0, 2**32 - 1)[0].weights)
+    for trials in (range(2**32, 2**32 + 1), range(2**32, 2**32 - 3, -1)):
+        with pytest.raises(BadParameter, match=f"^trial must be at most {2**32 - 1}, got {2**32}$"):
             sample_trials(3, (-1, 0, 1), 1, 0, trials)
+    with pytest.raises(BadParameter, match=f"^trial must be at most {2**32 - 1}, got {2**64 - 1}$"):
+        sample_trials(3, (-1, 0, 1), 1, 0, range(2**64 - 3, 2**64))
+    # One trial at a time, any nonnegative index is drawn.
     sample_trial(3, (-1, 0, 1), 1, 0, 2**64)
     # A list of trials raised a bare AttributeError for its missing ``start``.
     with pytest.raises(BadParameter, match="^trials must be a range, got list$"):
