@@ -73,9 +73,15 @@ class U1Channel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dim", integer(self.dim, InvalidChannel, "dimension", 1, MAX_DIM))
-        groups = tuple(tuple(g) for g in self.outcomes)
+        try:
+            groups = tuple(tuple(g) for g in self.outcomes)
+        except TypeError:  # the outcomes, or a group, are not iterable
+            raise InvalidChannel(f"outcomes must be groups of U1Kraus operators, got {self.outcomes!r}") from None
         if not groups or any(len(g) == 0 for g in groups):
             raise InvalidChannel("channel needs at least one nonempty outcome group")
+        for k in (k for g in groups for k in g):
+            if not isinstance(k, U1Kraus):
+                raise InvalidChannel(f"outcome group member {k!r} is not a U1Kraus")
         object.__setattr__(self, "outcomes", groups)
 
     def all_kraus(self) -> Iterator[U1Kraus]:
@@ -168,13 +174,18 @@ def validate_channel(channel: U1Channel) -> ChannelReport:
 def _slot_layout(
     dim: int, shifts: Iterable[int], kraus_per_shift: int
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """The shift of each slot and the ``(S, dim)`` mask of slots live on each sector."""
+    """The shift of each slot and the ``(S, dim)`` mask of slots live on each sector.
+
+    A shift with ``|ell| >= dim`` moves every sector out of the window, so it
+    lays out no slot: there are at most ``(2 * dim - 1) * kraus_per_shift``
+    slots, and each is live on some sector.
+    """
     dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
     shift_list = sorted(set(integer(s, InvalidChannel, "shift") for s in shifts))
     if not shift_list:
         raise InvalidChannel("at least one shift is required")
     kraus_per_shift = integer(kraus_per_shift, InvalidChannel, "kraus_per_shift", 1, MAX_DIM)
-    slot_shifts = tuple(ell for ell in shift_list for _ in range(kraus_per_shift))
+    slot_shifts = tuple(ell for ell in shift_list if -dim < ell < dim for _ in range(kraus_per_shift))
     target = np.arange(dim) + np.asarray(slot_shifts)[:, None]
     live = (target >= 0) & (target < dim)
     covered = live.any(axis=0)
@@ -220,12 +231,11 @@ def sample_coefficients(layout: tuple[tuple[int, ...], np.ndarray], draws: np.nd
 
 
 def coefficient_channel(layout: tuple[tuple[int, ...], np.ndarray], coeffs: np.ndarray) -> U1Channel:
-    """Channel with one singleton outcome per slot of ``layout`` that maps any sector inside the window."""
+    """Channel with one singleton outcome per slot of ``layout``."""
     slot_shifts, live = layout
     outcomes = [
         [U1Kraus(shift=ell, coeffs={int(n): row[n] for n in np.flatnonzero(mask)})]
         for ell, row, mask in zip(slot_shifts, coeffs, live)
-        if mask.any()
     ]
     return U1Channel(outcomes, live.shape[1])
 
@@ -255,7 +265,8 @@ def apply_slots_pure(
     """Outcome probabilities and post-states of singleton-outcome channels on pure states.
 
     ``moduli[..., j, n]`` is ``abs(c) ** 2`` of slot ``j``'s coefficient at
-    source sector ``n``; slot ``j`` shifts by ``slot_shifts[j]``. Leading
+    source sector ``n``; slot ``j`` shifts by ``slot_shifts[j]``, with
+    ``-d < slot_shifts[j] < d``, as :func:`_slot_layout` lays slots out. Leading
     axes are batch axes shared with ``weights[..., n]``. Returns the
     probabilities ``(..., S)`` and the post-state weights ``(..., S, d)``.
     An outcome with probability at or below ``ZERO_TOL`` is dropped: its
@@ -274,8 +285,8 @@ def apply_slots_pure(
     posts = np.zeros_like(contrib)
     for j, ell in enumerate(slot_shifts):
         if ell >= 0:
-            posts[..., j, ell:] = contrib[..., j, : max(d - ell, 0)]
-        elif ell > -d:
+            posts[..., j, ell:] = contrib[..., j, : d - ell]
+        else:
             posts[..., j, : d + ell] = contrib[..., j, -ell:]
     kept = ~(probs <= ZERO_TOL)
     np.divide(posts, probs[..., None], out=posts, where=kept[..., None])
@@ -298,7 +309,10 @@ def apply_channel_pure(channel: U1Channel, state: StandardState) -> Ensemble:
                 f"outcome group with {len(group)} Kraus operators; "
                 "pure-state application needs singletons"
             )
-    probs, posts = apply_slots_pure([k.shift for k in kraus], moduli, state.weights)
+    # A shift with |shift| >= dim has an all-zero row (row raises on any other), so an
+    # outcome of probability 0: only the operators whose shift reaches the window are applied.
+    live = [j for j, k in enumerate(kraus) if -channel.dim < k.shift < channel.dim]
+    probs, posts = apply_slots_pure([kraus[j].shift for j in live], moduli[live], state.weights)
     return Ensemble(tuple((p, StandardState(w)) for p, w in zip(probs, posts) if p > 0))
 
 

@@ -170,8 +170,10 @@ def run_verification(
     kraus_per_shift = integer(kraus_per_shift, InvalidChannel, "kraus_per_shift", 1, MAX_DIM)
     seed = integer(seed, BadParameter, "seed", 0)
     start = time.perf_counter()
-    slot_count = len(shifts) * kraus_per_shift
-    batch_size = max(1, VERIFY_ELEMENTS // max(1, slot_count * dim))
+    # Only shifts with |s| < dim lay out slots (see _slot_layout). The memo stays keyed on the
+    # whole set, so a set with no such shift still reaches the layout's coverage error.
+    live_slots = sum(-dim < s < dim for s in shifts) * kraus_per_shift
+    batch_size = max(1, VERIFY_ELEMENTS // max(1, live_slots * dim))
     margins, counts = [], []
     for lo in range(0, trials, batch_size):
         batch = range(lo, min(lo + batch_size, trials))

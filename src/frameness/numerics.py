@@ -148,7 +148,13 @@ def _density_spectrum(n: int, data: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def validate_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Return ``rho`` as a checked density matrix or raise :class:`InvalidDensity`."""
+    """Return ``rho`` as a checked density matrix or raise :class:`InvalidDensity`.
+
+    A ``dim`` other than ``None`` must be an integer in 1..``MAX_DIM``, else
+    :class:`BadParameter` is raised.
+    """
+    if dim is not None:
+        dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
     return _checked_density(rho, dim)[0]
 
 

@@ -79,11 +79,43 @@ def _check_probabilities(probs: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class BipartitePureState:
-    """Charge-correlated two-party pure state with fixed total charge."""
+    """Charge-correlated two-party pure state with fixed total charge.
+
+    Each key of ``amplitudes`` is a pair of integers ``(n, r)``: a system
+    charge ``n`` in ``0..system_dim-1`` and a reference charge ``r >= 0``
+    with ``n + r == total``. Each amplitude is a finite number, and the norm
+    is 1 within ``SUM_TOL``; otherwise :class:`InvalidState` is raised.
+    """
 
     amplitudes: Mapping[tuple[int, int], complex]
     total: int
     system_dim: int
+
+    def __post_init__(self) -> None:
+        system_dim = integer(self.system_dim, InvalidState, "system dimension", 1, MAX_DIM)
+        total = integer(self.total, InvalidState, "total charge", 0, MAX_DIM - 1)
+        if not isinstance(self.amplitudes, Mapping):
+            raise InvalidState(f"amplitudes must map (n, r) pairs to numbers, got {self.amplitudes!r}")
+        keys = []
+        for key in self.amplitudes:
+            try:
+                n, r = key
+            except (TypeError, ValueError):
+                raise InvalidState(f"amplitude key {key!r} is not a pair (n, r)") from None
+            n = integer(n, InvalidState, "system charge", 0, system_dim - 1)
+            r = integer(r, InvalidState, "reference charge", 0)
+            if n + r != total:
+                raise InvalidState(f"amplitude key {key!r} has total charge {n + r}, not {total}")
+            keys.append((n, r))
+        amps = array(list(self.amplitudes.values()), InvalidState, "amplitude", real=False)
+        if amps.shape != (len(keys),) or not np.isfinite(amps).all():
+            raise InvalidState("each amplitude must be a finite number")
+        norm = float(np.sqrt(np.vdot(amps, amps).real))
+        if abs(norm - 1.0) > SUM_TOL:
+            raise InvalidState(f"state norm {norm!r} deviates from 1")
+        object.__setattr__(self, "amplitudes", dict(zip(keys, amps.tolist())))
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "system_dim", system_dim)
 
     def reduced_system(self) -> np.ndarray:
         return self._reduced(0, self.system_dim)
@@ -92,12 +124,10 @@ class BipartitePureState:
         return self._reduced(1, self.total + 1)
 
     def _reduced(self, keep: int, d: int) -> np.ndarray:
-        # The other party traced out: its labels must agree, the kept ones index rho.
+        # The total charge is sharp, so the traced-out label fixes the kept one: rho is diagonal.
         rho = np.zeros((d, d), dtype=np.complex128)
         for x, a in self.amplitudes.items():
-            for y, b in self.amplitudes.items():
-                if x[1 - keep] == y[1 - keep]:
-                    rho[x[keep], y[keep]] += a * np.conj(b)
+            rho[x[keep], x[keep]] = a * np.conj(a)
         return rho
 
 
@@ -134,11 +164,11 @@ def spectrum(state: StandardState) -> tuple[int, ...]:
 
 
 def is_gapless(support: Sequence[int]) -> bool:
-    """True when the ascending labels ``support`` are a contiguous run of integers."""
-    labels = [integer(n, InvalidState, "sector label") for n in support]
+    """True when the set of labels ``support``, in any order, is a contiguous run of integers."""
+    labels = {integer(n, InvalidState, "sector label") for n in support}
     if not labels:
         raise InvalidState("spectrum support is empty")
-    return labels[-1] - labels[0] + 1 == len(labels)
+    return max(labels) - min(labels) + 1 == len(labels)
 
 
 def twirl(rho: np.ndarray, sector_of: Sequence[int] | None = None) -> np.ndarray:

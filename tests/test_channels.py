@@ -126,6 +126,9 @@ def test_random_channel_bad_requests():
         random_channel(3, (), seed=0)
     with pytest.raises(InvalidChannel, match="sector 0 admits no shift"):
         random_channel(2, (5,), seed=0)
+    # Shifts with |shift| >= dim lay out no slot, and the message still names them all.
+    with pytest.raises(InvalidChannel, match=r"^sector 0 admits no shift from \[-7, 5\]; a trace-preserving channel needs one$"):
+        random_channel(3, (5, -7), seed=0)
     with pytest.raises(InvalidChannel, match="^kraus_per_shift must be at least 1, got 0$"):
         random_channel(3, (0,), kraus_per_shift=0, seed=0)
     with pytest.raises(InvalidChannel, match="^kraus_per_shift must be at most 64, got 65$"):
@@ -143,6 +146,60 @@ def test_random_channel_bad_requests():
     for dim, rule in ((2.5, "an integer, got 2.5"), (True, "an integer, got True"), (0, "at least 1, got 0")):
         with pytest.raises(BadParameter, match=f"^dimension must be {rule}$"):
             random_channel(dim, (0,))
+
+
+def test_slot_layout_lays_out_live_shifts_only():
+    # Every shift from -10**5 to 10**5 was a slot, all but 2d - 1 of them live on no sector.
+    for dim in (2, 3, 8):
+        for kraus_per_shift in (1, 2):
+            slot_shifts, live = _slot_layout(dim, range(-(10**5), 10**5 + 1), kraus_per_shift)
+            assert len(slot_shifts) == live.shape[0] == (2 * dim - 1) * kraus_per_shift
+            assert slot_shifts == tuple(ell for ell in range(1 - dim, dim) for _ in range(kraus_per_shift))
+            assert live.any(axis=1).all()
+            assert np.array_equal(live, _slot_layout(dim, range(1 - dim, dim), kraus_per_shift)[1])
+
+
+def test_dead_shifts_leave_the_random_channel_unchanged():
+    for dim, dead, alive, kraus_per_shift in [
+        (2, (0, 2), (0,), 1),
+        (3, (-5, -1, 0, 1, 7), (-1, 0, 1), 2),
+        (3, range(-20000, 20001), range(-2, 3), 1),
+    ]:
+        expected = channel_to_dict(random_channel(dim, alive, kraus_per_shift, seed=9))
+        assert channel_to_dict(random_channel(dim, dead, kraus_per_shift, seed=9)) == expected
+
+
+def test_apply_channel_pure_leaves_dead_operators_out():
+    # A shift with |shift| >= dim has an all-zero row: an outcome of probability 0.
+    st = StandardState([0.25, 0.75])
+    ch = random_channel(2, (-1, 0, 1), seed=4)
+    ens = apply_channel_pure(ch, st)
+    dead = apply_channel_pure(U1Channel(list(ch.outcomes) + [[U1Kraus(5, {})], [U1Kraus(-2, {0: 0.0})]], 2), st)
+    assert len(dead.members) == len(ens.members)
+    for (p, out), (q, post) in zip(ens.members, dead.members):
+        assert p == q and np.array_equal(out.weights, post.weights)
+    # The dead operator's row is still read, so a nonzero coefficient it sends outside raises.
+    with pytest.raises(InvalidChannel, match="^coefficient at sector 0 with shift 5 maps outside 0..1$"):
+        apply_channel_pure(U1Channel(list(ch.outcomes) + [[U1Kraus(5, {0: 1.0})]], 2), st)
+    grouped = U1Channel([[U1Kraus(0, {0: 1.0, 1: 1.0}), U1Kraus(5, {})]], 2)
+    with pytest.raises(InvalidChannel, match="^outcome group with 2 Kraus operators; pure-state application needs singletons$"):
+        apply_channel_pure(grouped, st)
+    with pytest.raises(InvalidChannel, match="^channel is not trace-preserving$"):
+        apply_channel_pure(U1Channel([[U1Kraus(5, {})]], 2), st)
+
+
+def test_channel_members_are_typed():
+    # A bare TypeError, and [[1]] failed later with a bare AttributeError.
+    cases = [
+        (5, "^outcomes must be groups of U1Kraus operators, got 5$"),
+        ([5], r"^outcomes must be groups of U1Kraus operators, got \[5\]$"),
+        ([U1Kraus(0, {0: 1.0})], r"^outcomes must be groups of U1Kraus operators, got \[U1Kraus\(shift=0, coeffs=\{0: \(1\+0j\)\}\)\]$"),
+        ([[1]], "^outcome group member 1 is not a U1Kraus$"),
+        ([[U1Kraus(0, {0: 1.0})], "ab"], "^outcome group member 'a' is not a U1Kraus$"),
+    ]
+    for outcomes, message in cases:
+        with pytest.raises(InvalidChannel, match=message):
+            U1Channel(outcomes, 1)
 
 
 def test_apply_channel_pure_shifts_weights():

@@ -835,6 +835,55 @@ def test_shift_list_and_tuple_share_rows():
     assert cli._trial_batch.cache_info().misses == 1
 
 
+def _measures(dim):
+    """Every measure valid at ``dim``."""
+    ks = range(2, dim + 1)
+    return [MonotoneId("vidal", k) for k in ks] + [MonotoneId("entropy"), MonotoneId("variance")] + [
+        MonotoneId("concurrence", k) for k in ks
+    ]
+
+
+@pytest.mark.parametrize(
+    "dim, dead, alive, kraus_per_shift",
+    [
+        (2, (0, 2), (0,), 1),
+        (3, (-5, -1, 0, 1, 7), (-1, 0, 1), 2),
+        (3, range(-20000, 20001), range(-2, 3), 1),
+    ],
+)
+def test_dead_shifts_leave_the_rows_unchanged(dim, dead, alive, kraus_per_shift):
+    # A shift with |shift| >= dim moves every sector out of the window, so it lays out no slot.
+    for measure in _measures(dim):
+        expected = run_verification(measure, dim, 50, 1, alive, kraus_per_shift)
+        report, rows = run_verification(measure, dim, 50, 1, dead, kraus_per_shift)
+        assert rows == expected[1], measure
+        assert {**report.to_dict(), "runtime_ms": None} == {**expected[0].to_dict(), "runtime_ms": None}
+
+
+def test_long_shift_list_samples_one_batch(monkeypatch):
+    # 40,001 shifts, 5 of them live at d = 3: one batch of 50 trials, not 50 batches of one.
+    batches = []
+
+    def recording(*args):
+        batches.append(len(args[-1]))
+        return sample_trials(*args)
+
+    monkeypatch.setattr("frameness.cli.sample_trials", recording)
+    cli._trial_batch.cache_clear()
+    run_verification(MonotoneId("entropy"), 3, 50, 1, range(-20000, 20001))
+    assert batches == [50]
+
+
+def test_all_dead_shifts_exit_2_with_the_coverage_message(capsys):
+    message = "sector 0 admits no shift from [-7, 5]; a trace-preserving channel needs one"
+    with pytest.raises(InvalidChannel, match=f"^{re.escape(message)}$"):
+        run_verification(MonotoneId("entropy"), 3, 5, 0, (5, -7))
+    assert main(["verify", "--measure", "entropy", "--dim", "3", "--shifts=5,-7", "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_rejects_nonpositive_trials(capsys, trials):
     code = main(

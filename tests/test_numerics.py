@@ -49,6 +49,16 @@ def test_validate_density():
         validate_density(np.diag([0.5, 0.5]), dim=3)
 
 
+def test_validate_density_reads_dim_as_an_integer():
+    # "3" raised "expected a 3x3 matrix, got shape (3, 3)"; 3.0 and True were accepted.
+    rho = np.eye(3) / 3
+    for dim, rule in (("3", "an integer, got '3'"), (3.0, "an integer, got 3.0"), (True, "an integer, got True"),
+                      (0, "at least 1, got 0"), (65, "at most 64, got 65")):
+        with pytest.raises(BadParameter, match=f"^dimension must be {rule}$"):
+            validate_density(rho, dim)
+    assert np.array_equal(validate_density(rho, np.int64(3)), rho)
+
+
 def test_validate_density_rejects_oversize():
     with pytest.raises(InvalidDensity, match="exceeds the cap of 64"):
         validate_density(np.eye(65) / 65)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from frameness import (
     BadParameter,
+    BipartitePureState,
     InvalidChannel,
     InvalidDensity,
     InvalidState,
@@ -128,6 +129,10 @@ def test_spectrum_and_gaps():
     assert point == (1,)
     assert is_gapless(point)
     assert is_gapless(np.array([2, 3, 4]))
+    # The labels are read as a set: True, False and False before.
+    assert not is_gapless([0, 0, 2])
+    assert is_gapless([2, 0, 1])
+    assert is_gapless([1, 1, 1])
     # True, True and a bare TypeError before.
     for support, message in [
         ([0.5, 1.5], "^sector label must be an integer, got 0.5$"),
@@ -184,6 +189,37 @@ def test_purify_amplitudes_and_total():
     assert bp.total == 2
     assert set(bp.amplitudes) == {(0, 2), (1, 1), (2, 0)}
     assert bp.amplitudes[(0, 2)] == pytest.approx(np.sqrt(0.6))
+
+
+def test_bipartite_state_is_checked():
+    # Before, (-1, 2) put its weight on sector 1 through index -1, (0, 5) raised a bare
+    # IndexError, a string amplitude a bare TypeError, and the states with no sharp
+    # total charge or with norm 26 were accepted.
+    cases = [
+        ({(-1, 2): 1.0}, 1, 2, "^system charge must be at least 0, got -1$"),
+        ({(0, 5): 1.0}, 1, 2, r"^amplitude key \(0, 5\) has total charge 5, not 1$"),
+        ({(0, 1): "1"}, 1, 2, "^amplitude must be a number, got '1'$"),
+        ({(0, 0): 1, (1, 1): 5}, 0, 2, r"^amplitude key \(1, 1\) has total charge 2, not 0$"),
+        ({(0, 1): 1, (1, 0): 5}, 1, 2, "^state norm 5.0990195135927845 deviates from 1$"),
+        ({(2, -1): 1.0}, 1, 3, "^reference charge must be at least 0, got -1$"),
+        ({(0, 1): math.nan}, 1, 2, "^each amplitude must be a finite number$"),
+        ({(0, 1): [1.0, 0.0]}, 1, 2, "^each amplitude must be a finite number$"),
+        ({(0, 1): 10**400}, 1, 2, "^amplitude out of float range$"),
+        ({0: 1.0}, 1, 2, r"^amplitude key 0 is not a pair \(n, r\)$"),
+        ({(0.0, 1): 1.0}, 1, 2, "^system charge must be an integer, got 0.0$"),
+        ([1.0], 1, 2, r"^amplitudes must map \(n, r\) pairs to numbers, got \[1.0\]$"),
+        ({(0, 1): 1.0}, 1, 0, "^system dimension must be at least 1, got 0$"),
+        ({(0, 1): 1.0}, 1, 65, "^system dimension must be at most 64, got 65$"),
+        ({(0, 64): 1.0}, 64, 2, "^total charge must be at most 63, got 64$"),
+        ({(0, 1): 1.0}, True, 2, "^total charge must be an integer, got True$"),
+    ]
+    for amplitudes, total, system_dim, message in cases:
+        with pytest.raises(InvalidState, match=message):
+            BipartitePureState(amplitudes, total, system_dim)
+    bp = BipartitePureState({(np.int64(1), 0): 0.6, (0, 1): 0.8j}, np.int64(1), 2)
+    assert bp.amplitudes == {(1, 0): 0.6, (0, 1): 0.8j} and (bp.total, bp.system_dim) == (1, 2)
+    assert np.array_equal(bp.reduced_system(), np.diag([0.8j * -0.8j, 0.36]))
+    assert np.array_equal(bp.reduced_reference(), np.diag([0.36, 0.8j * -0.8j]))
 
 
 def _dense_vector(bp):
