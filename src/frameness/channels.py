@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import reprlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -171,6 +172,30 @@ def validate_channel(channel: U1Channel) -> ChannelReport:
     return ChannelReport(per_sector_sums=sums, trace_preserving=tp)
 
 
+# reprlib's default of six items, with each integer cut to 12 characters, so an
+# error message that shows a shift list stays under 200 characters.
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlong = 12
+
+
+def _shown_shifts(shifts: list[int] | str, count: int) -> str:
+    """``shifts`` shortened by ``reprlib``, followed by ``count`` when shortening cut it."""
+    shown = _SHOWN.repr(shifts)
+    return shown if shown == repr(shifts) else f"{shown} ({count} in all)"
+
+
+def _shift_set(shifts: Iterable[int]) -> list[int]:
+    """The distinct shifts, ascending; :class:`InvalidChannel` unless a nonempty iterable of integers."""
+    try:
+        items = iter(shifts)
+    except TypeError:
+        raise InvalidChannel(f"shifts must be an iterable of integers, got {type(shifts).__name__}") from None
+    shift_list = sorted({integer(s, InvalidChannel, "shift") for s in items})
+    if not shift_list:
+        raise InvalidChannel("at least one shift is required")
+    return shift_list
+
+
 def _slot_layout(
     dim: int, shifts: Iterable[int], kraus_per_shift: int
 ) -> tuple[tuple[int, ...], np.ndarray]:
@@ -181,9 +206,7 @@ def _slot_layout(
     slots, and each is live on some sector.
     """
     dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
-    shift_list = sorted(set(integer(s, InvalidChannel, "shift") for s in shifts))
-    if not shift_list:
-        raise InvalidChannel("at least one shift is required")
+    shift_list = _shift_set(shifts)
     kraus_per_shift = integer(kraus_per_shift, InvalidChannel, "kraus_per_shift", 1, MAX_DIM)
     slot_shifts = tuple(ell for ell in shift_list if -dim < ell < dim for _ in range(kraus_per_shift))
     target = np.arange(dim) + np.asarray(slot_shifts)[:, None]
@@ -192,7 +215,7 @@ def _slot_layout(
     if not covered.all():
         raise InvalidChannel(
             f"sector {int(np.argmin(covered))} admits no shift from "
-            f"{shift_list}; a trace-preserving channel needs one"
+            f"{_shown_shifts(shift_list, len(shift_list))}; a trace-preserving channel needs one"
         )
     return slot_shifts, live
 

@@ -24,6 +24,8 @@ import numpy as np
 
 from .channels import (
     U1Channel,
+    _shift_set,
+    _shown_shifts,
     _slot_layout,
     apply_slots_pure,
     channel_to_dict,
@@ -166,7 +168,7 @@ def run_verification(
     dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
     evaluator = weight_evaluator(measure, dim)
     # Read once, as the sorted set _slot_layout lays out, so one shift set keys one batch.
-    shifts = tuple(sorted({integer(s, InvalidChannel, "shift") for s in shifts}))
+    shifts = tuple(_shift_set(shifts))
     kraus_per_shift = integer(kraus_per_shift, InvalidChannel, "kraus_per_shift", 1, MAX_DIM)
     seed = integer(seed, BadParameter, "seed", 0)
     start = time.perf_counter()
@@ -205,7 +207,7 @@ def _parse_shifts(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
-        raise InvalidChannel(f"shifts {text!r} are not integers") from None
+        raise InvalidChannel(f"shifts {_shown_shifts(text, len(parts))} are not integers") from None
 
 
 def _emit(data: dict) -> None:

@@ -255,10 +255,13 @@ def convex_roof(
 
     Deterministic for a fixed (input, config) pair: restart i draws from the
     stream seeded by (cfg.seed, i), and ties across restarts within 1e-12
-    resolve to the lowest restart index. A search whose restarts x ensemble
-    size x dimension exceeds ``ROOF_ELEMENTS`` raises ``BadParameter``
-    before any draw.
+    resolve to the lowest restart index. A ``cfg`` that is not a
+    :class:`RoofConfig`, or a search whose restarts x ensemble size x
+    dimension exceeds ``ROOF_ELEMENTS``, raises ``BadParameter`` before any
+    draw.
     """
+    if not isinstance(cfg, RoofConfig):
+        raise BadParameter(f"cfg must be a RoofConfig, got {type(cfg).__name__}")
     m_rho, w, v = _checked_density(rho)
     monotone = WeightMonotone(measure, m_rho.shape[0])
     factor = _support_factor(w, v)

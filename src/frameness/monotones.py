@@ -8,7 +8,6 @@ decomposition are read off its entries.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -50,17 +49,22 @@ def _tail_sum(weights: np.ndarray, k: int) -> np.ndarray:
     return ordered[..., k - 1 :].sum(axis=-1)
 
 
-def _elementary_symmetric(values: np.ndarray, k: int, columns: range | np.ndarray) -> np.ndarray:
-    # e_k of v = values[..., c] over c in columns: the coefficient of x^k in
-    # prod(1 + v x), accumulated stably, with no cancellation for nonnegative
-    # v. acc[j] holds e_j of the values seen so far, for every row at once.
-    # range(d) takes whole rows; WeightMonotone.others.T leaves out each l.
-    acc = np.zeros((k + 1,) + values.shape[:-1] + getattr(columns[0], "shape", ()))
+def _elementary_symmetric(values: np.ndarray, k: int, leave_one_out: bool = False) -> np.ndarray:
+    # e_k of the last axis of values: the coefficient of x^k in prod(1 + v x),
+    # accumulated stably, with no cancellation for nonnegative v. acc[j] holds
+    # e_j of the positions seen so far, for every row at once. leave_one_out adds
+    # a trailing axis l on which position j enters as v_j * 1.0, but as +0.0 at
+    # l = j: +0.0 leaves a finite acc >= 0 unchanged, so each l gets e_k of the
+    # row without v_l, rounded as that row alone.
+    d = values.shape[-1]
+    acc = np.zeros((k + 1,) + values.shape[:-1] + ((d,) if leave_one_out else ()))
     acc[0] = 1.0
-    for i, column in enumerate(columns):
-        top = min(i + 1, k)
+    kept = 1.0 - np.eye(d) if leave_one_out else None
+    for j in range(d):
+        column = values[..., j, None] * kept[j] if leave_one_out else values[..., j]
+        top = min(j + 1, k)
         head = acc[1 : top + 1]
-        head += values[..., column] * acc[:top]
+        head += column * acc[:top]
     return acc[k]
 
 
@@ -68,7 +72,7 @@ def _concurrence_ratio(weights: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     # e_k(w) over its value den on the flat state, capped at 1, and den.
     d = weights.shape[-1]
     den = math.comb(d, k) / d**k
-    return np.minimum(_elementary_symmetric(weights, k, range(d)) / den, 1.0), den
+    return np.minimum(_elementary_symmetric(weights, k) / den, 1.0), den
 
 
 def _variance_and_mean(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,12 +107,14 @@ def _entropy_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class WeightMonotone:
-    """``measure`` on weight vectors of length ``dim``, read once: first ``dim`` (1..``MAX_DIM``,
-    else :class:`BadParameter`), then the order k (at most ``dim``, else :class:`BadMonotone`).
-    ``values`` and ``value_and_slope`` map ``(..., dim)`` weights along the last axis; the
-    concurrence slope's complement table ``others`` is built on its first use."""
+    """``measure`` on weight vectors of length ``dim``, read once: first ``measure`` (a
+    :class:`MonotoneId`, else :class:`BadMonotone`), then ``dim`` (1..``MAX_DIM``, else
+    :class:`BadParameter`), then the order k (at most ``dim``, else :class:`BadMonotone`).
+    ``values`` and ``value_and_slope`` map ``(..., dim)`` weights along the last axis."""
 
     def __init__(self, measure: MonotoneId, dim: int) -> None:
+        if not isinstance(measure, MonotoneId):
+            raise BadMonotone(f"measure must be a MonotoneId, got {type(measure).__name__}")
         self.measure = measure
         self.dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
         if measure.k is not None:
@@ -141,13 +147,8 @@ class WeightMonotone:
         # and 1 at it, the flat state; 0 where h = 0, a subgradient.
         capped, den = _concurrence_ratio(w, k)
         scale = (k * den * np.float_power(capped, (k - 1) / k))[..., None]
-        slope = np.divide(_elementary_symmetric(w, k - 1, self.others.T), scale, out=np.zeros(w.shape), where=scale > 0.0)
+        slope = np.divide(_elementary_symmetric(w, k - 1, leave_one_out=True), scale, out=np.zeros(w.shape), where=scale > 0.0)
         return np.float_power(capped, 1.0 / k), np.where(capped[..., None] >= 1.0, 1.0, slope)
-
-    @functools.cached_property
-    def others(self) -> np.ndarray:
-        """Row l lists the positions other than l; ``values`` never builds it."""
-        return np.nonzero(~np.eye(self.dim, dtype=bool))[1].reshape(self.dim, self.dim - 1)
 
 
 def weight_evaluator(measure: MonotoneId, dim: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -164,7 +165,7 @@ def smoothed_tail_sum(vidal: WeightMonotone, width: float) -> Callable[[np.ndarr
     differentiable, and tends to the tail sum as ``width`` goes to 0. Maps
     weights to (values, slope) as ``WeightMonotone.value_and_slope`` does.
     """
-    k, dim, complements = vidal.measure.k, vidal.dim, vidal.others.T
+    k, dim = vidal.measure.k, vidal.dim
 
     def value_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Shifted by the mean of the k - 1 largest weights, the exponentials
@@ -172,9 +173,9 @@ def smoothed_tail_sum(vidal: WeightMonotone, width: float) -> Callable[[np.ndarr
         # and no exponent exceeds 1 / width.
         shift = np.partition(w, dim - k + 1, axis=-1)[..., dim - k + 1 :].mean(axis=-1)
         z = np.exp((w - shift[..., None]) / width)
-        total = _elementary_symmetric(z, k - 1, range(dim))
+        total = _elementary_symmetric(z, k - 1)
         value = w.sum(axis=-1) - (k - 1) * shift - width * np.log(total)
-        grad = 1.0 - z * _elementary_symmetric(z, k - 2, complements) / total[..., None]
+        grad = 1.0 - z * _elementary_symmetric(z, k - 2, leave_one_out=True) / total[..., None]
         return value, grad + (value - np.vecdot(w, grad))[..., None]
 
     return value_and_slope

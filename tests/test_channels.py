@@ -124,6 +124,9 @@ def test_random_channel_multiple_kraus_per_shift():
 def test_random_channel_bad_requests():
     with pytest.raises(InvalidChannel, match="at least one shift is required"):
         random_channel(3, (), seed=0)
+    # A shift list that is no iterable once raised a bare TypeError.
+    with pytest.raises(InvalidChannel, match="^shifts must be an iterable of integers, got int$"):
+        random_channel(3, 1)
     with pytest.raises(InvalidChannel, match="sector 0 admits no shift"):
         random_channel(2, (5,), seed=0)
     # Shifts with |shift| >= dim lay out no slot, and the message still names them all.

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import frameness
 from frameness import (
+    BadMonotone,
     BadParameter,
     InvalidChannel,
     InvalidDensity,
@@ -882,6 +883,51 @@ def test_all_dead_shifts_exit_2_with_the_coverage_message(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("verb", [["verify", "--measure", "entropy", "--trials", "5"], ["channel", "sample"]], ids=["verify", "sample"])
+@pytest.mark.parametrize(
+    "shifts, message",
+    [
+        (
+            ",".join(map(str, range(3, 20001))),
+            "sector 0 admits no shift from [3, 4, 5, 6, 7, 8, ...] (19998 in all); a trace-preserving channel needs one",
+        ),
+        (",".join(map(str, range(1, 20001))) + ",x", "shifts '1,2,3,4,5,6,...19999,20000,x' (20001 in all) are not integers"),
+        (
+            ",".join(str(10**40 + i) for i in range(10)),
+            "sector 0 admits no shift from [1000...00000, 1000...00001, 1000...00002, 1000...00003, "
+            "1000...00004, 1000...00005, ...] (10 in all); a trace-preserving channel needs one",
+        ),
+    ],
+    ids=["all-dead", "not-integers", "long-integers"],
+)
+def test_long_shift_lists_are_shortened_in_the_error_line(capsys, verb, shifts, message):
+    # Each once echoed the whole list: 128,964 and 108,929 bytes on one stderr line.
+    assert main(verb + ["--dim", "3", f"--shifts={shifts}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert len(captured.err) < 200
+
+
+def test_every_shift_reader_rejects_a_shift_list_that_is_no_iterable():
+    # Each once raised a bare TypeError.
+    for call, name in (
+        (lambda: run_verification(MonotoneId("entropy"), 3, 5, 0, 1), "int"),
+        (lambda: sample_trial(3, None, 1, 0, 0), "NoneType"),
+    ):
+        with pytest.raises(InvalidChannel, match=f"^shifts must be an iterable of integers, got {name}$"):
+            call()
+    with pytest.raises(InvalidChannel, match="^at least one shift is required$"):
+        run_verification(MonotoneId("entropy"), 3, 5, 0, ())
+    with pytest.raises(InvalidChannel, match="^shift must be an integer, got 0.5$"):
+        run_verification(MonotoneId("entropy"), 3, 5, 0, (0.5,))
+
+
+def test_verify_rejects_a_measure_that_is_no_monotone_id():
+    with pytest.raises(BadMonotone, match="^measure must be a MonotoneId, got str$"):
+        run_verification("entropy", 3, 5, 0, (0,))
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

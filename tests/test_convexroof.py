@@ -6,6 +6,7 @@ import pytest
 
 from frameness import (
     BadDecomposition,
+    BadMonotone,
     BadParameter,
     MonotoneId,
     RoofConfig,
@@ -233,6 +234,21 @@ def test_roof_budget_bound_is_inclusive(monkeypatch):
     monkeypatch.setattr(convexroof, "ROOF_ELEMENTS", 2 * 3 * 2 - 1)
     with pytest.raises(BadParameter, match="exceeds the roof budget of 11 entries$"):
         convex_roof(CONC2, rho, cfg)
+
+
+def test_roof_rejects_a_config_that_is_no_roof_config():
+    # Once a bare AttributeError on cfg.ensemble_size.
+    rho = random_density_matrix(2, np.random.default_rng(3))
+    with pytest.raises(BadParameter, match="^cfg must be a RoofConfig, got NoneType$"):
+        convex_roof(CONC2, rho, None)
+    with pytest.raises(BadParameter, match="^cfg must be a RoofConfig, got dict$"):
+        convex_roof(CONC2, np.diag([1.0, 0.0]), {"restarts": 2})
+
+
+def test_roof_rejects_a_measure_that_is_no_monotone_id():
+    rho = random_density_matrix(2, np.random.default_rng(3))
+    with pytest.raises(BadMonotone, match="^measure must be a MonotoneId, got str$"):
+        convex_roof("entropy", rho)
 
 
 def test_default_roof_fits_the_budget_at_every_dimension():
@@ -511,3 +527,35 @@ def test_vidal2_roof_reaches_geometric_coherence():
             res = convex_roof(MonotoneId("vidal", 2), rho, RoofConfig(seed=1))
             worst = max(worst, abs(res.value - _geometric_coherence(rho)))
     assert worst <= 1e-9
+
+
+def _flat_mixture(d, fidelity):
+    # p |Psi><Psi| + (1 - p) I/d with Psi the flat state and <Psi|rho|Psi> = fidelity.
+    p = (d * fidelity - 1.0) / (d - 1.0)
+    return p * np.full((d, d), 1.0 / d) + (1.0 - p) * np.eye(d) / d, p
+
+
+def _concurrence2_floor(rho):
+    # sqrt(d / (d - 1)) ||offdiag rho||_F: concurrence[2] of a pure state is this
+    # norm of its projector, and the norm is convex, so it is at or below the roof.
+    d = rho.shape[0]
+    return np.sqrt(d / (d - 1)) * np.linalg.norm(rho - np.diag(np.diag(rho)))
+
+
+def test_concurrence2_roof_against_its_bounds():
+    # A roof value is the average over one decomposition, so it is an upper
+    # bound on the exact roof at any budget: these checks hold for a short search.
+    cfg = RoofConfig(restarts=2, max_iters=30)
+    # On the flat mixtures the exact roof is p (Rungta & Caves, PRA 67, 012307,
+    # 2003), and the floor equals p; at d = 2 the search reaches it.
+    for fidelity in (0.6, 0.9):
+        rho, p = _flat_mixture(2, fidelity)
+        assert abs(convex_roof(CONC2, rho, cfg).value - p) <= 1e-12
+        for d in range(3, 7):
+            rho, p = _flat_mixture(d, fidelity)
+            assert abs(_concurrence2_floor(rho) - p) <= 1e-12
+            assert convex_roof(CONC2, rho, cfg).value >= p - 1e-12, (d, fidelity)
+    for d in range(2, 7):
+        for rank in (d, 2):
+            rho = random_density_matrix(d, np.random.default_rng([41, d, rank]), rank=rank)
+            assert _concurrence2_floor(rho) <= convex_roof(CONC2, rho, cfg).value + 1e-12, (d, rank)

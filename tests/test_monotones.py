@@ -154,33 +154,28 @@ def esp_enumeration(values, k):
 
 
 def test_elementary_symmetric_against_enumeration():
-    assert _elementary_symmetric(np.array([0.5, 0.3, 0.2]), 2, range(3)) == pytest.approx(0.31, abs=1e-15)
-    assert _elementary_symmetric(np.array([0.5, 0.3, 0.2]), 3, range(3)) == pytest.approx(0.03, abs=1e-15)
+    assert _elementary_symmetric(np.array([0.5, 0.3, 0.2]), 2) == pytest.approx(0.31, abs=1e-15)
+    assert _elementary_symmetric(np.array([0.5, 0.3, 0.2]), 3) == pytest.approx(0.03, abs=1e-15)
     rng = np.random.default_rng(17)
-    complements = WeightMonotone(MonotoneId("concurrence", 2), 7).others.T
     for _ in range(20):
         vals = rng.uniform(0.0, 1.0, size=7)
         for k in range(2, 8):
-            assert _elementary_symmetric(vals, k, range(7)) == pytest.approx(
-                esp_enumeration(vals, k), rel=1e-12
-            )
-        # The complement columns: e_k of the row with entry l deleted, at every l.
+            assert _elementary_symmetric(vals, k) == pytest.approx(esp_enumeration(vals, k), rel=1e-12)
+        # The leave-one-out form: e_k of the row with entry l deleted, at every l.
         for k in range(7):
-            left_out = _elementary_symmetric(vals, k, complements)
+            left_out = _elementary_symmetric(vals, k, leave_one_out=True)
             assert left_out.shape == (7,)
             for l in range(7):
                 assert left_out[l] == pytest.approx(esp_enumeration(np.delete(vals, l), k), rel=1e-12)
     # Every row of a batch as that row alone; no 3-subset of two values.
     batch = rng.uniform(0.0, 1.0, size=(4, 7))
     for k in range(2, 8):
+        assert np.array_equal(_elementary_symmetric(batch, k), [_elementary_symmetric(v, k) for v in batch])
         assert np.array_equal(
-            _elementary_symmetric(batch, k, range(7)), [_elementary_symmetric(v, k, range(7)) for v in batch]
+            _elementary_symmetric(batch, k - 1, leave_one_out=True),
+            [_elementary_symmetric(v, k - 1, leave_one_out=True) for v in batch],
         )
-        assert np.array_equal(
-            _elementary_symmetric(batch, k - 1, complements),
-            [_elementary_symmetric(v, k - 1, complements) for v in batch],
-        )
-    assert _elementary_symmetric(np.array([0.5, 0.5]), 3, range(2)) == 0.0
+    assert _elementary_symmetric(np.array([0.5, 0.5]), 3) == 0.0
 
 
 def test_concurrence_pure_examples():
@@ -293,12 +288,22 @@ def test_weight_monotone_reads_the_dimension_then_the_order():
         WeightMonotone(MonotoneId("vidal", 2), 0)
     with pytest.raises(BadMonotone, match="^order k must be at most 2, got 3$"):
         WeightMonotone(MonotoneId("concurrence", 3), 2)
-    # The values never build the slope's complement table; the slope builds it once.
+
+
+def test_weight_monotone_rejects_a_measure_that_is_no_monotone_id():
+    # Each once raised a bare AttributeError on measure.k.
+    message = "^measure must be a MonotoneId, got str$"
+    for call in (
+        lambda: WeightMonotone("entropy", 3),
+        lambda: weight_evaluator("entropy", 3),
+        lambda: evaluate_pure("entropy", StandardState([0.5, 0.5])),
+    ):
+        with pytest.raises(BadMonotone, match=message):
+            call()
+    # The monotone keeps what it read and nothing else, also after a slope.
     monotone = WeightMonotone(MonotoneId("concurrence", 3), 5)
-    monotone.values(np.full(5, 0.2))
-    assert "others" not in vars(monotone)
     monotone.value_and_slope(np.full(5, 0.2))
-    assert vars(monotone)["others"].shape == (5, 4)
+    assert set(vars(monotone)) == {"measure", "dim"}
 
 
 def test_qubit_R_eigs_plus_state():
