@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import cmath
 import functools
-import reprlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BadParameter, InvalidChannel, InvalidState
-from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, array, in_order_sum, integer, number, validate_density
-from .states import StandardState, _check_probabilities, _complex_from_pair, checked_weights
+from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, array, in_order_sum, integer, number, shown, validate_density
+from .states import StandardState, _check_probabilities, _complex_from_pair, _standard_state, checked_weights
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class U1Kraus:
     def __post_init__(self) -> None:
         object.__setattr__(self, "shift", integer(self.shift, InvalidChannel, "shift"))
         if not isinstance(self.coeffs, Mapping):
-            raise InvalidChannel(f"coefficients must map sectors to numbers, got {self.coeffs!r}")
+            raise InvalidChannel(f"coefficients must map sectors to numbers, got {shown(self.coeffs)}")
         clean = {}
         for n, c in self.coeffs.items():
             n = integer(n, InvalidChannel, "sector")
@@ -51,7 +50,7 @@ class U1Kraus:
                 continue
             if not (0 <= n < dim and 0 <= n + self.shift < dim):
                 raise InvalidChannel(
-                    f"coefficient at sector {n} with shift {self.shift} "
+                    f"coefficient at sector {shown(n)} with shift {shown(self.shift)} "
                     f"maps outside 0..{dim - 1}"
                 )
             row[n] = c
@@ -77,12 +76,12 @@ class U1Channel:
         try:
             groups = tuple(tuple(g) for g in self.outcomes)
         except TypeError:  # the outcomes, or a group, are not iterable
-            raise InvalidChannel(f"outcomes must be groups of U1Kraus operators, got {self.outcomes!r}") from None
+            raise InvalidChannel(f"outcomes must be groups of U1Kraus operators, got {shown(self.outcomes)}") from None
         if not groups or any(len(g) == 0 for g in groups):
             raise InvalidChannel("channel needs at least one nonempty outcome group")
         for k in (k for g in groups for k in g):
             if not isinstance(k, U1Kraus):
-                raise InvalidChannel(f"outcome group member {k!r} is not a U1Kraus")
+                raise InvalidChannel(f"outcome group member {shown(k)} is not a U1Kraus")
         object.__setattr__(self, "outcomes", groups)
 
     def all_kraus(self) -> Iterator[U1Kraus]:
@@ -166,22 +165,28 @@ def _completeness_sums(moduli: np.ndarray) -> tuple[np.ndarray, bool]:
     return sums, bool(np.max(np.abs(sums - 1.0)) <= SUM_TOL)
 
 
+def _channel(channel) -> U1Channel:
+    if not isinstance(channel, U1Channel):
+        raise InvalidChannel(f"channel must be a U1Channel, got {type(channel).__name__}")
+    return channel
+
+
 def validate_channel(channel: U1Channel) -> ChannelReport:
     """Check window bounds and completeness; report per-sector sums."""
+    channel = _channel(channel)
     sums, tp = _completeness_sums(squared_moduli(np.array([k.row(channel.dim) for k in channel.all_kraus()])))
     return ChannelReport(per_sector_sums=sums, trace_preserving=tp)
 
 
-# reprlib's default of six items, with each integer cut to 12 characters, so an
-# error message that shows a shift list stays under 200 characters.
-_SHOWN = reprlib.Repr()
-_SHOWN.maxlong = 12
-
-
 def _shown_shifts(shifts: list[int] | str, count: int) -> str:
-    """``shifts`` shortened by ``reprlib``, followed by ``count`` when shortening cut it."""
-    shown = _SHOWN.repr(shifts)
-    return shown if shown == repr(shifts) else f"{shown} ({count} in all)"
+    """``shifts`` as :func:`shown` echoes it, each int cut to 12 characters so that six fit
+    in a message under 200, followed by ``count`` when shortening cut it."""
+    text = shown(shifts, maxlong=12)
+    try:
+        cut = text != repr(shifts)
+    except ValueError:  # an int too long to turn into text
+        cut = True
+    return f"{text} ({count} in all)" if cut else text
 
 
 def _shift_set(shifts: Iterable[int]) -> list[int]:
@@ -322,6 +327,7 @@ def apply_slots_pure(
 
 def apply_channel_pure(channel: U1Channel, state: StandardState) -> Ensemble:
     """Outcome ensemble of a trace-preserving pure-to-pure channel."""
+    channel, state = _channel(channel), _standard_state(state)
     if state.dim != channel.dim:
         raise InvalidState(f"state of dimension {state.dim} on a channel of dimension {channel.dim}")
     kraus = list(channel.all_kraus())
@@ -341,7 +347,7 @@ def apply_channel_pure(channel: U1Channel, state: StandardState) -> Ensemble:
 
 def apply_channel_density(channel: U1Channel, rho: np.ndarray) -> Ensemble:
     """Outcome ensemble of a channel on a density matrix, grouped by outcome."""
-    m = validate_density(rho, dim=channel.dim)
+    m = validate_density(rho, dim=_channel(channel).dim)
     report = validate_channel(channel)
     if not report.trace_preserving:
         raise InvalidChannel("channel is not trace-preserving")
@@ -369,11 +375,11 @@ def _sector_coeffs(coeffs: dict) -> dict[int, complex]:
             except ValueError:
                 n = None
             if n is None or key != str(n):
-                raise InvalidChannel(f"sector key {key!r} is not an integer as str(n) writes it")
+                raise InvalidChannel(f"sector key {shown(key)} is not an integer as str(n) writes it")
         else:
             n = integer(key, InvalidChannel, "sector")
         if n in out:
-            raise InvalidChannel(f"sector {n} is given twice")
+            raise InvalidChannel(f"sector {shown(n)} is given twice")
         out[n] = _complex_from_pair(pair, InvalidChannel)
     return out
 
@@ -398,6 +404,7 @@ def channel_from_dict(data: dict) -> U1Channel:
 
 
 def channel_to_dict(channel: U1Channel) -> dict:
+    channel = _channel(channel)
     return {
         "dim": channel.dim,
         "outcomes": [

@@ -11,10 +11,11 @@ projected onto the tangent space and retracted by the polar factor.
 Restart i starts from a Haar isometry drawn from the stream seeded by
 (seed, i). All live restarts share one objective call per round, which
 asks the monotone once for values and slope; each restart follows the
-path it would follow alone. Vidal's tail sum is not smooth: its search
-descends a log-sum-exp stand-in (``monotones.smoothed_tail_sum``) of
-shrinking width first, since the tail sum's plateaus hold each member on
-its starting sectors. At the concurrence cap it follows a subgradient.
+path it would follow alone. One function, ``_search``, runs the stages.
+Vidal's tail sum is not smooth: its search first descends log-sum-exp
+stand-ins (``monotones.smoothed_tail_sum``) of shrinking width, since the
+tail sum's plateaus hold each member on its starting sectors. At the
+concurrence cap the search follows a subgradient.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _descend(
     factor: np.ndarray, u: np.ndarray, value_and_slope, tol: float, iterations: np.ndarray, max_iters: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Riemannian gradient descent from every isometry of the stack ``u``, updated in place.
 
     Each round evaluates one trial point per live restart in one objective
@@ -159,9 +160,8 @@ def _descend(
     one that fails shrinks its step and tries again in the next round, and
     after ``MAX_BACKTRACKS`` failures ends the iteration where it is. A
     restart stops once its gradient norm is at or below ``tol`` or its
-    count in ``iterations``, updated in place, reaches ``max_iters``.
-    Returns each restart's final isometry, value and whether its gradient
-    norm reached ``tol``.
+    count in ``iterations``, updated in place, reaches ``max_iters``. Returns
+    each restart's final value and whether its gradient norm reached ``tol``.
     """
     value, grad = _objective(factor, u, value_and_slope)
     xi = _tangent(u, grad)
@@ -206,7 +206,20 @@ def _descend(
             u[out], value[out], converged[out], iterations[out] = x[stop], fx[stop], g2[stop] <= tol**2, count[stop]
             state = (lanes, x, fx, g, g2, count, reference, weight, step, failures)
             lanes, x, fx, g, g2, count, reference, weight, step, failures = (a[~stop] for a in state)
-    return u, value, converged
+    return value, converged
+
+
+def _search(monotone: WeightMonotone, factor: np.ndarray, u: np.ndarray, max_iters: int) -> tuple[np.ndarray, ...]:
+    """The roof search from every isometry of the stack ``u``, updated in place: a vidal
+    search descends its ``SMOOTHING_WIDTHS`` stand-ins, each to ``STAGE_TOL`` times the width,
+    then every search the monotone itself to ``GRADIENT_TOL``, the stages sharing ``max_iters``.
+    Returns each restart's value, whether it converged (never, for vidal) and its iterations."""
+    iterations = np.zeros(len(u), dtype=np.int64)
+    vidal = monotone.measure.kind == "vidal"
+    for width in SMOOTHING_WIDTHS if vidal else ():
+        _descend(factor, u, smoothed_tail_sum(monotone, width), STAGE_TOL * width, iterations, max_iters)
+    values, converged = _descend(factor, u, monotone.value_and_slope, GRADIENT_TOL, iterations, max_iters)
+    return values, converged & (not vidal), iterations
 
 
 def decomposition_from_map(rho: np.ndarray, mix: np.ndarray) -> Ensemble:
@@ -269,46 +282,33 @@ def convex_roof(
     gapped = not is_gapless(np.flatnonzero(np.diag(m_rho).real > ZERO_TOL))
     if r == 1:
         # A rank-1 input has a single decomposition: no search.
-        vec = factor[:, 0] / np.linalg.norm(factor[:, 0])
-        return RoofResult(
-            value=float(monotone.values(np.abs(vec) ** 2)),
-            ensemble=Ensemble(((1.0, vec),)),
-            converged=True,
-            iterations_used=0,
-            gapped_support=gapped,
-        )
-    m = cfg.ensemble_size if cfg.ensemble_size is not None else r + 2
-    if m < r:
-        raise BadDecomposition(f"ensemble size {m} below the state's rank {r}")
-    elements = cfg.restarts * m * m_rho.shape[0]
-    if elements > ROOF_ELEMENTS:
-        raise BadParameter(
-            f"restarts x ensemble size x dimension = {cfg.restarts} x {m} x {m_rho.shape[0]}"
-            f" = {elements} exceeds the roof budget of {ROOF_ELEMENTS} entries"
-        )
-
-    # The polar factor of a complex Gaussian matrix is a Haar isometry.
-    z = np.array([np.random.default_rng([cfg.seed, i]).normal(size=(2, m, r)) for i in range(cfg.restarts)])
-    mixes = _polar(z[:, 0] + 1j * z[:, 1])
-    iterations = np.zeros(cfg.restarts, dtype=np.int64)
-    if measure.kind == "vidal":
-        for width in SMOOTHING_WIDTHS:
-            stage = smoothed_tail_sum(monotone, width)
-            _descend(factor, mixes, stage, STAGE_TOL * width, iterations, cfg.max_iters)
-    objective = monotone.value_and_slope
-    mixes, finals, converged = _descend(factor, mixes, objective, GRADIENT_TOL, iterations, cfg.max_iters)
-    best = 0
-    for restart in range(1, cfg.restarts):
-        if finals[restart] < finals[best] - TIE_TOL:
-            best = restart
-
-    ensemble = _ensemble(factor, mixes[best])
+        ensemble = Ensemble(((1.0, factor[:, 0] / np.linalg.norm(factor[:, 0])),))
+        converged, iterations = np.ones(1, dtype=bool), np.zeros(1, dtype=np.int64)
+    else:
+        m = cfg.ensemble_size if cfg.ensemble_size is not None else r + 2
+        if m < r:
+            raise BadDecomposition(f"ensemble size {m} below the state's rank {r}")
+        elements = cfg.restarts * m * m_rho.shape[0]
+        if elements > ROOF_ELEMENTS:
+            raise BadParameter(
+                f"restarts x ensemble size x dimension = {cfg.restarts} x {m} x {m_rho.shape[0]}"
+                f" = {elements} exceeds the roof budget of {ROOF_ELEMENTS} entries"
+            )
+        # The polar factor of a complex Gaussian matrix is a Haar isometry.
+        z = np.array([np.random.default_rng([cfg.seed, i]).normal(size=(2, m, r)) for i in range(cfg.restarts)])
+        mixes = _polar(z[:, 0] + 1j * z[:, 1])
+        finals, converged, iterations = _search(monotone, factor, mixes, cfg.max_iters)
+        best = 0
+        for restart in range(1, cfg.restarts):
+            if finals[restart] < finals[best] - TIE_TOL:
+                best = restart
+        ensemble = _ensemble(factor, mixes[best])
     values = monotone.values(np.abs(np.array([vec for _, vec in ensemble.members])) ** 2)
     value = sum(p * v for (p, _), v in zip(ensemble.members, values))
     return RoofResult(
         value=float(value),
         ensemble=ensemble,
-        converged=bool(converged.all()) and measure.kind != "vidal",
+        converged=bool(converged.all()),
         iterations_used=int(iterations.sum()),
         gapped_support=gapped,
     )

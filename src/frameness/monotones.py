@@ -16,8 +16,8 @@ import numpy as np
 
 from .channels import Ensemble
 from .errors import BadMonotone, BadParameter
-from .numerics import MAX_DIM, ZERO_TOL, _checked_density, in_order_sum, integer, number
-from .states import StandardState
+from .numerics import MAX_DIM, ZERO_TOL, _checked_density, in_order_sum, integer, number, shown
+from .states import StandardState, _standard_state
 
 KINDS = ("vidal", "entropy", "concurrence", "variance")
 
@@ -31,7 +31,7 @@ class MonotoneId:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise BadMonotone(f"unknown monotone kind {self.kind!r}")
+            raise BadMonotone(f"unknown monotone kind {shown(self.kind)}")
         if self.kind in ("vidal", "concurrence"):
             if self.k is None:
                 raise BadMonotone(f"{self.kind} needs an order k")
@@ -183,7 +183,7 @@ def smoothed_tail_sum(vidal: WeightMonotone, width: float) -> Callable[[np.ndarr
 
 def evaluate_pure(measure: MonotoneId, state: StandardState) -> float:
     """Value of a pure-state monotone on a standard-form state."""
-    return float(weight_evaluator(measure, state.dim)(state.weights))
+    return float(weight_evaluator(measure, _standard_state(state).dim)(state.weights))
 
 
 def _qubit(rho: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:

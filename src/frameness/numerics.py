@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import reprlib
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +36,29 @@ P_TOL = 1e-10
 MAX_DIM = 64
 
 
+class _Shown(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # more digits than Python turns into text
+            return f"<int of {x.bit_length()} bits>"
+
+
+def shown(value, maxlong: int = 40) -> str:
+    """``value`` as an error message echoes it, in at most 100 characters.
+
+    ``reprlib`` shortens it: six items of a list, tuple or set, four of a
+    dict, 30 characters of a string, ``maxlong`` of an int and 100 of any
+    other value. An int too long to turn into text shows its size in bits,
+    and a longer whole keeps its first 48 and last 49 characters. It is
+    called only to raise, so no accepted input pays for it.
+    """
+    short = _Shown()
+    short.maxlong, short.maxother = maxlong, 100
+    text = short.repr(value)
+    return text if len(text) <= 100 else f"{text[:48]}...{text[-49:]}"
+
+
 def integer(value, error: type[FramenessError], name: str, lo=None, hi=None) -> int:
     """``value`` as an ``int`` in ``lo..hi``; ``error`` is raised on anything else.
 
@@ -42,12 +66,12 @@ def integer(value, error: type[FramenessError], name: str, lo=None, hi=None) -> 
     nothing is truncated: 2.0, 2.5 and ``True`` are all rejected.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {shown(value)}")
     n = int(value)
     if lo is not None and n < lo:
-        raise error(f"{name} must be at least {lo}, got {n}")
+        raise error(f"{name} must be at least {lo}, got {shown(n)}")
     if hi is not None and n > hi:
-        raise error(f"{name} must be at most {hi}, got {n}")
+        raise error(f"{name} must be at most {hi}, got {shown(n)}")
     return n
 
 
@@ -58,9 +82,9 @@ def number(value, error: type[FramenessError], name: str, real: bool = True):
     Complex values are rejected unless ``real`` is false.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Number):
-        raise error(f"{name} must be a number, got {value!r}")
+        raise error(f"{name} must be a number, got {shown(value)}")
     if real and isinstance(value, (complex, np.complexfloating)):
-        raise error(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {shown(value)}")
     return value
 
 

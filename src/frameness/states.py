@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, FramenessError, InvalidDensity, InvalidState
-from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, array, as_complex_matrix, integer, number, validate_density
+from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, array, as_complex_matrix, integer, number, shown, validate_density
 
 
 @dataclass(frozen=True)
@@ -95,17 +95,17 @@ class BipartitePureState:
         system_dim = integer(self.system_dim, InvalidState, "system dimension", 1, MAX_DIM)
         total = integer(self.total, InvalidState, "total charge", 0, MAX_DIM - 1)
         if not isinstance(self.amplitudes, Mapping):
-            raise InvalidState(f"amplitudes must map (n, r) pairs to numbers, got {self.amplitudes!r}")
+            raise InvalidState(f"amplitudes must map (n, r) pairs to numbers, got {shown(self.amplitudes)}")
         keys = []
         for key in self.amplitudes:
             try:
                 n, r = key
             except (TypeError, ValueError):
-                raise InvalidState(f"amplitude key {key!r} is not a pair (n, r)") from None
+                raise InvalidState(f"amplitude key {shown(key)} is not a pair (n, r)") from None
             n = integer(n, InvalidState, "system charge", 0, system_dim - 1)
             r = integer(r, InvalidState, "reference charge", 0)
             if n + r != total:
-                raise InvalidState(f"amplitude key {key!r} has total charge {n + r}, not {total}")
+                raise InvalidState(f"amplitude key {shown(key)} has total charge {shown(n + r)}, not {total}")
             keys.append((n, r))
         amps = array(list(self.amplitudes.values()), InvalidState, "amplitude", real=False)
         if amps.shape != (len(keys),) or not np.isfinite(amps).all():
@@ -141,7 +141,7 @@ def standard_form(sectors: Mapping[int, Sequence[complex]], dim: int) -> Standar
     """
     dim = integer(dim, InvalidState, "dimension", 1, MAX_DIM)
     if not isinstance(sectors, Mapping):
-        raise InvalidState(f"sectors must map labels to amplitudes, got {sectors!r}")
+        raise InvalidState(f"sectors must map labels to amplitudes, got {shown(sectors)}")
     if not sectors:
         raise InvalidState("state needs at least one sector")
     w = np.zeros(dim)
@@ -158,9 +158,15 @@ def standard_form(sectors: Mapping[int, Sequence[complex]], dim: int) -> Standar
     return StandardState(w / total)
 
 
+def _standard_state(state) -> StandardState:
+    if not isinstance(state, StandardState):
+        raise InvalidState(f"state must be a StandardState, got {type(state).__name__}")
+    return state
+
+
 def spectrum(state: StandardState) -> tuple[int, ...]:
     """Sector labels carrying weight above ``ZERO_TOL``, ascending."""
-    return tuple(int(n) for n in np.flatnonzero(state.weights > ZERO_TOL))
+    return tuple(int(n) for n in np.flatnonzero(_standard_state(state).weights > ZERO_TOL))
 
 
 def is_gapless(support: Sequence[int]) -> bool:
@@ -183,7 +189,7 @@ def twirl(rho: np.ndarray, sector_of: Sequence[int] | None = None) -> np.ndarray
     try:
         labels = np.arange(d) if sector_of is None else np.asarray(sector_of, dtype=object)
     except ValueError:  # arrays of differing shapes
-        raise BadParameter(f"sector label must be an integer, got {sector_of!r}") from None
+        raise BadParameter(f"sector label must be an integer, got {shown(sector_of)}") from None
     if labels.shape != (d,):
         raise BadParameter(f"sector labels must have length {d}")
     labels = np.array([integer(n, BadParameter, "sector label") for n in labels])
@@ -266,7 +272,7 @@ def _complex_from_pair(pair: Sequence[float], error: type[FramenessError]) -> co
         re, im = pair
         return complex(float(number(re, error, "entry")), float(number(im, error, "entry")))
     except (TypeError, ValueError, OverflowError):
-        raise error(f"entry {pair!r} is not a [re, im] pair of numbers") from None
+        raise error(f"entry {shown(pair)} is not a [re, im] pair of numbers") from None
 
 
 def state_from_dict(data: dict) -> StandardState:
@@ -284,7 +290,7 @@ def state_from_dict(data: dict) -> StandardState:
             for block in data["sectors"]:
                 n = integer(block["n"], InvalidState, "sector")
                 if n in sectors:
-                    raise InvalidState(f"sector {n} is given twice")
+                    raise InvalidState(f"sector {shown(n)} is given twice")
                 sectors[n] = np.array([_complex_from_pair(p, InvalidState) for p in block["amplitudes"]])
         except (KeyError, TypeError):
             raise InvalidState(
@@ -294,7 +300,7 @@ def state_from_dict(data: dict) -> StandardState:
     if "weights" in data:
         state = StandardState(data["weights"])
         if "dim" in data and integer(data["dim"], InvalidState, "dimension") != state.dim:
-            raise InvalidState(f"dimension {data['dim']} does not match the {state.dim} weights")
+            raise InvalidState(f"dimension {shown(data['dim'])} does not match the {state.dim} weights")
         return state
     raise InvalidState("state dictionary needs a 'sectors' or 'weights' key")
 

@@ -3,6 +3,7 @@ import pytest
 
 from frameness import (
     BadParameter,
+    MonotoneId,
     Ensemble,
     InvalidChannel,
     InvalidState,
@@ -13,6 +14,8 @@ from frameness import (
     apply_channel_pure,
     random_channel,
     random_density_matrix,
+    evaluate_pure,
+    purify,
     random_standard_state,
     spectrum,
     twirl,
@@ -417,3 +420,21 @@ def test_channel_dimension_is_an_integer_in_range():
     channel = U1Channel(kraus, np.int64(1))
     assert type(channel.dim) is int and validate_channel(channel).trace_preserving
 
+
+
+def test_object_arguments_of_the_wrong_type_raise_typed_errors():
+    # Each raised a bare AttributeError, such as "'str' object has no attribute 'all_kraus'".
+    channel = U1Channel([[U1Kraus(0, {0: 1.0})]], 1)
+    state = StandardState([1.0])
+    for call, error, message in (
+        (lambda: spectrum("x"), InvalidState, "state must be a StandardState, got str"),
+        (lambda: purify("x"), InvalidState, "state must be a StandardState, got str"),
+        (lambda: evaluate_pure(MonotoneId("entropy"), "x"), InvalidState, "state must be a StandardState, got str"),
+        (lambda: apply_channel_pure(channel, np.ones(1)), InvalidState, "state must be a StandardState, got ndarray"),
+        (lambda: apply_channel_pure("x", state), InvalidChannel, "channel must be a U1Channel, got str"),
+        (lambda: apply_channel_density("x", np.eye(1)), InvalidChannel, "channel must be a U1Channel, got str"),
+        (lambda: validate_channel("x"), InvalidChannel, "channel must be a U1Channel, got str"),
+        (lambda: channel_to_dict(None), InvalidChannel, "channel must be a U1Channel, got NoneType"),
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()

@@ -177,6 +177,8 @@ def test_monotone_rejects_nan_weight(capsys, tmp_path):
     assert "weights must be finite" in captured.err
 
 
+LONG_TEXT = "x" * 100000
+SHOWN_TEXT = "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
 # (case, state file contents, error text), read by monotone and twirl.
 MALFORMED_STATES = [
     ("not-json", b"{not json", "is not a JSON file: Expecting property name"),
@@ -205,6 +207,13 @@ MALFORMED_STATES = [
     # Each of these loaded before as a dim-2 state: a dim next to weights was not read.
     ("weights-dim-mismatch", b'{"dim": 3, "weights": [0.5, 0.5]}', "dimension 3 does not match the 2 weights"),
     ("weights-dim-text", b'{"dim": "x", "weights": [0.5, 0.5]}', "dimension must be an integer, got 'x'"),
+    # Each of these once echoed the whole value, on an error line of 4,038 to 100,055 bytes.
+    ("dim-long", json.dumps({"dim": LONG_TEXT, "sectors": [{"n": 0, "amplitudes": [[1, 0]]}]}).encode(), f"dimension must be an integer, got {SHOWN_TEXT}"),
+    ("weight-long", json.dumps({"weights": [LONG_TEXT, 0.5]}).encode(), f"weight must be a number, got {SHOWN_TEXT}"),
+    ("n-long", json.dumps({"dim": 2, "sectors": [{"n": LONG_TEXT, "amplitudes": [[1, 0]]}]}).encode(), f"sector must be an integer, got {SHOWN_TEXT}"),
+    ("n-4000-digits", json.dumps({"dim": 2, "sectors": [{"n": int("1" * 4000), "amplitudes": [[1, 0]]}]}).encode(), f"sector must be at most 1, got {'1' * 18}...{'1' * 19}"),
+    ("amplitude-long", json.dumps({"dim": 1, "sectors": [{"n": 0, "amplitudes": [[LONG_TEXT, 0]]}]}).encode(), f"entry [{SHOWN_TEXT}, 0] is not a [re, im] pair of numbers"),
+    ("weights-dim-long", json.dumps({"dim": LONG_TEXT, "weights": [0.5, 0.5]}).encode(), f"dimension must be an integer, got {SHOWN_TEXT}"),
 ]
 
 
@@ -231,6 +240,7 @@ def test_malformed_state_file_is_typed(capsys, tmp_path, verb, contents, fault):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert fault in captured.err
+    assert len(captured.err.replace(str(path), "")) < 200
 
 
 def test_main_lets_package_bugs_propagate(monkeypatch):
@@ -326,6 +336,9 @@ MALFORMED_DENSITIES = [
     ("dim-bool", {"dim": True, "matrix": [[[1.0, 0.0]]]}, "dimension must be an integer, got True"),
     ("entry-string", {"dim": 2, "matrix": [[["0.5", "0"], ZERO], [ZERO, [0.5, 0.0]]]}, "entry ['0.5', '0'] is not a [re, im] pair of numbers"),
     ("wrong-size", {"dim": 2, "matrix": [[[1.0, 0.0]]]}, "matrix shape (1, 1) does not match dim 2"),
+    # Each of these once echoed the whole value, on an error line of about 100,050 bytes.
+    ("dim-long", {"dim": LONG_TEXT, "matrix": [[[1.0, 0.0]]]}, f"dimension must be an integer, got {SHOWN_TEXT}"),
+    ("entry-long", {"dim": 2, "matrix": [[[LONG_TEXT, 0.0], ZERO], [ZERO, [0.5, 0.0]]]}, f"entry [{SHOWN_TEXT}, 0.0] is not a [re, im] pair of numbers"),
 ]
 
 
@@ -353,6 +366,7 @@ def test_malformed_density_is_typed(capsys, tmp_path, verb, data, fault):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert fault in captured.err
+    assert len(captured.err.replace(str(path), "")) < 200
 
 
 @pytest.mark.parametrize("verb", ["roof", "twirl"])
@@ -1398,6 +1412,28 @@ PATH_ROOF_GOLDENS = [
 def test_roof_paths_match_golden_bytes(capsys, tmp_path, name, dim, args):
     """``roof`` output on each path equals, byte for byte, its capture."""
     assert_roof_matches_golden(capsys, tmp_path, name, dim, args)
+
+
+def rank1_roof_cases():
+    """(label, density, roof arguments) of the rank-1 golden: every kind on
+    seeded rank-1 densities at d = 2..5 and on the charge eigenstate |1><1| at d = 3."""
+    measures = (["vidal", "--k", "2"], ["entropy"], ["concurrence", "--k", "2"], ["variance"])
+    densities = [(f"d{d}", random_density_matrix(d, np.random.default_rng([29, d]), rank=1)) for d in range(2, 6)]
+    densities.append(("eigenstate d3 n1", np.diag([0.0, 1.0, 0.0])))
+    for tag, rho in densities:
+        for measure in measures:
+            yield f"{tag} {' '.join(measure)}", rho, ["--measure", *measure]
+
+
+def test_rank1_roofs_match_golden_bytes(capsys, tmp_path):
+    """A rank-1 density has one decomposition: ``roof`` prints it, unsearched, byte for byte as captured."""
+    golden = json.loads((GOLDEN / "roof_rank1.json").read_text(encoding="utf-8"))
+    seen = []
+    for label, rho, args in rank1_roof_cases():
+        assert main(["roof", "--rho", write_density(tmp_path, rho), *args]) == 0
+        assert capsys.readouterr().out == golden[label], label
+        seen.append(label)
+    assert seen == list(golden)
 
 
 # The values the Givens coordinate search left in the same files before the

@@ -23,14 +23,12 @@ from frameness import (
 )
 from frameness import convexroof
 from frameness.convexroof import (
-    GRADIENT_TOL,
     ROOF_ELEMENTS,
     SMOOTHING_WIDTHS,
-    STAGE_TOL,
-    _descend,
     _ensemble,
     _objective,
     _polar,
+    _search,
     _support_factor,
     _tangent,
 )
@@ -387,15 +385,7 @@ def test_tangent_projection_is_orthogonal():
 
 
 def _staged_search(factor, stack, measure, d, max_iters):
-    # The stages convex_roof descends: vidal's smoothed tail sums, then the
-    # monotone itself.
-    iterations = np.zeros(len(stack), dtype=np.int64)
-    if measure.kind == "vidal":
-        for width in SMOOTHING_WIDTHS:
-            stage = smoothed_tail_sum(WeightMonotone(measure, d), width)
-            _descend(factor, stack, stage, STAGE_TOL * width, iterations, max_iters)
-    objective = WeightMonotone(measure, d).value_and_slope
-    return _descend(factor, stack, objective, GRADIENT_TOL, iterations, max_iters) + (iterations,)
+    return (stack, *_search(WeightMonotone(measure, d), factor, stack, max_iters))
 
 
 def test_batched_restarts_match_each_restart_alone():
@@ -418,10 +408,10 @@ def test_ties_resolve_to_the_lowest_restart(monkeypatch):
     # lower; an argmin over the finals would pick restart 3.
     finals = np.array([0.5, 0.5 - 0.5e-12, 0.5 - 2e-12, 0.5 - 2.5e-12])
 
-    def fake_descend(factor, stack, value_and_slope, tol, iterations, max_iters):
-        return stack, finals.copy(), np.ones(len(stack), dtype=bool)
+    def fake_search(monotone, factor, stack, max_iters):
+        return finals.copy(), np.ones(len(stack), dtype=bool), np.zeros(len(stack), dtype=np.int64)
 
-    monkeypatch.setattr(convexroof, "_descend", fake_descend)
+    monkeypatch.setattr(convexroof, "_search", fake_search)
     rho = random_density_matrix(3, np.random.default_rng(97))
     res = convex_roof(MonotoneId("entropy"), rho, RoofConfig(restarts=4, seed=3))
     _, w, v = _checked_density(rho)

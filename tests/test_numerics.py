@@ -5,16 +5,27 @@ import pytest
 
 from frameness import (
     BadDecomposition,
+    BadMonotone,
     BadParameter,
+    BipartitePureState,
+    InvalidChannel,
     InvalidDensity,
+    InvalidState,
     MonotoneId,
     RoofConfig,
+    U1Channel,
+    U1Kraus,
+    channel_from_dict,
     convex_roof,
     decomposition_from_map,
     optimal_qubit_decomposition,
     qubit_concurrence,
     qubit_fof,
+    random_channel,
     random_density_matrix,
+    standard_form,
+    state_from_dict,
+    twirl,
     validate_density,
 )
 from frameness.monotones import KINDS
@@ -26,6 +37,7 @@ from frameness.numerics import (
     in_order_sum,
     integer,
     number,
+    shown,
 )
 
 
@@ -260,3 +272,65 @@ def test_memo_hits_return_the_bytes_of_a_fresh_check():
             hits = _density_spectrum.cache_info().hits
             assert output() == fresh
             assert _density_spectrum.cache_info().hits > hits
+
+
+LONG = "x" * 100000
+HUGE = 10**5000  # past Python's limit on the digits of an int turned into text
+
+
+def test_shown_bounds_every_echo():
+    assert shown("a,b") == "'a,b'" and shown([[1]]) == "[[1]]" and shown(2**64 - 1) == str(2**64 - 1)
+    assert shown(LONG) == "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
+    assert shown(HUGE) == "<int of 16610 bits>"
+    assert shown(10**50) == "1" + "0" * 17 + "..." + "0" * 19
+    assert shown([10**50] * 3, maxlong=12) == "[1000...00000, 1000...00000, 1000...00000]"
+    nested = [[[[[[LONG] * 6] * 6] * 6] * 6] * 6] * 6
+    assert len(shown(nested)) == 100 and shown(nested)[48:51] == "..."
+
+
+# Each echoed its whole value: a message as long as the value, or, for an int past
+# the digit limit, a bare ValueError raised while the message was built.
+LONG_VALUE_CASES = {
+    "integer": (lambda: integer(HUGE, BadParameter, "dimension", 1, 64), BadParameter,
+                "dimension must be at most 64, got <int of 16610 bits>"),
+    "integer-text": (lambda: integer(LONG, BadParameter, "dimension", 1, 64), BadParameter,
+                     "dimension must be an integer, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    "number": (lambda: number(LONG, BadParameter, "p"), BadParameter, "p must be a number, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    "random_channel": (lambda: random_channel(3, [HUGE]), InvalidChannel,
+                       "sector 0 admits no shift from [<int of 16610 bits>] (1 in all); a trace-preserving channel needs one"),
+    "U1Kraus": (lambda: U1Kraus(0, [LONG]), InvalidChannel,
+                "coefficients must map sectors to numbers, got ['xxxxxxxxxxxx...xxxxxxxxxxxxx']"),
+    "U1Kraus.row": (lambda: U1Kraus(HUGE, {0: 1.0}).row(2), InvalidChannel,
+                    "coefficient at sector 0 with shift <int of 16610 bits> maps outside 0..1"),
+    "U1Channel": (lambda: U1Channel(HUGE, 2), InvalidChannel,
+                  "outcomes must be groups of U1Kraus operators, got <int of 16610 bits>"),
+    "U1Channel-member": (lambda: U1Channel([[LONG]], 2), InvalidChannel,
+                         "outcome group member 'xxxxxxxxxxxx...xxxxxxxxxxxxx' is not a U1Kraus"),
+    "BipartitePureState": (lambda: BipartitePureState([LONG], 0, 1), InvalidState,
+                           "amplitudes must map (n, r) pairs to numbers, got ['xxxxxxxxxxxx...xxxxxxxxxxxxx']"),
+    "BipartitePureState-key": (lambda: BipartitePureState({(LONG,): 1.0}, 0, 1), InvalidState,
+                               "amplitude key ('xxxxxxxxxxxx...xxxxxxxxxxxxx',) is not a pair (n, r)"),
+    "BipartitePureState-total": (lambda: BipartitePureState({(0, HUGE): 1.0}, 0, 1), InvalidState,
+                                 "amplitude key (0, <int of 16610 bits>) has total charge <int of 16610 bits>, not 0"),
+    "standard_form": (lambda: standard_form(LONG, 2), InvalidState,
+                      "sectors must map labels to amplitudes, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    "twirl": (lambda: twirl(np.eye(2) / 2, [LONG, 0]), BadParameter,
+              "sector label must be an integer, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    "_sector_coeffs": (lambda: channel_from_dict({"dim": 1, "outcomes": [[{"shift": 0, "coeffs": {LONG: [1, 0]}}]]}),
+                       InvalidChannel, "sector key 'xxxxxxxxxxxx...xxxxxxxxxxxxx' is not an integer as str(n) writes it"),
+    "_sector_coeffs-twice": (lambda: channel_from_dict({"dim": 1, "outcomes": [[{"shift": 0, "coeffs": {"1" * 4000: [1, 0], int("1" * 4000): [1, 0]}}]]}),
+                             InvalidChannel, "sector 111111111111111111...1111111111111111111 is given twice"),
+    "_complex_from_pair": (lambda: state_from_dict({"dim": 1, "sectors": [{"n": 0, "amplitudes": [[LONG, 0]]}]}), InvalidState,
+                           "entry ['xxxxxxxxxxxx...xxxxxxxxxxxxx', 0] is not a [re, im] pair of numbers"),
+    "state_from_dict-dim": (lambda: state_from_dict({"dim": HUGE, "weights": [1.0]}), InvalidState,
+                            "dimension <int of 16610 bits> does not match the 1 weights"),
+    "MonotoneId": (lambda: MonotoneId(LONG), BadMonotone, "unknown monotone kind 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+}
+
+
+@pytest.mark.parametrize("case", LONG_VALUE_CASES)
+def test_long_values_are_shortened_in_typed_errors(case):
+    call, error, message = LONG_VALUE_CASES[case]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message and len(message) < 200
