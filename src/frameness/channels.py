@@ -35,11 +35,13 @@ class U1Kraus:
         for n, c in self.coeffs.items():
             n = integer(n, InvalidChannel, "sector")
             try:
-                clean[n] = complex(number(c, InvalidChannel, f"coefficient at sector {n}", real=False))
+                clean[n] = complex(number(c, InvalidChannel, "", real=False))
             except OverflowError:  # an int beyond the float range
                 clean[n] = complex(cmath.inf)
+            except InvalidChannel as exc:  # the sector's label is built only to raise
+                raise InvalidChannel(f"coefficient at sector {shown(n)}{exc}") from None
             if not cmath.isfinite(clean[n]):
-                raise InvalidChannel(f"coefficient at sector {n} is {clean[n]!r}")
+                raise InvalidChannel(f"coefficient at sector {shown(n)} is {clean[n]!r}")
         object.__setattr__(self, "coeffs", clean)
 
     def row(self, dim: int) -> np.ndarray:

@@ -50,7 +50,7 @@ from .states import (
 )
 
 VIOLATION_TOL = 1e-9
-# Array entries per (trials, slots, dim) batch in run_verification: enough
+# Array entries per (trials, slots, dim) batch of _trial_batch: enough
 # trials to amortize the numpy call overhead, while each batch's working
 # arrays stay within about 10 MB whatever --dim and --kraus-per-shift.
 VERIFY_ELEMENTS = 2**16
@@ -84,23 +84,19 @@ class VerificationReport:
 
 
 def sample_trials(
-    dim: int,
-    shifts: tuple[int, ...],
-    kraus_per_shift: int,
-    seed: int,
-    trials: range,
-) -> tuple[np.ndarray, tuple[tuple[int, ...], np.ndarray], np.ndarray]:
+    layout: tuple[tuple[int, ...], np.ndarray], seed: int, trials: range
+) -> tuple[np.ndarray, np.ndarray]:
     """The trials of :func:`sample_trial` over a range, as arrays, bit for bit.
 
+    ``layout`` is the channel slot layout of :func:`_slot_layout`.
     :func:`seeded_normals` makes the draws of every trial's generators for
     the whole range at once, or serves them as a prefix of the draws it
-    kept for the same seed and range. Returns the ``(T, dim)`` weights, the
-    channel slot layout of :func:`_slot_layout` and the ``(T, S, dim)``
-    channel coefficients.
+    kept for the same seed and range. Returns the ``(T, dim)`` weights and
+    the ``(T, S, dim)`` channel coefficients.
     """
-    layout = _slot_layout(dim, shifts, kraus_per_shift)
+    dim = layout[1].shape[1]
     state_draws, channel_draws = seeded_normals(seed, trials, (2 * dim, coefficient_draws(layout)))
-    return random_weights(dim, state_draws), layout, sample_coefficients(layout, channel_draws)
+    return random_weights(dim, state_draws), sample_coefficients(layout, channel_draws)
 
 
 def sample_trial(
@@ -124,25 +120,26 @@ def sample_trial(
 
 @functools.lru_cache(maxsize=1)
 def _trial_batch(
-    dim: int,
-    shifts: tuple[int, ...],
-    kraus_per_shift: int,
-    seed: int,
-    batch: range,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A batch of sampled trials passed through their channels, read-only.
+    dim: int, shifts: tuple[int, ...], kraus_per_shift: int, seed: int, lo: int, trials: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The batch of sampled trials from ``lo`` passed through their channels, read-only.
 
-    Returns the ``(T, dim)`` weights, and the ``(T, S)`` probabilities and
-    ``(T, S, dim)`` post-states of :func:`apply_slots_pure`, where a dropped
-    outcome has probability 0 and an all-zero post-state. None of it depends
-    on the measure, so the last batch is kept for the next call on the same
-    stream. The arguments are Python ints, a tuple of them and a ``range``.
+    The batch holds about ``VERIFY_ELEMENTS`` entries of its ``(T, S,
+    dim)`` coefficients, S the slots of :func:`_slot_layout`, and at least
+    one trial; it ends at ``trials`` at the latest. Returns the batch end,
+    the ``(T, dim)`` weights, and the ``(T, S)`` probabilities and ``(T, S,
+    dim)`` post-states of :func:`apply_slots_pure`, where a dropped outcome
+    has probability 0 and an all-zero post-state. None of it depends on the
+    measure, so the last batch is kept for the next call on the same
+    stream. The arguments are Python ints and a tuple of them.
     """
-    weights, layout, coeffs = sample_trials(dim, shifts, kraus_per_shift, seed, batch)
+    layout = _slot_layout(dim, shifts, kraus_per_shift)
+    batch = range(lo, min(lo + max(1, VERIFY_ELEMENTS // (len(layout[0]) * dim)), trials))
+    weights, coeffs = sample_trials(layout, seed, batch)
     probs, posts = apply_slots_pure(layout[0], squared_moduli(coeffs), weights)
     for array in (weights, probs, posts):
         array.flags.writeable = False
-    return weights, probs, posts
+    return batch.stop, weights, probs, posts
 
 
 def run_verification(
@@ -161,7 +158,7 @@ def run_verification(
     Trials are sampled, transformed and evaluated in batches of about
     ``VERIFY_ELEMENTS`` channel coefficients (at least one trial).
     Consecutive calls on the same ``(dim, shift set, kraus_per_shift,
-    seed)`` stream reuse the last sampled and transformed batch. Returns
+    seed, trials)`` reuse the last sampled and transformed batch. Returns
     the report plus per-trial rows ``(trial, margin, p_count)``.
     """
     trials = integer(trials, BadParameter, "trials", 1, MAX_TRIALS)
@@ -172,14 +169,9 @@ def run_verification(
     kraus_per_shift = integer(kraus_per_shift, InvalidChannel, "kraus_per_shift", 1, MAX_DIM)
     seed = integer(seed, BadParameter, "seed", 0)
     start = time.perf_counter()
-    # Only shifts with |s| < dim lay out slots (see _slot_layout). The memo stays keyed on the
-    # whole set, so a set with no such shift still reaches the layout's coverage error.
-    live_slots = sum(-dim < s < dim for s in shifts) * kraus_per_shift
-    batch_size = max(1, VERIFY_ELEMENTS // max(1, live_slots * dim))
-    margins, counts = [], []
-    for lo in range(0, trials, batch_size):
-        batch = range(lo, min(lo + batch_size, trials))
-        weights, probs, posts = _trial_batch(dim, shifts, kraus_per_shift, seed, batch)
+    margins, counts, lo = [], [], 0
+    while lo < trials:
+        lo, weights, probs, posts = _trial_batch(dim, shifts, kraus_per_shift, seed, lo, trials)
         # Outcomes add up in slot order, as a sum over the outcome ensemble would. A
         # dropped outcome's all-zero post-state has value 0.0, so its term is +0.0.
         margins.append(evaluator(weights) - in_order_sum(probs * evaluator(posts), 1))

@@ -164,15 +164,21 @@ def _descend(
     each restart's final value and whether its gradient norm reached ``tol``.
     """
     value, grad = _objective(factor, u, value_and_slope)
-    xi = _tangent(u, grad)
-    norm2 = _inner(xi, xi)
-    converged = norm2 <= tol**2
-    # Only the live restarts, compacted; each is written back when it stops.
-    lanes = np.flatnonzero(~converged & (iterations < max_iters))
-    x, fx, g, g2, count = u[lanes], value[lanes], xi[lanes], norm2[lanes], iterations[lanes]
+    g = _tangent(u, grad)
+    converged = np.zeros(len(u), dtype=bool)
+    # Every restart starts live; each round first writes back the stopped ones and compacts the rest.
+    lanes, x, fx, g2, count = np.arange(len(u)), u.copy(), value.copy(), _inner(g, g), iterations.copy()
     reference, weight = fx.copy(), np.ones_like(fx)
     step, failures = np.full_like(fx, INITIAL_STEP), np.zeros_like(count)
-    while lanes.size:
+    while True:
+        stop = (g2 <= tol**2) | (count >= max_iters)
+        if np.count_nonzero(stop):
+            out = lanes[stop]
+            u[out], value[out], converged[out], iterations[out] = x[stop], fx[stop], g2[stop] <= tol**2, count[stop]
+            state = (lanes, x, fx, g, g2, count, reference, weight, step, failures)
+            lanes, x, fx, g, g2, count, reference, weight, step, failures = (a[~stop] for a in state)
+        if not lanes.size:
+            return value, converged
         trial = _polar(x - step[:, None, None] * g)
         trial_value, trial_grad = _objective(factor, trial, value_and_slope)
         passed = trial_value <= reference - ARMIJO * step * g2
@@ -200,13 +206,6 @@ def _descend(
         x[moved], fx[moved], g[moved], g2[moved] = trial, trial_value, trial_xi, _inner(trial_xi, trial_xi)
         count[ended] += 1
         failures[ended] = 0
-        stop = (g2 <= tol**2) | (count >= max_iters)
-        if np.count_nonzero(stop):
-            out = lanes[stop]
-            u[out], value[out], converged[out], iterations[out] = x[stop], fx[stop], g2[stop] <= tol**2, count[stop]
-            state = (lanes, x, fx, g, g2, count, reference, weight, step, failures)
-            lanes, x, fx, g, g2, count, reference, weight, step, failures = (a[~stop] for a in state)
-    return value, converged
 
 
 def _search(monotone: WeightMonotone, factor: np.ndarray, u: np.ndarray, max_iters: int) -> tuple[np.ndarray, ...]:

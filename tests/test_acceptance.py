@@ -33,7 +33,7 @@ from frameness import (
     twirl,
     validate_channel,
 )
-from frameness.channels import coefficient_channel
+from frameness.channels import _slot_layout, coefficient_channel
 from frameness.cli import VIOLATION_TOL, run_verification, sample_trials
 
 ROOF_CFG = RoofConfig(ensemble_size=2, restarts=8, seed=1)
@@ -141,9 +141,8 @@ def test_criterion_5_simultaneous_tail_sums():
     for dim in VERIFY_DIMS:
         ks = list(range(2, dim + 1))
         for shifts in VERIFY_SHIFTS:
-            weights, layout, coeffs = sample_trials(
-                dim, shifts, 1, VERIFY_SEED, range(VERIFY_TRIALS)
-            )
+            layout = _slot_layout(dim, shifts, 1)
+            weights, coeffs = sample_trials(layout, VERIFY_SEED, range(VERIFY_TRIALS))
             for trial in range(VERIFY_TRIALS):
                 state = StandardState(weights[trial])
                 channel = coefficient_channel(layout, coeffs[trial])

@@ -96,6 +96,22 @@ def test_kraus_rejects_non_finite_coefficients():
         channel_from_dict(data)
 
 
+def test_kraus_reads_a_sector_key_of_any_size():
+    # A key past Python's 4300-digit text limit once raised a bare ValueError
+    # from the label built for each coefficient; the label is built only to raise.
+    big = 10**5000
+    kraus = U1Kraus(0, {big: 1.0})
+    channel = channel_from_dict({"dim": 1, "outcomes": [[{"shift": 0, "coeffs": {big: [1, 0]}}]]})
+    assert kraus.coeffs == channel.outcomes[0][0].coeffs == {big: 1 + 0j}
+    label = "coefficient at sector <int of 16610 bits>"
+    with pytest.raises(InvalidChannel, match=rf"^{label} with shift 0 maps outside 0\.\.2$") as info:
+        kraus.row(3)
+    assert len(str(info.value)) < 200
+    for bad, tail in (("x", " must be a number, got 'x'"), (float("nan"), r" is \(nan\+0j\)")):
+        with pytest.raises(InvalidChannel, match=f"^{label}{tail}$"):
+            U1Kraus(0, {big: bad})
+
+
 def test_kraus_matrix():
     k = U1Kraus(1, {0: 1 / RT2, 1: 1 / RT2})
     m = k.matrix(3)

@@ -531,7 +531,8 @@ def test_verify_trials_independent_of_measure():
 
 @pytest.mark.parametrize("dim, shifts, kraus_per_shift", [(3, (-1, 0, 1), 1), (4, (-2, 0, 1), 2)])
 def test_batched_sampler_rows_match_sample_trial(dim, shifts, kraus_per_shift):
-    weights, layout, coeffs = sample_trials(dim, shifts, kraus_per_shift, 9, range(6))
+    layout = _slot_layout(dim, shifts, kraus_per_shift)
+    weights, coeffs = sample_trials(layout, 9, range(6))
     for trial in range(6):
         state, channel = sample_trial(dim, shifts, kraus_per_shift, 9, trial)
         assert np.array_equal(weights[trial], state.weights)
@@ -553,8 +554,8 @@ def test_sampler_rows_match_default_rng_streams(seed, trials):
     reversed with a step, pin its upper end.
     """
     dim, shifts, kraus_per_shift = 3, (-1, 0, 1), 2
-    weights, sampled_layout, coeffs = sample_trials(dim, shifts, kraus_per_shift, seed, trials)
     layout = _slot_layout(dim, shifts, kraus_per_shift)
+    weights, coeffs = sample_trials(layout, seed, trials)
     size = coefficient_draws(layout)
     state_draws = np.array([np.random.default_rng([seed, t, 0]).normal(size=2 * dim) for t in trials])
     channel_draws = np.array([np.random.default_rng([seed, t, 1]).normal(size=size) for t in trials])
@@ -562,8 +563,6 @@ def test_sampler_rows_match_default_rng_streams(seed, trials):
     assert np.array_equal(draws[0], state_draws)
     assert np.array_equal(draws[1], channel_draws)
     assert np.array_equal(weights, random_weights(dim, state_draws))
-    assert sampled_layout[0] == layout[0]
-    assert np.array_equal(sampled_layout[1], layout[1])
     assert np.array_equal(coeffs, sample_coefficients(layout, channel_draws))
 
 
@@ -752,12 +751,27 @@ def test_run_verification_reads_numpy_integers():
     assert json.loads(json.dumps(report.to_dict()))["seed"] == 2
 
 
-@pytest.mark.parametrize("elements, sizes", [(60, [4, 4, 3]), (1, [1] * 11)])
-def test_run_verification_batch_size_invariant(monkeypatch, elements, sizes):
+# (VERIFY_ELEMENTS, batch sizes, shifts, kraus_per_shift) of 11 trials at d = 5.
+BATCH_PLANS = [
+    (60, [4, 4, 3], (-1, 0, 2), 1),
+    (1, [1] * 11, (-1, 0, 2), 1),
+    (60, [4, 4, 3], (-9, -1, 0, 2, 5), 1),
+    (60, [2] * 5 + [1], (-1, 0, 2), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "elements, sizes, shifts, kraus_per_shift",
+    BATCH_PLANS,
+    ids=[f"{plan[0]}-sizes{i}" for i, plan in enumerate(BATCH_PLANS)],
+)
+def test_run_verification_batch_size_invariant(monkeypatch, elements, sizes, shifts, kraus_per_shift):
     # 3 slots x dim 5: a budget of 60 entries makes batches of 4 trials,
-    # a budget below one trial's 15 entries makes batches of 1.
+    # a budget below one trial's 15 entries makes batches of 1. The shifts
+    # -9 and 5 lay out no slot at d = 5, so they leave the batches as they
+    # are; 2 Kraus operators per shift make 6 slots, and batches of 2.
     measure = MonotoneId("concurrence", 3)
-    _, whole = run_verification(measure, 5, 11, 4, (-1, 0, 2))
+    _, whole = run_verification(measure, 5, 11, 4, shifts, kraus_per_shift)
     monkeypatch.setattr("frameness.cli.VERIFY_ELEMENTS", elements)
     batches = []
 
@@ -767,7 +781,7 @@ def test_run_verification_batch_size_invariant(monkeypatch, elements, sizes):
 
     monkeypatch.setattr("frameness.cli.sample_trials", recording)
     cli._trial_batch.cache_clear()
-    _, pieces = run_verification(measure, 5, 11, 4, (-1, 0, 2))
+    _, pieces = run_verification(measure, 5, 11, 4, shifts, kraus_per_shift)
     assert pieces == whole
     assert batches == sizes
 
@@ -784,15 +798,15 @@ SWEEP_MEASURES = (
 def test_measure_sweep_samples_each_batch_once(monkeypatch):
     calls = []
 
-    def recording(*args):
-        calls.append(args)
-        return sample_trials(*args)
+    def recording(layout, seed, trials):
+        calls.append((layout[0], seed, trials))
+        return sample_trials(layout, seed, trials)
 
     monkeypatch.setattr("frameness.cli.sample_trials", recording)
     cli._trial_batch.cache_clear()
     for measure in SWEEP_MEASURES:
         run_verification(measure, 4, 12, 9, (-1, 0, 1))
-    assert calls == [(4, (-1, 0, 1), 1, 9, range(12))]
+    assert calls == [((-1, 0, 1), 9, range(12))]
 
 
 def test_slot_layout_is_built_once_per_sample(monkeypatch):
@@ -827,7 +841,8 @@ def test_reused_batch_rows_match_cold_calls():
 def test_cached_batch_is_read_only():
     cli._trial_batch.cache_clear()
     run_verification(MonotoneId("entropy"), 3, 5, 2, (-1, 0, 1))
-    weights, probs, posts = cli._trial_batch(3, (-1, 0, 1), 1, 2, range(5))
+    end, weights, probs, posts = cli._trial_batch(3, (-1, 0, 1), 1, 2, 0, 5)
+    assert end == 5
     assert cli._trial_batch.cache_info().hits == 1
     for array in (weights, probs, posts):
         with pytest.raises(ValueError, match="read-only"):
@@ -1016,18 +1031,19 @@ def test_negative_seed_or_trial_is_typed():
     with pytest.raises(BadParameter, match="^trial must be at least 0, got -1$"):
         sample_trial(3, (-1, 0, 1), 1, 0, -1)
     # The batch sampler's trials are one SeedSequence entropy word, ending at 2**32 - 1.
-    weights, _, _ = sample_trials(3, (-1, 0, 1), 1, 0, range(2**32 - 1, 2**32))
+    layout = _slot_layout(3, (-1, 0, 1), 1)
+    weights, _ = sample_trials(layout, 0, range(2**32 - 1, 2**32))
     assert np.array_equal(weights[0], sample_trial(3, (-1, 0, 1), 1, 0, 2**32 - 1)[0].weights)
     for trials in (range(2**32, 2**32 + 1), range(2**32, 2**32 - 3, -1)):
         with pytest.raises(BadParameter, match=f"^trial must be at most {2**32 - 1}, got {2**32}$"):
-            sample_trials(3, (-1, 0, 1), 1, 0, trials)
+            sample_trials(layout, 0, trials)
     with pytest.raises(BadParameter, match=f"^trial must be at most {2**32 - 1}, got {2**64 - 1}$"):
-        sample_trials(3, (-1, 0, 1), 1, 0, range(2**64 - 3, 2**64))
+        sample_trials(layout, 0, range(2**64 - 3, 2**64))
     # One trial at a time, any nonnegative index is drawn.
     sample_trial(3, (-1, 0, 1), 1, 0, 2**64)
     # A list of trials raised a bare AttributeError for its missing ``start``.
     with pytest.raises(BadParameter, match="^trials must be a range, got list$"):
-        sample_trials(3, (-1, 0, 1), 1, 0, [0, 1])
+        sample_trials(layout, 0, [0, 1])
     # Each raised a bare TypeError from the batch-size arithmetic before its check.
     for shifts, kraus_per_shift, message in (
         ([[1]], 1, r"shift must be an integer, got \[1\]"),
@@ -1128,7 +1144,7 @@ INPUT_ERRORS = {
         ["verify", "--measure", "entropy", "--dim", "3", "--shifts=-1,0,1", "--kraus-per-shift", "1000000000"],
         "kraus_per_shift must be at most 64, got 1000000000",
         InvalidChannel,
-        lambda state: sample_trials(3, (-1, 0, 1), 10**9, 0, range(1)),
+        lambda state: _slot_layout(3, (-1, 0, 1), 10**9),
     ),
     "kraus-per-shift-65": (
         ["channel", "sample", "--dim", "3", "--shifts=-1,0,1", "--kraus-per-shift", "65"],
@@ -1163,7 +1179,7 @@ def test_input_errors_are_typed(capsys, tmp_path, plus_file, argv, message, erro
 SAMPLING_VERBS = {
     "verify": (
         ["verify", "--measure", "entropy", "--trials", "3"],
-        lambda dim: sample_trials(dim, (-1, 0, 1), 1, 0, range(3)),
+        lambda dim: _slot_layout(dim, (-1, 0, 1), 1),
     ),
     "channel": (["channel", "sample"], lambda dim: random_channel(dim, (-1, 0, 1))),
     # The dimension is read before the order k, which must be at most it.
@@ -1383,11 +1399,15 @@ def test_channel_sample_matches_golden_bytes(capsys):
     assert capsys.readouterr().out == expected
 
 
-def assert_roof_matches_golden(capsys, tmp_path, name, dim, args):
+def roof_output(capsys, tmp_path, dim, args):
+    """``roof`` stdout on the full-rank density seeded by ``dim``, at seed 1."""
     path = write_density(tmp_path, random_density_matrix(dim, np.random.default_rng([29, dim])))
     assert main(["roof", "--rho", path, "--seed", "1", *args]) == 0
-    expected = (GOLDEN / name).read_text(encoding="utf-8")
-    assert capsys.readouterr().out == expected
+    return capsys.readouterr().out
+
+
+def assert_roof_matches_golden(capsys, tmp_path, name, dim, args):
+    assert roof_output(capsys, tmp_path, dim, args) == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name, dim, args", ROOF_GOLDENS)
@@ -1432,6 +1452,27 @@ def test_rank1_roofs_match_golden_bytes(capsys, tmp_path):
     for label, rho, args in rank1_roof_cases():
         assert main(["roof", "--rho", write_density(tmp_path, rho), *args]) == 0
         assert capsys.readouterr().out == golden[label], label
+        seen.append(label)
+    assert seen == list(golden)
+
+
+def stop_path_roof_cases():
+    """(label, dimension, roof arguments) of the stop-path golden. A vidal budget of 3 or 5
+    iterations runs out inside the smoothed stages, so the later stages start with every
+    restart already stopped; every other kind runs a budget of one iteration at d = 3."""
+    cases = [(dim, ["vidal", "--k", k, "--max-iters", n]) for dim in (4, 5, 6) for k in "23" for n in "35"]
+    for measure in (["entropy"], ["concurrence", "--k", "2"], ["concurrence", "--k", "3"], ["variance"]):
+        cases.append((3, [*measure, "--max-iters", "1"]))
+    for dim, args in cases:
+        yield f"d{dim} {' '.join(args)}", dim, ["--measure", *args]
+
+
+def test_stop_path_roofs_match_golden_bytes(capsys, tmp_path):
+    """Roofs whose budget runs out early print, byte for byte, their capture."""
+    golden = json.loads((GOLDEN / "roof_stop_paths.json").read_text(encoding="utf-8"))
+    seen = []
+    for label, dim, args in stop_path_roof_cases():
+        assert roof_output(capsys, tmp_path, dim, [*args, "--restarts", "4"]) == golden[label], label
         seen.append(label)
     assert seen == list(golden)
 
