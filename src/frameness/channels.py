@@ -16,8 +16,8 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import BadParameter, InvalidChannel, InvalidState
-from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, array, in_order_sum, integer, number, shown, validate_density
-from .states import StandardState, _check_probabilities, _complex_from_pair, _standard_state, checked_weights
+from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, array, in_order_sum, instance, integer, number, shown, validate_density
+from .states import StandardState, _check_probabilities, _complex_from_pair, checked_weights
 
 
 @dataclass(frozen=True)
@@ -167,15 +167,9 @@ def _completeness_sums(moduli: np.ndarray) -> tuple[np.ndarray, bool]:
     return sums, bool(np.max(np.abs(sums - 1.0)) <= SUM_TOL)
 
 
-def _channel(channel) -> U1Channel:
-    if not isinstance(channel, U1Channel):
-        raise InvalidChannel(f"channel must be a U1Channel, got {type(channel).__name__}")
-    return channel
-
-
 def validate_channel(channel: U1Channel) -> ChannelReport:
     """Check window bounds and completeness; report per-sector sums."""
-    channel = _channel(channel)
+    channel = instance(channel, U1Channel, InvalidChannel, "channel")
     sums, tp = _completeness_sums(squared_moduli(np.array([k.row(channel.dim) for k in channel.all_kraus()])))
     return ChannelReport(per_sector_sums=sums, trace_preserving=tp)
 
@@ -329,7 +323,8 @@ def apply_slots_pure(
 
 def apply_channel_pure(channel: U1Channel, state: StandardState) -> Ensemble:
     """Outcome ensemble of a trace-preserving pure-to-pure channel."""
-    channel, state = _channel(channel), _standard_state(state)
+    channel = instance(channel, U1Channel, InvalidChannel, "channel")
+    state = instance(state, StandardState, InvalidState, "state")
     if state.dim != channel.dim:
         raise InvalidState(f"state of dimension {state.dim} on a channel of dimension {channel.dim}")
     kraus = list(channel.all_kraus())
@@ -349,7 +344,7 @@ def apply_channel_pure(channel: U1Channel, state: StandardState) -> Ensemble:
 
 def apply_channel_density(channel: U1Channel, rho: np.ndarray) -> Ensemble:
     """Outcome ensemble of a channel on a density matrix, grouped by outcome."""
-    m = validate_density(rho, dim=_channel(channel).dim)
+    m = validate_density(rho, dim=instance(channel, U1Channel, InvalidChannel, "channel").dim)
     report = validate_channel(channel)
     if not report.trace_preserving:
         raise InvalidChannel("channel is not trace-preserving")
@@ -406,7 +401,7 @@ def channel_from_dict(data: dict) -> U1Channel:
 
 
 def channel_to_dict(channel: U1Channel) -> dict:
-    channel = _channel(channel)
+    channel = instance(channel, U1Channel, InvalidChannel, "channel")
     return {
         "dim": channel.dim,
         "outcomes": [

@@ -27,7 +27,7 @@ import numpy as np
 from .channels import Ensemble
 from .errors import BadDecomposition, BadParameter
 from .monotones import MonotoneId, WeightMonotone, smoothed_tail_sum
-from .numerics import ZERO_TOL, _checked_density, array, integer
+from .numerics import ZERO_TOL, _checked_density, array, instance, integer
 from .states import is_gapless
 
 ISOMETRY_TOL = 1e-10
@@ -272,8 +272,7 @@ def convex_roof(
     dimension exceeds ``ROOF_ELEMENTS``, raises ``BadParameter`` before any
     draw.
     """
-    if not isinstance(cfg, RoofConfig):
-        raise BadParameter(f"cfg must be a RoofConfig, got {type(cfg).__name__}")
+    instance(cfg, RoofConfig, BadParameter, "cfg")
     m_rho, w, v = _checked_density(rho)
     monotone = WeightMonotone(measure, m_rho.shape[0])
     factor = _support_factor(w, v)

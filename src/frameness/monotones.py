@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .channels import Ensemble
-from .errors import BadMonotone, BadParameter
-from .numerics import MAX_DIM, ZERO_TOL, _checked_density, in_order_sum, integer, number, shown
-from .states import StandardState, _standard_state
+from .errors import BadMonotone, BadParameter, InvalidState
+from .numerics import MAX_DIM, ZERO_TOL, _checked_density, in_order_sum, instance, integer, number, shown
+from .states import StandardState
 
 KINDS = ("vidal", "entropy", "concurrence", "variance")
 
@@ -113,9 +113,7 @@ class WeightMonotone:
     ``values`` and ``value_and_slope`` map ``(..., dim)`` weights along the last axis."""
 
     def __init__(self, measure: MonotoneId, dim: int) -> None:
-        if not isinstance(measure, MonotoneId):
-            raise BadMonotone(f"measure must be a MonotoneId, got {type(measure).__name__}")
-        self.measure = measure
+        self.measure = instance(measure, MonotoneId, BadMonotone, "measure")
         self.dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
         if measure.k is not None:
             integer(measure.k, BadMonotone, "order k", 2, self.dim)
@@ -183,7 +181,8 @@ def smoothed_tail_sum(vidal: WeightMonotone, width: float) -> Callable[[np.ndarr
 
 def evaluate_pure(measure: MonotoneId, state: StandardState) -> float:
     """Value of a pure-state monotone on a standard-form state."""
-    return float(weight_evaluator(measure, _standard_state(state).dim)(state.weights))
+    state = instance(state, StandardState, InvalidState, "state")
+    return float(weight_evaluator(measure, state.dim)(state.weights))
 
 
 def _qubit(rho: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:

@@ -59,6 +59,13 @@ def shown(value, maxlong: int = 40) -> str:
     return text if len(text) <= 100 else f"{text[:48]}...{text[-49:]}"
 
 
+def instance(value, kind: type, error: type[FramenessError], name: str, label: str | None = None):
+    """``value`` if it is a ``kind``, else raise ``error`` naming ``label`` (default ``kind.__name__``)."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be a {label or kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def integer(value, error: type[FramenessError], name: str, lo=None, hi=None) -> int:
     """``value`` as an ``int`` in ``lo..hi``; ``error`` is raised on anything else.
 
@@ -278,8 +285,7 @@ def seeded_normals(seed: int, trials: range, sizes: Sequence[int]) -> list[np.nd
     """
     global _tape
     seed = integer(seed, BadParameter, "seed", 0)
-    if not isinstance(trials, range):
-        raise BadParameter(f"trials must be a range, got {type(trials).__name__}")
+    trials = instance(trials, range, BadParameter, "trials")
     if trials:
         integer(min(trials[0], trials[-1]), BadParameter, "trial", 0)
         integer(max(trials[0], trials[-1]), BadParameter, "trial", hi=_MASK32)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, FramenessError, InvalidDensity, InvalidState
-from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, array, as_complex_matrix, integer, number, shown, validate_density
+from .numerics import MAX_DIM, SUM_TOL, ZERO_TOL, array, as_complex_matrix, instance, integer, number, shown, validate_density
 
 
 @dataclass(frozen=True)
@@ -158,15 +158,10 @@ def standard_form(sectors: Mapping[int, Sequence[complex]], dim: int) -> Standar
     return StandardState(w / total)
 
 
-def _standard_state(state) -> StandardState:
-    if not isinstance(state, StandardState):
-        raise InvalidState(f"state must be a StandardState, got {type(state).__name__}")
-    return state
-
-
 def spectrum(state: StandardState) -> tuple[int, ...]:
     """Sector labels carrying weight above ``ZERO_TOL``, ascending."""
-    return tuple(int(n) for n in np.flatnonzero(_standard_state(state).weights > ZERO_TOL))
+    state = instance(state, StandardState, InvalidState, "state")
+    return tuple(int(n) for n in np.flatnonzero(state.weights > ZERO_TOL))
 
 
 def is_gapless(support: Sequence[int]) -> bool:
@@ -242,16 +237,11 @@ def random_weights(dim: int, draws: np.ndarray) -> np.ndarray:
     return checked_weights(w / w.sum(axis=-1, keepdims=True))
 
 
-def _generator(rng) -> np.random.Generator:
-    if not isinstance(rng, np.random.Generator):
-        raise BadParameter(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
-    return rng
-
-
 def random_standard_state(dim: int, rng: np.random.Generator) -> StandardState:
     """Standard form of a Haar-uniform pure state on the ambient sphere."""
     dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
-    return StandardState(random_weights(dim, _generator(rng).normal(size=(1, 2 * dim)))[0])
+    rng = instance(rng, np.random.Generator, BadParameter, "rng", "numpy.random.Generator")
+    return StandardState(random_weights(dim, rng.normal(size=(1, 2 * dim)))[0])
 
 
 def random_density_matrix(
@@ -260,7 +250,7 @@ def random_density_matrix(
     """Random density matrix from a complex Gaussian factor of given rank."""
     dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
     r = dim if rank is None else integer(rank, BadParameter, "rank", 1, dim)
-    rng = _generator(rng)
+    rng = instance(rng, np.random.Generator, BadParameter, "rng", "numpy.random.Generator")
     g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
     m = g @ g.conj().T
     return m / np.trace(m).real

@@ -115,6 +115,20 @@ def test_vidal_decreasing_in_k_and_permutation_invariant():
             assert evaluate_pure(vidal, perm) == pytest.approx(evaluate_pure(vidal, st), abs=1e-15)
 
 
+def test_concurrence_does_not_increase_with_k():
+    # Maclaurin's inequality: (e_k / C(d, k))^(1/k) does not increase with k,
+    # so neither does concurrence[k], on rows with empty sectors as well.
+    rng = np.random.default_rng(37)
+    for d in range(2, 17):
+        dirichlet = rng.dirichlet(np.ones(d), size=20)
+        gapped = rng.dirichlet(np.ones(d), size=10)
+        gapped[np.arange(10), rng.integers(d, size=10)] = 0.0
+        gapped /= gapped.sum(axis=1, keepdims=True)
+        rows = np.vstack([dirichlet, gapped, np.full(d, 1.0 / d), np.eye(d)[rng.integers(d)]])
+        vals = np.array([WeightMonotone(MonotoneId("concurrence", k), d).values(rows) for k in range(2, d + 1)])
+        assert np.all(np.diff(vals, axis=0) <= 1e-12), d
+
+
 def test_entropy_values():
     assert evaluate_pure(MonotoneId("entropy"), StandardState([0.5, 0.5])) == pytest.approx(1.0, abs=1e-15)
     # frozen from -0.25 log2 0.25 - 0.75 log2 0.75

@@ -314,7 +314,7 @@ def test_random_inputs_check_dimension_and_rank():
 def test_random_inputs_reject_non_generator_rng(helper, rng):
     # An int or None raised a bare AttributeError on rng.normal, and a
     # legacy RandomState was accepted.
-    with pytest.raises(BadParameter, match="^rng must be a numpy.random.Generator, got "):
+    with pytest.raises(BadParameter, match=f"^rng must be a numpy.random.Generator, got {type(rng).__name__}$"):
         helper(2, rng)
 
 
