@@ -197,48 +197,49 @@ def _shift_set(shifts: Iterable[int]) -> list[int]:
     return shift_list
 
 
-def _slot_layout(
-    dim: int, shifts: Iterable[int], kraus_per_shift: int
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """The shift of each slot and the ``(S, dim)`` mask of slots live on each sector.
+def _slot_layout(dim: int, shifts: Iterable[int], kraus_per_shift: int) -> tuple[tuple[int, ...], int]:
+    """The shift of each slot, the (shift, repeat) pairs with shifts ascending, and ``dim``: Python ints only.
 
     A shift with ``|ell| >= dim`` moves every sector out of the window, so it
     lays out no slot: there are at most ``(2 * dim - 1) * kraus_per_shift``
-    slots, and each is live on some sector.
+    slots, and a slot of shift ``ell`` is live on sectors ``max(0, -ell)`` to
+    ``min(dim, dim - ell) - 1``.
     """
     dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
     shift_list = _shift_set(shifts)
     kraus_per_shift = integer(kraus_per_shift, InvalidChannel, "kraus_per_shift", 1, MAX_DIM)
-    slot_shifts = tuple(ell for ell in shift_list if -dim < ell < dim for _ in range(kraus_per_shift))
-    target = np.arange(dim) + np.asarray(slot_shifts)[:, None]
-    live = (target >= 0) & (target < dim)
-    covered = live.any(axis=0)
-    if not covered.all():
+    live = [ell for ell in shift_list if -dim < ell < dim]
+    # Shifts >= 0 cover a prefix of the sectors and shifts < 0 a suffix, so the first
+    # sector past the prefix is uncovered unless the suffix starts at or before it.
+    gap = dim - min((ell for ell in live if ell >= 0), default=dim)
+    if gap < -max((ell for ell in live if ell < 0), default=-dim):
         raise InvalidChannel(
-            f"sector {int(np.argmin(covered))} admits no shift from "
+            f"sector {gap} admits no shift from "
             f"{_shown_shifts(shift_list, len(shift_list))}; a trace-preserving channel needs one"
         )
-    return slot_shifts, live
+    return tuple(ell for ell in live for _ in range(kraus_per_shift)), dim
 
 
-def coefficient_draws(layout: tuple[tuple[int, ...], np.ndarray]) -> int:
+def coefficient_draws(layout: tuple[tuple[int, ...], int]) -> int:
     """Normal draws per channel that :func:`sample_coefficients` consumes on ``layout``."""
-    return 2 * int(layout[1].sum())
+    slot_shifts, dim = layout
+    return 2 * sum(dim - abs(ell) for ell in slot_shifts)
 
 
-def sample_coefficients(layout: tuple[tuple[int, ...], np.ndarray], draws: np.ndarray) -> np.ndarray:
+def sample_coefficients(layout: tuple[tuple[int, ...], int], draws: np.ndarray) -> np.ndarray:
     """Random trace-preserving coefficients, one ``(S, dim)`` array per row of ``draws``.
 
-    ``layout`` is what :func:`_slot_layout` returns: the shift of each of
-    the S slots, the (shift, repeat) pairs with shifts ascending, and their
-    live mask. For every source sector the coefficients across its
-    admissible slots form an independent Haar-uniform complex unit vector,
+    ``layout`` is what :func:`_slot_layout` returns: the shifts of the S
+    slots and ``dim``. For every source sector the coefficients across the
+    slots live on it form an independent Haar-uniform complex unit vector,
     so the per-sector completeness sums are 1. Each row of the
     ``(T, coefficient_draws(layout))`` normal draws holds, sector by
     sector, the real then the imaginary parts of that sector's vector.
     Returns the ``(T, S, dim)`` coefficients, zero outside the window.
     """
-    live = layout[1]
+    slot_shifts, dim = layout
+    target = np.arange(dim) + np.asarray(slot_shifts)[:, None]
+    live = (target >= 0) & (target < dim)
     sizes = live.sum(axis=0)
     starts = np.concatenate(([0], np.cumsum(2 * sizes)[:-1]))
     coeffs = np.zeros((len(draws),) + live.shape, dtype=np.complex128)
@@ -254,14 +255,14 @@ def sample_coefficients(layout: tuple[tuple[int, ...], np.ndarray], draws: np.nd
     return coeffs
 
 
-def coefficient_channel(layout: tuple[tuple[int, ...], np.ndarray], coeffs: np.ndarray) -> U1Channel:
+def coefficient_channel(layout: tuple[tuple[int, ...], int], coeffs: np.ndarray) -> U1Channel:
     """Channel with one singleton outcome per slot of ``layout``."""
-    slot_shifts, live = layout
+    slot_shifts, dim = layout
     outcomes = [
-        [U1Kraus(shift=ell, coeffs={int(n): row[n] for n in np.flatnonzero(mask)})]
-        for ell, row, mask in zip(slot_shifts, coeffs, live)
+        [U1Kraus(shift=ell, coeffs={n: row[n] for n in range(max(0, -ell), min(dim, dim - ell))})]
+        for ell, row in zip(slot_shifts, coeffs)
     ]
-    return U1Channel(outcomes, live.shape[1])
+    return U1Channel(outcomes, dim)
 
 
 def random_channel(
@@ -288,14 +289,13 @@ def apply_slots_pure(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Outcome probabilities and post-states of singleton-outcome channels on pure states.
 
-    ``moduli[..., j, n]`` is ``abs(c) ** 2`` of slot ``j``'s coefficient at
-    source sector ``n``; slot ``j`` shifts by ``slot_shifts[j]``, with
-    ``-d < slot_shifts[j] < d``, as :func:`_slot_layout` lays slots out. Leading
-    axes are batch axes shared with ``weights[..., n]``. Returns the
-    probabilities ``(..., S)`` and the post-state weights ``(..., S, d)``.
-    An outcome with probability at or below ``ZERO_TOL`` is dropped: its
-    probability and its post-state are all zeros, so the kept outcomes are
-    those with ``probs > 0``.
+    ``slot_shifts`` are those of a :func:`_slot_layout`, and
+    ``moduli[..., j, n]`` is ``abs(c) ** 2`` of slot ``j``'s coefficient
+    at source sector ``n``. Leading axes are batch axes shared with
+    ``weights[..., n]``. Returns the probabilities ``(..., S)`` and the
+    post-state weights ``(..., S, d)``. An outcome with probability at or
+    below ``ZERO_TOL`` is dropped: its probability and its post-state are
+    all zeros, so the kept outcomes are those with ``probs > 0``.
 
     Raises as :func:`apply_channel_pure` does: on an overcomplete or
     non-trace-preserving channel, a post-state that is not normalized, or

@@ -24,7 +24,6 @@ import numpy as np
 
 from .channels import (
     U1Channel,
-    _shift_set,
     _shown_shifts,
     _slot_layout,
     apply_slots_pure,
@@ -83,9 +82,7 @@ class VerificationReport:
         return {**vars(self), "measure": {**vars(self.measure)}}
 
 
-def sample_trials(
-    layout: tuple[tuple[int, ...], np.ndarray], seed: int, trials: range
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_trials(layout: tuple[tuple[int, ...], int], seed: int, trials: range) -> tuple[np.ndarray, np.ndarray]:
     """The trials of :func:`sample_trial` over a range, as arrays, bit for bit.
 
     ``layout`` is the channel slot layout of :func:`_slot_layout`.
@@ -94,7 +91,7 @@ def sample_trials(
     kept for the same seed and range. Returns the ``(T, dim)`` weights and
     the ``(T, S, dim)`` channel coefficients.
     """
-    dim = layout[1].shape[1]
+    dim = layout[1]
     state_draws, channel_draws = seeded_normals(seed, trials, (2 * dim, coefficient_draws(layout)))
     return random_weights(dim, state_draws), sample_coefficients(layout, channel_draws)
 
@@ -120,23 +117,24 @@ def sample_trial(
 
 @functools.lru_cache(maxsize=1)
 def _trial_batch(
-    dim: int, shifts: tuple[int, ...], kraus_per_shift: int, seed: int, lo: int, trials: int
+    layout: tuple[tuple[int, ...], int], seed: int, lo: int, trials: int
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The batch of sampled trials from ``lo`` passed through their channels, read-only.
 
-    The batch holds about ``VERIFY_ELEMENTS`` entries of its ``(T, S,
-    dim)`` coefficients, S the slots of :func:`_slot_layout`, and at least
-    one trial; it ends at ``trials`` at the latest. Returns the batch end,
-    the ``(T, dim)`` weights, and the ``(T, S)`` probabilities and ``(T, S,
-    dim)`` post-states of :func:`apply_slots_pure`, where a dropped outcome
-    has probability 0 and an all-zero post-state. None of it depends on the
-    measure, so the last batch is kept for the next call on the same
-    stream. The arguments are Python ints and a tuple of them.
+    ``layout`` is the slot layout of :func:`_slot_layout`, a hashable value
+    of Python ints like the other arguments. The batch holds about
+    ``VERIFY_ELEMENTS`` entries of its ``(T, S, dim)`` coefficients and at
+    least one trial; it ends at ``trials`` at the latest. Returns the batch
+    end, the ``(T, dim)`` weights, and the ``(T, S)`` probabilities and
+    ``(T, S, dim)`` post-states of :func:`apply_slots_pure`, where a
+    dropped outcome has probability 0 and an all-zero post-state. None of
+    it depends on the measure, so the last batch is kept for the next call
+    on the same layout and stream.
     """
-    layout = _slot_layout(dim, shifts, kraus_per_shift)
-    batch = range(lo, min(lo + max(1, VERIFY_ELEMENTS // (len(layout[0]) * dim)), trials))
+    slot_shifts, dim = layout
+    batch = range(lo, min(lo + max(1, VERIFY_ELEMENTS // (len(slot_shifts) * dim)), trials))
     weights, coeffs = sample_trials(layout, seed, batch)
-    probs, posts = apply_slots_pure(layout[0], squared_moduli(coeffs), weights)
+    probs, posts = apply_slots_pure(slot_shifts, squared_moduli(coeffs), weights)
     for array in (weights, probs, posts):
         array.flags.writeable = False
     return batch.stop, weights, probs, posts
@@ -157,21 +155,20 @@ def run_verification(
     ``-VIOLATION_TOL``. ``trials`` is checked first, in 1..``MAX_TRIALS``.
     Trials are sampled, transformed and evaluated in batches of about
     ``VERIFY_ELEMENTS`` channel coefficients (at least one trial).
-    Consecutive calls on the same ``(dim, shift set, kraus_per_shift,
-    seed, trials)`` reuse the last sampled and transformed batch. Returns
+    Consecutive calls on the same slot layout, seed and trials reuse the
+    last sampled and transformed batch: shift sets that differ only in
+    shifts with ``|shift| >= dim`` lay out the same slots. Returns
     the report plus per-trial rows ``(trial, margin, p_count)``.
     """
     trials = integer(trials, BadParameter, "trials", 1, MAX_TRIALS)
     dim = integer(dim, BadParameter, "dimension", 1, MAX_DIM)
     evaluator = weight_evaluator(measure, dim)
-    # Read once, as the sorted set _slot_layout lays out, so one shift set keys one batch.
-    shifts = tuple(_shift_set(shifts))
-    kraus_per_shift = integer(kraus_per_shift, InvalidChannel, "kraus_per_shift", 1, MAX_DIM)
+    layout = _slot_layout(dim, shifts, kraus_per_shift)
     seed = integer(seed, BadParameter, "seed", 0)
     start = time.perf_counter()
     margins, counts, lo = [], [], 0
     while lo < trials:
-        lo, weights, probs, posts = _trial_batch(dim, shifts, kraus_per_shift, seed, lo, trials)
+        lo, weights, probs, posts = _trial_batch(layout, seed, lo, trials)
         # Outcomes add up in slot order, as a sum over the outcome ensemble would. A
         # dropped outcome's all-zero post-state has value 0.0, so its term is +0.0.
         margins.append(evaluator(weights) - in_order_sum(probs * evaluator(posts), 1))

@@ -170,15 +170,46 @@ def test_random_channel_bad_requests():
             random_channel(dim, (0,))
 
 
+def live_mask(shifts, dim):
+    """The ``(len(shifts), dim)`` mask of the shifts that map each sector into ``0..dim-1``."""
+    return np.array([[0 <= n + ell < dim for n in range(dim)] for ell in shifts], dtype=bool).reshape(-1, dim)
+
+
 def test_slot_layout_lays_out_live_shifts_only():
     # Every shift from -10**5 to 10**5 was a slot, all but 2d - 1 of them live on no sector.
     for dim in (2, 3, 8):
         for kraus_per_shift in (1, 2):
-            slot_shifts, live = _slot_layout(dim, range(-(10**5), 10**5 + 1), kraus_per_shift)
-            assert len(slot_shifts) == live.shape[0] == (2 * dim - 1) * kraus_per_shift
+            layout = _slot_layout(dim, range(-(10**5), 10**5 + 1), kraus_per_shift)
+            slot_shifts = layout[0]
+            assert len(slot_shifts) == (2 * dim - 1) * kraus_per_shift
             assert slot_shifts == tuple(ell for ell in range(1 - dim, dim) for _ in range(kraus_per_shift))
-            assert live.any(axis=1).all()
-            assert np.array_equal(live, _slot_layout(dim, range(1 - dim, dim), kraus_per_shift)[1])
+            assert layout == (slot_shifts, dim) and {type(x) for x in (*slot_shifts, dim)} == {int}
+            assert live_mask(slot_shifts, dim).any(axis=1).all()
+            assert layout == _slot_layout(dim, range(1 - dim, dim), kraus_per_shift)
+
+
+def test_coverage_rule_and_draw_count_match_a_mask_reference():
+    # Every nonempty subset of the shifts -d-1..d+1, dead ones included, at d = 1..5.
+    rng = np.random.default_rng(5)
+    cases = 0
+    for dim in range(1, 6):
+        span = range(-dim - 1, dim + 2)
+        for bits in range(1, 2 ** len(span)):
+            shifts = [ell for i, ell in enumerate(span) if bits >> i & 1]
+            kraus_per_shift = 1 + bits % 2
+            mask = live_mask(shifts, dim)
+            covered = mask.any(axis=0)
+            cases += 1
+            if not covered.all():
+                with pytest.raises(InvalidChannel, match=f"^sector {np.argmin(covered)} admits no shift from "):
+                    _slot_layout(dim, shifts, kraus_per_shift)
+                continue
+            layout = _slot_layout(dim, shifts, kraus_per_shift)
+            mask = np.repeat(mask[mask.any(axis=1)], kraus_per_shift, axis=0)
+            assert coefficient_draws(layout) == 2 * mask.sum()
+            coeffs = sample_coefficients(layout, rng.normal(size=(2, coefficient_draws(layout))))
+            assert np.array_equal(coeffs != 0, np.broadcast_to(mask, coeffs.shape))
+    assert cases == 10907
 
 
 def test_dead_shifts_leave_the_random_channel_unchanged():

@@ -36,6 +36,7 @@ from frameness import (
 )
 from frameness import channels, cli, numerics
 from frameness.channels import (
+    _shift_set,
     _slot_layout,
     channel_from_dict,
     coefficient_draws,
@@ -809,25 +810,33 @@ def test_measure_sweep_samples_each_batch_once(monkeypatch):
     assert calls == [((-1, 0, 1), 9, range(12))]
 
 
-def test_slot_layout_is_built_once_per_sample(monkeypatch):
-    # One checked layout per sampled batch and per random channel: the draw
-    # count and the coefficients both read it.
-    calls = []
+def test_slot_layout_is_built_once_per_run(monkeypatch):
+    # One checked layout per verify run, on a batch hit or a miss, and per random
+    # channel: it is the one read of the shift list, and the draw count, the
+    # coefficients and the batch memo all read the layout.
+    calls, reads = [], []
 
     def counting(*args):
         calls.append(args)
         return _slot_layout(*args)
 
+    def reading(shifts):
+        reads.append(shifts)
+        return _shift_set(shifts)
+
     monkeypatch.setattr(channels, "_slot_layout", counting)
-    monkeypatch.setattr(cli, "_slot_layout", counting, raising=False)
+    monkeypatch.setattr(cli, "_slot_layout", counting)
+    monkeypatch.setattr(channels, "_shift_set", reading)
+    monkeypatch.setattr(cli, "_shift_set", reading, raising=False)
     cli._trial_batch.cache_clear()
     for measure in SWEEP_MEASURES:
         run_verification(measure, 4, 12, 9, (-1, 0, 1))
-    assert len(calls) == cli._trial_batch.cache_info().misses == 1
-    run_verification(MonotoneId("entropy"), 3, 12, 9, (0, 2), 2)
-    assert len(calls) == cli._trial_batch.cache_info().misses == 2
+    runs = len(SWEEP_MEASURES)
+    assert len(calls) == len(reads) == runs and cli._trial_batch.cache_info().misses == 1
+    run_verification(MonotoneId("entropy"), 3, 12, 9, range(-20000, 20001), 2)
+    assert len(calls) == len(reads) == runs + 1 and cli._trial_batch.cache_info().misses == 2
     random_channel(5, (-1, 1), 2, seed=3)
-    assert calls[-1] == (5, (-1, 1), 2) and len(calls) == 3
+    assert calls[-1] == (5, (-1, 1), 2) and len(calls) == len(reads) == runs + 2
 
 
 def test_reused_batch_rows_match_cold_calls():
@@ -841,7 +850,7 @@ def test_reused_batch_rows_match_cold_calls():
 def test_cached_batch_is_read_only():
     cli._trial_batch.cache_clear()
     run_verification(MonotoneId("entropy"), 3, 5, 2, (-1, 0, 1))
-    end, weights, probs, posts = cli._trial_batch(3, (-1, 0, 1), 1, 2, 0, 5)
+    end, weights, probs, posts = cli._trial_batch(_slot_layout(3, (-1, 0, 1), 1), 2, 0, 5)
     assert end == 5
     assert cli._trial_batch.cache_info().hits == 1
     for array in (weights, probs, posts):
@@ -858,9 +867,10 @@ def test_shift_list_and_tuple_share_rows():
     # An iterator is read once: its second read was empty ("at least one shift is required").
     _, from_iterator = run_verification(MonotoneId("variance"), 3, 7, 5, iter([-1, 0, 2]))
     assert from_list == from_tuple == from_iterator
-    # A permuted and a repeated list are the same shift set, and share the one batch.
+    # A permuted and a repeated list are the same shift set, and share the one batch;
+    # the shifts -9 and 5 lay out no slot at d = 3, so that list shares it too.
     cli._trial_batch.cache_clear()
-    for shifts in ([-1, 0, 2], [2, -1, 0], [0, 2, -1, -1]):
+    for shifts in ([-1, 0, 2], [2, -1, 0], [0, 2, -1, -1], [-9, -1, 0, 2, 5]):
         assert run_verification(MonotoneId("variance"), 3, 7, 5, shifts)[1] == from_list
     assert cli._trial_batch.cache_info().misses == 1
 
