@@ -20,6 +20,7 @@ concurrence cap the search follows a subgradient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +185,8 @@ def _descend(
         passed = trial_value <= reference - ARMIJO * step * g2
         # Most rounds pass on every lane and update whole arrays; else failed lanes backtrack, the rest move.
         moved = ended = slice(None)
-        if np.count_nonzero(passed) < lanes.size:
+        all_passed = np.count_nonzero(passed) == lanes.size
+        if not all_passed:
             failed = ~passed
             step[failed] *= BACKTRACK
             failures[failed] += 1
@@ -194,16 +196,25 @@ def _descend(
         s = trial - x[moved]
         y = trial_xi - g[moved]
         sy = np.abs(_inner(s, y))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # Short and long Barzilai-Borwein steps, alternately.
-            bb = np.where(count[moved] % 2 == 1, _inner(s, s) / sy, sy / _inner(y, y))
+        # Short and long Barzilai-Borwein steps, alternately; _search ignores their division warnings.
+        bb = np.where(count[moved] % 2 == 1, _inner(s, s) / sy, sy / _inner(y, y))
         step[moved] = np.where(np.isfinite(bb) & (bb > 0.0), bb, step[moved])
         # The reference value is a running average of the values reached
         # (Zhang and Hager), which lets a step rise above the last value.
-        total = AVERAGING * weight[moved] + 1.0
-        reference[moved] = (AVERAGING * weight[moved] * reference[moved] + trial_value) / total
-        weight[moved] = total
-        x[moved], fx[moved], g[moved], g2[moved] = trial, trial_value, trial_xi, _inner(trial_xi, trial_xi)
+        if all_passed:
+            # Every lane moves: take the trial arrays, and update the pair in place
+            # with the roundings of the masked form, ((A w) ref + value) / (A w + 1).
+            weight *= AVERAGING
+            reference *= weight
+            reference += trial_value
+            weight += 1.0
+            reference /= weight
+            x, fx, g, g2 = trial, trial_value, trial_xi, _inner(trial_xi, trial_xi)
+        else:
+            total = AVERAGING * weight[moved] + 1.0
+            reference[moved] = (AVERAGING * weight[moved] * reference[moved] + trial_value) / total
+            weight[moved] = total
+            x[moved], fx[moved], g[moved], g2[moved] = trial, trial_value, trial_xi, _inner(trial_xi, trial_xi)
         count[ended] += 1
         failures[ended] = 0
 
@@ -215,9 +226,10 @@ def _search(monotone: WeightMonotone, factor: np.ndarray, u: np.ndarray, max_ite
     Returns each restart's value, whether it converged (never, for vidal) and its iterations."""
     iterations = np.zeros(len(u), dtype=np.int64)
     vidal = monotone.measure.kind == "vidal"
-    for width in SMOOTHING_WIDTHS if vidal else ():
-        _descend(factor, u, smoothed_tail_sum(monotone, width), STAGE_TOL * width, iterations, max_iters)
-    values, converged = _descend(factor, u, monotone.value_and_slope, GRADIENT_TOL, iterations, max_iters)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for width in SMOOTHING_WIDTHS if vidal else ():
+            _descend(factor, u, smoothed_tail_sum(monotone, width), STAGE_TOL * width, iterations, max_iters)
+        values, converged = _descend(factor, u, monotone.value_and_slope, GRADIENT_TOL, iterations, max_iters)
     return values, converged & (not vidal), iterations
 
 
@@ -260,6 +272,19 @@ def _ensemble(factor: np.ndarray, mix: np.ndarray) -> Ensemble:
     return Ensemble(tuple(members))
 
 
+# Keyed on the budget and shape alone, never on the density, so consecutive
+# roofs at one budget and shape (the qubit roofs of the acceptance suite)
+# share one draw. Read-only: a search moves a copy. One entry, as for the
+# density spectrum: at most ROOF_ELEMENTS complex entries, 16 MB.
+@functools.lru_cache(maxsize=1)
+def _haar_starts(seed: int, restarts: int, m: int, r: int) -> np.ndarray:
+    # The polar factor of a complex Gaussian matrix is a Haar isometry.
+    z = np.array([np.random.default_rng([seed, i]).normal(size=(2, m, r)) for i in range(restarts)])
+    starts = _polar(z[:, 0] + 1j * z[:, 1])
+    starts.flags.writeable = False
+    return starts
+
+
 def convex_roof(
     measure: MonotoneId, rho: np.ndarray, cfg: RoofConfig = RoofConfig()
 ) -> RoofResult:
@@ -292,9 +317,7 @@ def convex_roof(
                 f"restarts x ensemble size x dimension = {cfg.restarts} x {m} x {m_rho.shape[0]}"
                 f" = {elements} exceeds the roof budget of {ROOF_ELEMENTS} entries"
             )
-        # The polar factor of a complex Gaussian matrix is a Haar isometry.
-        z = np.array([np.random.default_rng([cfg.seed, i]).normal(size=(2, m, r)) for i in range(cfg.restarts)])
-        mixes = _polar(z[:, 0] + 1j * z[:, 1])
+        mixes = _haar_starts(cfg.seed, cfg.restarts, m, r).copy()
         finals, converged, iterations = _search(monotone, factor, mixes, cfg.max_iters)
         best = 0
         for restart in range(1, cfg.restarts):

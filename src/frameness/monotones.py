@@ -102,8 +102,9 @@ def _vidal_slope(weights: np.ndarray, k: int) -> np.ndarray:
 def _entropy_and_slope(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Terms added in sector order, so the zero terms of empty sectors change
     # nothing; 0.0 - s, not -s: a charge eigenstate's zero sum stays +0.0.
+    # A weight one ulp above 1 has a positive log, so the value is clamped.
     logs = np.log2(np.where(w > 0.0, w, 1.0))
-    return 0.0 - in_order_sum(w * logs, -1), -logs
+    return np.maximum(0.0 - in_order_sum(w * logs, -1), 0.0), -logs
 
 
 class WeightMonotone:

@@ -20,6 +20,7 @@ from frameness import (
     qubit_formation,
     random_channel,
     random_density_matrix,
+    twirl,
 )
 from frameness import convexroof
 from frameness.convexroof import (
@@ -118,6 +119,17 @@ def test_roof_diagonal_qubit_vanishes():
     for measure in (CONC2, VAR, MonotoneId("vidal", 2), MonotoneId("entropy")):
         res = convex_roof(measure, rho, FAST_CFG)
         assert res.value <= 1e-6
+
+
+def test_entropy_roof_is_nonnegative_on_dephased_states():
+    # The search reached members one ulp past a charge eigenstate, whose
+    # entropy was negative: -1.0e-17 on diag(0.7, 0.3) at seed 4, and down
+    # to -2.0e-16 on these dephased d = 3 states.
+    entropy = MonotoneId("entropy")
+    assert not np.signbit(convex_roof(entropy, np.diag([0.7, 0.3]), RoofConfig(seed=4)).value)
+    for s in (11, 14, 16, 17):
+        rho = twirl(random_density_matrix(3, np.random.default_rng([5, 3, s])))
+        assert not np.signbit(convex_roof(entropy, rho, RoofConfig(restarts=4, max_iters=60)).value), s
 
 
 def test_roof_matches_qubit_closed_forms():
@@ -419,6 +431,32 @@ def test_ties_resolve_to_the_lowest_restart(monkeypatch):
     z = np.random.default_rng([3, 2]).normal(size=(2, 5, 3))
     expected = _ensemble(factor, _polar((z[0] + 1j * z[1])[None])[0])
     assert _roof_bytes(0.0, res.ensemble, True, 0) == _roof_bytes(0.0, expected, True, 0)
+
+
+def test_roof_draws_its_starts_once_per_budget(monkeypatch):
+    # Consecutive roofs at one budget and shape share one draw of the Haar
+    # starts, and each keeps the bytes of a roof drawn from a cold memo.
+    cfg = RoofConfig(restarts=8, max_iters=30, seed=6)
+    rhos = [random_density_matrix(3, np.random.default_rng([89, i])) for i in range(2)]
+    cold = []
+    for rho in rhos:
+        convexroof._haar_starts.cache_clear()
+        res = convex_roof(VAR, rho, cfg)
+        cold.append(_roof_bytes(res.value, res.ensemble, res.converged, res.iterations_used))
+    convexroof._haar_starts.cache_clear()
+    draws = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: draws.append(args) or default_rng(*args))
+    warm = []
+    for rho in rhos:
+        res = convex_roof(VAR, rho, cfg)
+        warm.append(_roof_bytes(res.value, res.ensemble, res.converged, res.iterations_used))
+        warm.append(len(draws))
+    assert warm == [cold[0], 8, cold[1], 8]
+    starts = convexroof._haar_starts(cfg.seed, cfg.restarts, 5, 3)
+    assert starts.shape == (8, 5, 3) and not starts.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        starts[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("measure", KINDS, ids=lambda m: m.kind if m.k is None else f"{m.kind}[{m.k}]")

@@ -278,6 +278,20 @@ def test_values_are_nonnegative_near_charge_eigenstates():
                 assert math.copysign(1.0, evaluate_pure(measure, StandardState(w))) == 1.0, (d, measure, w)
 
 
+def test_entropy_is_nonnegative_one_ulp_past_a_charge_eigenstate():
+    # A weight one ulp above 1 has a positive log2: the entropy was -3.2e-16
+    # there, alone, in a batch and in the roof objective.
+    entropy = MonotoneId("entropy")
+    for d in range(1, 10):
+        rows = np.eye(d)
+        rows[np.arange(d), np.arange(d)] = np.nextafter(1.0, 2.0)
+        monotone = WeightMonotone(entropy, d)
+        assert not np.signbit(monotone.values(rows)).any(), d
+        assert not np.signbit(monotone.value_and_slope(rows)[0]).any(), d
+        for w in rows:
+            assert math.copysign(1.0, evaluate_pure(entropy, StandardState(w))) == 1.0, (d, w)
+
+
 def test_roof_values_equal_weight_evaluator_bit_for_bit():
     # The values the roof objective takes with its slope, against the
     # evaluator that verify, evaluate_pure and the final roof value use:
