@@ -50,9 +50,10 @@ AVERAGING = 0.85
 SMOOTHING_WIDTHS = (0.2, 0.06, 0.018, 0.0054)
 STAGE_TOL = 0.1
 # Most restarts x ensemble size x dimension entries a search may hold at
-# once. Each costs about 0.3 KB across the working arrays (more for a
-# concurrence or vidal order near the dimension), so a search within this
-# holds about 300 MB.
+# once. Each costs about 0.3 KB across the working arrays, so a search within
+# this holds about 300 MB; a concurrence or vidal order near the dimension
+# costs more, from the slope's (k + 1, rows, d + 1) accumulator: a d = 64
+# concurrence[64] roof at the default budget (135,168 entries) peaks at 235 MB.
 ROOF_ELEMENTS = 2**20
 
 
@@ -145,9 +146,16 @@ def _polar(stack: np.ndarray) -> np.ndarray:
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Real inner product Re tr(x^H y) of each pair of matrices."""
-    rows = (x.shape[0], x.shape[1] * x.shape[2])
-    return np.vecdot(x.reshape(rows), y.reshape(rows)).real
+    """Real inner product Re tr(x^H y) of each pair of matrices, given as flat (L, m r) rows."""
+    return np.vecdot(x, y).real
+
+
+def _bb_step(s: np.ndarray, y: np.ndarray, count: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Short and long Barzilai-Borwein steps, alternately, from flat rows of the moves s and the
+    tangent changes y; ``step`` where not finite and positive. _search ignores the division warnings."""
+    sy = np.abs(_inner(s, y))
+    bb = np.where(count % 2 == 1, _inner(s, s) / sy, sy / _inner(y, y))
+    return np.where(np.isfinite(bb) & (bb > 0.0), bb, step)
 
 
 def _descend(
@@ -164,18 +172,20 @@ def _descend(
     count in ``iterations``, updated in place, reaches ``max_iters``. Returns
     each restart's final value and whether its gradient norm reached ``tol``.
     """
+    tol2, size = tol**2, u.shape[1] * u.shape[2]
     value, grad = _objective(factor, u, value_and_slope)
     g = _tangent(u, grad)
     converged = np.zeros(len(u), dtype=bool)
     # Every restart starts live; each round first writes back the stopped ones and compacts the rest.
-    lanes, x, fx, g2, count = np.arange(len(u)), u.copy(), value.copy(), _inner(g, g), iterations.copy()
+    flat = g.reshape(len(u), size)
+    lanes, x, fx, g2, count = np.arange(len(u)), u.copy(), value.copy(), _inner(flat, flat), iterations.copy()
     reference, weight = fx.copy(), np.ones_like(fx)
     step, failures = np.full_like(fx, INITIAL_STEP), np.zeros_like(count)
     while True:
-        stop = (g2 <= tol**2) | (count >= max_iters)
+        stop = (g2 <= tol2) | (count >= max_iters)
         if np.count_nonzero(stop):
             out = lanes[stop]
-            u[out], value[out], converged[out], iterations[out] = x[stop], fx[stop], g2[stop] <= tol**2, count[stop]
+            u[out], value[out], converged[out], iterations[out] = x[stop], fx[stop], g2[stop] <= tol2, count[stop]
             state = (lanes, x, fx, g, g2, count, reference, weight, step, failures)
             lanes, x, fx, g, g2, count, reference, weight, step, failures = (a[~stop] for a in state)
         if not lanes.size:
@@ -183,38 +193,36 @@ def _descend(
         trial = _polar(x - step[:, None, None] * g)
         trial_value, trial_grad = _objective(factor, trial, value_and_slope)
         passed = trial_value <= reference - ARMIJO * step * g2
-        # Most rounds pass on every lane and update whole arrays; else failed lanes backtrack, the rest move.
-        moved = ended = slice(None)
-        all_passed = np.count_nonzero(passed) == lanes.size
-        if not all_passed:
-            failed = ~passed
-            step[failed] *= BACKTRACK
-            failures[failed] += 1
-            moved, ended = passed, passed | (failed & (failures > MAX_BACKTRACKS))
-            trial, trial_value, trial_grad = trial[moved], trial_value[moved], trial_grad[moved]
-        trial_xi = _tangent(trial, trial_grad)
-        s = trial - x[moved]
-        y = trial_xi - g[moved]
-        sy = np.abs(_inner(s, y))
-        # Short and long Barzilai-Borwein steps, alternately; _search ignores their division warnings.
-        bb = np.where(count[moved] % 2 == 1, _inner(s, s) / sy, sy / _inner(y, y))
-        step[moved] = np.where(np.isfinite(bb) & (bb > 0.0), bb, step[moved])
         # The reference value is a running average of the values reached
         # (Zhang and Hager), which lets a step rise above the last value.
-        if all_passed:
-            # Every lane moves: take the trial arrays, and update the pair in place
-            # with the roundings of the masked form, ((A w) ref + value) / (A w + 1).
+        if np.count_nonzero(passed) == lanes.size:
+            # Most rounds pass on every lane: take the trial arrays whole, and update the
+            # pair in place with the roundings of the masked form, ((A w) ref + value) / (A w + 1).
+            trial_xi = _tangent(trial, trial_grad)
+            s, y, xi = (a.reshape(len(a), size) for a in (trial - x, trial_xi - g, trial_xi))
+            step = _bb_step(s, y, count, step)
             weight *= AVERAGING
             reference *= weight
             reference += trial_value
             weight += 1.0
             reference /= weight
-            x, fx, g, g2 = trial, trial_value, trial_xi, _inner(trial_xi, trial_xi)
-        else:
-            total = AVERAGING * weight[moved] + 1.0
-            reference[moved] = (AVERAGING * weight[moved] * reference[moved] + trial_value) / total
-            weight[moved] = total
-            x[moved], fx[moved], g[moved], g2[moved] = trial, trial_value, trial_xi, _inner(trial_xi, trial_xi)
+            x, fx, g, g2 = trial, trial_value, trial_xi, _inner(xi, xi)
+            count += 1
+            failures[:] = 0
+            continue
+        # Else failed lanes backtrack, and the rest move.
+        failed = ~passed
+        step[failed] *= BACKTRACK
+        failures[failed] += 1
+        ended = passed | (failed & (failures > MAX_BACKTRACKS))
+        trial, trial_value = trial[passed], trial_value[passed]
+        trial_xi = _tangent(trial, trial_grad[passed])
+        s, y, xi = (a.reshape(len(a), size) for a in (trial - x[passed], trial_xi - g[passed], trial_xi))
+        step[passed] = _bb_step(s, y, count[passed], step[passed])
+        total = AVERAGING * weight[passed] + 1.0
+        reference[passed] = (AVERAGING * weight[passed] * reference[passed] + trial_value) / total
+        weight[passed] = total
+        x[passed], fx[passed], g[passed], g2[passed] = trial, trial_value, trial_xi, _inner(xi, xi)
         count[ended] += 1
         failures[ended] = 0
 

@@ -49,30 +49,32 @@ def _tail_sum(weights: np.ndarray, k: int) -> np.ndarray:
     return ordered[..., k - 1 :].sum(axis=-1)
 
 
-def _elementary_symmetric(values: np.ndarray, k: int, leave_one_out: bool = False) -> np.ndarray:
+def _elementary_symmetric(
+    values: np.ndarray, k: int, leave_one_out: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     # e_k of the last axis of values: the coefficient of x^k in prod(1 + v x),
     # accumulated stably, with no cancellation for nonnegative v. acc[j] holds
     # e_j of the positions seen so far, for every row at once. leave_one_out adds
-    # a trailing axis l on which position j enters as v_j * 1.0, but as +0.0 at
-    # l = j: +0.0 leaves a finite acc >= 0 unchanged, so each l gets e_k of the
-    # row without v_l, rounded as that row alone.
+    # a trailing axis of d + 1 columns on which position j enters as v_j * 1.0,
+    # but as +0.0 at column j: +0.0 leaves a finite acc >= 0 unchanged, so each
+    # column l < d rounds as the row without v_l alone, and column d as the
+    # whole row. That form returns e_k of the row and e_{k-1} without each v_l.
     d = values.shape[-1]
-    acc = np.zeros((k + 1,) + values.shape[:-1] + ((d,) if leave_one_out else ()))
+    acc = np.zeros((k + 1,) + values.shape[:-1] + ((d + 1,) if leave_one_out else ()))
     acc[0] = 1.0
-    kept = 1.0 - np.eye(d) if leave_one_out else None
+    kept = 1.0 - np.eye(d, d + 1) if leave_one_out else None
     for j in range(d):
         column = values[..., j, None] * kept[j] if leave_one_out else values[..., j]
         top = min(j + 1, k)
         head = acc[1 : top + 1]
         head += column * acc[:top]
-    return acc[k]
+    return (acc[k, ..., d], acc[k - 1, ..., :d]) if leave_one_out else acc[k]
 
 
-def _concurrence_ratio(weights: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    # e_k(w) over its value den on the flat state, capped at 1, and den.
-    d = weights.shape[-1]
+def _concurrence_ratio(total: np.ndarray, d: int, k: int) -> tuple[np.ndarray, float]:
+    # e_k(w), given as total, over its value den on the flat state of length d, capped at 1, and den.
     den = math.comb(d, k) / d**k
-    return np.minimum(_elementary_symmetric(weights, k) / den, 1.0), den
+    return np.minimum(total / den, 1.0), den
 
 
 def _variance_and_mean(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +129,7 @@ class WeightMonotone:
         if kind == "entropy":
             return _entropy_and_slope(np.asarray(w, dtype=np.float64))[0]
         if kind == "concurrence":
-            return np.float_power(_concurrence_ratio(w, k)[0], 1.0 / k)
+            return np.float_power(_concurrence_ratio(_elementary_symmetric(w, k), w.shape[-1], k)[0], 1.0 / k)
         return _variance_and_mean(w)[0]
 
     def value_and_slope(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,9 +146,10 @@ class WeightMonotone:
             return value, 4.0 * np.square(np.arange(w.shape[-1]) - mean[..., None])
         # The concurrence: h^(1-k) e_{k-1}(w without w_l) / (k den) below the cap
         # and 1 at it, the flat state; 0 where h = 0, a subgradient.
-        capped, den = _concurrence_ratio(w, k)
+        total, left_out = _elementary_symmetric(w, k, leave_one_out=True)
+        capped, den = _concurrence_ratio(total, w.shape[-1], k)
         scale = (k * den * np.float_power(capped, (k - 1) / k))[..., None]
-        slope = np.divide(_elementary_symmetric(w, k - 1, leave_one_out=True), scale, out=np.zeros(w.shape), where=scale > 0.0)
+        slope = np.divide(left_out, scale, out=np.zeros(w.shape), where=scale > 0.0)
         return np.float_power(capped, 1.0 / k), np.where(capped[..., None] >= 1.0, 1.0, slope)
 
 
@@ -172,9 +175,9 @@ def smoothed_tail_sum(vidal: WeightMonotone, width: float) -> Callable[[np.ndarr
         # and no exponent exceeds 1 / width.
         shift = np.partition(w, dim - k + 1, axis=-1)[..., dim - k + 1 :].mean(axis=-1)
         z = np.exp((w - shift[..., None]) / width)
-        total = _elementary_symmetric(z, k - 1)
+        total, left_out = _elementary_symmetric(z, k - 1, leave_one_out=True)
         value = w.sum(axis=-1) - (k - 1) * shift - width * np.log(total)
-        grad = 1.0 - z * _elementary_symmetric(z, k - 2, leave_one_out=True) / total[..., None]
+        grad = 1.0 - z * left_out / total[..., None]
         return value, grad + (value - np.vecdot(w, grad))[..., None]
 
     return value_and_slope

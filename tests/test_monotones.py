@@ -175,21 +175,57 @@ def test_elementary_symmetric_against_enumeration():
         vals = rng.uniform(0.0, 1.0, size=7)
         for k in range(2, 8):
             assert _elementary_symmetric(vals, k) == pytest.approx(esp_enumeration(vals, k), rel=1e-12)
-        # The leave-one-out form: e_k of the row with entry l deleted, at every l.
+        # The leave-one-out form at k + 1: e_{k+1} of the row, and e_k of the row with
+        # entry l deleted, at every l.
         for k in range(7):
-            left_out = _elementary_symmetric(vals, k, leave_one_out=True)
-            assert left_out.shape == (7,)
+            total, left_out = _elementary_symmetric(vals, k + 1, leave_one_out=True)
+            assert total.shape == () and left_out.shape == (7,)
+            assert total == _elementary_symmetric(vals, k + 1)
             for l in range(7):
                 assert left_out[l] == pytest.approx(esp_enumeration(np.delete(vals, l), k), rel=1e-12)
     # Every row of a batch as that row alone; no 3-subset of two values.
     batch = rng.uniform(0.0, 1.0, size=(4, 7))
     for k in range(2, 8):
         assert np.array_equal(_elementary_symmetric(batch, k), [_elementary_symmetric(v, k) for v in batch])
-        assert np.array_equal(
-            _elementary_symmetric(batch, k - 1, leave_one_out=True),
-            [_elementary_symmetric(v, k - 1, leave_one_out=True) for v in batch],
-        )
+        for part, rows in zip(
+            _elementary_symmetric(batch, k, leave_one_out=True),
+            zip(*[_elementary_symmetric(v, k, leave_one_out=True) for v in batch]),
+        ):
+            assert np.array_equal(part, rows)
     assert _elementary_symmetric(np.array([0.5, 0.5]), 3) == 0.0
+    assert _elementary_symmetric(np.array([0.5, 0.5]), 3, leave_one_out=True)[0] == 0.0
+
+
+def two_loop_elementary_symmetric(values, k):
+    """e_k of each row and e_{k-1} of each row without each entry, as two separate
+    loops over the positions: the whole row, and d leave-one-out columns."""
+    d = values.shape[-1]
+
+    def loop(levels, kept):
+        acc = np.zeros((levels + 1,) + values.shape[:-1] + (() if kept is None else (d,)))
+        acc[0] = 1.0
+        for j in range(d):
+            column = values[..., j] if kept is None else values[..., j, None] * kept[j]
+            top = min(j + 1, levels)
+            acc[1 : top + 1] += column * acc[:top]
+        return acc[levels]
+
+    return loop(k, None), loop(k - 1, 1.0 - np.eye(d))
+
+
+def test_leave_one_out_form_matches_two_loops_bit_for_bit():
+    # The one loop's column d takes every entry as v * 1.0, so it rounds as the
+    # whole-row loop; the levels below k round as the leave-one-out loop at k - 1.
+    rng = np.random.default_rng(41)
+    for d in range(1, 17):
+        for batch in ((), (3,), (2, 3)):
+            vals = rng.uniform(0.0, 2.0, size=batch + (d,))
+            vals[rng.uniform(size=vals.shape) < 0.3] = 0.0
+            for k in range(1, d + 2):
+                merged = _elementary_symmetric(vals, k, leave_one_out=True)
+                for got, want in zip(merged, two_loop_elementary_symmetric(vals, k)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (d, k)
+                    assert not np.signbit(got).any(), (d, k)
 
 
 def test_concurrence_pure_examples():
