@@ -247,9 +247,9 @@ def sample_coefficients(layout: tuple[tuple[int, ...], int], draws: np.ndarray) 
         sectors = np.flatnonzero(sizes == size)
         re = starts[sectors, None] + np.arange(size)
         vec = draws[:, re] + 1j * draws[:, re + size]
-        # np.linalg.norm of one complex vector: the same BLAS dot on the
-        # strided real and imaginary parts, so the rounding matches it.
-        norm = np.sqrt(np.vecdot(vec.real, vec.real) + np.vecdot(vec.imag, vec.imag))
+        # Summed in index order by numpy's own arithmetic, not by a BLAS dot,
+        # so the rounding is the same on every BLAS kernel.
+        norm = np.sqrt(in_order_sum(vec.real * vec.real, -1) + in_order_sum(vec.imag * vec.imag, -1))
         slots = np.array([np.flatnonzero(live[:, n]) for n in sectors])
         coeffs[:, slots, sectors[:, None]] = vec / norm[..., None]
     return coeffs

@@ -28,6 +28,7 @@ from .channels import (
     _slot_layout,
     apply_slots_pure,
     channel_to_dict,
+    coefficient_channel,
     coefficient_draws,
     random_channel,
     sample_coefficients,
@@ -37,12 +38,11 @@ from .channels import (
 from .convexroof import RoofConfig, convex_roof
 from .errors import BadParameter, FramenessError, InvalidChannel, InvalidDensity, InvalidState
 from .monotones import KINDS, MonotoneId, appendix_closed_form, evaluate_pure, weight_evaluator
-from .numerics import MAX_DIM, ZERO_TOL, in_order_sum, integer, seeded_normals
+from .numerics import MAX_DIM, ZERO_TOL, in_order_sum, integer, trial_normals
 from .states import (
     StandardState,
     _density_matrix,
     density_to_dict,
-    random_standard_state,
     random_weights,
     state_from_dict,
     twirl,
@@ -64,9 +64,7 @@ class VerificationReport:
 
     ``runtime_ms`` is the wall time of the sampling, channel application
     and evaluation; on a batch reused from the previous call on the same
-    stream it covers the evaluation only. Normal draws kept from an earlier
-    call on the same seed and trials are not drawn again, and the time
-    leaves their drawing out.
+    stream it covers the evaluation only.
     """
 
     measure: MonotoneId
@@ -83,16 +81,15 @@ class VerificationReport:
 
 
 def sample_trials(layout: tuple[tuple[int, ...], int], seed: int, trials: range) -> tuple[np.ndarray, np.ndarray]:
-    """The trials of :func:`sample_trial` over a range, as arrays, bit for bit.
+    """The sampled trials of a range, as arrays.
 
-    ``layout`` is the channel slot layout of :func:`_slot_layout`.
-    :func:`seeded_normals` makes the draws of every trial's generators for
-    the whole range at once, or serves them as a prefix of the draws it
-    kept for the same seed and range. Returns the ``(T, dim)`` weights and
+    ``layout`` is the channel slot layout of :func:`_slot_layout`. Stream 0
+    of :func:`trial_normals` draws the states and stream 1 the channels, each
+    advanced once for the whole range. Returns the ``(T, dim)`` weights and
     the ``(T, S, dim)`` channel coefficients.
     """
     dim = layout[1]
-    state_draws, channel_draws = seeded_normals(seed, trials, (2 * dim, coefficient_draws(layout)))
+    state_draws, channel_draws = trial_normals(seed, trials, (2 * dim, coefficient_draws(layout)))
     return random_weights(dim, state_draws), sample_coefficients(layout, channel_draws)
 
 
@@ -105,14 +102,16 @@ def sample_trial(
 ) -> tuple[StandardState, U1Channel]:
     """The (state, channel) pair of one verification trial.
 
-    The state is :func:`random_standard_state` on ``default_rng([seed,
-    trial, 0])`` and the channel :func:`random_channel` seeded by ``(seed,
-    trial, 1)``, so every measure sees the same trial stream.
+    It is :func:`sample_trials` on the one-trial range, which reads only that
+    trial's words of each stream, so every batch that holds the trial has
+    these rows bit for bit and every measure sees the same trial stream.
+    The channel has one singleton outcome per slot of the layout. ``trial``
+    must be an integer in 0..2**32-1.
     """
-    seed = integer(seed, BadParameter, "seed", 0)
-    trial = integer(trial, BadParameter, "trial", 0)
-    state = random_standard_state(dim, np.random.default_rng([seed, trial, 0]))
-    return state, random_channel(dim, shifts, kraus_per_shift, (seed, trial, 1))
+    layout = _slot_layout(dim, shifts, kraus_per_shift)
+    trial = integer(trial, BadParameter, "trial")
+    weights, coeffs = sample_trials(layout, seed, range(trial, trial + 1))
+    return StandardState(weights[0]), coefficient_channel(layout, coeffs[0])
 
 
 @functools.lru_cache(maxsize=1)

@@ -3,9 +3,9 @@
 Matrices are plain ``numpy`` arrays of complex128, capped at ``MAX_DIM``.
 The density check makes one ``numpy.linalg.eigh`` call per distinct matrix,
 kept across calls, and its eigenpairs feed the qubit closed forms and the
-convex roof. The trial streams hash their numpy seeds for a whole batch as
-array arithmetic, numpy seeds each stream's PCG64 from the hashed words, and
-the draws of the last seed and trial range are kept and served as prefixes.
+convex roof. The trial streams are one PCG64 per seed and stream index,
+addressed by offset: a batch of trials advances each stream once and reads
+its normals in one draw.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import reprlib
 from typing import Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import BadParameter, FramenessError, InvalidDensity
 
@@ -189,136 +189,37 @@ def validate_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     return _checked_density(rho, dim)[0]
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_MASK32 = 0xFFFFFFFF
+def trial_normals(seed: int, trials: range, sizes: Sequence[int]) -> list[np.ndarray]:
+    """Row ``i`` of array ``k`` holds the ``sizes[k]`` normals of trial ``trials[i]`` on stream ``k``.
 
-
-def _words(n: int) -> list[int]:
-    """``n`` as SeedSequence splits it: little-endian 32-bit words, 0 as ``[0]``."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """The ``count + 1`` successive hash constants, as a uint32 column."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    v = (values ^ xor) * mul
-    return v ^ (v >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return r ^ (r >> 16)
-
-
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """Row ``i`` is ``SeedSequence(entropy[:, i]).generate_state(4, np.uint64)``.
-
-    ``entropy`` is ``(L, N)`` uint32 with ``L >= 4``; zero words padding an
-    entropy to the pool's 4 words do not change its hash. The hash of each
-    pool word runs on all N columns at once; the ``(N, 4)`` rows are C-contiguous.
+    Stream k of ``seed`` is ``PCG64(SeedSequence([seed, k]))``, and trial t's
+    n normals come from its n 64-bit words at offset ``t * n``. The stream
+    is advanced to the first trial and read as ``(T, n)`` uniforms in [0, 1),
+    one word each. Box-Muller turns uniforms u and v at columns j and
+    j + n/2 of a row into its normals r cos(theta) and r sin(theta) at those
+    columns, with r = sqrt(-2 log(1 - u)) and theta = pi (2v - 1). So a row
+    depends on its trial alone: a one-trial range gives the row of that
+    trial in any wider range. Raises
+    :class:`BadParameter` on a bad seed, a size that is negative or odd, a
+    ``trials`` that is not a ``range``, a trial outside 0..2**32-1 or a
+    range whose step is not 1; a seed may be any size.
     """
-    c = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
-    pool = _hashmix(entropy[:4], c[:4], c[1:5])
-    j = 4
-    # Every pool word is mixed into the three others, then each further
-    # entropy word into all four, as SeedSequence.mix_entropy does.
-    for src in range(4):
-        dst = [i for i in range(4) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[j : j + 3], c[j + 1 : j + 4]))
-        j += 3
-    for word in entropy[4:]:
-        pool = _mix(pool, _hashmix(word, c[j : j + 4], c[j + 1 : j + 5]))
-        j += 4
-    b = _hash_consts(_INIT_B, _MULT_B, 8)
-    words = _hashmix(np.tile(pool, (2, 1)), b[:8], b[1:]).astype(np.uint64)
-    # Each uint64 word is two hashed uint32 words, low first.
-    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
-
-
-class _Words(ISeedSequence):
-    """PCG64's seed: it asks for 4 uint64 words and reads the buffer of ``words``, a C-contiguous row."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-# The draws of the last (seed, trials) key: one read-only (T, width) array per
-# stream index k, whose first n columns are the stream's first n normals.
-# seeded_normals serves prefixes of it and publishes a new (key, draws) pair in
-# one assignment, so a concurrent caller never pairs a key with another's draws
-# (two publishing at once may drop one's growth, which costs only a redraw).
-# No Generator is kept (about 1.5 KB each): a wider request redraws its k.
-_tape: tuple[tuple[int, range] | None, tuple[np.ndarray, ...]] = (None, ())
-
-
-def seeded_normals(seed: int, trials: range, sizes: Sequence[int]) -> list[np.ndarray]:
-    """Row ``i`` of array ``k`` is ``default_rng([seed, trials[i], k]).normal(size=sizes[k])``.
-
-    The rows equal those draws bit for bit, as read-only views. The draws of
-    the last ``(seed, trials)`` are kept for each k, and a request no wider
-    than them is served as their prefix. A wider one redraws that k at twice
-    the kept width or more, so the kept draws stay at most twice the widest
-    request; a new ``(seed, trials)`` replaces them. A redraw hashes every
-    missing (trial, k) stream at once as uint32 array arithmetic, and numpy
-    seeds each stream's PCG64 from the hashed words. A size of 0 draws
-    nothing. Raises :class:`BadParameter` on a bad seed or size, a
-    ``trials`` that is not a ``range`` or a trial outside 0..2**32-1 (one
-    SeedSequence entropy word; a seed may be any size).
-    """
-    global _tape
     seed = integer(seed, BadParameter, "seed", 0)
     trials = instance(trials, range, BadParameter, "trials")
     if trials:
         integer(min(trials[0], trials[-1]), BadParameter, "trial", 0)
-        integer(max(trials[0], trials[-1]), BadParameter, "trial", hi=_MASK32)
+        integer(max(trials[0], trials[-1]), BadParameter, "trial", hi=2**32 - 1)
+    if trials.step != 1:
+        raise BadParameter(f"trials must be a range of step 1, got {shown(trials)}")
     sizes = [integer(n, BadParameter, "size", 0) for n in sizes]
-    key = (seed, trials)
-    tape_key, draws = _tape
-    draws = list(draws) if tape_key == key else []
-    if len(draws) < len(sizes):
-        empty = np.empty((len(trials), 0))
-        empty.flags.writeable = False
-        draws += [empty] * (len(sizes) - len(draws))
-    grow = {k: max(n, 2 * draws[k].shape[1]) for k, n in enumerate(sizes) if n > draws[k].shape[1]}
-    if grow:
-        for k, fresh in zip(grow, _draw(seed, trials, grow)):
-            fresh.flags.writeable = False
-            draws[k] = fresh
-        _tape = key, tuple(draws)
-    return [draws[k][:, :n] for k, n in enumerate(sizes)]
-
-
-def _draw(seed: int, trials: range, widths: dict[int, int]) -> list[np.ndarray]:
-    """The first ``widths[k]`` normals of each ``[seed, t, k]`` stream, one ``(T, width)`` array per k.
-
-    Each stream's entropy is the seed's words, the one word of ``t``, then ``k``.
-    """
-    out = [np.empty((len(trials), n)) for n in widths.values()]
-    seed_words = _words(seed)
-    s = len(seed_words)
-    entropy = np.zeros((max(4, s + 2), len(widths), len(trials)), dtype=np.uint32)
-    entropy[:s] = np.array(seed_words, dtype=np.uint32)[:, None, None]
-    entropy[s] = np.arange(trials.start, trials.stop, trials.step)
-    entropy[s + 1] = np.array(list(widths), dtype=np.uint32)[:, None]
-    for col, row in enumerate(_seed_words(entropy.reshape(len(entropy), -1))):
-        j, i = divmod(col, len(trials))
-        np.random.Generator(np.random.PCG64(_Words(row))).standard_normal(out=out[j][i])
+    if any(n % 2 for n in sizes):
+        raise BadParameter(f"sizes must be even, got {shown(sizes)}")
+    out = []
+    for k, n in enumerate(sizes):
+        bits = PCG64(SeedSequence([seed, k]))
+        bits.advance(trials.start * n if trials else 0)
+        u = Generator(bits).random((len(trials), n))
+        r = np.sqrt(-2.0 * np.log1p(-u[:, : n // 2]))
+        theta = np.pi * (2.0 * u[:, n // 2 :] - 1.0)
+        out.append(np.concatenate((r * np.cos(theta), r * np.sin(theta)), axis=1))
     return out

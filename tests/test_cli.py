@@ -51,7 +51,7 @@ from frameness.cli import (
     sample_trial,
     sample_trials,
 )
-from frameness.numerics import seeded_normals
+from frameness.numerics import trial_normals
 from frameness.states import (
     density_from_dict,
     density_to_dict,
@@ -62,7 +62,6 @@ from test_states import density_payloads, state_payloads
 
 RT2_INV = 1.0 / np.sqrt(2.0)
 GOLDEN = Path(__file__).parent / "golden"
-GOLDEN_MARGINS = GOLDEN / "verify_margins.csv"
 # (golden file, dimension, roof arguments) on a full-rank density seeded by dim.
 ROOF_GOLDENS = [
     ("roof_qubit_concurrence2.json", 2, ["--measure", "concurrence", "--k", "2", "--restarts", "2"]),
@@ -543,190 +542,121 @@ def test_batched_sampler_rows_match_sample_trial(dim, shifts, kraus_per_shift):
             assert k.coeffs == {n: complex(row[n]) for n in np.flatnonzero(row)}
 
 
+def reference_normals(seed, trials, sizes):
+    """The normals of the stream rule, built here one trial at a time.
+
+    Trial t's n normals on stream k are the n 64-bit words at offset t * n of
+    ``PCG64(SeedSequence([seed, k]))``, each word's top 53 bits a uniform in
+    [0, 1), which Box-Muller turns into normals: columns j and j + n/2 of a
+    row from uniforms j and j + n/2.
+    """
+    out = []
+    for k, n in enumerate(sizes):
+        rows = []
+        for t in trials:
+            bits = np.random.PCG64(np.random.SeedSequence([seed, k]))
+            bits.advance(t * n)
+            u = (bits.random_raw(n) >> np.uint64(11)) * 2.0**-53
+            r = np.sqrt(-2.0 * np.log1p(-u[: n // 2]))
+            theta = np.pi * (2.0 * u[n // 2 :] - 1.0)
+            rows.append(np.concatenate((r * np.cos(theta), r * np.sin(theta))))
+        out.append(np.array(rows).reshape(len(trials), n))
+    return out
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
 @pytest.mark.parametrize(
-    "trials", [range(3), range(2**32 - 3, 2**32), range(7, 0, -2), range(2**32 - 1, 2**32 - 8, -3)]
+    "trials", [range(3), range(2**32 - 3, 2**32), range(7, 12), range(2**32 - 1, 2**32)]
 )
-def test_sampler_rows_match_default_rng_streams(seed, trials):
-    """Rows equal the draws of generators seeded by ``[seed, t, k]``, built here.
+def test_sampler_rows_match_reference_streams(seed, trials):
+    """Rows equal, bit for bit, the stream rule's normals built here.
 
-    Seeds from 2**32 on are two or more SeedSequence entropy words; a trial
-    is always one, and the ranges at the top of that word, ascending and
-    reversed with a step, pin its upper end.
+    Seeds from 2**32 on are two or more SeedSequence entropy words. The
+    ranges start at 0, inside the trials and at the top trial 2**32 - 1.
     """
     dim, shifts, kraus_per_shift = 3, (-1, 0, 1), 2
     layout = _slot_layout(dim, shifts, kraus_per_shift)
     weights, coeffs = sample_trials(layout, seed, trials)
-    size = coefficient_draws(layout)
-    state_draws = np.array([np.random.default_rng([seed, t, 0]).normal(size=2 * dim) for t in trials])
-    channel_draws = np.array([np.random.default_rng([seed, t, 1]).normal(size=size) for t in trials])
-    draws = seeded_normals(seed, trials, (2 * dim, size))
+    state_draws, channel_draws = reference_normals(seed, trials, (2 * dim, coefficient_draws(layout)))
+    draws = trial_normals(seed, trials, (2 * dim, coefficient_draws(layout)))
     assert np.array_equal(draws[0], state_draws)
     assert np.array_equal(draws[1], channel_draws)
     assert np.array_equal(weights, random_weights(dim, state_draws))
     assert np.array_equal(coeffs, sample_coefficients(layout, channel_draws))
 
 
-def fresh_normals(seed, trials, sizes):
-    """The draws ``seeded_normals`` promises, from generators built here."""
-    return [
-        np.array([np.random.default_rng([seed, t, k]).normal(size=n) for t in trials]).reshape(len(trials), n)
-        for k, n in enumerate(sizes)
-    ]
+@pytest.mark.parametrize(
+    "seed, whole",
+    [(9, range(7)), (2**64 + 5, range(1000, 1006)), (2**40 + 3, range(2**32 - 7, 2**32))],
+    ids=["first", "inner", "top"],
+)
+def test_sub_range_rows_equal_whole_range_rows(seed, whole):
+    """Every contiguous sub-range, and every trial alone, reads the whole range's rows."""
+    dim, shifts, kraus_per_shift = 4, (-2, 0, 1), 2
+    layout = _slot_layout(dim, shifts, kraus_per_shift)
+    weights, coeffs = sample_trials(layout, seed, whole)
+    for a in range(len(whole)):
+        for b in range(a + 1, len(whole) + 1):
+            sub_weights, sub_coeffs = sample_trials(layout, seed, whole[a:b])
+            assert np.array_equal(sub_weights, weights[a:b]), (a, b)
+            assert np.array_equal(sub_coeffs, coeffs[a:b]), (a, b)
+    for i, trial in enumerate(whole):
+        state, channel = sample_trial(dim, shifts, kraus_per_shift, seed, trial)
+        assert np.array_equal(state.weights, weights[i])
+        for k, row in zip(channel.all_kraus(), coeffs[i]):
+            assert k.coeffs == {n: complex(row[n]) for n in np.flatnonzero(row)}
 
 
-# Ascending requests: k = 0 grows alone, then both, and the last adds a third k.
-TAPE_SIZES = [(0, 1), (1, 2), (3, 2), (3, 5), (8, 11), (8, 11, 6)]
+@pytest.mark.parametrize("seed", [3, 2**64 + 5])
+def test_trial_normals_are_standard_normal(seed):
+    stats = pytest.importorskip("scipy.stats")
+    state, channel = trial_normals(seed, range(2000), (8, 30))
+    for draws in (state, channel):
+        assert stats.kstest(draws.ravel(), "norm").pvalue > 1e-3
+        # The cosine and the sine halves of each pair alike.
+        half = draws.shape[1] // 2
+        for column in (draws[:, 0], draws[:, half - 1], draws[:, half], draws[:, -1]):
+            assert stats.kstest(column, "norm").pvalue > 1e-3
 
 
-@pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
-def test_tape_serves_default_rng_prefixes(monkeypatch, order):
-    """Every request equals fresh draws, whether the kept draws grow, serve a prefix or are replaced.
-
-    Ascending requests go key by key and grow the kept draws, descending
-    ones are served as their prefixes. Interleaved requests cycle the two
-    seeds and two ranges on every size, so each call replaces the record.
-    """
-    monkeypatch.setattr(numerics, "_tape", (None, ()))
-    keys = [(seed, trials) for seed in (3, 2**32 + 1) for trials in (range(2**32 - 4, 2**32), range(7, 0, -2))]
-    if order == "interleaved":
-        mixed = [TAPE_SIZES[i] for i in (3, 0, 5, 1, 4, 2)]
-        calls = [(key, sizes) for sizes in mixed for key in keys]
-    else:
-        requests = TAPE_SIZES if order == "ascending" else TAPE_SIZES[::-1]
-        calls = [(key, sizes) for key in keys for sizes in requests]
-    for (seed, trials), sizes in calls:
-        got = seeded_normals(seed, trials, sizes)
-        assert [g.shape for g in got] == [(len(trials), n) for n in sizes]
-        for g, expected in zip(got, fresh_normals(seed, trials, sizes)):
-            assert np.array_equal(g, expected), (seed, trials, sizes)
-
-
-def test_tape_views_are_read_only(monkeypatch):
-    monkeypatch.setattr(numerics, "_tape", (None, ()))
-    drawn = seeded_normals(5, range(3), (4, 0, 2))
-    served = seeded_normals(5, range(3), (1, 0, 2))
-    for array in drawn + served:
-        with pytest.raises(ValueError, match="read-only"):
-            array[...] = 0
-    assert np.array_equal(served[0], drawn[0][:, :1])
+def test_trial_normals_reject_a_bad_step_or_an_odd_size():
+    with pytest.raises(BadParameter, match=r"^trials must be a range of step 1, got range\(7, 0, -2\)$"):
+        trial_normals(0, range(7, 0, -2), (2,))
+    with pytest.raises(BadParameter, match=r"^sizes must be even, got \[2, 3\]$"):
+        trial_normals(0, range(3), (2, 3))
+    assert [a.shape for a in trial_normals(0, range(3, 3), (2, 0))] == [(0, 2), (0, 0)]
 
 
 @pytest.fixture
 def seeded_streams(monkeypatch):
-    """The streams seeded from here on, one entry per PCG64 built, starting from no kept draws."""
+    """The streams seeded from here on, one entry per PCG64 built, starting from no kept batch."""
     built = []
 
-    class Counting(numerics._Words):
-        def __init__(self, words):
+    class Counting(np.random.PCG64):
+        def __init__(self, seed):
             built.append(1)
-            super().__init__(words)
+            super().__init__(seed)
 
-    monkeypatch.setattr(numerics, "_Words", Counting)
-    monkeypatch.setattr(numerics, "_tape", (None, ()), raising=False)
+    monkeypatch.setattr(numerics, "PCG64", Counting)
     cli._trial_batch.cache_clear()
     return built
 
 
-def test_sweep_draws_each_stream_set_at_most_three_times(seeded_streams):
-    """A criterion-4 sweep at 1000 trials seeds 6 sets of 1000 streams, not one set per group and k.
-
-    Each group needs its own widths for k = 0 and k = 1; a request wider
-    than the kept draws redraws at twice their width, so both k are drawn
-    at dims 2, 3 and 6 only.
-    """
-    for dim in (2, 3, 4, 6):
-        for shifts in ((-1, 0, 1), (0, 2)):
-            for kind, k in [("vidal", k) for k in range(2, dim + 1)] + [("entropy", None)]:
-                run_verification(MonotoneId(kind, k), dim, 1000, 0, shifts)
-    assert len(seeded_streams) <= 6000
-
-
-def test_size_zero_seeds_no_stream(seeded_streams):
-    state, channel = seeded_normals(2, range(10), (0, 3))
-    assert state.shape == (10, 0) and channel.shape == (10, 3)
-    assert len(seeded_streams) == 10
-
-
-def test_sample_trial_reads_no_tape(monkeypatch):
-    dim, shifts, seed, trial = 3, (-1, 0, 1), 4, 5
-    sizes = (2 * dim, coefficient_draws(_slot_layout(dim, shifts, 1)))
-    poison = tuple(np.full((1, n), np.nan) for n in sizes)
-    monkeypatch.setattr(numerics, "_tape", ((seed, range(trial, trial + 1)), poison))
-    assert np.isnan(seeded_normals(seed, range(trial, trial + 1), sizes)[0]).all()
-    state, channel = sample_trial(dim, shifts, 1, seed, trial)
-    assert numerics._tape[1] is poison
-    assert np.array_equal(state.weights, random_weights(dim, fresh_normals(seed, [trial], sizes)[0])[0])
-    expected = random_channel(dim, shifts, 1, (seed, trial, 1))
-    assert [k.coeffs for k in channel.all_kraus()] == [k.coeffs for k in expected.all_kraus()]
-
-
-def test_tape_shared_by_two_threads_serves_fresh_draws(monkeypatch):
-    """Two threads alternating seeds each read one key's draws, whoever published last."""
-    monkeypatch.setattr(numerics, "_tape", (None, ()))
-    trials, widths = range(3), [(2, 3), (6, 1), (4, 8), (1, 1)]
-    expected = {seed: fresh_normals(seed, trials, (6, 8)) for seed in (1, 2)}
-    failures, done = [], []
-
-    def worker(first):
-        for i in range(300):
-            seed = 1 + (first + i) % 2
-            sizes = widths[i % len(widths)]
-            got = seeded_normals(seed, trials, sizes)
-            if not all(np.array_equal(g, e[:, :n]) for g, e, n in zip(got, expected[seed], sizes)):
-                failures.append((seed, sizes))
-        done.append(first)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(first,)) for first in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sorted(done) == [0, 1]
-    assert failures == []
-
-
-def test_run_verification_matches_golden_margins():
-    """Margins equal, bit for bit, those captured from an earlier implementation.
-
-    The CSV holds dims 2, 3, 4 and 6, shift sets (-1, 0, 1) and (0, 2), every
-    measure valid for each dim, seed 11 and 10 trials, with ``repr(margin)``.
-    """
-    with open(GOLDEN_MARGINS, newline="", encoding="utf-8") as fh:
+def golden_margin_groups(name, variance):
+    """The margins of one golden CSV, by (dim, shifts, kraus_per_shift, kind, k), for the variance
+    rows or for every other row. A file without a ``kraus_per_shift`` column holds 1 throughout."""
+    with open(GOLDEN / name, newline="", encoding="utf-8") as fh:
         golden = list(csv.DictReader(fh))
-    combos = {}
+    groups = {}
     for row in golden:
-        key = (int(row["dim"]), row["shifts"], row["kind"], row["k"])
-        combos.setdefault(key, []).append((int(row["trial"]), row["margin"], int(row["p_count"])))
-    assert len(combos) == 60
-    for (dim, shifts, kind, k), expected in combos.items():
-        shift_tuple = tuple(int(s) for s in shifts.split())
-        measure = MonotoneId(kind, int(k) if k else None)
-        _, rows = run_verification(measure, dim, trials=10, seed=11, shifts=shift_tuple)
-        assert [(t, repr(m), c) for t, m, c in rows] == expected, (dim, shifts, kind, k)
+        if (row["kind"] == "variance") == variance:
+            key = (int(row["dim"]), row["shifts"], int(row.get("kraus_per_shift", 1)), row["kind"], row["k"])
+            groups.setdefault(key, []).append((int(row["trial"]), row["margin"], int(row["p_count"])))
+    return groups
 
 
-def test_run_verification_matches_wide_golden_margins():
-    """Margins equal, bit for bit, those captured from the one-trial-at-a-time code.
-
-    The CSV holds dims 8 and 12 with shifts (-1, 0, 1), and dim 4 with shifts
-    (-2, 0, 1) and two Kraus operators per shift; every measure valid for
-    each dim, seed 11 and 10 trials, with ``repr(margin)``.
-    """
-    with open(GOLDEN / "verify_margins_wide.csv", newline="", encoding="utf-8") as fh:
-        golden = list(csv.DictReader(fh))
-    combos = {}
-    for row in golden:
-        key = (int(row["dim"]), row["shifts"], int(row["kraus_per_shift"]), row["kind"], row["k"])
-        combos.setdefault(key, []).append((int(row["trial"]), row["margin"], int(row["p_count"])))
-    assert len(combos) == 48
-    for (dim, shifts, kraus_per_shift, kind, k), expected in combos.items():
+def assert_margins_match(groups):
+    for (dim, shifts, kraus_per_shift, kind, k), expected in groups.items():
         measure = MonotoneId(kind, int(k) if k else None)
         _, rows = run_verification(
             measure,
@@ -736,7 +666,46 @@ def test_run_verification_matches_wide_golden_margins():
             shifts=tuple(int(s) for s in shifts.split()),
             kraus_per_shift=kraus_per_shift,
         )
-        assert [(t, repr(m), c) for t, m, c in rows] == expected, (dim, shifts, kind, k)
+        assert [(t, repr(m), c) for t, m, c in rows] == expected, (dim, shifts, kraus_per_shift, kind, k)
+
+
+# The verify goldens, split by kind. Every kind but the variance is computed by
+# numpy's own arithmetic, so its rows hold on every BLAS kernel; the variance's
+# mean and second moment go through np.vecdot, the BLAS dot, whose rounding
+# follows the kernel.
+def test_run_verification_matches_golden_margins():
+    """Margins equal, bit for bit, the captured ones, for every kind but the variance.
+
+    The CSV holds dims 2, 3, 4 and 6, shift sets (-1, 0, 1) and (0, 2), every
+    measure valid for each dim, seed 11 and 10 trials, with ``repr(margin)``.
+    """
+    groups = golden_margin_groups("verify_margins.csv", variance=False)
+    assert len(groups) == 52
+    assert_margins_match(groups)
+
+
+def test_run_verification_matches_golden_variance_margins():
+    groups = golden_margin_groups("verify_margins.csv", variance=True)
+    assert len(groups) == 8
+    assert_margins_match(groups)
+
+
+def test_run_verification_matches_wide_golden_margins():
+    """As the golden above, on wider layouts, for every kind but the variance.
+
+    The CSV holds dims 8 and 12 with shifts (-1, 0, 1), and dim 4 with shifts
+    (-2, 0, 1) and two Kraus operators per shift; every measure valid for
+    each dim, seed 11 and 10 trials, with ``repr(margin)``.
+    """
+    groups = golden_margin_groups("verify_margins_wide.csv", variance=False)
+    assert len(groups) == 45
+    assert_margins_match(groups)
+
+
+def test_run_verification_matches_wide_golden_variance_margins():
+    groups = golden_margin_groups("verify_margins_wide.csv", variance=True)
+    assert len(groups) == 3
+    assert_margins_match(groups)
 
 
 def test_run_verification_reads_numpy_integers():
@@ -997,6 +966,9 @@ def test_verify_bounds_trials_before_any_draw(capsys, seeded_streams):
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not seeded_streams
+    # A run that passes the bound seeds its two streams, once for its one batch.
+    run_verification(MonotoneId("entropy"), 3, 4, 0, (-1, 0, 1))
+    assert len(seeded_streams) == 2
 
 
 def test_verify_accepts_max_trials(monkeypatch):
@@ -1040,7 +1012,7 @@ def test_negative_seed_or_trial_is_typed():
         run_verification(MonotoneId("entropy"), 3, 4, True, (-1, 0, 1))
     with pytest.raises(BadParameter, match="^trial must be at least 0, got -1$"):
         sample_trial(3, (-1, 0, 1), 1, 0, -1)
-    # The batch sampler's trials are one SeedSequence entropy word, ending at 2**32 - 1.
+    # The batch sampler and sample_trial take trials in 0..2**32 - 1, checked in one place.
     layout = _slot_layout(3, (-1, 0, 1), 1)
     weights, _ = sample_trials(layout, 0, range(2**32 - 1, 2**32))
     assert np.array_equal(weights[0], sample_trial(3, (-1, 0, 1), 1, 0, 2**32 - 1)[0].weights)
@@ -1049,8 +1021,10 @@ def test_negative_seed_or_trial_is_typed():
             sample_trials(layout, 0, trials)
     with pytest.raises(BadParameter, match=f"^trial must be at most {2**32 - 1}, got {2**64 - 1}$"):
         sample_trials(layout, 0, range(2**64 - 3, 2**64))
-    # One trial at a time, any nonnegative index is drawn.
-    sample_trial(3, (-1, 0, 1), 1, 0, 2**64)
+    with pytest.raises(BadParameter, match=f"^trial must be at most {2**32 - 1}, got {2**64}$"):
+        sample_trial(3, (-1, 0, 1), 1, 0, 2**64)
+    with pytest.raises(BadParameter, match="^trial must be an integer, got True$"):
+        sample_trial(3, (-1, 0, 1), 1, 0, True)
     # A list of trials raised a bare AttributeError for its missing ``start``.
     with pytest.raises(BadParameter, match="^trials must be a range, got list$"):
         sample_trials(layout, 0, [0, 1])
