@@ -59,10 +59,10 @@ class U1Kraus:
         return row
 
     def matrix(self, dim: int) -> np.ndarray:
+        """``coeffs[n]`` at row ``(n + shift) mod dim``, column ``n``; an entry that wraps is an exact zero."""
         m = np.zeros((dim, dim), dtype=np.complex128)
-        row = self.row(dim)
-        n = np.flatnonzero(row)
-        m[n + self.shift, n] = row[n]
+        n = np.arange(dim)
+        m[(n + self.shift % dim) % dim, n] = self.row(dim)
         return m
 
 
@@ -234,24 +234,21 @@ def sample_coefficients(layout: tuple[tuple[int, ...], int], draws: np.ndarray) 
     slots live on it form an independent Haar-uniform complex unit vector,
     so the per-sector completeness sums are 1. Each row of the
     ``(T, coefficient_draws(layout))`` normal draws holds, sector by
-    sector, the real then the imaginary parts of that sector's vector.
+    sector, the real then the imaginary parts of its live slots in order.
     Returns the ``(T, S, dim)`` coefficients, zero outside the window.
     """
     slot_shifts, dim = layout
     target = np.arange(dim) + np.asarray(slot_shifts)[:, None]
     live = (target >= 0) & (target < dim)
-    sizes = live.sum(axis=0)
-    starts = np.concatenate(([0], np.cumsum(2 * sizes)[:-1]))
     coeffs = np.zeros((len(draws),) + live.shape, dtype=np.complex128)
-    for size in np.unique(sizes):
-        sectors = np.flatnonzero(sizes == size)
-        re = starts[sectors, None] + np.arange(size)
-        vec = draws[:, re] + 1j * draws[:, re + size]
+    start = 0
+    for n, size in enumerate(live.sum(axis=0).tolist()):
+        vec = draws[:, start : start + size] + 1j * draws[:, start + size : start + 2 * size]
+        start += 2 * size
         # Summed in index order by numpy's own arithmetic, not by a BLAS dot,
         # so the rounding is the same on every BLAS kernel.
         norm = np.sqrt(in_order_sum(vec.real * vec.real, -1) + in_order_sum(vec.imag * vec.imag, -1))
-        slots = np.array([np.flatnonzero(live[:, n]) for n in sectors])
-        coeffs[:, slots, sectors[:, None]] = vec / norm[..., None]
+        coeffs[:, live[:, n], n] = vec / norm[:, None]
     return coeffs
 
 
@@ -289,9 +286,10 @@ def apply_slots_pure(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Outcome probabilities and post-states of singleton-outcome channels on pure states.
 
-    ``slot_shifts`` are those of a :func:`_slot_layout`, and
-    ``moduli[..., j, n]`` is ``abs(c) ** 2`` of slot ``j``'s coefficient
-    at source sector ``n``. Leading axes are batch axes shared with
+    ``slot_shifts`` are integers of any size, and ``moduli[..., j, n]`` is
+    ``abs(c) ** 2`` of slot ``j``'s coefficient at source sector ``n``, zero
+    where ``n + slot_shifts[j]`` leaves ``0..d-1``: a shift that leaves the
+    window gives zeros. Leading axes are batch axes shared with
     ``weights[..., n]``. Returns the probabilities ``(..., S)`` and the
     post-state weights ``(..., S, d)``. An outcome with probability at or
     below ``ZERO_TOL`` is dropped: its probability and its post-state are
@@ -306,23 +304,19 @@ def apply_slots_pure(
     d = moduli.shape[-1]
     contrib = weights[..., None, :] * moduli
     probs = in_order_sum(contrib, -1)
-    posts = np.zeros_like(contrib)
-    for j, ell in enumerate(slot_shifts):
-        if ell >= 0:
-            posts[..., j, ell:] = contrib[..., j, : d - ell]
-        else:
-            posts[..., j, : d + ell] = contrib[..., j, -ell:]
+    # Sector n of slot j's post-state reads source (n - shift) mod d; a wrapped read meets a zero.
+    src = (np.arange(d) - np.array([ell % d for ell in slot_shifts])[:, None]) % d
     kept = ~(probs <= ZERO_TOL)
-    np.divide(posts, probs[..., None], out=posts, where=kept[..., None])
+    posts = np.divide(contrib, probs[..., None], out=np.zeros_like(contrib), where=kept[..., None])
+    posts = np.take_along_axis(posts, src.reshape((1,) * (contrib.ndim - 2) + src.shape), -1)
     probs[~kept] = 0.0
-    posts[~kept] = 0.0
     posts[kept] = checked_weights(posts[kept])
     _check_probabilities(probs)
     return probs, posts
 
 
 def apply_channel_pure(channel: U1Channel, state: StandardState) -> Ensemble:
-    """Outcome ensemble of a trace-preserving pure-to-pure channel."""
+    """Outcome ensemble of a trace-preserving pure-to-pure channel; an all-zero operator's outcome is left out."""
     channel = instance(channel, U1Channel, InvalidChannel, "channel")
     state = instance(state, StandardState, InvalidState, "state")
     if state.dim != channel.dim:
@@ -335,10 +329,7 @@ def apply_channel_pure(channel: U1Channel, state: StandardState) -> Ensemble:
                 f"outcome group with {len(group)} Kraus operators; "
                 "pure-state application needs singletons"
             )
-    # A shift with |shift| >= dim has an all-zero row (row raises on any other), so an
-    # outcome of probability 0: only the operators whose shift reaches the window are applied.
-    live = [j for j, k in enumerate(kraus) if -channel.dim < k.shift < channel.dim]
-    probs, posts = apply_slots_pure([kraus[j].shift for j in live], moduli[live], state.weights)
+    probs, posts = apply_slots_pure([k.shift for k in kraus], moduli, state.weights)
     return Ensemble(tuple((p, StandardState(w)) for p, w in zip(probs, posts) if p > 0))
 
 

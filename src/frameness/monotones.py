@@ -267,10 +267,13 @@ def appendix_closed_form(p: float, alpha: float) -> AppendixResult:
     complement. Raises :class:`BadParameter` unless p and alpha are
     numbers, p lies in [0, 1] and alpha is finite.
     """
-    p = float(number(p, BadParameter, "p"))
-    if not 0.0 <= p <= 1.0:
-        raise BadParameter(f"p={p} outside [0, 1]")
-    alpha = float(number(alpha, BadParameter, "alpha"))
+    try:
+        p = float(number(p, BadParameter, "p"))
+        if not 0.0 <= p <= 1.0:
+            raise BadParameter(f"p={p} outside [0, 1]")
+        alpha = float(number(alpha, BadParameter, "alpha"))
+    except OverflowError:  # an int beyond the float range; p is a float once read
+        raise BadParameter(f"{'alpha' if isinstance(p, float) else 'p'} out of float range") from None
     if not math.isfinite(alpha):
         raise BadParameter(f"alpha={alpha} is not finite")
     s = math.sin(alpha)

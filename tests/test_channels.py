@@ -119,6 +119,8 @@ def test_kraus_matrix():
     expect[1, 0] = 1 / RT2
     expect[2, 1] = 1 / RT2
     assert np.array_equal(m, expect)
+    # A shift past int64 once raised a bare OverflowError from the row index.
+    assert np.array_equal(U1Kraus(10**30, {0: 0.0}).matrix(2), np.zeros((2, 2)))
 
 
 def test_random_channel_trace_preserving_and_deterministic():
@@ -227,10 +229,20 @@ def test_apply_channel_pure_leaves_dead_operators_out():
     st = StandardState([0.25, 0.75])
     ch = random_channel(2, (-1, 0, 1), seed=4)
     ens = apply_channel_pure(ch, st)
-    dead = apply_channel_pure(U1Channel(list(ch.outcomes) + [[U1Kraus(5, {})], [U1Kraus(-2, {0: 0.0})]], 2), st)
-    assert len(dead.members) == len(ens.members)
-    for (p, out), (q, post) in zip(ens.members, dead.members):
-        assert p == q and np.array_equal(out.weights, post.weights)
+    rho = np.array([[0.25, 0.1], [0.1, 0.75]])
+    mixed = apply_channel_density(ch, rho)
+    # Shifts past int64 once made apply_channel_density raise a bare OverflowError.
+    for extra in ([[U1Kraus(5, {})], [U1Kraus(-2, {0: 0.0})]], [[U1Kraus(10**30, {0: 0.0})]], [[U1Kraus(2**63, {1: 0.0})]]):
+        dead_channel = U1Channel(list(ch.outcomes) + extra, 2)
+        dead = apply_channel_pure(dead_channel, st)
+        assert len(dead.members) == len(ens.members)
+        for (p, out), (q, post) in zip(ens.members, dead.members):
+            assert p == q and np.array_equal(out.weights, post.weights)
+        assert np.array_equal(validate_channel(dead_channel).per_sector_sums, validate_channel(ch).per_sector_sums)
+        dead_mixed = apply_channel_density(dead_channel, rho)
+        assert len(dead_mixed.members) == len(mixed.members)
+        for (p, out), (q, post) in zip(mixed.members, dead_mixed.members):
+            assert p == q and np.array_equal(out, post)
     # The dead operator's row is still read, so a nonzero coefficient it sends outside raises.
     with pytest.raises(InvalidChannel, match="^coefficient at sector 0 with shift 5 maps outside 0..1$"):
         apply_channel_pure(U1Channel(list(ch.outcomes) + [[U1Kraus(5, {0: 1.0})]], 2), st)

@@ -1566,6 +1566,22 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_first_verification_leaves_numpy_ma_unloaded():
+    # numpy's unique imports numpy.ma on first use: 10-30 ms inside a first verify's runtime_ms.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys; from frameness import MonotoneId; from frameness.cli import run_verification\n"
+        "for m in (MonotoneId('vidal', 2), MonotoneId('entropy'), MonotoneId('concurrence', 3), MonotoneId('variance')):\n"
+        "    run_verification(m, 4, 30, 7, (-1, 0, 1), 2)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_appendix_rejects_bad_probability(capsys):
     assert main(["appendix", "--p", "1.5", "--alpha", "0.0"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -484,6 +484,11 @@ def test_appendix_rejects_bad_probability():
         appendix_closed_form(1j, 0.0)
     with pytest.raises(BadParameter, match="^alpha must be a real number, got 1j$"):
         appendix_closed_form(0.5, 1j)
+    # Raised a bare OverflowError from float() before.
+    with pytest.raises(BadParameter, match="^alpha out of float range$"):
+        appendix_closed_form(0.3, 10**400)
+    with pytest.raises(BadParameter, match="^p out of float range$"):
+        appendix_closed_form(10**400, 0.3)
 
 
 def test_optimal_decomposition_rank_one():
